@@ -1,14 +1,11 @@
 #!/usr/bin/env python3
-"""Times the numba and numpy paths of every hot kernel side by side.
+"""Times every hot kernel on protocol-scale inputs.
 
 Run from the repository root:
 
-    python3 benchmarks/bench_kernels.py
+    PYTHONPATH=src python3 benchmarks/bench_kernels.py
 
-The active backend for the library itself is chosen at import time
-(numba when importable, numpy when GAPCOMM_PURE_NUMPY=1); this script
-imports both implementations directly so the comparison is independent
-of that selection.
+Each row is the best of seven runs after one warm-up call.
 """
 import time
 
@@ -18,7 +15,7 @@ from gapcomm import _kernels
 
 
 def best_of(fn, *args, reps: int = 7) -> float:
-    fn(*args)  # warm: triggers JIT compilation on the numba path
+    fn(*args)
     best = float("inf")
     for _ in range(reps):
         t0 = time.perf_counter()
@@ -27,76 +24,33 @@ def best_of(fn, *args, reps: int = 7) -> float:
     return best
 
 
-def row(name: str, numpy_fn, numba_fn, *args) -> None:
-    t_np = best_of(numpy_fn, *args)
-    if numba_fn is None:
-        print(f"{name:<34} numpy {t_np * 1e3:9.3f} ms   numba       n/a")
-        return
-    t_nb = best_of(numba_fn, *args)
-    speedup = t_np / t_nb if t_nb > 0 else float("inf")
-    print(
-        f"{name:<34} numpy {t_np * 1e3:9.3f} ms   numba {t_nb * 1e3:9.3f} ms   x{speedup:5.1f}"
-    )
+def row(name: str, fn, *args) -> None:
+    print(f"{name:<34} {best_of(fn, *args) * 1e3:9.3f} ms")
 
 
 def main() -> None:
     rng = np.random.default_rng(0)
-    have = _kernels.HAVE_NUMBA
-    print(f"active library backend: {_kernels.backend_name()}")
+    print(f"kernel backend: {_kernels.backend_name()}")
     print()
 
     for n in (12, 16, 18):
         vec = rng.integers(-1000, 1000, size=1 << n).astype(np.int64)
-        row(
-            f"walsh-hadamard transform 2^{n}",
-            _kernels.fwht_numpy,
-            _kernels.fwht_numba if have else None,
-            vec,
-        )
+        row(f"walsh-hadamard transform 2^{n}", _kernels.fwht, vec)
 
     for n in (13, 17):
         nums = rng.integers(-500, 500, size=1 << n).astype(np.int64)
         z = int(rng.integers(0, 1 << n))
         x = int(rng.integers(0, 1 << n))
-        row(
-            f"mask quadratic form 2^{n}",
-            _kernels.pauli_quad_numpy,
-            _kernels.pauli_quad_numba if have else None,
-            nums,
-            z,
-            x,
-        )
+        row(f"mask quadratic form 2^{n}", _kernels.pauli_quad, nums, z, x)
 
     pads = rng.integers(0, 2, size=(720, 12), dtype=np.uint8)
     selected = np.array([0, 3, 5, 7, 9], dtype=np.int64)
 
-    def majority_numpy_many(p, s):
+    def majority_many(p, s):
         for _ in range(1000):
-            _kernels.majority_rows_numpy(p, s)
+            _kernels.majority_rows(p, s)
 
-    def majority_numba_many(p, s):
-        for _ in range(1000):
-            _kernels.majority_rows_numba(p, s)
-
-    row(
-        "majority encode 720x12 (x1000)",
-        majority_numpy_many,
-        majority_numba_many if have else None,
-        pads,
-        selected,
-    )
-
-    indices = rng.integers(0, 2**62, size=4096, dtype=np.uint64)
-    weights = rng.integers(1, 9, size=4096).astype(np.int64)
-    z = int(rng.integers(0, 2**62))
-    row(
-        "signed weight sum 4096",
-        _kernels.signed_weight_sum_numpy,
-        _kernels.signed_weight_sum_numba if have else None,
-        indices,
-        weights,
-        z,
-    )
+    row("majority encode 720x12 (x1000)", majority_many, pads, selected)
 
 
 if __name__ == "__main__":

@@ -1,38 +1,13 @@
-"""Hot numeric kernels, JIT-compiled with numba when available.
+"""Hot numeric kernels, vectorized in numpy.
 
-Every kernel has a pure-numpy twin; set ``GAPCOMM_PURE_NUMPY=1`` to force
-the numpy path (useful on machines without a working numba toolchain).
-``benchmarks/bench_kernels.py`` times the two paths against each other and
-the test suite exercises both regardless of the active selection.
+``benchmarks/bench_kernels.py`` times each of them on protocol-scale inputs.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_FORCE_NUMPY = os.environ.get("GAPCOMM_PURE_NUMPY", "").strip().lower() in (
-    "1",
-    "true",
-    "yes",
-    "on",
-)
 
-try:
-    if _FORCE_NUMPY:
-        raise ImportError("numpy path forced via GAPCOMM_PURE_NUMPY")
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-
-# ---------------------------------------------------------------------------
-# numpy reference implementations
-# ---------------------------------------------------------------------------
-
-def fwht_numpy(vec: np.ndarray) -> np.ndarray:
+def fwht(vec: np.ndarray) -> np.ndarray:
     """In-place-style Walsh-Hadamard butterflies on a fresh int64 copy."""
     out = np.array(vec, dtype=np.int64, copy=True)
     n = out.shape[0]
@@ -47,7 +22,7 @@ def fwht_numpy(vec: np.ndarray) -> np.ndarray:
     return out
 
 
-def parity_u64_numpy(values: np.ndarray) -> np.ndarray:
+def parity_u64(values: np.ndarray) -> np.ndarray:
     """Per-element parity of the set bits of a uint64 array (0 or 1)."""
     t = np.array(values, dtype=np.uint64, copy=True)
     for shift in (32, 16, 8, 4, 2, 1):
@@ -55,16 +30,16 @@ def parity_u64_numpy(values: np.ndarray) -> np.ndarray:
     return (t & np.uint64(1)).astype(np.int64)
 
 
-def pauli_quad_numpy(nums: np.ndarray, z_mask: int, x_mask: int) -> int:
+def pauli_quad(nums: np.ndarray, z_mask: int, x_mask: int) -> int:
     """Quadratic form sum(s_y * nums[y] * nums[y ^ x]) with s_y = (-1)^|y & z|."""
     n = nums.shape[0]
     idx = np.arange(n, dtype=np.uint64)
-    signs = 1 - 2 * parity_u64_numpy(idx & np.uint64(z_mask))
+    signs = 1 - 2 * parity_u64(idx & np.uint64(z_mask))
     partner = (idx ^ np.uint64(x_mask)).astype(np.int64)
     return int(np.sum(signs * nums * nums[partner]))
 
 
-def majority_rows_numpy(pads: np.ndarray, selected: np.ndarray) -> np.ndarray:
+def majority_rows(pads: np.ndarray, selected: np.ndarray) -> np.ndarray:
     """Row-wise strict majority of the selected columns of a 0/1 matrix.
 
     Ties (possible only for even selection counts) resolve to 0, as does an
@@ -76,131 +51,5 @@ def majority_rows_numpy(pads: np.ndarray, selected: np.ndarray) -> np.ndarray:
     return (2 * counts > selected.size).astype(np.uint8)
 
 
-def signed_weight_sum_numpy(indices: np.ndarray, weights: np.ndarray, z_mask: int) -> int:
-    """sum(w_k^2 * (-1)^|index_k & z|) for 64-bit basis indices."""
-    signs = 1 - 2 * parity_u64_numpy(indices.astype(np.uint64) & np.uint64(z_mask))
-    w = weights.astype(np.int64)
-    return int(np.sum(signs * w * w))
-
-
-# ---------------------------------------------------------------------------
-# numba twins
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _fwht_numba(out):
-        n = out.shape[0]
-        h = 1
-        while h < n:
-            for i in range(0, n, h * 2):
-                for j in range(i, i + h):
-                    x = out[j]
-                    y = out[j + h]
-                    out[j] = x + y
-                    out[j + h] = x - y
-            h *= 2
-        return out
-
-    @njit(cache=True)
-    def _popcount64(x):
-        x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
-        x = (x & np.uint64(0x3333333333333333)) + (
-            (x >> np.uint64(2)) & np.uint64(0x3333333333333333)
-        )
-        x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-        return (x * np.uint64(0x0101010101010101)) >> np.uint64(56)
-
-    @njit(cache=True)
-    def _parity_u64_numba(values):
-        out = np.empty(values.shape[0], dtype=np.int64)
-        for k in range(values.shape[0]):
-            out[k] = np.int64(_popcount64(values[k]) & np.uint64(1))
-        return out
-
-    @njit(cache=True)
-    def _pauli_quad_numba(nums, z_mask, x_mask):
-        total = np.int64(0)
-        n = nums.shape[0]
-        for y in range(n):
-            odd = _popcount64(np.uint64(y) & z_mask) & np.uint64(1)
-            prod = nums[y] * nums[np.int64(np.uint64(y) ^ x_mask)]
-            if odd:
-                total -= prod
-            else:
-                total += prod
-        return total
-
-    @njit(cache=True)
-    def _majority_rows_numba(pads, selected):
-        rows = pads.shape[0]
-        out = np.zeros(rows, dtype=np.uint8)
-        m = selected.shape[0]
-        if m == 0:
-            return out
-        for r in range(rows):
-            count = 0
-            for s in range(m):
-                count += pads[r, selected[s]]
-            if 2 * count > m:
-                out[r] = 1
-        return out
-
-    @njit(cache=True)
-    def _signed_weight_sum_numba(indices, weights, z_mask):
-        total = np.int64(0)
-        for k in range(indices.shape[0]):
-            odd = _popcount64(indices[k] & z_mask) & np.uint64(1)
-            sq = weights[k] * weights[k]
-            if odd:
-                total -= sq
-            else:
-                total += sq
-        return total
-
-    def fwht_numba(vec: np.ndarray) -> np.ndarray:
-        return _fwht_numba(np.array(vec, dtype=np.int64, copy=True))
-
-    def parity_u64_numba(values: np.ndarray) -> np.ndarray:
-        return _parity_u64_numba(np.ascontiguousarray(values, dtype=np.uint64))
-
-    def pauli_quad_numba(nums: np.ndarray, z_mask: int, x_mask: int) -> int:
-        return int(
-            _pauli_quad_numba(
-                np.ascontiguousarray(nums, dtype=np.int64),
-                np.uint64(z_mask),
-                np.uint64(x_mask),
-            )
-        )
-
-    def majority_rows_numba(pads: np.ndarray, selected: np.ndarray) -> np.ndarray:
-        return _majority_rows_numba(
-            np.ascontiguousarray(pads, dtype=np.uint8),
-            np.ascontiguousarray(selected, dtype=np.int64),
-        )
-
-    def signed_weight_sum_numba(indices: np.ndarray, weights: np.ndarray, z_mask: int) -> int:
-        return int(
-            _signed_weight_sum_numba(
-                np.ascontiguousarray(indices, dtype=np.uint64),
-                np.ascontiguousarray(weights, dtype=np.int64),
-                np.uint64(z_mask),
-            )
-        )
-
-    fwht = fwht_numba
-    parity_u64 = parity_u64_numba
-    pauli_quad = pauli_quad_numba
-    majority_rows = majority_rows_numba
-    signed_weight_sum = signed_weight_sum_numba
-else:
-    fwht = fwht_numpy
-    parity_u64 = parity_u64_numpy
-    pauli_quad = pauli_quad_numpy
-    majority_rows = majority_rows_numpy
-    signed_weight_sum = signed_weight_sum_numpy
-
-
 def backend_name() -> str:
-    return "numba" if HAVE_NUMBA else "numpy"
+    return "numpy"

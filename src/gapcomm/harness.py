@@ -11,6 +11,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -115,6 +116,14 @@ def sample_instance(
     return BitVector(np.concatenate(blocks))
 
 
+def _queried_codewords(x, l, pc, sr) -> tuple[BitVector, BitVector]:
+    """Re-encode the queried block and Bob's column directly."""
+    i, j = proto.decompose_index(l, pc.ghd.gamma)
+    gamma = pc.ghd.gamma
+    block = BitVector(x.bits[(j - 1) * gamma : j * gamma])
+    return ghd_mod.encode_alice(block, pc.ghd, sr), ghd_mod.encode_bob(i, pc.ghd, sr)
+
+
 def run_trial(cfg: ExperimentConfig, pc: proto.ProtocolConfig, trial: int) -> dict:
     """One full Alice -> wire -> Bob round trip plus independent diagnostics."""
     sr = SharedRandomness(cfg.root_seed).substream(trial)
@@ -140,13 +149,7 @@ def run_trial(cfg: ExperimentConfig, pc: proto.ProtocolConfig, trial: int) -> di
         )
         return record
 
-    # independent ground truth: re-encode the queried block directly
-    i, j = proto.decompose_index(l, pc.ghd.gamma)
-    gamma = pc.ghd.gamma
-    block = BitVector(x.bits[(j - 1) * gamma : j * gamma])
-    a = ghd_mod.encode_alice(block, pc.ghd, sr)
-    b = ghd_mod.encode_bob(i, pc.ghd, sr)
-    delta_exact = hamming(a, b)
+    delta_exact = hamming(*_queried_codewords(x, l, pc, sr))  # independent ground truth
 
     record.update(
         bit=result.bit,
@@ -326,119 +329,94 @@ def _feasible_config(kind: str, qubits: int, epsilon: float) -> proto.ProtocolCo
     return proto.ProtocolConfig(kind=kind, qubits=qubits, ghd=GhdParams(epsilon=epsilon))
 
 
-def _verify_targets_general_state(instances: int, seed: int, qubits: int) -> CheckResult:
-    pc = _feasible_config("general-state", qubits, 0.5)
-    name = f"target-general-state-n{qubits}"
+# Second routes to each protocol's oracle target, independent of Bob's
+# decoder: each returns the value the target must equal, from the instance,
+# the query index, the config, the randomness and Alice's message.
+
+def _dense_contraction_target(x, l, pc, sr, msg) -> Fraction:
+    state, _ = ExactState.deserialize(msg.main_payload)
+    strip = proto.general_state_ml_strip(pc, l)
+    int_strip = np.round(strip * math.sqrt(2.0)).astype(np.int64)
+    w = int_strip @ state.numerators
+    return Fraction(int(np.dot(w, w)), 2 * state.norm_sq)
+
+
+def _sum_norm_formula_target(x, l, pc, sr, msg) -> Fraction:
+    a, b = _queried_codewords(x, l, pc, sr)
+    summed = a.bits.astype(np.int64) + b.bits.astype(np.int64)
+    state, _ = ExactState.deserialize(msg.main_payload)
+    return Fraction(2 * int(np.dot(summed, summed)) * (1 << (2 * pc.qubits)), state.norm_sq)
+
+
+def _eigensolver_target(x, l, pc, sr, msg) -> float:
+    # brute force: rebuild the Gram matrix and use an eigensolver norm
+    a_rows, b_rows = proto.encode_block_matrices(x, pc, sr)
+    m = np.concatenate([a_rows, b_rows], axis=0).astype(np.float64).T
+    gram = m.T @ m
+    norm = float(np.linalg.eigvalsh(gram)[-1])
+    i, j = proto.decompose_index(l, pc.ghd.gamma)
+    col_a, col_b = j - 1, (1 << pc.qubits) - pc.ghd.gamma + i - 1
+    sum_norm = gram[col_a, col_a] + 2 * gram[col_a, col_b] + gram[col_b, col_b]
+    return sum_norm / (2.0 * norm)
+
+
+def _scaled_distance_target(x, l, pc, sr, msg) -> Fraction:
+    a, b = _queried_codewords(x, l, pc, sr)
+    return Fraction(-hamming(a, b), pc.ghd.code_len)
+
+
+def _dense_overlap_target(x, l, pc, sr, msg) -> float:
+    i, j = proto.decompose_index(l, pc.ghd.gamma)
+    state, _ = ExactState.deserialize(msg.main_payload)
+    b = ghd_mod.encode_bob(i, pc.ghd, sr)
+    dense_other = np.zeros(state.numerators.shape[0], dtype=np.int64)
+    start = (j - 1) * pc.ghd.code_len
+    dense_other[start : start + pc.ghd.code_len] = b.bits
+    cross = int(np.dot(state.numerators, dense_other))
+    return cross / math.sqrt(state.norm_sq * b.nnz)
+
+
+@dataclass(frozen=True)
+class _TargetCheck:
+    """How verify_suite checks one kind's target: exactly unless a
+    ``tolerance`` is set, at every verify size unless ``qubits`` is fixed."""
+
+    route: Callable
+    detail: str
+    tolerance: float | None = None
+    epsilon: float = 0.5
+    qubits: int | None = None
+
+
+_TARGET_CHECKS = {
+    "general-state": _TargetCheck(_dense_contraction_target, ", exact"),
+    "pauli-state": _TargetCheck(_sum_norm_formula_target, ", exact"),
+    "observable-general": _TargetCheck(_eigensolver_target, " within 1e-9", 1e-9),
+    # this protocol's qubit count is the classical string budget; the
+    # smallest feasible sizes are perfect squares past the source length
+    "observable-pauli": _TargetCheck(_scaled_distance_target, ", exact", epsilon=0.75, qubits=16),
+    "inner-product": _TargetCheck(_dense_overlap_target, ", exact cross terms", 1e-12),
+}
+
+
+def _verify_targets(kind: str, instances: int, seed: int, qubits: int) -> CheckResult:
+    check = _TARGET_CHECKS[kind]
+    pc = _feasible_config(kind, qubits, check.epsilon)
+    name = f"target-{kind}-n{qubits}"
     for k in range(instances):
         sr = SharedRandomness(seed).substream(k)
         gen = sr.substream(STREAM_INSTANCE).generator()
         x = sample_instance(gen, pc, True)
         l = int(sr.substream(STREAM_INDEX).generator().integers(1, pc.capacity + 1))
-        msg = proto.ALICE["general-state"](x, pc, sr)
-        res = proto.BOB["general-state"](msg, l, pc, sr, OracleSpec())
-        state, _ = ExactState.deserialize(msg.main_payload)
-        strip = proto.general_state_ml_strip(pc, l)
-        int_strip = np.round(strip * math.sqrt(2.0)).astype(np.int64)
-        w = int_strip @ state.numerators
-        dense_target = Fraction(int(np.dot(w, w)), 2 * state.norm_sq)
-        if res.target != dense_target:
-            return CheckResult(name, False, f"instance {k}: {res.target} != {dense_target}")
-    return CheckResult(name, True, f"{instances} instances, exact")
-
-
-def _verify_targets_pauli_state(instances: int, seed: int, qubits: int) -> CheckResult:
-    pc = _feasible_config("pauli-state", qubits, 0.5)
-    name = f"target-pauli-state-n{qubits}"
-    for k in range(instances):
-        sr = SharedRandomness(seed).substream(k)
-        gen = sr.substream(STREAM_INSTANCE).generator()
-        x = sample_instance(gen, pc, True)
-        l = int(sr.substream(STREAM_INDEX).generator().integers(1, pc.capacity + 1))
-        msg = proto.ALICE["pauli-state"](x, pc, sr)
-        res = proto.BOB["pauli-state"](msg, l, pc, sr, OracleSpec())
-        # second route: re-encode and evaluate the sum-norm directly
-        i, j = proto.decompose_index(l, pc.ghd.gamma)
-        gamma = pc.ghd.gamma
-        block = BitVector(x.bits[(j - 1) * gamma : j * gamma])
-        a = ghd_mod.encode_alice(block, pc.ghd, sr)
-        b = ghd_mod.encode_bob(i, pc.ghd, sr)
-        sum_norm = int(np.dot(
-            a.bits.astype(np.int64) + b.bits.astype(np.int64),
-            a.bits.astype(np.int64) + b.bits.astype(np.int64),
-        ))
-        state, _ = ExactState.deserialize(msg.main_payload)
-        formula = Fraction(2 * sum_norm * (1 << (2 * qubits)), state.norm_sq)
-        if res.target != formula:
-            return CheckResult(name, False, f"instance {k}: {res.target} != {formula}")
-    return CheckResult(name, True, f"{instances} instances, exact")
-
-
-def _verify_targets_observable_general(instances: int, seed: int, qubits: int) -> CheckResult:
-    pc = _feasible_config("observable-general", qubits, 0.5)
-    name = f"target-observable-general-n{qubits}"
-    for k in range(instances):
-        sr = SharedRandomness(seed).substream(k)
-        gen = sr.substream(STREAM_INSTANCE).generator()
-        x = sample_instance(gen, pc, True)
-        l = int(sr.substream(STREAM_INDEX).generator().integers(1, pc.capacity + 1))
-        msg = proto.ALICE["observable-general"](x, pc, sr)
-        res = proto.BOB["observable-general"](msg, l, pc, sr, OracleSpec())
-        # brute force: rebuild the Gram matrix and use an eigensolver norm
-        a_rows, b_rows = proto.encode_block_matrices(x, pc, sr)
-        m = np.concatenate([a_rows, b_rows], axis=0).astype(np.float64).T
-        gram = m.T @ m
-        norm = float(np.linalg.eigvalsh(gram)[-1])
-        i, j = proto.decompose_index(l, pc.ghd.gamma)
-        col_a, col_b = j - 1, (1 << qubits) - pc.ghd.gamma + i - 1
-        sum_norm = gram[col_a, col_a] + 2 * gram[col_a, col_b] + gram[col_b, col_b]
-        brute = sum_norm / (2.0 * norm)
-        if abs(float(res.target) - brute) > 1e-9:
-            return CheckResult(name, False, f"instance {k}: |{float(res.target)} - {brute}|")
-    return CheckResult(name, True, f"{instances} instances within 1e-9")
-
-
-def _verify_targets_observable_pauli(instances: int, seed: int, qubits: int) -> CheckResult:
-    pc = _feasible_config("observable-pauli", qubits, 0.75)
-    name = f"target-observable-pauli-n{qubits}"
-    for k in range(instances):
-        sr = SharedRandomness(seed).substream(k)
-        gen = sr.substream(STREAM_INSTANCE).generator()
-        x = sample_instance(gen, pc, True)
-        l = int(sr.substream(STREAM_INDEX).generator().integers(1, pc.capacity + 1))
-        msg = proto.ALICE["observable-pauli"](x, pc, sr)
-        res = proto.BOB["observable-pauli"](msg, l, pc, sr, OracleSpec())
-        i, j = proto.decompose_index(l, pc.ghd.gamma)
-        gamma = pc.ghd.gamma
-        block = BitVector(x.bits[(j - 1) * gamma : j * gamma])
-        a = ghd_mod.encode_alice(block, pc.ghd, sr)
-        b = ghd_mod.encode_bob(i, pc.ghd, sr)
-        expected = Fraction(-hamming(a, b), pc.ghd.code_len)
-        if res.target != expected:
-            return CheckResult(name, False, f"instance {k}: {res.target} != {expected}")
-    return CheckResult(name, True, f"{instances} instances, exact")
-
-
-def _verify_targets_inner_product(instances: int, seed: int, qubits: int) -> CheckResult:
-    pc = _feasible_config("inner-product", qubits, 0.5)
-    name = f"target-inner-product-n{qubits}"
-    for k in range(instances):
-        sr = SharedRandomness(seed).substream(k)
-        gen = sr.substream(STREAM_INSTANCE).generator()
-        x = sample_instance(gen, pc, True)
-        l = int(sr.substream(STREAM_INDEX).generator().integers(1, pc.capacity + 1))
-        msg = proto.ALICE["inner-product"](x, pc, sr)
-        res = proto.BOB["inner-product"](msg, l, pc, sr, OracleSpec())
-        i, j = proto.decompose_index(l, pc.ghd.gamma)
-        state, _ = ExactState.deserialize(msg.main_payload)
-        b = ghd_mod.encode_bob(i, pc.ghd, sr)
-        dense_other = np.zeros(state.numerators.shape[0], dtype=np.int64)
-        start = (j - 1) * pc.ghd.code_len
-        dense_other[start : start + pc.ghd.code_len] = b.bits
-        cross = int(np.dot(state.numerators, dense_other))
-        brute = cross / math.sqrt(state.norm_sq * b.nnz)
-        if abs(float(res.target) - brute) > 1e-12:
-            return CheckResult(name, False, f"instance {k}")
-    return CheckResult(name, True, f"{instances} instances, exact cross terms")
+        msg = proto.ALICE[kind](x, pc, sr)
+        target = proto.BOB[kind](msg, l, pc, sr, OracleSpec()).target
+        expected = check.route(x, l, pc, sr, msg)
+        if check.tolerance is None:
+            if target != expected:
+                return CheckResult(name, False, f"instance {k}: {target} != {expected}")
+        elif abs(float(target) - expected) > check.tolerance:
+            return CheckResult(name, False, f"instance {k}: |{float(target)} - {expected}|")
+    return CheckResult(name, True, f"{instances} instances{check.detail}")
 
 
 def _check_norm_bounds(instances: int, seed: int) -> CheckResult:
@@ -476,13 +454,16 @@ def verify_suite(max_qubits: int = 8, instances: int = 20, seed: int = 715) -> l
     ]
     sizes = [n for n in (6, 8) if n <= max_qubits]
     for n in sizes:
-        checks.append(_verify_targets_general_state(instances, seed, n))
-        checks.append(_verify_targets_pauli_state(instances, seed, n))
-        checks.append(_verify_targets_observable_general(instances, seed, n))
-        checks.append(_verify_targets_inner_product(instances, seed, n))
+        checks += [
+            _verify_targets(kind, instances, seed, n)
+            for kind, check in _TARGET_CHECKS.items()
+            if check.qubits is None
+        ]
     if sizes:
-        # this protocol's qubit count is the classical string budget; the
-        # smallest feasible sizes are perfect squares past the source length
-        checks.append(_verify_targets_observable_pauli(instances, seed, 16))
+        checks += [
+            _verify_targets(kind, instances, seed, check.qubits)
+            for kind, check in _TARGET_CHECKS.items()
+            if check.qubits is not None
+        ]
         checks.append(_check_norm_bounds(instances, seed))
     return checks

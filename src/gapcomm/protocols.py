@@ -1,4 +1,4 @@
-"""The five one-way protocols: Alice encoders, Bob decoders, exact targets.
+"""The five one-way protocols: one spec table, one Alice path, one Bob path.
 
 Every protocol reduces an index query to reading a gap-Hamming distance off
 an expectation value. Alice partitions her string into blocks, encodes each
@@ -6,6 +6,13 @@ block with the majority gadget, and ships some exact-arithmetic object; Bob
 turns his index into an observable (or state), asks the estimation oracle
 for one value, rescales with the integer side information, and thresholds
 the reconstructed distance.
+
+A protocol kind is one ``ProtocolSpec`` in ``SPECS`` (plus its wire tag in
+``messages.PROTOCOL_TAGS``). The spec's encoder builds Alice's payloads from
+the block codewords; its reader turns Bob's message into the oracle target
+and the affine map ``offset - rescale * value`` that takes an estimate back
+to a distance. ``ALICE`` and ``BOB`` run every kind through ``alice`` and
+``bob``.
 
 Side-info formats (all little-endian):
   general-state       u64 D | u32 count | count * u32 nnz(a^j)
@@ -17,9 +24,11 @@ Side-info formats (all little-endian):
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
@@ -40,29 +49,6 @@ from .pauli import PauliMask, pauli_expectation, subset_state_expectation
 from .states import ExactState
 from . import _kernels
 
-PROTOCOL_KINDS = (
-    "general-state",
-    "pauli-state",
-    "observable-general",
-    "observable-pauli",
-    "inner-product",
-)
-
-# Oracle accuracy budgets: a relative error eps_o on the protocol's target
-# becomes an additive error on the reconstructed distance of at most
-# kappa * eps_o * code_len (general/pauli/observable-general rescale a
-# squared norm bounded by 4*code_len, inner-product doubles an inner
-# product bounded by code_len, observable-pauli rescales the distance
-# itself). Budgeting eps_o = slack_d / (kappa * sqrt(code_len)) therefore
-# caps the distance error at slack_d * sqrt(code_len) on every draw.
-_KAPPA = {
-    "general-state": 4.0,
-    "pauli-state": 4.0,
-    "observable-general": 4.0,
-    "observable-pauli": 1.0,
-    "inner-product": 2.0,
-}
-
 # Desk-scale guards: dense state messages and dense observable payloads.
 MAX_STATE_QUBITS = 24
 MAX_OBSERVABLE_QUBITS = 10
@@ -81,6 +67,34 @@ class ProtocolError(RuntimeError):
 
 
 @dataclass(frozen=True)
+class ProtocolSpec:
+    """Everything that sets one protocol kind apart from the others.
+
+    ``kappa``: a relative oracle error eps_o becomes a distance error of at
+    most kappa * eps_o * code_len (general/pauli/observable-general rescale
+    a squared norm bounded by 4*code_len, inner-product doubles an inner
+    product bounded by code_len, observable-pauli rescales the distance
+    itself), so the budget eps_o = slack_d / (kappa * sqrt(code_len)) caps
+    the distance error at slack_d * sqrt(code_len) on every draw.
+
+    ``payload_qubits``: the size of what Alice ships (for observable-pauli,
+    its Pauli string length), read back from the main payload at
+    ``qubit_field`` = (struct format, offset); capped at ``max_payload_qubits``.
+    ``encode(a_rows, b_rows, cfg)`` gives (main, main_bits, side, side_bits);
+    ``read(msg, i, j, cfg, sr)`` gives a ``Reading``.
+    """
+
+    kappa: float
+    block_count: Callable[[int], int]
+    epsilon_floor: Callable[[int], float]
+    payload_qubits: Callable[["ProtocolConfig"], int]
+    qubit_field: tuple[str, int]
+    encode: Callable
+    read: Callable
+    max_payload_qubits: float = math.inf
+
+
+@dataclass(frozen=True)
 class ProtocolConfig:
     """One protocol kind pinned to a qubit count and gadget parameters.
 
@@ -96,7 +110,7 @@ class ProtocolConfig:
     oracle_slack: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in PROTOCOL_KINDS:
+        if self.kind not in SPECS:
             raise ConfigError(f"unknown protocol kind {self.kind!r}")
         if self.qubits < 1:
             raise ConfigError("qubits must be >= 1")
@@ -113,22 +127,20 @@ class ProtocolConfig:
                 f"no index capacity: block count {self.block_count} must exceed "
                 f"gamma {self.ghd.gamma}"
             )
-        if self.kind == "observable-general" and self.qubits > MAX_OBSERVABLE_QUBITS:
+        payload = self.spec.payload_qubits(self)
+        if payload > self.spec.max_payload_qubits:
             raise ConfigError(
-                f"observable-general payload is dense; capped at {MAX_OBSERVABLE_QUBITS} qubits"
+                f"{self.kind} payload on {payload} qubits exceeds the desk-scale cap "
+                f"of {self.spec.max_payload_qubits}"
             )
-        if self.kind in ("general-state", "inner-product") and (
-            self.qubits + self.pad_exponent > MAX_STATE_QUBITS
-        ):
-            raise ConfigError("stacked state exceeds the desk-scale memory cap")
+
+    @property
+    def spec(self) -> ProtocolSpec:
+        return SPECS[self.kind]
 
     @property
     def epsilon_floor(self) -> float:
-        if self.kind == "observable-general":
-            return 2.0 ** (-self.qubits / 2.0)
-        if self.kind == "observable-pauli":
-            return self.qubits ** (-1.0 / 4.0)
-        return 2.0 ** (-self.qubits / 4.0)
+        return self.spec.epsilon_floor(self.qubits)
 
     @cached_property
     def pad_exponent(self) -> int:
@@ -137,11 +149,7 @@ class ProtocolConfig:
 
     @cached_property
     def block_count(self) -> int:
-        if self.kind == "observable-general":
-            return 1 << self.qubits
-        if self.kind == "observable-pauli":
-            return math.isqrt(self.qubits)
-        return math.isqrt(1 << self.qubits)
+        return self.spec.block_count(self.qubits)
 
     @cached_property
     def capacity(self) -> int:
@@ -151,7 +159,7 @@ class ProtocolConfig:
     @property
     def oracle_accuracy(self) -> float:
         g = self.ghd
-        return g.slack_d / (_KAPPA[self.kind] * math.sqrt(g.code_len) * self.oracle_slack)
+        return g.slack_d / (self.spec.kappa * math.sqrt(g.code_len) * self.oracle_slack)
 
 
 def decompose_index(l: int, gamma: int) -> tuple[int, int]:
@@ -217,11 +225,72 @@ class BobResult:
     push: int
 
 
-def _push_direction(delta_exact, threshold: float) -> int:
+@dataclass(frozen=True)
+class Reading:
+    """Bob's oracle target and the map from an estimate back to a distance.
+
+    An estimate v of ``target`` gives the distance ``offset - rescale * v``.
+    ``delta`` is the exact distance the target encodes; it stays exact even
+    where the target itself is a float (inner-product).
+    """
+
+    target: object
+    delta: object
+    offset: object
+    rescale: object
+
+
+def alice(kind: str, inst, cfg: ProtocolConfig, sr: SharedRandomness) -> ProtocolMessage:
+    """Alice's side of every protocol: block-encode, then the kind's encoder."""
+    if cfg.kind != kind:
+        raise ConfigError("config kind mismatch")
+    a_rows, b_rows = encode_block_matrices(_source_bits(inst), cfg, sr)
+    return ProtocolMessage(kind, *SPECS[kind].encode(a_rows, b_rows, cfg))
+
+
+def bob(
+    kind: str,
+    msg: ProtocolMessage,
+    l: int,
+    cfg: ProtocolConfig,
+    sr: SharedRandomness,
+    oracle: oracle_mod.OracleSpec,
+) -> BobResult:
+    """Bob's side of every protocol: one oracle query, rescaled and thresholded.
+
+    The message must match the config: its kind, its payload qubit count
+    and (in the kind's reader) its side-info block count are checked before
+    anything sized by the message is read.
+    """
+    if msg.protocol != kind:
+        raise MessageError(f"wrong message for {kind} decoder")
+    if cfg.kind != kind:
+        raise ConfigError("config kind mismatch")
+    i, j = _require_index(l, cfg)
+    spec = SPECS[kind]
+    fmt, offset = spec.qubit_field
+    if len(msg.main_payload) < offset + struct.calcsize(fmt):
+        raise MessageError("main payload shorter than its header")
+    (qubits,) = struct.unpack_from(fmt, msg.main_payload, offset)
+    _expect("payload qubit count", qubits, spec.payload_qubits(cfg))
+    reading = spec.read(msg, i, j, cfg, sr)
+
     # The reconstructed distance decreases in the estimate for every
     # protocol here, so pushing the ESTIMATE up drags the distance toward
     # a threshold sitting below it, and vice versa.
-    return oracle_mod.PUSH_UP if delta_exact > threshold else oracle_mod.PUSH_DOWN
+    threshold = decision_threshold(cfg.ghd)
+    push = oracle_mod.PUSH_UP if reading.delta > threshold else oracle_mod.PUSH_DOWN
+    est = oracle_mod.estimate(reading.target, oracle, push)
+    # Exact estimates stay exact; a noisy float may undershoot zero and
+    # still maps to a (poor) distance estimate rather than an error.
+    r = reading.rescale
+    delta_est = reading.offset - (est * r if isinstance(est, Fraction) else float(est) * float(r))
+    return BobResult(decode_bit(delta_est, cfg.ghd), reading.target, est, delta_est, push)
+
+
+def _expect(what: str, found: int, expected: int) -> None:
+    if found != expected:
+        raise MessageError(f"message {what} {found} does not match the config's {expected}")
 
 
 def _write_weight_side(first_field: int, nnz_list) -> tuple[bytes, int]:
@@ -233,61 +302,55 @@ def _write_weight_side(first_field: int, nnz_list) -> tuple[bytes, int]:
     return w.getvalue(), w.bits
 
 
-def _read_weight_side(payload: bytes) -> tuple[int, list[int]]:
-    r = ByteReader(payload)
+def _read_weight_side(side: bytes, j: int, cfg: ProtocolConfig) -> tuple[int, int]:
+    """The leading side-info field and nnz(a^j), once the block count checks out."""
+    blocks = cfg.block_count - cfg.ghd.gamma
+    _expect("side-info length", len(side), 12 + 4 * blocks)
+    r = ByteReader(side)
     first = r.take_u64()
-    count = r.take_u32()
-    return first, [r.take_u32() for _ in range(count)]
+    _expect("side-info block count", r.take_u32(), blocks)
+    r.offset += 4 * (j - 1)
+    return first, r.take_u32()
+
+
+def _sum_norm_reading(target, rescale, nnz_a: int, i: int, cfg, sr) -> Reading:
+    """``target`` is ||a^j + b^i||^2 / rescale; distance = 2 nnz_a + 2 nnz_b - ||a+b||^2."""
+    nnz_b = encode_bob(i, cfg.ghd, sr).nnz
+    delta = delta_from_sum_norm(target * rescale, nnz_a, nnz_b)
+    return Reading(target, delta, 2 * nnz_a + 2 * nnz_b, rescale)
 
 
 # ---------------------------------------------------------------------------
-# general-state: Alice ships the stacked codeword state, Bob contracts with
-# a two-block averaging observable.
+# general-state and inner-product: Alice ships a stacked codeword state.
+# general-state stacks every codeword and Bob contracts with a two-block
+# averaging observable; inner-product stacks Alice's blocks only and Bob
+# estimates the overlap with his own codeword at the queried block.
 # ---------------------------------------------------------------------------
 
-def general_state_alice(inst, cfg: ProtocolConfig, sr: SharedRandomness) -> ProtocolMessage:
-    if cfg.kind != "general-state":
-        raise ConfigError("config kind mismatch")
-    a_rows, b_rows = encode_block_matrices(_source_bits(inst), cfg, sr)
+def _encode_stacked(occupied: np.ndarray, a_rows: np.ndarray, cfg: ProtocolConfig) -> tuple:
     dim = 1 << (cfg.qubits + cfg.pad_exponent)
     stacked = np.zeros(dim, dtype=np.int64)
-    occupied = np.concatenate([a_rows.reshape(-1), b_rows.reshape(-1)]).astype(np.int64)
     stacked[: occupied.shape[0]] = occupied
-    total = int(occupied.sum())
+    total = int(occupied.sum(dtype=np.int64))
     if total == 0:
         raise ProtocolError("all-zero instance produced the zero vector")
     state = ExactState(qubits=cfg.qubits + cfg.pad_exponent, norm_sq=total, numerators=stacked)
-    main, main_bits = state.serialize()
-    side, side_bits = _write_weight_side(total, a_rows.sum(axis=1))
-    return ProtocolMessage("general-state", main, main_bits, side, side_bits)
+    return (*state.serialize(), *_write_weight_side(total, a_rows.sum(axis=1)))
 
 
-def general_state_bob(
-    msg: ProtocolMessage,
-    l: int,
-    cfg: ProtocolConfig,
-    sr: SharedRandomness,
-    spec: oracle_mod.OracleSpec,
-) -> BobResult:
-    if msg.protocol != "general-state":
-        raise MessageError("wrong message for general-state decoder")
-    i, j = _require_index(l, cfg)
+def _encode_general_state(a_rows, b_rows, cfg: ProtocolConfig) -> tuple:
+    return _encode_stacked(np.concatenate([a_rows.reshape(-1), b_rows.reshape(-1)]), a_rows, cfg)
+
+
+def _read_general_state(msg, i: int, j: int, cfg: ProtocolConfig, sr) -> Reading:
+    norm_sq, nnz_a = _read_weight_side(msg.side_payload, j, cfg)
     state, _ = ExactState.deserialize(msg.main_payload)
-    norm_sq, nnz_a_list = _read_weight_side(msg.side_payload)
     code_len = cfg.ghd.code_len
     blk_a = state.numerators[(j - 1) * code_len : j * code_len]
     col = cfg.block_count - cfg.ghd.gamma + i
     blk_b = state.numerators[(col - 1) * code_len : col * code_len]
     sum_norm = int(np.dot(blk_a + blk_b, blk_a + blk_b))
-    target = Fraction(sum_norm, 2 * norm_sq)
-
-    nnz_a = nnz_a_list[j - 1]
-    nnz_b = encode_bob(i, cfg.ghd, sr).nnz
-    threshold = decision_threshold(cfg.ghd)
-    push = _push_direction(delta_from_sum_norm(sum_norm, nnz_a, nnz_b), threshold)
-    est = oracle_mod.estimate(target, spec, push)
-    delta_est = delta_from_sum_norm(2 * norm_sq * est, nnz_a, nnz_b)
-    return BobResult(decode_bit(delta_est, cfg.ghd), target, est, delta_est, push)
+    return _sum_norm_reading(Fraction(sum_norm, 2 * norm_sq), 2 * norm_sq, nnz_a, i, cfg, sr)
 
 
 def general_state_ml_strip(cfg: ProtocolConfig, l: int) -> np.ndarray:
@@ -309,6 +372,24 @@ def general_state_ml_strip(cfg: ProtocolConfig, l: int) -> np.ndarray:
     return strip
 
 
+def _encode_inner_product(a_rows, b_rows, cfg: ProtocolConfig) -> tuple:
+    return _encode_stacked(a_rows.reshape(-1), a_rows, cfg)
+
+
+def _read_inner_product(msg, i: int, j: int, cfg: ProtocolConfig, sr) -> Reading:
+    norm_sq, nnz_a = _read_weight_side(msg.side_payload, j, cfg)
+    state, _ = ExactState.deserialize(msg.main_payload)
+    code_len = cfg.ghd.code_len
+    b = encode_bob(i, cfg.ghd, sr)
+    own_norm = b.nnz
+    if own_norm == 0:
+        raise ProtocolError("Bob's codeword is the zero vector")
+    blk = state.numerators[(j - 1) * code_len : j * code_len]
+    cross = int(np.dot(blk, b.bits.astype(np.int64)))
+    scale = math.sqrt(norm_sq * own_norm)
+    return Reading(cross / scale, nnz_a + own_norm - 2 * cross, nnz_a + own_norm, 2.0 * scale)
+
+
 # ---------------------------------------------------------------------------
 # pauli-state: Alice solves the character system over all pairwise sum-norms
 # and ships the solution stacked against a flat reference half; Bob reads
@@ -325,10 +406,7 @@ def _pairwise_sum_norms(a_rows: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
     return (nnz_a[:, None] + nnz_b[None, :] + 2 * cross).reshape(-1)
 
 
-def pauli_state_alice(inst, cfg: ProtocolConfig, sr: SharedRandomness) -> ProtocolMessage:
-    if cfg.kind != "pauli-state":
-        raise ConfigError("config kind mismatch")
-    a_rows, b_rows = encode_block_matrices(_source_bits(inst), cfg, sr)
+def _encode_pauli_state(a_rows, b_rows, cfg: ProtocolConfig) -> tuple:
     n = cfg.qubits
     dim = 1 << n
     stacked = np.zeros(dim, dtype=np.int64)
@@ -339,38 +417,18 @@ def pauli_state_alice(inst, cfg: ProtocolConfig, sr: SharedRandomness) -> Protoc
     tilde_v = fwht(stacked)
     numerators = np.concatenate([tilde_v, np.full(dim, dim, dtype=np.int64)])
     state = ExactState.dense(numerators, qubits=n + 1)
-    main, main_bits = state.serialize()
-    side, side_bits = _write_weight_side(state.norm_sq, a_rows.sum(axis=1))
-    return ProtocolMessage("pauli-state", main, main_bits, side, side_bits)
+    return (*state.serialize(), *_write_weight_side(state.norm_sq, a_rows.sum(axis=1)))
 
 
-def pauli_state_bob(
-    msg: ProtocolMessage,
-    l: int,
-    cfg: ProtocolConfig,
-    sr: SharedRandomness,
-    spec: oracle_mod.OracleSpec,
-) -> BobResult:
-    if msg.protocol != "pauli-state":
-        raise MessageError("wrong message for pauli-state decoder")
-    i, j = _require_index(l, cfg)
+def _read_pauli_state(msg, i: int, j: int, cfg: ProtocolConfig, sr) -> Reading:
+    scaled_norm, nnz_a = _read_weight_side(msg.side_payload, j, cfg)
     state, _ = ExactState.deserialize(msg.main_payload)
-    scaled_norm, nnz_a_list = _read_weight_side(msg.side_payload)
     n = cfg.qubits
-    mask = PauliMask.from_ints(z=l - 1, x=1 << n, qubits=n + 1)
-    target = pauli_expectation(state, mask)
-
+    mask = PauliMask.from_ints(z=(j - 1) * cfg.ghd.gamma + i - 1, x=1 << n, qubits=n + 1)
     # target = 2 * sum_norm / D with D = scaled_norm / 2^{2n}; undoing the
     # scale turns the estimate back into a sum-norm estimate.
     rescale = Fraction(scaled_norm, 1 << (2 * n + 1))
-    nnz_a = nnz_a_list[j - 1]
-    nnz_b = encode_bob(i, cfg.ghd, sr).nnz
-    threshold = decision_threshold(cfg.ghd)
-    push = _push_direction(delta_from_sum_norm(target * rescale, nnz_a, nnz_b), threshold)
-    est = oracle_mod.estimate(target, spec, push)
-    sum_norm_est = est * rescale if isinstance(est, Fraction) else float(est) * float(rescale)
-    delta_est = delta_from_sum_norm(sum_norm_est, nnz_a, nnz_b)
-    return BobResult(decode_bit(delta_est, cfg.ghd), target, est, delta_est, push)
+    return _sum_norm_reading(pauli_expectation(state, mask), rescale, nnz_a, i, cfg, sr)
 
 
 # ---------------------------------------------------------------------------
@@ -378,10 +436,7 @@ def pauli_state_bob(
 # codeword columns; Bob contracts it with a two-point state.
 # ---------------------------------------------------------------------------
 
-def observable_general_alice(inst, cfg: ProtocolConfig, sr: SharedRandomness) -> ProtocolMessage:
-    if cfg.kind != "observable-general":
-        raise ConfigError("config kind mismatch")
-    a_rows, b_rows = encode_block_matrices(_source_bits(inst), cfg, sr)
+def _encode_observable_general(a_rows, b_rows, cfg: ProtocolConfig) -> tuple:
     columns = np.concatenate([a_rows, b_rows], axis=0).astype(np.float64).T  # (code_len, 2^n)
     dim = 1 << cfg.qubits
     gram = columns.T @ columns  # integer-valued, exact in float64 at this scale
@@ -397,46 +452,24 @@ def observable_general_alice(inst, cfg: ProtocolConfig, sr: SharedRandomness) ->
         entries_fp = np.zeros((dim, dim))
     w = ByteWriter()
     w.put_u32(cfg.qubits)
-    payload = entries_fp.astype("<i8").tobytes()
-    w.put_payload(payload, 64 * dim * dim)
-    side, side_bits = _write_weight_side(norm_fp, a_rows.sum(axis=1))
-    return ProtocolMessage("observable-general", w.getvalue(), w.bits, side, side_bits)
+    w.put_payload(entries_fp.astype("<i8").tobytes(), 64 * dim * dim)
+    return (w.getvalue(), w.bits, *_write_weight_side(norm_fp, a_rows.sum(axis=1)))
 
 
-def observable_general_bob(
-    msg: ProtocolMessage,
-    l: int,
-    cfg: ProtocolConfig,
-    sr: SharedRandomness,
-    spec: oracle_mod.OracleSpec,
-) -> BobResult:
-    if msg.protocol != "observable-general":
-        raise MessageError("wrong message for observable-general decoder")
-    i, j = _require_index(l, cfg)
-    r = ByteReader(msg.main_payload)
-    n = r.take_u32()
-    dim = 1 << n
+def _read_observable_general(msg, i: int, j: int, cfg: ProtocolConfig, sr) -> Reading:
+    norm_fp, nnz_a = _read_weight_side(msg.side_payload, j, cfg)
+    dim = 1 << cfg.qubits
     entries_fp = np.frombuffer(
-        msg.main_payload, dtype="<i8", count=dim * dim, offset=r.offset
+        msg.main_payload, dtype="<i8", count=dim * dim, offset=4
     ).reshape(dim, dim)
-    norm_fp, nnz_a_list = _read_weight_side(msg.side_payload)
-
     col_a = j - 1
     col_b = (dim - cfg.ghd.gamma) + i - 1
     quad = int(entries_fp[col_a, col_a]) + 2 * int(entries_fp[col_a, col_b]) + int(
         entries_fp[col_b, col_b]
     )
     target = Fraction(quad, 1 << (ENTRY_FRAC_BITS + 1))
-
     rescale = 2 * Fraction(norm_fp, 1 << NORM_FRAC_BITS)
-    nnz_a = nnz_a_list[j - 1]
-    nnz_b = encode_bob(i, cfg.ghd, sr).nnz
-    threshold = decision_threshold(cfg.ghd)
-    push = _push_direction(delta_from_sum_norm(target * rescale, nnz_a, nnz_b), threshold)
-    est = oracle_mod.estimate(target, spec, push)
-    sum_norm_est = est * rescale if isinstance(est, Fraction) else float(est) * float(rescale)
-    delta_est = delta_from_sum_norm(sum_norm_est, nnz_a, nnz_b)
-    return BobResult(decode_bit(delta_est, cfg.ghd), target, est, delta_est, push)
+    return _sum_norm_reading(target, rescale, nnz_a, i, cfg, sr)
 
 
 # ---------------------------------------------------------------------------
@@ -446,120 +479,84 @@ def observable_general_bob(
 # indices are arbitrary-precision integers here.
 # ---------------------------------------------------------------------------
 
-def observable_pauli_alice(inst, cfg: ProtocolConfig, sr: SharedRandomness) -> ProtocolMessage:
-    if cfg.kind != "observable-pauli":
-        raise ConfigError("config kind mismatch")
-    a_rows, b_rows = encode_block_matrices(_source_bits(inst), cfg, sr)
+def _encode_observable_pauli(a_rows, b_rows, cfg: ProtocolConfig) -> tuple:
     z_bits = np.concatenate(
         [a_rows.reshape(-1), b_rows.reshape(-1), np.ones(1, dtype=np.uint8)]
     )
     # the Z-string IS the message; the x-mask is structurally zero here
-    main, main_bits = BitVector(z_bits).serialize()
     w = ByteWriter()
     w.put_u64(cfg.ghd.code_len)
-    return ProtocolMessage("observable-pauli", main, main_bits, w.getvalue(), w.bits)
+    return (*BitVector(z_bits).serialize(), w.getvalue(), w.bits)
 
 
-def observable_pauli_bob(
-    msg: ProtocolMessage,
-    l: int,
-    cfg: ProtocolConfig,
-    sr: SharedRandomness,
-    spec: oracle_mod.OracleSpec,
-) -> BobResult:
-    if msg.protocol != "observable-pauli":
-        raise MessageError("wrong message for observable-pauli decoder")
-    i, j = _require_index(l, cfg)
+def _read_observable_pauli(msg, i: int, j: int, cfg: ProtocolConfig, sr) -> Reading:
+    _expect("side-info length", len(msg.side_payload), 8)
+    code_len = ByteReader(msg.side_payload).take_u64()
+    _expect("codeword length", code_len, cfg.ghd.code_len)
     z_vector, _ = BitVector.deserialize(msg.main_payload)
     mask = PauliMask(z_vector, BitVector.zeros(len(z_vector)))
-    r = ByteReader(msg.side_payload)
-    code_len = r.take_u64()
-    z_int = mask.z_int
 
     # Subset state: one two-hot string per code position, pairing Alice's
     # block-j bit with Bob's block bit, plus the marked last-qubit point
     # carrying squared weight code_len.
     col = cfg.block_count - cfg.ghd.gamma + i
-    support = []
-    for k in range(code_len):
-        idx = (1 << ((j - 1) * code_len + k)) | (1 << ((col - 1) * code_len + k))
-        support.append((idx, 1))
-    subset_part = subset_state_expectation(z_int, support, 2 * code_len)
-    marked_index = 1 << (mask.qubits - 1)
-    marked_sign = mask.diagonal_sign(marked_index)
+    support = [
+        ((1 << ((j - 1) * code_len + k)) | (1 << ((col - 1) * code_len + k)), 1)
+        for k in range(code_len)
+    ]
+    subset_part = subset_state_expectation(mask.z_int, support, 2 * code_len)
+    marked_sign = mask.diagonal_sign(1 << (mask.qubits - 1))
     target = subset_part + Fraction(marked_sign * code_len, 2 * code_len)
-
-    threshold = decision_threshold(cfg.ghd)
-    push = _push_direction(-code_len * target, threshold)
-    est = oracle_mod.estimate(target, spec, push)
-    delta_est = -code_len * est
-    return BobResult(decode_bit(delta_est, cfg.ghd), target, est, delta_est, push)
+    return Reading(target, -code_len * target, 0, code_len)
 
 
-# ---------------------------------------------------------------------------
-# inner-product: Alice ships her stacked codeword state; Bob aligns his
-# single codeword at the queried block and estimates the overlap.
-# ---------------------------------------------------------------------------
-
-def inner_product_alice(inst, cfg: ProtocolConfig, sr: SharedRandomness) -> ProtocolMessage:
-    if cfg.kind != "inner-product":
-        raise ConfigError("config kind mismatch")
-    a_rows, _ = encode_block_matrices(_source_bits(inst), cfg, sr)
-    dim = 1 << (cfg.qubits + cfg.pad_exponent)
-    stacked = np.zeros(dim, dtype=np.int64)
-    flat = a_rows.reshape(-1).astype(np.int64)
-    stacked[: flat.shape[0]] = flat
-    total = int(flat.sum())
-    if total == 0:
-        raise ProtocolError("all-zero instance produced the zero vector")
-    state = ExactState(qubits=cfg.qubits + cfg.pad_exponent, norm_sq=total, numerators=stacked)
-    main, main_bits = state.serialize()
-    side, side_bits = _write_weight_side(total, a_rows.sum(axis=1))
-    return ProtocolMessage("inner-product", main, main_bits, side, side_bits)
+def _state_blocks(n: int) -> int:
+    return math.isqrt(1 << n)
 
 
-def inner_product_bob(
-    msg: ProtocolMessage,
-    l: int,
-    cfg: ProtocolConfig,
-    sr: SharedRandomness,
-    spec: oracle_mod.OracleSpec,
-) -> BobResult:
-    if msg.protocol != "inner-product":
-        raise MessageError("wrong message for inner-product decoder")
-    i, j = _require_index(l, cfg)
-    state, _ = ExactState.deserialize(msg.main_payload)
-    norm_sq, nnz_a_list = _read_weight_side(msg.side_payload)
-    code_len = cfg.ghd.code_len
-    b = encode_bob(i, cfg.ghd, sr)
-    own_norm = b.nnz
-    if own_norm == 0:
-        raise ProtocolError("Bob's codeword is the zero vector")
-    blk = state.numerators[(j - 1) * code_len : j * code_len]
-    cross = int(np.dot(blk, b.bits.astype(np.int64)))
-    scale = math.sqrt(norm_sq * own_norm)
-    target = cross / scale
-
-    nnz_a = nnz_a_list[j - 1]
-    threshold = decision_threshold(cfg.ghd)
-    push = _push_direction(nnz_a + own_norm - 2 * cross, threshold)
-    est = oracle_mod.estimate(target, spec, push)
-    delta_est = nnz_a + own_norm - 2.0 * float(est) * scale
-    return BobResult(decode_bit(delta_est, cfg.ghd), target, est, delta_est, push)
+def _state_floor(n: int) -> float:
+    return 2.0 ** (-n / 4.0)
 
 
-ALICE = {
-    "general-state": general_state_alice,
-    "pauli-state": pauli_state_alice,
-    "observable-general": observable_general_alice,
-    "observable-pauli": observable_pauli_alice,
-    "inner-product": inner_product_alice,
+def _stacked_qubits(cfg: ProtocolConfig) -> int:
+    return cfg.qubits + cfg.pad_exponent
+
+
+_STATE_QUBITS = ("<B", 1)  # ExactState wire header: u8 layout tag, u8 qubits, ...
+
+SPECS = {
+    "general-state": ProtocolSpec(
+        kappa=4.0, block_count=_state_blocks, epsilon_floor=_state_floor,
+        payload_qubits=_stacked_qubits, qubit_field=_STATE_QUBITS,
+        encode=_encode_general_state, read=_read_general_state,
+        max_payload_qubits=MAX_STATE_QUBITS,
+    ),
+    "pauli-state": ProtocolSpec(
+        kappa=4.0, block_count=_state_blocks, epsilon_floor=_state_floor,
+        payload_qubits=lambda cfg: cfg.qubits + 1, qubit_field=_STATE_QUBITS,
+        encode=_encode_pauli_state, read=_read_pauli_state,
+        max_payload_qubits=MAX_STATE_QUBITS,
+    ),
+    "observable-general": ProtocolSpec(
+        kappa=4.0, block_count=lambda n: 1 << n, epsilon_floor=lambda n: 2.0 ** (-n / 2.0),
+        payload_qubits=lambda cfg: cfg.qubits, qubit_field=("<I", 0),
+        encode=_encode_observable_general, read=_read_observable_general,
+        max_payload_qubits=MAX_OBSERVABLE_QUBITS,
+    ),
+    "observable-pauli": ProtocolSpec(
+        kappa=1.0, block_count=math.isqrt, epsilon_floor=lambda n: n ** (-1.0 / 4.0),
+        # the payload is a Pauli string; its BitVector header is a u64 bit count
+        payload_qubits=lambda cfg: cfg.ghd.code_len * cfg.block_count + 1, qubit_field=("<Q", 0),
+        encode=_encode_observable_pauli, read=_read_observable_pauli,
+    ),
+    "inner-product": ProtocolSpec(
+        kappa=2.0, block_count=_state_blocks, epsilon_floor=_state_floor,
+        payload_qubits=_stacked_qubits, qubit_field=_STATE_QUBITS,
+        encode=_encode_inner_product, read=_read_inner_product,
+        max_payload_qubits=MAX_STATE_QUBITS,
+    ),
 }
 
-BOB = {
-    "general-state": general_state_bob,
-    "pauli-state": pauli_state_bob,
-    "observable-general": observable_general_bob,
-    "observable-pauli": observable_pauli_bob,
-    "inner-product": inner_product_bob,
-}
+PROTOCOL_KINDS = tuple(SPECS)
+ALICE = {kind: partial(alice, kind) for kind in SPECS}
+BOB = {kind: partial(bob, kind) for kind in SPECS}

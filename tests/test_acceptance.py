@@ -144,8 +144,8 @@ def test_criterion_2_target_value_equivalence():
         pc = proto.ProtocolConfig(kind="general-state", qubits=qubits, ghd=GhdParams(epsilon=0.5))
         for k in range(50):
             sr, x, l = draw(pc, ACCEPT_SEED + k)
-            msg = proto.general_state_alice(x, pc, sr)
-            res = proto.general_state_bob(msg, l, pc, sr, OracleSpec())
+            msg = proto.ALICE["general-state"](x, pc, sr)
+            res = proto.BOB["general-state"](msg, l, pc, sr, OracleSpec())
             state, _ = ExactState.deserialize(msg.main_payload)
             w = doubled_contraction(pc, l, state.numerators.shape[0]) @ state.numerators
             if res.target != Fraction(int(w @ w), 2 * state.norm_sq):
@@ -155,8 +155,8 @@ def test_criterion_2_target_value_equivalence():
         pc = proto.ProtocolConfig(kind="pauli-state", qubits=qubits, ghd=GhdParams(epsilon=0.5))
         for k in range(50):
             sr, x, l = draw(pc, ACCEPT_SEED + k)
-            msg = proto.pauli_state_alice(x, pc, sr)
-            res = proto.pauli_state_bob(msg, l, pc, sr, OracleSpec())
+            msg = proto.ALICE["pauli-state"](x, pc, sr)
+            res = proto.BOB["pauli-state"](msg, l, pc, sr, OracleSpec())
             state, _ = ExactState.deserialize(msg.main_payload)
             mask = PauliMask.from_ints(z=l - 1, x=1 << qubits, qubits=qubits + 1)
             dense = kron_oracle(mask)
@@ -170,8 +170,8 @@ def test_criterion_2_target_value_equivalence():
         )
         for k in range(50):
             sr, x, l = draw(pc, ACCEPT_SEED + k)
-            msg = proto.observable_general_alice(x, pc, sr)
-            res = proto.observable_general_bob(msg, l, pc, sr, OracleSpec())
+            msg = proto.ALICE["observable-general"](x, pc, sr)
+            res = proto.BOB["observable-general"](msg, l, pc, sr, OracleSpec())
             a, b, i, j = queried_codewords(x, l, pc, sr)
             summed = a.bits.astype(np.int64) + b.bits.astype(np.int64)
             a_rows, b_rows = proto.encode_block_matrices(x, pc, sr)
@@ -186,8 +186,8 @@ def test_criterion_2_target_value_equivalence():
         )
         for k in range(50):
             sr, x, l = draw(pc, ACCEPT_SEED + k)
-            msg = proto.observable_pauli_alice(x, pc, sr)
-            res = proto.observable_pauli_bob(msg, l, pc, sr, OracleSpec())
+            msg = proto.ALICE["observable-pauli"](x, pc, sr)
+            res = proto.BOB["observable-pauli"](msg, l, pc, sr, OracleSpec())
             a, b, _, _ = queried_codewords(x, l, pc, sr)
             delta = sum(1 for t in range(1, len(a) + 1) if a.bit(t) != b.bit(t))
             if res.target != Fraction(-delta, pc.ghd.code_len):
@@ -197,8 +197,8 @@ def test_criterion_2_target_value_equivalence():
         pc = proto.ProtocolConfig(kind="inner-product", qubits=qubits, ghd=GhdParams(epsilon=0.5))
         for k in range(50):
             sr, x, l = draw(pc, ACCEPT_SEED + k)
-            msg = proto.inner_product_alice(x, pc, sr)
-            res = proto.inner_product_bob(msg, l, pc, sr, OracleSpec())
+            msg = proto.ALICE["inner-product"](x, pc, sr)
+            res = proto.BOB["inner-product"](msg, l, pc, sr, OracleSpec())
             state, _ = ExactState.deserialize(msg.main_payload)
             i, j = proto.decompose_index(l, pc.ghd.gamma)
             b = encode_bob(i, pc.ghd, sr)

@@ -76,11 +76,9 @@ class TestSolve:
             assert np.array_equal(fwht(nums), denom * stacked)
 
 
-def test_numpy_and_numba_paths_agree():
+def test_kernel_fwht_matches_character_matrix():
     rng = np.random.default_rng(7)
     for n in (1, 4, 9):
         v = rng.integers(-500, 500, size=1 << n).astype(np.int64)
-        expected = _kernels.fwht_numpy(v)
+        expected = reference_matrix(n) @ v
         assert np.array_equal(_kernels.fwht(v), expected)
-        if _kernels.HAVE_NUMBA:
-            assert np.array_equal(_kernels.fwht_numba(v), expected)

@@ -148,6 +148,31 @@ class TestMessageAccounting:
         assert all(side[n] < 0.01 * main[n] for n in (10, 12))
 
 
+class TestNoisyEstimates:
+    @pytest.mark.parametrize("accuracy", [0.05, 0.5])
+    @pytest.mark.parametrize(
+        "kind,qubits",
+        [
+            ("general-state", 8),
+            ("pauli-state", 8),
+            ("observable-general", 6),
+            ("observable-pauli", 64),
+            ("inner-product", 8),
+        ],
+    )
+    def test_additive_noise_never_aborts_the_run(self, kind, qubits, accuracy):
+        # a noisy estimate may map to a negative sum-norm; it is still a
+        # distance estimate, not a config error
+        report = run_experiment(
+            small_config(
+                protocol=kind, qubits=qubits, trials=20,
+                oracle_model="additive", oracle_accuracy=accuracy,
+            )
+        )
+        assert report.results["trials"] == 20
+        assert math.isfinite(report.results["max_delta_error"])
+
+
 class TestDegenerateTrials:
     def test_protocol_errors_counted_as_failures(self, monkeypatch):
         import gapcomm.protocols as proto_mod
@@ -185,6 +210,14 @@ def test_verify_suite_passes_at_small_scale():
     assert all(check.passed for check in results), [
         (c.name, c.detail) for c in results if not c.passed
     ]
+
+
+def test_verify_suite_checks_every_protocol_target():
+    from gapcomm.protocols import PROTOCOL_KINDS
+
+    names = {check.name for check in verify_suite(max_qubits=6, instances=1)}
+    for kind in PROTOCOL_KINDS:
+        assert any(name.startswith(f"target-{kind}-n") for name in names), kind
 
 
 def test_verify_suite_at_one_qubit_runs_core_identities_only():

@@ -1,6 +1,5 @@
-"""Both kernel paths must agree everywhere; parity against int.bit_count."""
+"""Kernels against direct reference computations; parity against int.bit_count."""
 import numpy as np
-import pytest
 
 from gapcomm import _kernels
 
@@ -9,9 +8,7 @@ def test_parity_matches_bit_count():
     rng = np.random.default_rng(26)
     values = rng.integers(0, 2**63, size=500, dtype=np.uint64)
     expected = np.array([int(v).bit_count() & 1 for v in values], dtype=np.int64)
-    assert np.array_equal(_kernels.parity_u64_numpy(values), expected)
-    if _kernels.HAVE_NUMBA:
-        assert np.array_equal(_kernels.parity_u64_numba(values), expected)
+    assert np.array_equal(_kernels.parity_u64(values), expected)
 
 
 def test_pauli_quad_paths_agree():
@@ -21,9 +18,11 @@ def test_pauli_quad_paths_agree():
         for _ in range(5):
             z = int(rng.integers(0, 1 << n))
             x = int(rng.integers(0, 1 << n))
-            expected = _kernels.pauli_quad_numpy(nums, z, x)
-            if _kernels.HAVE_NUMBA:
-                assert _kernels.pauli_quad_numba(nums, z, x) == expected
+            expected = sum(
+                (-1 if (y & z).bit_count() & 1 else 1) * int(nums[y]) * int(nums[y ^ x])
+                for y in range(1 << n)
+            )
+            assert _kernels.pauli_quad(nums, z, x) == expected
 
 
 def test_majority_rows_paths_agree_and_break_ties_to_zero():
@@ -31,35 +30,19 @@ def test_majority_rows_paths_agree_and_break_ties_to_zero():
     pads = rng.integers(0, 2, size=(40, 12), dtype=np.uint8)
     for size in (0, 1, 2, 3, 4, 7, 12):
         selected = np.sort(rng.choice(12, size=size, replace=False)).astype(np.int64)
-        out = _kernels.majority_rows_numpy(pads, selected)
+        out = _kernels.majority_rows(pads, selected)
         if size == 0:
             assert not out.any()
         else:
             counts = pads[:, selected].sum(axis=1)
             assert np.array_equal(out, (2 * counts > size).astype(np.uint8))
-        if _kernels.HAVE_NUMBA:
-            assert np.array_equal(_kernels.majority_rows_numba(pads, selected), out)
 
 
 def test_even_split_is_zero():
     pads = np.array([[1, 0], [0, 1], [1, 1], [0, 0]], dtype=np.uint8)
-    out = _kernels.majority_rows_numpy(pads, np.array([0, 1], dtype=np.int64))
+    out = _kernels.majority_rows(pads, np.array([0, 1], dtype=np.int64))
     assert np.array_equal(out, [0, 0, 1, 0])
 
 
-def test_signed_weight_sum_paths_agree():
-    rng = np.random.default_rng(29)
-    indices = rng.integers(0, 2**62, size=64, dtype=np.uint64)
-    weights = rng.integers(1, 9, size=64).astype(np.int64)
-    z = int(rng.integers(0, 2**62))
-    expected = sum(
-        (-1 if (int(i) & z).bit_count() & 1 else 1) * int(w) ** 2
-        for i, w in zip(indices, weights)
-    )
-    assert _kernels.signed_weight_sum_numpy(indices, weights, z) == expected
-    if _kernels.HAVE_NUMBA:
-        assert _kernels.signed_weight_sum_numba(indices, weights, z) == expected
-
-
 def test_backend_reports_a_name():
-    assert _kernels.backend_name() in ("numba", "numpy")
+    assert _kernels.backend_name() == "numpy"

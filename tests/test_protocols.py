@@ -1,5 +1,6 @@
 """Protocol encoders/decoders against brute-force constructions."""
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ import gapcomm.protocols as proto
 from gapcomm.bits import STREAM_INDEX, STREAM_INSTANCE, BitVector, SharedRandomness, hamming
 from gapcomm.ghd import GhdParams, encode_alice, encode_bob
 from gapcomm.harness import sample_instance
-from gapcomm.messages import ProtocolMessage
+from gapcomm.messages import MessageError, ProtocolMessage
 from gapcomm.oracle import OracleSpec
 from gapcomm.pauli import PauliMask
 from gapcomm.states import ExactState
@@ -53,6 +54,26 @@ class TestConfig:
     def test_observable_general_dense_cap(self):
         with pytest.raises(proto.ConfigError):
             make_config("observable-general", 11, 0.5)
+
+    def test_pauli_state_dense_cap_counts_the_extra_qubit(self):
+        # the payload state lives on n+1 qubits
+        make_config("pauli-state", proto.MAX_STATE_QUBITS - 1, 0.5)
+        for n in (proto.MAX_STATE_QUBITS, 40):
+            with pytest.raises(proto.ConfigError):
+                make_config("pauli-state", n, 0.5)
+
+    def test_kinds_and_cli_choices_come_from_the_spec_table(self):
+        from gapcomm.cli import build_parser
+        from gapcomm.messages import PROTOCOL_TAGS
+
+        assert proto.PROTOCOL_KINDS == tuple(proto.SPECS)
+        assert set(proto.ALICE) == set(proto.BOB) == set(proto.SPECS)
+        assert set(proto.SPECS) <= set(PROTOCOL_TAGS)
+        base = ["run", "--qubits", "8", "--epsilon", "0.5", "--trials", "1", "--seed", "1"]
+        for kind in proto.PROTOCOL_KINDS:
+            assert build_parser().parse_args(base + ["--protocol", kind]).protocol == kind
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(base + ["--protocol", "shadow-adapter"])
 
     def test_pad_exponent_covers_amplification(self):
         pc = make_config("general-state", 8, 0.5)
@@ -119,7 +140,7 @@ class TestGeneralState:
     def test_message_round_trips_and_norm_is_total_weight(self):
         pc = make_config("general-state", 6, 0.5)
         sr, x, _ = draw_instance(pc, 35)
-        msg = ProtocolMessage.from_wire(proto.general_state_alice(x, pc, sr).to_wire())
+        msg = ProtocolMessage.from_wire(proto.ALICE["general-state"](x, pc, sr).to_wire())
         state, _ = ExactState.deserialize(msg.main_payload)
         a_vectors, b_vectors = proto.partition_and_encode(x, pc, sr)
         assert state.norm_sq == sum(v.nnz for v in a_vectors) + sum(v.nnz for v in b_vectors)
@@ -129,8 +150,8 @@ class TestGeneralState:
         pc = make_config("general-state", 6, 0.5)
         for seed in range(36, 44):
             sr, x, l = draw_instance(pc, seed)
-            msg = proto.general_state_alice(x, pc, sr)
-            res = proto.general_state_bob(msg, l, pc, sr, OracleSpec())
+            msg = proto.ALICE["general-state"](x, pc, sr)
+            res = proto.BOB["general-state"](msg, l, pc, sr, OracleSpec())
             # brute force: place the averaging blocks by hand, contract densely
             state, _ = ExactState.deserialize(msg.main_payload)
             i, j = proto.decompose_index(l, pc.ghd.gamma)
@@ -149,8 +170,8 @@ class TestGeneralState:
         hits = 0
         for seed in range(200):
             sr, x, l = draw_instance(pc, 1000 + seed)
-            msg = proto.general_state_alice(x, pc, sr)
-            res = proto.general_state_bob(msg, l, pc, sr, OracleSpec())
+            msg = proto.ALICE["general-state"](x, pc, sr)
+            res = proto.BOB["general-state"](msg, l, pc, sr, OracleSpec())
             hits += res.bit == x.bit(l)
         assert hits / 200 >= 0.8
 
@@ -170,7 +191,7 @@ class TestPauliState:
 
         pc = make_config("pauli-state", 6, 0.5)
         sr, x, _ = draw_instance(pc, 46)
-        msg = proto.pauli_state_alice(x, pc, sr)
+        msg = proto.ALICE["pauli-state"](x, pc, sr)
         state, _ = ExactState.deserialize(msg.main_payload)
         dim = 1 << pc.qubits
         v_half = state.numerators[:dim]
@@ -191,7 +212,7 @@ class TestPauliState:
         sr = SharedRandomness(47)
         from gapcomm.fwht import fwht
 
-        msg = proto.pauli_state_alice(BitVector.zeros(pc.capacity), pc, sr)
+        msg = proto.ALICE["pauli-state"](BitVector.zeros(pc.capacity), pc, sr)
         state, _ = ExactState.deserialize(msg.main_payload)
         dim = 1 << pc.qubits
         recovered = fwht(state.numerators[:dim]) // dim
@@ -212,8 +233,8 @@ class TestPauliState:
         pc = make_config("pauli-state", 6, 0.5)
         for seed in (49, 50, 51):
             sr, x, l = draw_instance(pc, seed)
-            msg = proto.pauli_state_alice(x, pc, sr)
-            res = proto.pauli_state_bob(msg, l, pc, sr, OracleSpec())
+            msg = proto.ALICE["pauli-state"](x, pc, sr)
+            res = proto.BOB["pauli-state"](msg, l, pc, sr, OracleSpec())
             state, _ = ExactState.deserialize(msg.main_payload)
             a, b, i, j = queried_codewords(x, l, pc, sr)
             summed = a.bits.astype(np.int64) + b.bits.astype(np.int64)
@@ -231,8 +252,8 @@ class TestPauliState:
         hits = 0
         for seed in range(200):
             sr, x, l = draw_instance(pc, 2000 + seed)
-            msg = proto.pauli_state_alice(x, pc, sr)
-            res = proto.pauli_state_bob(msg, l, pc, sr, OracleSpec())
+            msg = proto.ALICE["pauli-state"](x, pc, sr)
+            res = proto.BOB["pauli-state"](msg, l, pc, sr, OracleSpec())
             hits += res.bit == x.bit(l)
         assert hits / 200 >= 0.8
 
@@ -241,7 +262,7 @@ class TestObservableGeneral:
     def test_payload_is_symmetric_psd_with_unit_norm(self):
         pc = make_config("observable-general", 6, 0.5)
         sr, x, _ = draw_instance(pc, 52)
-        msg = proto.observable_general_alice(x, pc, sr)
+        msg = proto.ALICE["observable-general"](x, pc, sr)
         dim = 1 << pc.qubits
         entries = np.frombuffer(msg.main_payload, dtype="<i8", offset=4).reshape(dim, dim)
         entries = entries / float(1 << proto.ENTRY_FRAC_BITS)
@@ -253,7 +274,7 @@ class TestObservableGeneral:
     def test_entries_match_brute_force_gram(self):
         pc = make_config("observable-general", 6, 0.5)
         sr, x, _ = draw_instance(pc, 53)
-        msg = proto.observable_general_alice(x, pc, sr)
+        msg = proto.ALICE["observable-general"](x, pc, sr)
         dim = 1 << pc.qubits
         entries = np.frombuffer(msg.main_payload, dtype="<i8", offset=4).reshape(dim, dim)
         a_vectors, b_vectors = proto.partition_and_encode(x, pc, sr)
@@ -266,8 +287,8 @@ class TestObservableGeneral:
         pc = make_config("observable-general", 6, 0.5)
         for seed in (54, 55, 56):
             sr, x, l = draw_instance(pc, seed)
-            msg = proto.observable_general_alice(x, pc, sr)
-            res = proto.observable_general_bob(msg, l, pc, sr, OracleSpec())
+            msg = proto.ALICE["observable-general"](x, pc, sr)
+            res = proto.BOB["observable-general"](msg, l, pc, sr, OracleSpec())
             a, b, i, j = queried_codewords(x, l, pc, sr)
             summed = a.bits.astype(np.int64) + b.bits.astype(np.int64)
             a_vectors, b_vectors = proto.partition_and_encode(x, pc, sr)
@@ -286,8 +307,8 @@ class TestObservableGeneral:
         monkeypatch.setattr(proto, "public_pads", zero_pads)
         monkeypatch.setattr(ghd_mod, "public_pads", zero_pads)
         sr = SharedRandomness(57)
-        msg = proto.observable_general_alice(BitVector.zeros(pc.capacity), pc, sr)
-        res = proto.observable_general_bob(msg, 1, pc, sr, OracleSpec())
+        msg = proto.ALICE["observable-general"](BitVector.zeros(pc.capacity), pc, sr)
+        res = proto.BOB["observable-general"](msg, 1, pc, sr, OracleSpec())
         assert res.target == 0
         assert res.bit == 1  # zero distance estimate decodes below threshold
 
@@ -296,8 +317,8 @@ class TestObservableGeneral:
         hits = 0
         for seed in range(200):
             sr, x, l = draw_instance(pc, 3000 + seed)
-            msg = proto.observable_general_alice(x, pc, sr)
-            res = proto.observable_general_bob(msg, l, pc, sr, OracleSpec())
+            msg = proto.ALICE["observable-general"](x, pc, sr)
+            res = proto.BOB["observable-general"](msg, l, pc, sr, OracleSpec())
             hits += res.bit == x.bit(l)
         assert hits / 200 >= 0.8
 
@@ -306,7 +327,7 @@ class TestObservablePauli:
     def test_mask_is_the_concatenated_codewords(self):
         pc = make_config("observable-pauli", 64, 0.5)
         sr, x, _ = draw_instance(pc, 58)
-        msg = proto.observable_pauli_alice(x, pc, sr)
+        msg = proto.ALICE["observable-pauli"](x, pc, sr)
         z_vector, _ = BitVector.deserialize(msg.main_payload)
         a_vectors, b_vectors = proto.partition_and_encode(x, pc, sr)
         rebuilt = np.concatenate(
@@ -318,7 +339,7 @@ class TestObservablePauli:
     def test_message_bits_accounting(self):
         pc = make_config("observable-pauli", 64, 0.5)
         sr, x, _ = draw_instance(pc, 59)
-        msg = proto.observable_pauli_alice(x, pc, sr)
+        msg = proto.ALICE["observable-pauli"](x, pc, sr)
         mask_len = pc.ghd.code_len * pc.block_count + 1
         assert msg.main_bits == 64 + mask_len
         assert msg.side_bits == 64
@@ -332,8 +353,8 @@ class TestObservablePauli:
         gamma = pc.ghd.gamma
         nblocks = pc.block_count - gamma
         x = BitVector(np.tile(BitVector.from_int(1, gamma).bits, nblocks))
-        msg = proto.observable_pauli_alice(x, pc, sr)
-        res = proto.observable_pauli_bob(msg, 1, pc, sr, OracleSpec())  # l=1 -> i=1, j=1
+        msg = proto.ALICE["observable-pauli"](x, pc, sr)
+        res = proto.BOB["observable-pauli"](msg, 1, pc, sr, OracleSpec())  # l=1 -> i=1, j=1
         assert res.target == 0
         assert float(res.delta_estimate) == 0.0
 
@@ -341,8 +362,8 @@ class TestObservablePauli:
         pc = make_config("observable-pauli", 64, 0.5)
         for seed in (61, 62, 63):
             sr, x, l = draw_instance(pc, seed)
-            msg = proto.observable_pauli_alice(x, pc, sr)
-            res = proto.observable_pauli_bob(msg, l, pc, sr, OracleSpec())
+            msg = proto.ALICE["observable-pauli"](x, pc, sr)
+            res = proto.BOB["observable-pauli"](msg, l, pc, sr, OracleSpec())
             a, b, _, _ = queried_codewords(x, l, pc, sr)
             assert res.target == Fraction(-hamming(a, b), pc.ghd.code_len)
 
@@ -351,8 +372,8 @@ class TestObservablePauli:
         hits = 0
         for seed in range(200):
             sr, x, l = draw_instance(pc, 4000 + seed)
-            msg = proto.observable_pauli_alice(x, pc, sr)
-            res = proto.observable_pauli_bob(msg, l, pc, sr, OracleSpec())
+            msg = proto.ALICE["observable-pauli"](x, pc, sr)
+            res = proto.BOB["observable-pauli"](msg, l, pc, sr, OracleSpec())
             hits += res.bit == x.bit(l)
         assert hits / 200 >= 0.8
 
@@ -367,8 +388,8 @@ class TestInnerProduct:
         blocks = [np.zeros(gamma, dtype=np.uint8)]
         blocks += [BitVector.from_int(1, gamma).bits for _ in range(nblocks - 1)]
         x = BitVector(np.concatenate(blocks))
-        msg = proto.inner_product_alice(x, pc, sr)
-        res = proto.inner_product_bob(msg, 1, pc, sr, OracleSpec())  # block 1, i=1
+        msg = proto.ALICE["inner-product"](x, pc, sr)
+        res = proto.BOB["inner-product"](msg, 1, pc, sr, OracleSpec())  # block 1, i=1
         assert float(res.target) == 0.0
 
     def test_identical_codewords_give_full_overlap(self):
@@ -377,8 +398,8 @@ class TestInnerProduct:
         gamma = pc.ghd.gamma
         nblocks = pc.block_count - gamma
         x = BitVector(np.tile(BitVector.from_int(1, gamma).bits, nblocks))
-        msg = proto.inner_product_alice(x, pc, sr)
-        res = proto.inner_product_bob(msg, 1, pc, sr, OracleSpec())
+        msg = proto.ALICE["inner-product"](x, pc, sr)
+        res = proto.BOB["inner-product"](msg, 1, pc, sr, OracleSpec())
         b = encode_bob(1, pc.ghd, sr)
         state, _ = ExactState.deserialize(msg.main_payload)
         expected = b.nnz / math.sqrt(state.norm_sq * b.nnz)
@@ -388,8 +409,8 @@ class TestInnerProduct:
         pc = make_config("inner-product", 8, 0.5)
         for seed in (66, 67, 68):
             sr, x, l = draw_instance(pc, seed)
-            msg = proto.inner_product_alice(x, pc, sr)
-            res = proto.inner_product_bob(msg, l, pc, sr, OracleSpec())
+            msg = proto.ALICE["inner-product"](x, pc, sr)
+            res = proto.BOB["inner-product"](msg, l, pc, sr, OracleSpec())
             state, _ = ExactState.deserialize(msg.main_payload)
             i, j = proto.decompose_index(l, pc.ghd.gamma)
             b = encode_bob(i, pc.ghd, sr)
@@ -402,15 +423,15 @@ class TestInnerProduct:
     def test_all_zero_instance_is_a_protocol_error(self):
         pc = make_config("inner-product", 6, 0.5)
         with pytest.raises(proto.ProtocolError):
-            proto.inner_product_alice(BitVector.zeros(pc.capacity), pc, SharedRandomness(69))
+            proto.ALICE["inner-product"](BitVector.zeros(pc.capacity), pc, SharedRandomness(69))
 
     def test_recovers_bit_with_exact_oracle(self):
         pc = make_config("inner-product", 8, 0.5)
         hits = 0
         for seed in range(200):
             sr, x, l = draw_instance(pc, 5000 + seed)
-            msg = proto.inner_product_alice(x, pc, sr)
-            res = proto.inner_product_bob(msg, l, pc, sr, OracleSpec())
+            msg = proto.ALICE["inner-product"](x, pc, sr)
+            res = proto.BOB["inner-product"](msg, l, pc, sr, OracleSpec())
             hits += res.bit == x.bit(l)
         assert hits / 200 >= 0.8
 
@@ -444,13 +465,46 @@ class TestBobValidation:
     def test_index_out_of_range(self):
         pc = make_config("pauli-state", 6, 0.5)
         sr, x, _ = draw_instance(pc, 70)
-        msg = proto.pauli_state_alice(x, pc, sr)
+        msg = proto.ALICE["pauli-state"](x, pc, sr)
         with pytest.raises(IndexError):
-            proto.pauli_state_bob(msg, pc.capacity + 1, pc, sr, OracleSpec())
+            proto.BOB["pauli-state"](msg, pc.capacity + 1, pc, sr, OracleSpec())
 
     def test_wrong_message_kind(self):
         pc = make_config("pauli-state", 6, 0.5)
         sr, x, l = draw_instance(pc, 71)
-        msg = proto.pauli_state_alice(x, pc, sr)
+        msg = proto.ALICE["pauli-state"](x, pc, sr)
         with pytest.raises(Exception):
-            proto.general_state_bob(msg, l, pc, sr, OracleSpec())
+            proto.BOB["general-state"](msg, l, pc, sr, OracleSpec())
+
+    def test_message_built_for_another_size_is_rejected(self):
+        big = make_config("observable-general", 6, 0.5)
+        small = make_config("observable-general", 5, 0.5)
+        sr, x, _ = draw_instance(big, 72)
+        msg = proto.ALICE["observable-general"](x, big, sr)
+        with pytest.raises(MessageError, match="payload qubit count"):
+            proto.BOB["observable-general"](msg, 1, small, sr, OracleSpec())
+
+    @pytest.mark.parametrize(
+        "kind,offset,fmt",
+        [("observable-general", 0, "<I"), ("general-state", 1, "<B"), ("pauli-state", 1, "<B")],
+    )
+    def test_inflated_qubit_field_is_rejected(self, kind, offset, fmt):
+        pc = make_config(kind, 6, 0.5)
+        sr, x, l = draw_instance(pc, 73)
+        msg = proto.ALICE[kind](x, pc, sr)
+        main = bytearray(msg.main_payload)
+        struct.pack_into(fmt, main, offset, 40)
+        bad = ProtocolMessage(kind, bytes(main), msg.main_bits, msg.side_payload, msg.side_bits)
+        with pytest.raises(MessageError, match="payload qubit count 40"):
+            proto.BOB[kind](bad, l, pc, sr, OracleSpec())
+
+    def test_side_info_block_count_must_match(self):
+        pc = make_config("general-state", 6, 0.5)
+        sr, x, _ = draw_instance(pc, 74)
+        msg = proto.ALICE["general-state"](x, pc, sr)
+        side = bytearray(msg.side_payload)
+        struct.pack_into("<I", side, 8, 1)  # count 1, but the query sits in block 3
+        bad = ProtocolMessage("general-state", msg.main_payload, msg.main_bits, bytes(side), msg.side_bits)
+        l = 2 * pc.ghd.gamma + 1
+        with pytest.raises(MessageError, match="side-info block count 1"):
+            proto.BOB["general-state"](bad, l, pc, sr, OracleSpec())

@@ -12,6 +12,7 @@ import time
 import numpy as np
 
 from gapcomm import _kernels
+from gapcomm.ghd import sample_sources
 
 
 def best_of(fn, *args, reps: int = 7) -> float:
@@ -51,6 +52,12 @@ def main() -> None:
             _kernels.majority_rows(p, s)
 
     row("majority encode 720x12 (x1000)", majority_many, pads, selected)
+
+    # one trial of observable-general n=8 at epsilon 0.3: 244 blocks of 12 bits
+    gen = np.random.default_rng(1)
+    row("odd-weight sampling 244x12", sample_sources, gen, 244, 12, True)
+    blocks = sample_sources(gen, 244, 12, True)
+    row("block majority 244x12 vs 720x12", _kernels.majority_blocks, pads, blocks)
 
 
 if __name__ == "__main__":

@@ -51,5 +51,17 @@ def majority_rows(pads: np.ndarray, selected: np.ndarray) -> np.ndarray:
     return (2 * counts > selected.size).astype(np.uint8)
 
 
+def majority_blocks(pads: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """``majority_rows`` for every row of a 0/1 selection matrix, in one matmul.
+
+    Row j of the result is ``majority_rows(pads, nonzero(blocks[j]))``. The
+    counts are summed in float32, exact while they stay below 2^24, which
+    needs fewer than 2^24 columns in ``pads``.
+    """
+    sel = blocks.astype(np.float32)
+    counts = sel @ pads.T.astype(np.float32)
+    return (2 * counts > sel.sum(axis=1, keepdims=True)).astype(np.uint8)
+
+
 def backend_name() -> str:
     return "numpy"

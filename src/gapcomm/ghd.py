@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -73,14 +73,20 @@ class GhdParams:
         return self.amp_factor * self.gamma
 
 
+@lru_cache(maxsize=4)
 def public_pads(params: GhdParams, sr: SharedRandomness) -> np.ndarray:
     """The shared pad matrix, one gamma-bit public string per code position.
 
     Row j holds the pad string for code position j+1; column i-1 is Bob's
     codeword for query position i. Derived from the STREAM_PADS substream
-    so Alice- and Bob-side calls agree bit for bit.
+    so Alice- and Bob-side calls agree bit for bit. The matrix is a pure
+    function of (params, sr), so it is derived once and handed out
+    read-only to every later caller with the same key (a trial's Alice,
+    Bob and ground truth all share it).
     """
-    return sr.substream(STREAM_PADS).bit_matrix(params.code_len, params.gamma)
+    pads = sr.substream(STREAM_PADS).bit_matrix(params.code_len, params.gamma)
+    pads.setflags(write=False)
+    return pads
 
 
 def encode_alice(x: BitVector, params: GhdParams, sr: SharedRandomness) -> BitVector:
@@ -127,14 +133,32 @@ def delta_from_sum_norm(sum_norm_sq, nnz_a, nnz_b):
     return 2 * nnz_a + 2 * nnz_b - sum_norm_sq
 
 
-def sample_source(
-    gen: np.random.Generator, length: int, odd_weight: bool
+def sample_sources(
+    gen: np.random.Generator, count: int, length: int, odd_weight: bool
 ) -> np.ndarray:
-    """One source string; odd-weight mode redraws until the weight is odd."""
-    while True:
-        x = gen.integers(0, 2, size=length, dtype=np.uint8)
-        if not odd_weight or int(x.sum()) & 1:
-            return x
+    """``count`` source strings of ``length`` bits, one per row of a uint8 matrix.
+
+    Unrestricted rows are one uniform draw of ``count * length`` bits.
+    Odd-weight rows are uniform over the odd-weight strings and read the
+    same stream as drawing each row with its own
+    ``gen.integers(0, 2, size=length, dtype=np.uint8)`` call, redrawn until
+    its weight is odd. Such a call takes its bits four to a 32-bit word and
+    drops the rest of its last word, so one draw of rows padded to a
+    multiple of four holds exactly those calls' bits, and the first
+    ``count`` odd-weight rows are what the redraw loop would keep. Rows
+    past those are drawn but unused, so ``gen`` is spent afterwards.
+    """
+    if not odd_weight:
+        return gen.integers(0, 2, size=(count, length), dtype=np.uint8)
+    width = 4 * -(-length // 4)
+    found = [np.zeros((0, length), dtype=np.uint8)]
+    need = count
+    while need > 0:
+        rows = gen.integers(0, 2, size=(2 * need + 8, width), dtype=np.uint8)[:, :length]
+        odd = rows[rows.sum(axis=1) % 2 == 1][:need]
+        found.append(odd)
+        need -= odd.shape[0]
+    return np.concatenate(found)
 
 
 def gap_statistics(
@@ -158,9 +182,9 @@ def gap_statistics(
     zero_total = zero_hit = one_total = one_hit = decoded = 0
     for t in range(trials):
         sr_t = sr.substream(t)
-        x = sample_source(
-            sr_t.substream(STREAM_INSTANCE).generator(), params.gamma, odd_weight
-        )
+        x = sample_sources(
+            sr_t.substream(STREAM_INSTANCE).generator(), 1, params.gamma, odd_weight
+        )[0]
         i = int(sr_t.substream(STREAM_INDEX).generator().integers(1, params.gamma + 1))
         xv = BitVector(x)
         a = encode_alice(xv, params, sr_t)

@@ -27,7 +27,7 @@ from .bits import (
     inner_product,
 )
 from .fwht import character_matrix, fwht
-from .ghd import GhdParams, decision_threshold, sample_source
+from .ghd import GhdParams, decision_threshold, sample_sources
 from .messages import ProtocolMessage
 from .observables import operator_norm
 from .oracle import MODELS, OracleSpec
@@ -109,11 +109,7 @@ def sample_instance(
 ) -> BitVector:
     """Draw Alice's string; odd-weight mode keeps every block's weight odd."""
     gamma = pc.ghd.gamma
-    nblocks = pc.block_count - gamma
-    if not odd_weight:
-        return BitVector(gen.integers(0, 2, size=pc.capacity, dtype=np.uint8))
-    blocks = [sample_source(gen, gamma, True) for _ in range(nblocks)]
-    return BitVector(np.concatenate(blocks))
+    return BitVector(sample_sources(gen, pc.block_count - gamma, gamma, odd_weight).reshape(-1))
 
 
 def _queried_codewords(x, l, pc, sr) -> tuple[BitVector, BitVector]:

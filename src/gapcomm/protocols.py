@@ -46,7 +46,7 @@ from .ghd import (
 from .messages import ByteReader, ByteWriter, MessageError, ProtocolMessage
 from .observables import operator_norm
 from .pauli import PauliMask, pauli_expectation, subset_state_expectation
-from .states import ExactState
+from .states import ExactState, StateError
 from . import _kernels
 
 # Desk-scale guards: dense state messages and dense observable payloads.
@@ -56,6 +56,10 @@ MAX_OBSERVABLE_QUBITS = 10
 # Fixed-point scales for the observable-general payload.
 ENTRY_FRAC_BITS = 48
 NORM_FRAC_BITS = 32
+
+# Block encoding and the Gram matrix count 0/1 products in float32, which is
+# exact for integers below 2^24; every count is at most code_len (>= gamma).
+FLOAT32_EXACT = 1 << 24
 
 
 class ConfigError(ValueError):
@@ -80,6 +84,7 @@ class ProtocolSpec:
     ``payload_qubits``: the size of what Alice ships (for observable-pauli,
     its Pauli string length), read back from the main payload at
     ``qubit_field`` = (struct format, offset); capped at ``max_payload_qubits``.
+    ``main_bytes(payload_qubits)`` is the exact main-payload length.
     ``encode(a_rows, b_rows, cfg)`` gives (main, main_bits, side, side_bits);
     ``read(msg, i, j, cfg, sr)`` gives a ``Reading``.
     """
@@ -89,6 +94,7 @@ class ProtocolSpec:
     epsilon_floor: Callable[[int], float]
     payload_qubits: Callable[["ProtocolConfig"], int]
     qubit_field: tuple[str, int]
+    main_bytes: Callable[[int], int]
     encode: Callable
     read: Callable
     max_payload_qubits: float = math.inf
@@ -116,6 +122,11 @@ class ProtocolConfig:
             raise ConfigError("qubits must be >= 1")
         if self.oracle_slack < 1.0:
             raise ConfigError("oracle_slack must be >= 1")
+        if self.ghd.code_len >= FLOAT32_EXACT:
+            raise ConfigError(
+                f"code_len {self.ghd.code_len} (and so gamma {self.ghd.gamma}) must stay "
+                f"below 2^24 for exact float32 block encoding"
+            )
         lo = self.epsilon_floor
         if not lo < self.ghd.epsilon < 1.0:
             raise ConfigError(
@@ -186,19 +197,15 @@ def encode_block_matrices(
 
     Uses one shared pad matrix for every block, exactly as both parties
     derive it; ``encode_alice``/``encode_bob`` applied block by block agree
-    bit for bit.
+    bit for bit. All blocks are encoded by one matmul (ties and empty blocks
+    give 0).
     """
     params = cfg.ghd
     if len(x) != cfg.capacity:
         raise ConfigError(f"instance length {len(x)} != capacity {cfg.capacity}")
     pads = public_pads(params, sr)
-    nblocks = cfg.block_count - params.gamma
-    blocks = x.bits.reshape(nblocks, params.gamma)
-    a_rows = np.zeros((nblocks, params.code_len), dtype=np.uint8)
-    for jj in range(nblocks):
-        sel = np.nonzero(blocks[jj])[0].astype(np.int64)
-        if sel.size:
-            a_rows[jj] = _kernels.majority_rows(pads, sel)
+    # float32 counts are exact: ProtocolConfig keeps gamma below 2^24
+    a_rows = _kernels.majority_blocks(pads, x.bits.reshape(-1, params.gamma))
     b_rows = np.ascontiguousarray(pads.T)
     return a_rows, b_rows
 
@@ -258,9 +265,9 @@ def bob(
 ) -> BobResult:
     """Bob's side of every protocol: one oracle query, rescaled and thresholded.
 
-    The message must match the config: its kind, its payload qubit count
-    and (in the kind's reader) its side-info block count are checked before
-    anything sized by the message is read.
+    The message must match the config: its kind, its payload qubit count,
+    its main-payload length and (in the kind's reader) its side-info block
+    count are checked before anything sized by the message is read.
     """
     if msg.protocol != kind:
         raise MessageError(f"wrong message for {kind} decoder")
@@ -272,7 +279,9 @@ def bob(
     if len(msg.main_payload) < offset + struct.calcsize(fmt):
         raise MessageError("main payload shorter than its header")
     (qubits,) = struct.unpack_from(fmt, msg.main_payload, offset)
-    _expect("payload qubit count", qubits, spec.payload_qubits(cfg))
+    expected_qubits = spec.payload_qubits(cfg)
+    _expect("payload qubit count", qubits, expected_qubits)
+    _expect("main-payload length", len(msg.main_payload), spec.main_bytes(expected_qubits))
     reading = spec.read(msg, i, j, cfg, sr)
 
     # The reconstructed distance decreases in the estimate for every
@@ -313,6 +322,20 @@ def _read_weight_side(side: bytes, j: int, cfg: ProtocolConfig) -> tuple[int, in
     return first, r.take_u32()
 
 
+def _read_state(msg, j: int, cfg: ProtocolConfig) -> tuple[ExactState, int]:
+    """Alice's dense state and nnz(a^j); the side info's leading field must
+    be the squared norm that the state itself checked."""
+    norm_sq, nnz_a = _read_weight_side(msg.side_payload, j, cfg)
+    try:
+        state, _ = ExactState.deserialize(msg.main_payload)
+    except StateError as exc:
+        raise MessageError(f"malformed state payload: {exc}") from exc
+    if not state.is_dense:
+        raise MessageError("state payload is not in the dense layout")
+    _expect("side-info squared norm", norm_sq, state.norm_sq)
+    return state, nnz_a
+
+
 def _sum_norm_reading(target, rescale, nnz_a: int, i: int, cfg, sr) -> Reading:
     """``target`` is ||a^j + b^i||^2 / rescale; distance = 2 nnz_a + 2 nnz_b - ||a+b||^2."""
     nnz_b = encode_bob(i, cfg.ghd, sr).nnz
@@ -343,14 +366,14 @@ def _encode_general_state(a_rows, b_rows, cfg: ProtocolConfig) -> tuple:
 
 
 def _read_general_state(msg, i: int, j: int, cfg: ProtocolConfig, sr) -> Reading:
-    norm_sq, nnz_a = _read_weight_side(msg.side_payload, j, cfg)
-    state, _ = ExactState.deserialize(msg.main_payload)
+    state, nnz_a = _read_state(msg, j, cfg)
     code_len = cfg.ghd.code_len
     blk_a = state.numerators[(j - 1) * code_len : j * code_len]
     col = cfg.block_count - cfg.ghd.gamma + i
     blk_b = state.numerators[(col - 1) * code_len : col * code_len]
     sum_norm = int(np.dot(blk_a + blk_b, blk_a + blk_b))
-    return _sum_norm_reading(Fraction(sum_norm, 2 * norm_sq), 2 * norm_sq, nnz_a, i, cfg, sr)
+    rescale = 2 * state.norm_sq
+    return _sum_norm_reading(Fraction(sum_norm, rescale), rescale, nnz_a, i, cfg, sr)
 
 
 def general_state_ml_strip(cfg: ProtocolConfig, l: int) -> np.ndarray:
@@ -377,8 +400,7 @@ def _encode_inner_product(a_rows, b_rows, cfg: ProtocolConfig) -> tuple:
 
 
 def _read_inner_product(msg, i: int, j: int, cfg: ProtocolConfig, sr) -> Reading:
-    norm_sq, nnz_a = _read_weight_side(msg.side_payload, j, cfg)
-    state, _ = ExactState.deserialize(msg.main_payload)
+    state, nnz_a = _read_state(msg, j, cfg)
     code_len = cfg.ghd.code_len
     b = encode_bob(i, cfg.ghd, sr)
     own_norm = b.nnz
@@ -386,7 +408,7 @@ def _read_inner_product(msg, i: int, j: int, cfg: ProtocolConfig, sr) -> Reading
         raise ProtocolError("Bob's codeword is the zero vector")
     blk = state.numerators[(j - 1) * code_len : j * code_len]
     cross = int(np.dot(blk, b.bits.astype(np.int64)))
-    scale = math.sqrt(norm_sq * own_norm)
+    scale = math.sqrt(state.norm_sq * own_norm)
     return Reading(cross / scale, nnz_a + own_norm - 2 * cross, nnz_a + own_norm, 2.0 * scale)
 
 
@@ -421,13 +443,12 @@ def _encode_pauli_state(a_rows, b_rows, cfg: ProtocolConfig) -> tuple:
 
 
 def _read_pauli_state(msg, i: int, j: int, cfg: ProtocolConfig, sr) -> Reading:
-    scaled_norm, nnz_a = _read_weight_side(msg.side_payload, j, cfg)
-    state, _ = ExactState.deserialize(msg.main_payload)
+    state, nnz_a = _read_state(msg, j, cfg)
     n = cfg.qubits
     mask = PauliMask.from_ints(z=(j - 1) * cfg.ghd.gamma + i - 1, x=1 << n, qubits=n + 1)
-    # target = 2 * sum_norm / D with D = scaled_norm / 2^{2n}; undoing the
+    # target = 2 * sum_norm / D with D = norm_sq / 2^{2n}; undoing the
     # scale turns the estimate back into a sum-norm estimate.
-    rescale = Fraction(scaled_norm, 1 << (2 * n + 1))
+    rescale = Fraction(state.norm_sq, 1 << (2 * n + 1))
     return _sum_norm_reading(pauli_expectation(state, mask), rescale, nnz_a, i, cfg, sr)
 
 
@@ -437,12 +458,13 @@ def _read_pauli_state(msg, i: int, j: int, cfg: ProtocolConfig, sr) -> Reading:
 # ---------------------------------------------------------------------------
 
 def _encode_observable_general(a_rows, b_rows, cfg: ProtocolConfig) -> tuple:
-    columns = np.concatenate([a_rows, b_rows], axis=0).astype(np.float64).T  # (code_len, 2^n)
+    columns = np.concatenate([a_rows, b_rows], axis=0).astype(np.float32).T  # (code_len, 2^n)
     dim = 1 << cfg.qubits
-    gram = columns.T @ columns  # integer-valued, exact in float64 at this scale
+    # integer entries at most max(code_len, 2^n) < 2^24: exact in float32
+    gram = (columns.T @ columns).astype(np.float64)
     if np.any(columns):
         # both Gram sides share the nonzero spectrum; iterate on the smaller
-        small = gram if dim <= cfg.ghd.code_len else columns @ columns.T
+        small = gram if dim <= cfg.ghd.code_len else (columns @ columns.T).astype(np.float64)
         norm_fp = round(operator_norm(small) * (1 << NORM_FRAC_BITS))
         quantized_norm = norm_fp / (1 << NORM_FRAC_BITS)
         entries_fp = np.round(gram / quantized_norm * (1 << ENTRY_FRAC_BITS))
@@ -524,22 +546,30 @@ def _stacked_qubits(cfg: ProtocolConfig) -> int:
 
 _STATE_QUBITS = ("<B", 1)  # ExactState wire header: u8 layout tag, u8 qubits, ...
 
+
+def _dense_state_bytes(qubits: int) -> int:
+    """ExactState dense wire length: 10-byte header, one i64 per amplitude."""
+    return 10 + 8 * (1 << qubits)
+
+
 SPECS = {
     "general-state": ProtocolSpec(
         kappa=4.0, block_count=_state_blocks, epsilon_floor=_state_floor,
         payload_qubits=_stacked_qubits, qubit_field=_STATE_QUBITS,
-        encode=_encode_general_state, read=_read_general_state,
+        main_bytes=_dense_state_bytes, encode=_encode_general_state, read=_read_general_state,
         max_payload_qubits=MAX_STATE_QUBITS,
     ),
     "pauli-state": ProtocolSpec(
         kappa=4.0, block_count=_state_blocks, epsilon_floor=_state_floor,
         payload_qubits=lambda cfg: cfg.qubits + 1, qubit_field=_STATE_QUBITS,
-        encode=_encode_pauli_state, read=_read_pauli_state,
+        main_bytes=_dense_state_bytes, encode=_encode_pauli_state, read=_read_pauli_state,
         max_payload_qubits=MAX_STATE_QUBITS,
     ),
     "observable-general": ProtocolSpec(
         kappa=4.0, block_count=lambda n: 1 << n, epsilon_floor=lambda n: 2.0 ** (-n / 2.0),
         payload_qubits=lambda cfg: cfg.qubits, qubit_field=("<I", 0),
+        # u32 qubit count, then the 2^n x 2^n i64 matrix
+        main_bytes=lambda n: 4 + 8 * (1 << (2 * n)),
         encode=_encode_observable_general, read=_read_observable_general,
         max_payload_qubits=MAX_OBSERVABLE_QUBITS,
     ),
@@ -547,12 +577,13 @@ SPECS = {
         kappa=1.0, block_count=math.isqrt, epsilon_floor=lambda n: n ** (-1.0 / 4.0),
         # the payload is a Pauli string; its BitVector header is a u64 bit count
         payload_qubits=lambda cfg: cfg.ghd.code_len * cfg.block_count + 1, qubit_field=("<Q", 0),
+        main_bytes=lambda bits: 8 + (bits + 7) // 8,
         encode=_encode_observable_pauli, read=_read_observable_pauli,
     ),
     "inner-product": ProtocolSpec(
         kappa=2.0, block_count=_state_blocks, epsilon_floor=_state_floor,
         payload_qubits=_stacked_qubits, qubit_field=_STATE_QUBITS,
-        encode=_encode_inner_product, read=_read_inner_product,
+        main_bytes=_dense_state_bytes, encode=_encode_inner_product, read=_read_inner_product,
         max_payload_qubits=MAX_STATE_QUBITS,
     ),
 }

@@ -136,18 +136,28 @@ class ExactState:
 
     @staticmethod
     def deserialize(buf: bytes, offset: int = 0) -> tuple["ExactState", int]:
+        """Read one state at ``offset``; a buffer too short for it raises StateError."""
+
+        def need(nbytes: int, what: str) -> None:
+            if len(buf) - offset < nbytes:
+                raise StateError(f"buffer too short for the {what}")
+
+        need(10, "state header")
         tag, qubits, norm_sq = struct.unpack_from("<BBQ", buf, offset)
         offset += 10
         if tag == 0:
             count = 1 << qubits
+            need(8 * count, "dense amplitudes")
             arr = np.frombuffer(buf, dtype="<i8", count=count, offset=offset).astype(
                 np.int64
             )
             offset += 8 * count
             return ExactState(qubits=qubits, norm_sq=norm_sq, numerators=arr), offset
         if tag == 1:
+            need(8, "sparse support count")
             (count,) = struct.unpack_from("<Q", buf, offset)
             offset += 8
+            need(16 * count, "sparse support")
             pairs = []
             for _ in range(count):
                 idx, val = struct.unpack_from("<Qq", buf, offset)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gapcomm.bits import BitVector, SharedRandomness, hamming
+from gapcomm.bits import STREAM_PADS, BitVector, SharedRandomness, hamming
 from gapcomm.ghd import (
     GhdParams,
     decision_threshold,
@@ -14,6 +14,7 @@ from gapcomm.ghd import (
     encode_bob,
     gap_statistics,
     public_pads,
+    sample_sources,
 )
 
 
@@ -26,6 +27,18 @@ def brute_majority_codeword(x: BitVector, pads: np.ndarray) -> BitVector:
         ones = sum(votes)
         out.append(1 if 2 * ones > len(votes) else 0)
     return BitVector.from_bits(out)
+
+
+def rejection_rows(gen, count: int, length: int) -> np.ndarray:
+    """The per-row rejection loop the bulk sampler must reproduce draw for draw."""
+    rows = []
+    for _ in range(count):
+        while True:
+            x = gen.integers(0, 2, size=length, dtype=np.uint8)
+            if int(x.sum()) & 1:
+                rows.append(x)
+                break
+    return np.array(rows, dtype=np.uint8).reshape(count, length)
 
 
 class TestParams:
@@ -84,6 +97,18 @@ class TestEncoders:
             encode_bob(0, params, sr)
         with pytest.raises(IndexError):
             encode_bob(params.gamma + 1, params, sr)
+
+    def test_pads_are_derived_once_and_read_only(self):
+        params = GhdParams(epsilon=0.5)
+        sr = SharedRandomness(5)
+        pads = public_pads(params, sr)
+        assert public_pads(params, sr) is pads
+        assert not pads.flags.writeable
+        with pytest.raises(ValueError):
+            pads[0, 0] ^= 1
+        fresh = sr.substream(STREAM_PADS).bit_matrix(params.code_len, params.gamma)
+        assert np.array_equal(pads, fresh)
+        assert public_pads(params, SharedRandomness(6)) is not pads
 
     def test_wrong_source_length(self):
         params = GhdParams(epsilon=0.5)
@@ -153,3 +178,25 @@ class TestGapStatistics:
         params = GhdParams(epsilon=0.4)
         stats = gap_statistics(params, trials=50, sr=SharedRandomness(25), odd_weight=False)
         assert stats["odd_weight"] is False
+
+
+class TestSampleSources:
+    @pytest.mark.parametrize("count", [1, 3, 17, 244])
+    def test_odd_weight_rows_match_the_rejection_loop(self, count):
+        # lengths that are and are not multiples of the 4-bit-per-word packing
+        seeds = range(3) if count == 244 else range(8)
+        for length in range(1, 30):
+            for seed in seeds:
+                sr = SharedRandomness(1000 * length + seed)
+                bulk = sample_sources(sr.generator(), count, length, True)
+                assert bulk.shape == (count, length) and bulk.dtype == np.uint8
+                assert np.array_equal(bulk, rejection_rows(sr.generator(), count, length))
+
+    def test_unrestricted_rows_are_one_flat_draw(self):
+        sr = SharedRandomness(31)
+        rows = sample_sources(sr.generator(), 7, 13, False)
+        flat = sr.generator().integers(0, 2, size=7 * 13, dtype=np.uint8)
+        assert np.array_equal(rows.reshape(-1), flat)
+
+    def test_zero_rows(self):
+        assert sample_sources(SharedRandomness(32).generator(), 0, 5, True).shape == (0, 5)

@@ -46,3 +46,16 @@ def test_even_split_is_zero():
 
 def test_backend_reports_a_name():
     assert _kernels.backend_name() == "numpy"
+
+
+def test_majority_blocks_matches_majority_rows_per_block():
+    rng = np.random.default_rng(29)
+    pads = rng.integers(0, 2, size=(40, 12), dtype=np.uint8)
+    blocks = rng.integers(0, 2, size=(30, 12), dtype=np.uint8)
+    blocks[0] = 0  # empty selection
+    blocks[1] = [1, 1] + [0] * 10  # even selection, ties possible
+    out = _kernels.majority_blocks(pads, blocks)
+    assert out.dtype == np.uint8 and out.shape == (30, 40)
+    for j, block in enumerate(blocks):
+        selected = np.nonzero(block)[0].astype(np.int64)
+        assert np.array_equal(out[j], _kernels.majority_rows(pads, selected))

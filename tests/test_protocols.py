@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import gapcomm.protocols as proto
+from gapcomm import _kernels
 from gapcomm.bits import STREAM_INDEX, STREAM_INSTANCE, BitVector, SharedRandomness, hamming
-from gapcomm.ghd import GhdParams, encode_alice, encode_bob
+from gapcomm.ghd import GhdParams, encode_alice, encode_bob, public_pads
 from gapcomm.harness import sample_instance
 from gapcomm.messages import MessageError, ProtocolMessage
 from gapcomm.oracle import OracleSpec
@@ -85,6 +86,11 @@ class TestConfig:
         assert make_config("observable-general", 6, 0.5).block_count == 64
         assert make_config("observable-pauli", 64, 0.5).block_count == 8
 
+    def test_code_length_stays_exact_in_float32(self):
+        # code_len = 60 * 308642 >= 2^24; every other check passes at this size
+        with pytest.raises(proto.ConfigError, match="2\\^24"):
+            make_config("observable-pauli", 10**11, 0.0018)
+
     def test_oracle_budget_shrinks_with_slack(self):
         tight = make_config("pauli-state", 8, 0.5)
         slack = make_config("pauli-state", 8, 0.5, oracle_slack=2.0)
@@ -129,6 +135,27 @@ class TestPartitionAndEncode:
             assert a == encode_alice(block, pc.ghd, sr)
         for i, b in enumerate(b_vectors, start=1):
             assert b == encode_bob(i, pc.ghd, sr)
+
+    def test_matrix_encoding_matches_per_block_majority(self):
+        # unrestricted instances hold even-weight blocks (majority ties) and,
+        # forced below, an all-zero and a full block
+        for kind, qubits in (("general-state", 8), ("observable-general", 6)):
+            pc = make_config(kind, qubits, 0.5)
+            gamma = pc.ghd.gamma
+            for seed in range(35, 41):
+                sr, x, _ = draw_instance(pc, seed, odd=False)
+                bits = x.bits.copy()
+                bits[:gamma] = 0
+                bits[gamma : 2 * gamma] = 1
+                blocks = bits.reshape(-1, gamma)
+                assert (blocks.sum(axis=1) % 2 == 0).sum() > 2
+                a_rows, b_rows = proto.encode_block_matrices(BitVector(bits), pc, sr)
+                pads = public_pads(pc.ghd, sr)
+                for j, block in enumerate(blocks):
+                    selected = np.nonzero(block)[0].astype(np.int64)
+                    assert np.array_equal(a_rows[j], _kernels.majority_rows(pads, selected))
+                assert not a_rows[0].any()
+                assert np.array_equal(b_rows, pads.T)
 
     def test_length_mismatch_rejected(self):
         pc = make_config("general-state", 8, 0.5)
@@ -507,4 +534,44 @@ class TestBobValidation:
         bad = ProtocolMessage("general-state", msg.main_payload, msg.main_bits, bytes(side), msg.side_bits)
         l = 2 * pc.ghd.gamma + 1
         with pytest.raises(MessageError, match="side-info block count 1"):
+            proto.BOB["general-state"](bad, l, pc, sr, OracleSpec())
+
+    @pytest.mark.parametrize("kind", ["general-state", "inner-product", "pauli-state"])
+    @pytest.mark.parametrize("shift", ["zero", -1, 1])
+    def test_side_info_norm_must_match_the_state(self, kind, shift):
+        pc = make_config(kind, 6, 0.5)
+        sr, x, l = draw_instance(pc, 75)
+        msg = proto.ALICE[kind](x, pc, sr)
+        side = bytearray(msg.side_payload)
+        (norm_sq,) = struct.unpack_from("<Q", side, 0)
+        struct.pack_into("<Q", side, 0, 0 if shift == "zero" else norm_sq + shift)
+        bad = ProtocolMessage(kind, msg.main_payload, msg.main_bits, bytes(side), msg.side_bits)
+        with pytest.raises(MessageError, match="side-info squared norm"):
+            proto.BOB[kind](bad, l, pc, sr, OracleSpec())
+
+    @pytest.mark.parametrize(
+        "kind,qubits",
+        [("general-state", 6), ("inner-product", 6), ("observable-general", 5), ("pauli-state", 6),
+         ("observable-pauli", 64)],
+    )
+    @pytest.mark.parametrize("change", [-8, 8])
+    def test_main_payload_length_must_match_the_config(self, kind, qubits, change):
+        pc = make_config(kind, qubits, 0.5)
+        sr, x, l = draw_instance(pc, 76)
+        msg = proto.ALICE[kind](x, pc, sr)
+        main = msg.main_payload[:change] if change < 0 else msg.main_payload + bytes(change)
+        bad = ProtocolMessage(kind, main, msg.main_bits + 8 * change, msg.side_payload, msg.side_bits)
+        with pytest.raises(MessageError, match="main-payload length"):
+            proto.BOB[kind](bad, l, pc, sr, OracleSpec())
+
+    def test_sparse_state_payload_is_rejected(self):
+        pc = make_config("general-state", 6, 0.5)
+        sr, x, l = draw_instance(pc, 77)
+        msg = proto.ALICE["general-state"](x, pc, sr)
+        state, _ = ExactState.deserialize(msg.main_payload)
+        support = [(int(k), int(v)) for k, v in enumerate(state.numerators) if v]
+        sparse, _ = ExactState.from_support(support, state.qubits).serialize()
+        main = sparse + bytes(len(msg.main_payload) - len(sparse))
+        bad = ProtocolMessage("general-state", main, 8 * len(main), msg.side_payload, msg.side_bits)
+        with pytest.raises(MessageError, match="dense layout"):
             proto.BOB["general-state"](bad, l, pc, sr, OracleSpec())

@@ -97,3 +97,17 @@ class TestSerialization:
         corrupted[10] ^= 0x01  # first numerator byte
         with pytest.raises(StateError):
             ExactState.deserialize(bytes(corrupted))
+
+    def test_short_buffer_raises_state_error(self):
+        dense, _ = ExactState.dense(np.array([2, -1, 0, 3], dtype=np.int64)).serialize()
+        sparse, _ = ExactState.from_support([(3, 2), (7, -3)], qubits=3).serialize()
+        for payload in (dense, sparse):
+            for cut in (1, 8, len(payload) - 9, len(payload) - 1):
+                with pytest.raises(StateError, match="too short"):
+                    ExactState.deserialize(payload[:cut])
+
+    def test_inflated_sparse_count_is_rejected_before_reading(self):
+        sparse, _ = ExactState.from_support([(3, 2)], qubits=3).serialize()
+        inflated = sparse[:10] + (1 << 40).to_bytes(8, "little") + sparse[18:]
+        with pytest.raises(StateError, match="too short"):
+            ExactState.deserialize(inflated)

@@ -13,6 +13,7 @@ import numpy as np
 
 from gapcomm import _kernels
 from gapcomm.ghd import sample_sources
+from gapcomm.states import exact_sq_sum
 
 
 def best_of(fn, *args, reps: int = 7) -> float:
@@ -29,6 +30,14 @@ def row(name: str, fn, *args) -> None:
     print(f"{name:<34} {best_of(fn, *args) * 1e3:9.3f} ms")
 
 
+def abs_dot_sq_sum(arr: np.ndarray) -> int:
+    """The sum of squares as first written: an ``abs`` temporary for the
+    headroom bound, then ``np.dot``, which copies unaligned operands."""
+    if 2 * int(np.abs(arr).max()).bit_length() + arr.size.bit_length() < 62:
+        return int(np.dot(arr, arr))
+    return int(sum(int(v) * int(v) for v in arr))
+
+
 def main() -> None:
     rng = np.random.default_rng(0)
     print(f"kernel backend: {_kernels.backend_name()}")
@@ -43,6 +52,13 @@ def main() -> None:
         z = int(rng.integers(0, 1 << n))
         x = int(rng.integers(0, 1 << n))
         row(f"mask quadratic form 2^{n}", _kernels.pauli_quad, nums, z, x)
+
+    # a dense general-state n=12 message read in place: its amplitudes sit
+    # at byte offset 30 of the wire, so the int64 view is unaligned
+    amps = rng.integers(0, 2, size=1 << 18).astype("<i8")
+    view = np.frombuffer(bytes(30) + amps.tobytes(), dtype="<i8", offset=30)
+    row("abs+dot sq sum 2^18 unaligned", abs_dot_sq_sum, view)
+    row("exact_sq_sum 2^18 unaligned", exact_sq_sum, view)
 
     pads = rng.integers(0, 2, size=(720, 12), dtype=np.uint8)
     selected = np.array([0, 3, 5, 7, 9], dtype=np.int64)

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .messages import MessageError
+
 MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -119,9 +121,15 @@ class BitVector:
 
     @staticmethod
     def deserialize(buf: bytes, offset: int = 0) -> tuple["BitVector", int]:
+        """Read one vector at ``offset``; a buffer too short for it raises
+        MessageError before anything sized by its bit count is allocated."""
+        if len(buf) - offset < 8:
+            raise MessageError("buffer too short for the bit-vector length")
         (count,) = struct.unpack_from("<Q", buf, offset)
         offset += 8
         nbytes = (count + 7) // 8
+        if len(buf) - offset < nbytes:
+            raise MessageError(f"buffer too short for {count} packed bits")
         raw = np.frombuffer(buf, dtype=np.uint8, count=nbytes, offset=offset)
         bits = np.unpackbits(raw, count=count, bitorder="little") if count else np.zeros(0, np.uint8)
         return BitVector(bits), offset + nbytes

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels
+from .states import abs_bound
 
 
 def _check_length(n: int) -> int:
@@ -27,7 +28,7 @@ def fwht(vec) -> np.ndarray:
     """
     arr = np.ascontiguousarray(vec, dtype=np.int64)
     qubits = _check_length(arr.shape[0])
-    max_abs = int(np.abs(arr).max()) if arr.size else 0
+    max_abs = abs_bound(arr)
     if max_abs and max_abs.bit_length() + qubits >= 63:
         raise OverflowError("transform would overflow int64")
     return _kernels.fwht(arr)

@@ -25,11 +25,12 @@ class ProtocolMessage:
 
     ``main_bits``/``side_bits`` are the exact information bit counts of the
     two sections; byte strings may carry up to 7 bits of padding beyond
-    them, never more.
+    them, never more. A message read by ``from_wire`` holds its main
+    payload as a read-only memoryview over the wire bytes.
     """
 
     protocol: str
-    main_payload: bytes
+    main_payload: bytes | memoryview
     main_bits: int
     side_payload: bytes = b""
     side_bits: int = 0
@@ -48,21 +49,36 @@ class ProtocolMessage:
                     f"{name}_bits {bits} inconsistent with {len(payload)} payload bytes"
                 )
 
+    def __reduce__(self):
+        # a memoryview cannot be pickled or deep-copied; its bytes can
+        return (
+            ProtocolMessage,
+            (self.protocol, bytes(self.main_payload), self.main_bits, self.side_payload, self.side_bits),
+        )
+
     @property
     def total_bits(self) -> int:
         return self.main_bits + self.side_bits
 
     def to_wire(self) -> bytes:
         """4-byte protocol tag, u64 main_bits, u64 side_bits, then payloads."""
-        return (
-            PROTOCOL_TAGS[self.protocol]
-            + struct.pack("<QQ", self.main_bits, self.side_bits)
-            + self.main_payload
-            + self.side_payload
-        )
+        return b"".join((
+            PROTOCOL_TAGS[self.protocol],
+            struct.pack("<QQ", self.main_bits, self.side_bits),
+            self.main_payload,
+            self.side_payload,
+        ))
 
     @staticmethod
     def from_wire(buf: bytes) -> "ProtocolMessage":
+        """Parse a wire message without copying its main payload.
+
+        The main payload is a read-only memoryview slice of ``buf``; input
+        that is not ``bytes`` is copied to ``bytes`` first, so later writes
+        to the caller's buffer cannot reach the message.
+        """
+        if not isinstance(buf, bytes):
+            buf = bytes(buf)
         if len(buf) < 20:
             raise MessageError("truncated message header")
         tag = buf[:4]
@@ -74,7 +90,7 @@ class ProtocolMessage:
         side_len = (side_bits + 7) // 8
         if len(buf) != 20 + main_len + side_len:
             raise MessageError("message length inconsistent with declared bit counts")
-        main = buf[20 : 20 + main_len]
+        main = memoryview(buf)[20 : 20 + main_len]
         side = buf[20 + main_len :]
         return ProtocolMessage(protocol, main, main_bits, side, side_bits)
 
@@ -98,8 +114,9 @@ class ByteWriter:
         self._parts.append(struct.pack("<q", value))
         self.bits += 64
 
-    def put_payload(self, payload: bytes, bits: int) -> None:
-        if bits % 8 != 0 or len(payload) * 8 != bits:
+    def put_payload(self, payload, bits: int) -> None:
+        """Append any contiguous buffer (bytes, memoryview, numpy array) as is."""
+        if bits % 8 != 0 or memoryview(payload).nbytes * 8 != bits:
             raise MessageError("embedded payloads must be byte-aligned")
         self._parts.append(payload)
         self.bits += bits
@@ -109,21 +126,25 @@ class ByteWriter:
 
 
 class ByteReader:
+    """Reads little-endian fields; a read past the end raises MessageError."""
+
     def __init__(self, buf: bytes):
         self._buf = buf
         self.offset = 0
 
-    def take_u32(self) -> int:
-        (v,) = struct.unpack_from("<I", self._buf, self.offset)
-        self.offset += 4
+    def _take(self, fmt: str) -> int:
+        size = struct.calcsize(fmt)
+        if len(self._buf) - self.offset < size:
+            raise MessageError(f"buffer too short for a {8 * size}-bit field at offset {self.offset}")
+        (v,) = struct.unpack_from(fmt, self._buf, self.offset)
+        self.offset += size
         return v
+
+    def take_u32(self) -> int:
+        return self._take("<I")
 
     def take_u64(self) -> int:
-        (v,) = struct.unpack_from("<Q", self._buf, self.offset)
-        self.offset += 8
-        return v
+        return self._take("<Q")
 
     def take_i64(self) -> int:
-        (v,) = struct.unpack_from("<q", self._buf, self.offset)
-        self.offset += 8
-        return v
+        return self._take("<q")

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _kernels
 from .bits import BitVector, DimensionError
-from .states import ExactState, exact_sq_sum
+from .states import ExactState, abs_bound
 
 
 class ObservableError(ValueError):
@@ -85,10 +85,10 @@ def pauli_expectation(state: ExactState, mask: PauliMask) -> Fraction:
         )
     z, x = mask.z_int, mask.x_int
     if state.is_dense:
-        nums = state.numerators
-        max_abs = int(np.abs(nums).max())
+        # the kernel makes several full passes: align a wire-buffer view once
+        nums = np.require(state.numerators, requirements="A")
         # int64 kernel is exact while len * max^2 stays below 2^62
-        if 2 * max_abs.bit_length() + nums.shape[0].bit_length() < 62:
+        if 2 * abs_bound(nums).bit_length() + nums.shape[0].bit_length() < 62:
             total = _kernels.pauli_quad(nums, z, x)
         else:
             total = sum(

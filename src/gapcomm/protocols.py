@@ -467,14 +467,17 @@ def _encode_observable_general(a_rows, b_rows, cfg: ProtocolConfig) -> tuple:
         small = gram if dim <= cfg.ghd.code_len else (columns @ columns.T).astype(np.float64)
         norm_fp = round(operator_norm(small) * (1 << NORM_FRAC_BITS))
         quantized_norm = norm_fp / (1 << NORM_FRAC_BITS)
-        entries_fp = np.round(gram / quantized_norm * (1 << ENTRY_FRAC_BITS))
+        # in place, in the same order as round(gram / q * 2^f)
+        gram /= quantized_norm
+        gram *= 1 << ENTRY_FRAC_BITS
+        entries_fp = np.round(gram, out=gram)
     else:
         # all-zero matrix is sent unnormalized
         norm_fp = 0
         entries_fp = np.zeros((dim, dim))
     w = ByteWriter()
     w.put_u32(cfg.qubits)
-    w.put_payload(entries_fp.astype("<i8").tobytes(), 64 * dim * dim)
+    w.put_payload(entries_fp.astype("<i8"), 64 * dim * dim)
     return (w.getvalue(), w.bits, *_write_weight_side(norm_fp, a_rows.sum(axis=1)))
 
 

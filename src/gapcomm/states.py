@@ -16,16 +16,42 @@ class StateError(ValueError):
     pass
 
 
+def abs_bound(values: np.ndarray) -> int:
+    """Largest absolute entry as a Python int, with no ``abs`` temporary.
+
+    Taken from ``max``/``min`` so that -2**63 gives 2**63 rather than
+    wrapping round as ``np.abs`` does.
+    """
+    if values.size == 0:
+        return 0
+    return max(int(values.max()), -int(values.min()))
+
+
 def exact_sq_sum(values: np.ndarray) -> int:
-    """Sum of squares, exact even when int64 accumulation could overflow."""
+    """Sum of squares, exact even when int64 accumulation could overflow.
+
+    ``einsum`` reads unaligned views (such as amplitudes at an odd offset
+    of a wire buffer) through a small buffer; ``np.dot`` would copy them.
+    """
     arr = np.ascontiguousarray(values, dtype=np.int64)
     if arr.size == 0:
         return 0
-    max_abs = int(np.abs(arr).max())
-    # safe int64 dot: len * max^2 < 2^62
-    if 2 * max_abs.bit_length() + arr.size.bit_length() < 62:
-        return int(np.dot(arr, arr))
+    # safe int64 accumulation: len * max^2 < 2^62
+    if 2 * abs_bound(arr).bit_length() + arr.size.bit_length() < 62:
+        return int(np.einsum("i,i->", arr, arr))
     return int(sum(int(v) * int(v) for v in arr))
+
+
+def _immutable(buf) -> bool:
+    """True when no one can change ``buf``'s bytes after we looked at them."""
+    if isinstance(buf, memoryview):
+        return buf.readonly and isinstance(buf.obj, bytes)
+    return isinstance(buf, bytes)
+
+
+# Passed as ``norm_sq`` by the constructors below: the squared norm is then
+# the sum that ``__post_init__`` computes anyway, instead of a second pass.
+_SUMMED = object()
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,7 +60,8 @@ class ExactState:
 
     Exactly one of ``numerators`` (dense int64 array of length 2**qubits)
     and ``support`` (tuple of (index, value) pairs) is set. Amplitude i is
-    numerators[i] / sqrt(norm_sq).
+    numerators[i] / sqrt(norm_sq). Dense numerators are a read-only int64
+    array, possibly a view over an immutable wire buffer.
     """
 
     qubits: int
@@ -49,6 +76,9 @@ class ExactState:
             raise StateError("exactly one of numerators/support must be given")
         if self.numerators is not None:
             arr = np.ascontiguousarray(self.numerators, dtype=np.int64)
+            if arr.flags.writeable and not arr.flags.owndata:
+                # a view of a writable base could change after the check
+                arr = arr.copy()
             if arr.shape != (1 << self.qubits,):
                 raise StateError(
                     f"dense state on {self.qubits} qubits needs {1 << self.qubits} entries"
@@ -70,7 +100,9 @@ class ExactState:
             object.__setattr__(
                 self, "support", tuple((int(i), int(v)) for i, v in self.support)
             )
-        if total != self.norm_sq:
+        if self.norm_sq is _SUMMED:
+            object.__setattr__(self, "norm_sq", total)
+        elif total != self.norm_sq:
             raise StateError(f"norm_sq {self.norm_sq} != sum of squares {total}")
         if total <= 0:
             raise StateError("state must be nonzero")
@@ -79,12 +111,11 @@ class ExactState:
     def dense(numerators, qubits: int | None = None) -> "ExactState":
         arr = np.ascontiguousarray(numerators, dtype=np.int64)
         n = qubits if qubits is not None else (arr.shape[0].bit_length() - 1)
-        return ExactState(qubits=n, norm_sq=exact_sq_sum(arr), numerators=arr)
+        return ExactState(qubits=n, norm_sq=_SUMMED, numerators=arr)
 
     @staticmethod
     def from_support(pairs, qubits: int) -> "ExactState":
-        total = sum(int(v) * int(v) for _, v in pairs)
-        return ExactState(qubits=qubits, norm_sq=total, support=tuple(pairs))
+        return ExactState(qubits=qubits, norm_sq=_SUMMED, support=tuple(pairs))
 
     @property
     def is_dense(self) -> bool:
@@ -126,8 +157,8 @@ class ExactState:
             raise StateError("qubit count too large for the wire format")
         if self.numerators is not None:
             header = struct.pack("<BBQ", 0, self.qubits, self.norm_sq)
-            body = self.numerators.astype("<i8").tobytes()
-            return header + body, 8 + 8 + 64 + 64 * self.numerators.shape[0]
+            body = memoryview(self.numerators.astype("<i8", copy=False))
+            return b"".join((header, body)), 8 + 8 + 64 + 64 * self.numerators.shape[0]
         header = struct.pack("<BBQ", 1, self.qubits, self.norm_sq)
         parts = [header, struct.pack("<Q", len(self.support))]
         for idx, val in self.support:
@@ -136,7 +167,13 @@ class ExactState:
 
     @staticmethod
     def deserialize(buf: bytes, offset: int = 0) -> tuple["ExactState", int]:
-        """Read one state at ``offset``; a buffer too short for it raises StateError."""
+        """Read one state at ``offset``; a buffer too short for it raises StateError.
+
+        Dense amplitudes come back as a read-only view over ``buf`` when
+        ``buf`` is immutable (``bytes``, or a read-only memoryview of
+        ``bytes``) and as a copy otherwise, so a state checked here cannot
+        change afterwards. Either way the norm check reads every amplitude.
+        """
 
         def need(nbytes: int, what: str) -> None:
             if len(buf) - offset < nbytes:
@@ -148,9 +185,9 @@ class ExactState:
         if tag == 0:
             count = 1 << qubits
             need(8 * count, "dense amplitudes")
-            arr = np.frombuffer(buf, dtype="<i8", count=count, offset=offset).astype(
-                np.int64
-            )
+            arr = np.frombuffer(buf, dtype="<i8", count=count, offset=offset)
+            if not _immutable(buf):
+                arr = arr.copy()
             offset += 8 * count
             return ExactState(qubits=qubits, norm_sq=norm_sq, numerators=arr), offset
         if tag == 1:

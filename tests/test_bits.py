@@ -1,4 +1,7 @@
 """Bit vectors, distance arithmetic, shared randomness."""
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from gapcomm.bits import (
     hamming_via_identity,
     inner_product,
 )
+from gapcomm.messages import MessageError
 
 
 def brute_hamming(x: BitVector, y: BitVector) -> int:
@@ -60,6 +64,20 @@ class TestBitVector:
             assert back == v
             assert consumed == len(payload)
             assert 0 <= 8 * len(payload) - bits < 8
+
+    @pytest.mark.parametrize(
+        "buf",
+        [b"\x00\x01", struct.pack("<Q", 16), struct.pack("<Q", 16) + b"\x01", struct.pack("<Q", 1 << 60)],
+    )
+    def test_short_buffer_raises_message_error_without_allocating(self, buf):
+        tracemalloc.start()
+        try:
+            with pytest.raises(MessageError, match="too short"):
+                BitVector.deserialize(buf)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 class TestHamming:

@@ -1,4 +1,7 @@
 """Wire format and bit accounting of the one-way message container."""
+import copy
+import pickle
+
 import pytest
 
 from gapcomm.messages import (
@@ -41,6 +44,27 @@ class TestProtocolMessage:
         with pytest.raises(MessageError):
             ProtocolMessage.from_wire(wire)
 
+    def test_main_payload_is_a_read_only_view_of_wire_bytes(self):
+        wire = ProtocolMessage("general-state", b"\x01\x02\x03", 24, b"\x09", 8).to_wire()
+        back = ProtocolMessage.from_wire(wire)
+        assert isinstance(back.main_payload, memoryview)
+        assert back.main_payload.readonly and back.main_payload.obj is wire
+        assert back.main_payload == b"\x01\x02\x03"
+        assert back.to_wire() == wire
+
+    def test_message_read_from_the_wire_pickles_and_copies(self):
+        msg = ProtocolMessage("general-state", b"\x01\x02\x03", 24, b"\x09", 8)
+        back = ProtocolMessage.from_wire(msg.to_wire())
+        assert pickle.loads(pickle.dumps(back)) == msg
+        assert copy.deepcopy(back) == msg
+
+    def test_mutable_wire_buffer_is_copied(self):
+        msg = ProtocolMessage("general-state", b"\x01\x02\x03", 24, b"\x09", 8)
+        wire = bytearray(msg.to_wire())
+        back = ProtocolMessage.from_wire(wire)
+        wire[20:] = bytes(len(wire) - 20)
+        assert back == msg
+
     def test_truncated_wire_rejected(self):
         msg = ProtocolMessage("inner-product", b"\x01\x02", 16)
         with pytest.raises(MessageError):
@@ -58,6 +82,16 @@ class TestByteWriterReader:
         assert r.take_u64() == 2**40
         assert r.take_u32() == 77
         assert r.take_i64() == -5
+
+    @pytest.mark.parametrize("take", ["take_u32", "take_u64", "take_i64"])
+    def test_short_read_raises_message_error(self, take):
+        with pytest.raises(MessageError, match="too short"):
+            getattr(ByteReader(b"\x00\x01"), take)()
+        reader = ByteReader(bytes(12))
+        reader.take_u64()
+        reader.take_u32()
+        with pytest.raises(MessageError, match="offset 12"):
+            getattr(reader, take)()
 
     def test_embedded_payload_must_be_aligned(self):
         w = ByteWriter()

@@ -1,6 +1,7 @@
 """Protocol encoders/decoders against brute-force constructions."""
 import math
 import struct
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -210,6 +211,47 @@ class TestGeneralState:
             strip = proto.general_state_ml_strip(pc, l)
             eigs = np.linalg.eigvalsh(strip @ strip.T)
             assert eigs.min() >= -1e-9 and eigs.max() <= 1 + 1e-9
+
+
+class TestDenseWirePath:
+    """The 2 MiB general-state n=12 message is written once on Alice's side
+    and read in place on Bob's."""
+
+    @staticmethod
+    def peak_bytes(fn):
+        tracemalloc.start()
+        try:
+            result = fn()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, peak
+
+    def test_allocation_peaks(self):
+        pc = make_config("general-state", 12, 0.3)
+        sr, x, l = draw_instance(pc, 46)
+        alice, bob = proto.ALICE["general-state"], proto.BOB["general-state"]
+        bob(ProtocolMessage.from_wire(alice(x, pc, sr).to_wire()), l, pc, sr, OracleSpec())  # warm caches
+        wire, alice_peak = self.peak_bytes(lambda: alice(x, pc, sr).to_wire())
+        main_bytes = len(ProtocolMessage.from_wire(wire).main_payload)
+        assert main_bytes == 10 + 8 * (1 << 18)
+        # at most two copies live at once: the array and its payload, then
+        # the payload and the wire
+        assert alice_peak < 2.5 * main_bytes
+        res, bob_peak = self.peak_bytes(
+            lambda: bob(ProtocolMessage.from_wire(wire), l, pc, sr, OracleSpec())
+        )
+        # the norm check reads the wire in place, with no copy of the amplitudes
+        assert bob_peak < 256 * 1024
+        assert res.bit == x.bit(l)
+
+    def test_corrupted_numerator_on_the_wire_fails_the_norm_check(self):
+        pc = make_config("general-state", 6, 0.5)
+        sr, x, l = draw_instance(pc, 47)
+        wire = bytearray(proto.ALICE["general-state"](x, pc, sr).to_wire())
+        wire[30] ^= 0x01  # first amplitude: 20-byte message header, 10-byte state header
+        with pytest.raises(MessageError, match="norm_sq"):
+            proto.BOB["general-state"](ProtocolMessage.from_wire(wire), l, pc, sr, OracleSpec())
 
 
 class TestPauliState:

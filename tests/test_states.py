@@ -2,7 +2,16 @@
 import numpy as np
 import pytest
 
-from gapcomm.states import ExactState, StateError, exact_sq_sum
+import gapcomm.states as states_mod
+from gapcomm.states import ExactState, StateError, abs_bound, exact_sq_sum
+
+
+def unaligned_view(arr: np.ndarray) -> np.ndarray:
+    """``arr`` as a read-only int64 view at byte offset 30 of a bytes object,
+    where the amplitudes of a dense message sit on the wire."""
+    view = np.frombuffer(bytes(30) + arr.astype("<i8").tobytes(), dtype="<i8", offset=30)
+    assert not view.flags.aligned
+    return view
 
 
 class TestConstruction:
@@ -33,6 +42,25 @@ class TestConstruction:
         with pytest.raises(StateError):
             ExactState(qubits=1, norm_sq=1)
 
+    def test_dense_and_from_support_sum_the_squares_once(self, monkeypatch):
+        calls = []
+
+        def counting(values):
+            calls.append(len(values))
+            return exact_sq_sum(values)
+
+        monkeypatch.setattr(states_mod, "exact_sq_sum", counting)
+        state = ExactState.dense(np.array([3, -1, 2, 0], dtype=np.int64))
+        assert state.norm_sq == 14 and calls == [4]
+        assert ExactState.from_support(iter([(0, 2), (3, -3)]), qubits=2).norm_sq == 13
+
+    def test_view_of_a_writable_array_is_copied(self):
+        base = np.array([2, -1, 0, 3, 5, 5, 5, 5], dtype=np.int64)
+        state = ExactState.dense(base[:4])
+        base[0] = 7
+        assert state.norm_sq == 14 == exact_sq_sum(state.numerators)
+        assert base.flags.writeable
+
     def test_amplitudes_are_unit_norm(self):
         state = ExactState.dense(np.array([1, 2, -2, 0], dtype=np.int64))
         assert abs(np.linalg.norm(state.amplitudes()) - 1.0) < 1e-12
@@ -48,6 +76,20 @@ class TestExactSqSum:
     def test_large_values_use_exact_path(self):
         arr = np.full(16, (1 << 31) + 12345, dtype=np.int64)
         assert exact_sq_sum(arr) == 16 * ((1 << 31) + 12345) ** 2
+
+    @pytest.mark.parametrize("bound", [10**6, (1 << 31) + 12345])
+    def test_unaligned_view_matches_python_reference(self, bound):
+        # 10^6 stays inside the int64 headroom, 2^31 + 12345 does not
+        arr = np.random.default_rng(10).integers(-bound, bound, size=1 << 12).astype(np.int64)
+        arr[7] = -bound  # the bound may sit on either side of zero
+        view = unaligned_view(arr)
+        assert exact_sq_sum(view) == sum(int(v) ** 2 for v in arr)
+        assert abs_bound(view) == bound
+
+    def test_abs_bound_does_not_wrap_at_the_int64_minimum(self):
+        arr = np.array([5, np.iinfo(np.int64).min], dtype=np.int64)
+        assert abs_bound(arr) == 1 << 63
+        assert abs_bound(np.zeros(0, dtype=np.int64)) == 0
 
 
 class TestSerialization:
@@ -97,6 +139,23 @@ class TestSerialization:
         corrupted[10] ^= 0x01  # first numerator byte
         with pytest.raises(StateError):
             ExactState.deserialize(bytes(corrupted))
+
+    def test_dense_state_from_bytes_is_a_read_only_view(self):
+        state = ExactState.dense(np.array([2, -1, 0, 3], dtype=np.int64))
+        payload, _ = state.serialize()
+        back, _ = ExactState.deserialize(payload)
+        assert not back.numerators.flags.writeable
+        assert np.shares_memory(back.numerators, np.frombuffer(payload, dtype=np.uint8))
+
+    @pytest.mark.parametrize("read_only_view", [False, True])
+    def test_state_from_a_mutable_buffer_does_not_change_with_it(self, read_only_view):
+        state = ExactState.dense(np.array([2, -1, 0, 3], dtype=np.int64))
+        payload, _ = state.serialize()
+        source = bytearray(payload)
+        back, _ = ExactState.deserialize(memoryview(source).toreadonly() if read_only_view else source)
+        source[10:] = np.array([5, 3, -1, 1], dtype="<i8").tobytes()  # squares sum to 36
+        assert back == state
+        assert back.norm_sq == 14 == exact_sq_sum(back.numerators)
 
     def test_short_buffer_raises_state_error(self):
         dense, _ = ExactState.dense(np.array([2, -1, 0, 3], dtype=np.int64)).serialize()

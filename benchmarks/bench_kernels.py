@@ -12,7 +12,10 @@ import time
 import numpy as np
 
 from gapcomm import _kernels
-from gapcomm.ghd import sample_sources
+from gapcomm import harness
+from gapcomm import protocols as proto
+from gapcomm.bits import STREAM_INDEX, STREAM_INSTANCE, SharedRandomness
+from gapcomm.ghd import GhdParams, sample_sources
 from gapcomm.states import exact_sq_sum
 
 
@@ -74,6 +77,17 @@ def main() -> None:
     row("odd-weight sampling 244x12", sample_sources, gen, 244, 12, True)
     blocks = sample_sources(gen, 244, 12, True)
     row("block majority 244x12 vs 720x12", _kernels.majority_blocks, pads, blocks)
+
+    # one observable-pauli n=256 message at epsilon 0.3 (11649 wire bits):
+    # Bob's reader against the two-hot subset-state route verify keeps
+    pc = proto.ProtocolConfig("observable-pauli", 256, GhdParams(epsilon=0.3))
+    sr = SharedRandomness(2)
+    x = harness.sample_instance(sr.substream(STREAM_INSTANCE).generator(), pc, True)
+    l = int(sr.substream(STREAM_INDEX).generator().integers(1, pc.capacity + 1))
+    msg = proto.ALICE["observable-pauli"](x, pc, sr)
+    i, j = proto.decompose_index(l, pc.ghd.gamma)
+    row("observable-pauli read n=256", proto.SPECS["observable-pauli"].read, msg, i, j, pc, sr)
+    row("two-hot subset state n=256", harness._subset_state_target, x, l, pc, sr, msg)
 
 
 if __name__ == "__main__":

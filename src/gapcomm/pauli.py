@@ -50,9 +50,6 @@ class PauliMask:
     def x_int(self) -> int:
         return self.x_mask.to_int()
 
-    def is_identity(self) -> bool:
-        return self.z_mask.nnz == 0 and self.x_mask.nnz == 0
-
     def letter(self, qubit: int) -> str:
         """Single-qubit factor at 1-based position: 'I', 'Z' or 'X'."""
         if self.z_mask.bit(qubit):

@@ -45,7 +45,7 @@ from .ghd import (
 )
 from .messages import ByteReader, ByteWriter, MessageError, ProtocolMessage
 from .observables import operator_norm
-from .pauli import PauliMask, pauli_expectation, subset_state_expectation
+from .pauli import PauliMask, pauli_expectation
 from .states import ExactState, StateError
 from . import _kernels
 
@@ -303,11 +303,12 @@ def _expect(what: str, found: int, expected: int) -> None:
 
 
 def _write_weight_side(first_field: int, nnz_list) -> tuple[bytes, int]:
+    # each count is at most code_len < 2^24, so u32 holds it
+    counts = np.asarray(nnz_list, dtype="<u4")
     w = ByteWriter()
     w.put_u64(first_field)
-    w.put_u32(len(nnz_list))
-    for v in nnz_list:
-        w.put_u32(int(v))
+    w.put_u32(len(counts))
+    w.put_payload(counts, 32 * len(counts))
     return w.getvalue(), w.bits
 
 
@@ -499,9 +500,9 @@ def _read_observable_general(msg, i: int, j: int, cfg: ProtocolConfig, sr) -> Re
 
 # ---------------------------------------------------------------------------
 # observable-pauli: Alice ships one long Z-string spelled by all codewords;
-# Bob reads the distance off a two-hot subset state. The simulated state is
-# tiny (codeword-many support points) while the mask is long, so basis
-# indices are arbitrary-precision integers here.
+# Bob reads the distance off a two-hot subset state. Its expectation is a
+# Hamming distance between two slices of the Z-string, so Bob computes it
+# on the unpacked wire bits and never builds the long basis indices.
 # ---------------------------------------------------------------------------
 
 def _encode_observable_pauli(a_rows, b_rows, cfg: ProtocolConfig) -> tuple:
@@ -518,20 +519,19 @@ def _read_observable_pauli(msg, i: int, j: int, cfg: ProtocolConfig, sr) -> Read
     _expect("side-info length", len(msg.side_payload), 8)
     code_len = ByteReader(msg.side_payload).take_u64()
     _expect("codeword length", code_len, cfg.ghd.code_len)
-    z_vector, _ = BitVector.deserialize(msg.main_payload)
-    mask = PauliMask(z_vector, BitVector.zeros(len(z_vector)))
+    z = BitVector.deserialize(msg.main_payload)[0].bits
 
     # Subset state: one two-hot string per code position, pairing Alice's
-    # block-j bit with Bob's block bit, plus the marked last-qubit point
-    # carrying squared weight code_len.
+    # block-j bit with Bob's block bit, each of sign -1 exactly where the two
+    # bits differ, so together they give (code_len - 2 * distance) / (2 * code_len).
+    # The marked last-qubit point carries squared weight code_len and the
+    # sign of the last bit, which Alice sets but a hostile message need not.
     col = cfg.block_count - cfg.ghd.gamma + i
-    support = [
-        ((1 << ((j - 1) * code_len + k)) | (1 << ((col - 1) * code_len + k)), 1)
-        for k in range(code_len)
-    ]
-    subset_part = subset_state_expectation(mask.z_int, support, 2 * code_len)
-    marked_sign = mask.diagonal_sign(1 << (mask.qubits - 1))
-    target = subset_part + Fraction(marked_sign * code_len, 2 * code_len)
+    blk_a = z[(j - 1) * code_len : j * code_len]
+    blk_b = z[(col - 1) * code_len : col * code_len]
+    dist = int(np.count_nonzero(blk_a ^ blk_b))
+    marked = -1 if z[-1] else 1
+    target = Fraction(code_len - 2 * dist, 2 * code_len) + Fraction(marked * code_len, 2 * code_len)
     return Reading(target, -code_len * target, 0, code_len)
 
 

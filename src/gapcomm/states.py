@@ -62,6 +62,12 @@ class ExactState:
     and ``support`` (tuple of (index, value) pairs) is set. Amplitude i is
     numerators[i] / sqrt(norm_sq). Dense numerators are a read-only int64
     array, possibly a view over an immutable wire buffer.
+
+    A dense int64 array that owns its data is taken over, not copied: it is
+    locked read-only in place, and the caller must not unlock it and write
+    to it. A view of a writable array is copied, since its base could still
+    change. Alice hands over her freshly built payload arrays this way
+    without a second copy of each.
     """
 
     qubits: int

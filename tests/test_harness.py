@@ -242,3 +242,19 @@ def test_verify_suite_catches_a_corrupted_transform(monkeypatch):
     results = verify_suite(max_qubits=1, instances=1)
     involution = [c for c in results if c.name == "transform-involution"]
     assert involution and not involution[0].passed
+
+
+def test_verify_suite_checks_observable_pauli_against_the_subset_state(monkeypatch):
+    # Bob's reader never calls subset_state_expectation; a corrupted one
+    # must still fail the observable-pauli target check through verify's
+    # two-hot route
+    import gapcomm.harness as harness
+
+    genuine = harness.subset_state_expectation
+    monkeypatch.setattr(
+        harness, "subset_state_expectation", lambda z, support, norm_sq: genuine(z, support, norm_sq) + 1
+    )
+    results = verify_suite(max_qubits=6, instances=1)
+    check = [c for c in results if c.name.startswith("target-observable-pauli")]
+    assert check and not check[0].passed
+

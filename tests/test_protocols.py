@@ -11,8 +11,8 @@ import gapcomm.protocols as proto
 from gapcomm import _kernels
 from gapcomm.bits import STREAM_INDEX, STREAM_INSTANCE, BitVector, SharedRandomness, hamming
 from gapcomm.ghd import GhdParams, encode_alice, encode_bob, public_pads
-from gapcomm.harness import sample_instance
-from gapcomm.messages import MessageError, ProtocolMessage
+from gapcomm.harness import _subset_state_target, sample_instance
+from gapcomm.messages import ByteWriter, MessageError, ProtocolMessage
 from gapcomm.oracle import OracleSpec
 from gapcomm.pauli import PauliMask
 from gapcomm.states import ExactState
@@ -392,6 +392,14 @@ class TestObservableGeneral:
         assert hits / 200 >= 0.8
 
 
+def pauli_wire_message(z_bits, code_len) -> ProtocolMessage:
+    """An observable-pauli message carrying ``z_bits``, through the wire."""
+    side = ByteWriter()
+    side.put_u64(code_len)
+    msg = ProtocolMessage("observable-pauli", *BitVector(z_bits).serialize(), side.getvalue(), side.bits)
+    return ProtocolMessage.from_wire(msg.to_wire())
+
+
 class TestObservablePauli:
     def test_mask_is_the_concatenated_codewords(self):
         pc = make_config("observable-pauli", 64, 0.5)
@@ -445,6 +453,65 @@ class TestObservablePauli:
             res = proto.BOB["observable-pauli"](msg, l, pc, sr, OracleSpec())
             hits += res.bit == x.bit(l)
         assert hits / 200 >= 0.8
+
+    @pytest.mark.parametrize("odd", [True, False])
+    def test_matches_two_hot_formula_at_the_index_extremes(self, odd):
+        pc = make_config("observable-pauli", 64, 0.5)
+        gamma = pc.ghd.gamma
+        for seed in (80, 81):
+            sr, x, _ = draw_instance(pc, seed, odd)
+            msg = proto.ALICE["observable-pauli"](x, pc, sr)
+            # l=1 is (i=1, j=1); l=gamma is i=gamma; l=capacity is the last block
+            for l in (1, gamma, gamma + 1, pc.capacity):
+                res = proto.BOB["observable-pauli"](msg, l, pc, sr, OracleSpec())
+                # the two-hot subset state over the wire Z-string
+                assert res.target == _subset_state_target(x, l, pc, sr, msg)
+
+    @pytest.mark.parametrize("marked", [0, 1])
+    def test_matches_two_hot_formula_on_arbitrary_wire_strings(self, marked):
+        pc = make_config("observable-pauli", 64, 0.5)
+        c = pc.ghd.code_len
+        rng = np.random.default_rng(82 + marked)
+        length = c * pc.block_count + 1
+        sr = SharedRandomness(82)
+        for _ in range(10):
+            z_bits = rng.integers(0, 2, size=length, dtype=np.uint8)
+            z_bits[-1] = marked
+            msg = pauli_wire_message(z_bits, c)
+            for l in rng.integers(1, pc.capacity + 1, size=4).tolist() + [1, pc.capacity]:
+                target = proto.BOB["observable-pauli"](msg, l, pc, sr, OracleSpec()).target
+                assert target == _subset_state_target(None, l, pc, sr, msg)
+                i, j = proto.decompose_index(l, pc.ghd.gamma)
+                col = pc.block_count - pc.ghd.gamma + i
+                dist = hamming(
+                    BitVector(z_bits[(j - 1) * c : j * c]), BitVector(z_bits[(col - 1) * c : col * c])
+                )
+                assert target == (1 - Fraction(dist, c) if marked == 0 else Fraction(-dist, c))
+
+    def test_wrong_side_info_length_is_rejected(self):
+        pc = make_config("observable-pauli", 64, 0.5)
+        sr, x, l = draw_instance(pc, 84)
+        msg = proto.ALICE["observable-pauli"](x, pc, sr)
+        side = msg.side_payload + bytes(4)
+        bad = ProtocolMessage("observable-pauli", msg.main_payload, msg.main_bits, side, 96)
+        with pytest.raises(MessageError, match="side-info length 12"):
+            proto.BOB["observable-pauli"](bad, l, pc, sr, OracleSpec())
+
+    def test_wrong_codeword_length_is_rejected(self):
+        pc = make_config("observable-pauli", 64, 0.5)
+        sr, x, l = draw_instance(pc, 85)
+        msg = proto.ALICE["observable-pauli"](x, pc, sr)
+        side = struct.pack("<Q", pc.ghd.code_len + 1)
+        bad = ProtocolMessage("observable-pauli", msg.main_payload, msg.main_bits, side, 64)
+        with pytest.raises(MessageError, match="codeword length"):
+            proto.BOB["observable-pauli"](bad, l, pc, sr, OracleSpec())
+
+    def test_wrong_bit_count_is_rejected(self):
+        pc = make_config("observable-pauli", 64, 0.5)
+        length = pc.ghd.code_len * pc.block_count
+        msg = pauli_wire_message(np.ones(length, dtype=np.uint8), pc.ghd.code_len)
+        with pytest.raises(MessageError, match="payload qubit count"):
+            proto.BOB["observable-pauli"](msg, 1, pc, SharedRandomness(86), OracleSpec())
 
 
 class TestInnerProduct:

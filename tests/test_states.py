@@ -61,6 +61,14 @@ class TestConstruction:
         assert state.norm_sq == 14 == exact_sq_sum(state.numerators)
         assert base.flags.writeable
 
+    def test_array_that_owns_its_data_is_taken_over_read_only(self):
+        base = np.array([3, -1, 2, 0], dtype=np.int64)
+        state = ExactState.dense(base)
+        assert state.numerators is base
+        assert not base.flags.writeable
+        with pytest.raises(ValueError):
+            base[0] = 7
+
     def test_amplitudes_are_unit_norm(self):
         state = ExactState.dense(np.array([1, 2, -2, 0], dtype=np.int64))
         assert abs(np.linalg.norm(state.amplitudes()) - 1.0) < 1e-12

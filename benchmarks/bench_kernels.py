@@ -5,8 +5,12 @@ Run from the repository root:
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py
 
-Each row is the best of seven runs after one warm-up call.
+Each row is the best of seven runs after one warm-up call, except the
+rows that also print minor page faults (``ru_minflt``): those are means
+over 20 calls after one warm-up call, since a fault-free best run would
+hide the faults.
 """
+import resource
 import time
 
 import numpy as np
@@ -31,6 +35,17 @@ def best_of(fn, *args, reps: int = 7) -> float:
 
 def row(name: str, fn, *args) -> None:
     print(f"{name:<34} {best_of(fn, *args) * 1e3:9.3f} ms")
+
+
+def faults_row(name: str, fn, *args, calls: int = 20) -> None:
+    fn(*args)
+    f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    t0 = time.perf_counter()
+    for _ in range(calls):
+        fn(*args)
+    ms = (time.perf_counter() - t0) / calls * 1e3
+    faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0) / calls
+    print(f"{name:<34} {ms:9.3f} ms {faults:7.0f} minflt")
 
 
 def abs_dot_sq_sum(arr: np.ndarray) -> int:
@@ -62,6 +77,13 @@ def main() -> None:
     view = np.frombuffer(bytes(30) + amps.tobytes(), dtype="<i8", offset=30)
     row("abs+dot sq sum 2^18 unaligned", abs_dot_sq_sum, view)
     row("exact_sq_sum 2^18 unaligned", exact_sq_sum, view)
+
+    # one general-state n=12 message at epsilon 0.3, written by Alice and
+    # joined into its 2 MiB wire: the page faults count the fresh buffers
+    gc = proto.ProtocolConfig("general-state", 12, GhdParams(epsilon=0.3))
+    gsr = SharedRandomness(3)
+    gx = harness.sample_instance(gsr.substream(STREAM_INSTANCE).generator(), gc, True)
+    faults_row("general-state n=12 alice+to_wire", lambda: proto.ALICE["general-state"](gx, gc, gsr).to_wire())
 
     pads = rng.integers(0, 2, size=(720, 12), dtype=np.uint8)
     selected = np.array([0, 3, 5, 7, 9], dtype=np.int64)

@@ -122,7 +122,11 @@ class BitVector:
     @staticmethod
     def deserialize(buf: bytes, offset: int = 0) -> tuple["BitVector", int]:
         """Read one vector at ``offset``; a buffer too short for it raises
-        MessageError before anything sized by its bit count is allocated."""
+        MessageError before anything sized by its bit count is allocated.
+
+        The padding bits past ``count`` in the last byte must be zero, so
+        each vector has exactly one wire form; a set one raises MessageError.
+        """
         if len(buf) - offset < 8:
             raise MessageError("buffer too short for the bit-vector length")
         (count,) = struct.unpack_from("<Q", buf, offset)
@@ -131,6 +135,8 @@ class BitVector:
         if len(buf) - offset < nbytes:
             raise MessageError(f"buffer too short for {count} packed bits")
         raw = np.frombuffer(buf, dtype=np.uint8, count=nbytes, offset=offset)
+        if count % 8 and int(raw[-1]) >> (count % 8):
+            raise MessageError("bit-vector padding bits are not zero")
         bits = np.unpackbits(raw, count=count, bitorder="little") if count else np.zeros(0, np.uint8)
         return BitVector(bits), offset + nbytes
 

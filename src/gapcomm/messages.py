@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 PROTOCOL_TAGS = {
     "general-state": b"GSTA",
@@ -19,35 +20,51 @@ class MessageError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProtocolMessage:
     """Alice's serialized payload, split into main and side-info sections.
 
     ``main_bits``/``side_bits`` are the exact information bit counts of the
     two sections; byte strings may carry up to 7 bits of padding beyond
-    them, never more. A message read by ``from_wire`` holds its main
-    payload as a read-only memoryview over the wire bytes.
+    them, never more. The main payload is given as one buffer or as a
+    tuple of buffers (``main_parts``) whose concatenation it is, so that
+    ``to_wire`` is the one place a large payload is joined; ``main_payload``
+    reads it as one bytes-like object, joining the parts on first use. A
+    message read by ``from_wire`` holds its main payload as a read-only
+    memoryview over the wire bytes.
     """
 
     protocol: str
-    main_payload: bytes | memoryview
+    main_parts: tuple
     main_bits: int
     side_payload: bytes = b""
     side_bits: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.main_parts, tuple):
+            object.__setattr__(self, "main_parts", (self.main_parts,))
+        if len(self.main_parts) == 1:
+            # one buffer is the payload itself, with no join to defer
+            object.__setattr__(self, "main_payload", self.main_parts[0])
         if self.protocol not in PROTOCOL_TAGS:
             raise MessageError(f"unknown protocol {self.protocol!r}")
-        for name, payload, bits in (
-            ("main", self.main_payload, self.main_bits),
-            ("side", self.side_payload, self.side_bits),
+        main_len = 0
+        for part in self.main_parts:
+            main_len += memoryview(part).nbytes
+        for name, nbytes, bits in (
+            ("main", main_len, self.main_bits),
+            ("side", len(self.side_payload), self.side_bits),
         ):
             if bits < 0:
                 raise MessageError(f"{name}_bits must be nonnegative")
-            if not 0 <= 8 * len(payload) - bits < 8:
+            if not 0 <= 8 * nbytes - bits < 8:
                 raise MessageError(
-                    f"{name}_bits {bits} inconsistent with {len(payload)} payload bytes"
+                    f"{name}_bits {bits} inconsistent with {nbytes} payload bytes"
                 )
+
+    @cached_property
+    def main_payload(self) -> bytes | memoryview:
+        return b"".join(self.main_parts)
 
     def __reduce__(self):
         # a memoryview cannot be pickled or deep-copied; its bytes can
@@ -55,6 +72,14 @@ class ProtocolMessage:
             ProtocolMessage,
             (self.protocol, bytes(self.main_payload), self.main_bits, self.side_payload, self.side_bits),
         )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ProtocolMessage):
+            return NotImplemented
+        return self.__reduce__()[1] == other.__reduce__()[1]
+
+    def __hash__(self):
+        return hash((self.protocol, self.main_bits, self.side_bits))
 
     @property
     def total_bits(self) -> int:
@@ -65,7 +90,7 @@ class ProtocolMessage:
         return b"".join((
             PROTOCOL_TAGS[self.protocol],
             struct.pack("<QQ", self.main_bits, self.side_bits),
-            self.main_payload,
+            *self.main_parts,
             self.side_payload,
         ))
 
@@ -92,7 +117,7 @@ class ProtocolMessage:
             raise MessageError("message length inconsistent with declared bit counts")
         main = memoryview(buf)[20 : 20 + main_len]
         side = buf[20 + main_len :]
-        return ProtocolMessage(protocol, main, main_bits, side, side_bits)
+        return ProtocolMessage(protocol, (main,), main_bits, side, side_bits)
 
 
 class ByteWriter:

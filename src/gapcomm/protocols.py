@@ -46,7 +46,7 @@ from .ghd import (
 from .messages import ByteReader, ByteWriter, MessageError, ProtocolMessage
 from .observables import operator_norm
 from .pauli import PauliMask, pauli_expectation
-from .states import ExactState, StateError
+from .states import ExactState, StateError, dense_wire_parts
 from . import _kernels
 
 # Desk-scale guards: dense state messages and dense observable payloads.
@@ -85,7 +85,8 @@ class ProtocolSpec:
     its Pauli string length), read back from the main payload at
     ``qubit_field`` = (struct format, offset); capped at ``max_payload_qubits``.
     ``main_bytes(payload_qubits)`` is the exact main-payload length.
-    ``encode(a_rows, b_rows, cfg)`` gives (main, main_bits, side, side_bits);
+    ``encode(a_rows, b_rows, cfg)`` gives (main, main_bits, side, side_bits),
+    main being one buffer or a tuple of parts that ``to_wire`` joins;
     ``read(msg, i, j, cfg, sr)`` gives a ``Reading``.
     """
 
@@ -352,14 +353,12 @@ def _sum_norm_reading(target, rescale, nnz_a: int, i: int, cfg, sr) -> Reading:
 # ---------------------------------------------------------------------------
 
 def _encode_stacked(occupied: np.ndarray, a_rows: np.ndarray, cfg: ProtocolConfig) -> tuple:
-    dim = 1 << (cfg.qubits + cfg.pad_exponent)
-    stacked = np.zeros(dim, dtype=np.int64)
-    stacked[: occupied.shape[0]] = occupied
-    total = int(occupied.sum(dtype=np.int64))
-    if total == 0:
+    # the stacked state is ``occupied`` padded with zeros; its wire parts are
+    # written straight from the occupied prefix, never as a full array
+    if not occupied.any():
         raise ProtocolError("all-zero instance produced the zero vector")
-    state = ExactState(qubits=cfg.qubits + cfg.pad_exponent, norm_sq=total, numerators=stacked)
-    return (*state.serialize(), *_write_weight_side(total, a_rows.sum(axis=1)))
+    parts, bits, total = dense_wire_parts(occupied, _stacked_qubits(cfg))
+    return (parts, bits, *_write_weight_side(total, a_rows.sum(axis=1)))
 
 
 def _encode_general_state(a_rows, b_rows, cfg: ProtocolConfig) -> tuple:
@@ -439,8 +438,8 @@ def _encode_pauli_state(a_rows, b_rows, cfg: ProtocolConfig) -> tuple:
     # amplitudes by 2^n keeps the whole state integral.
     tilde_v = fwht(stacked)
     numerators = np.concatenate([tilde_v, np.full(dim, dim, dtype=np.int64)])
-    state = ExactState.dense(numerators, qubits=n + 1)
-    return (*state.serialize(), *_write_weight_side(state.norm_sq, a_rows.sum(axis=1)))
+    parts, bits, norm_sq = dense_wire_parts(numerators, n + 1)
+    return (parts, bits, *_write_weight_side(norm_sq, a_rows.sum(axis=1)))
 
 
 def _read_pauli_state(msg, i: int, j: int, cfg: ProtocolConfig, sr) -> Reading:
@@ -490,9 +489,19 @@ def _read_observable_general(msg, i: int, j: int, cfg: ProtocolConfig, sr) -> Re
     ).reshape(dim, dim)
     col_a = j - 1
     col_b = (dim - cfg.ghd.gamma) + i - 1
-    quad = int(entries_fp[col_a, col_a]) + 2 * int(entries_fp[col_a, col_b]) + int(
-        entries_fp[col_b, col_b]
-    )
+    m_aa, m_ab = int(entries_fp[col_a, col_a]), int(entries_fp[col_a, col_b])
+    m_ba, m_bb = int(entries_fp[col_b, col_a]), int(entries_fp[col_b, col_b])
+    # The entries come from a Gram matrix, so its 2x2 minor is symmetric and
+    # positive semidefinite. Rounding keeps it so: two distinct nonzero 0/1
+    # columns give an exact minor of at least half the larger diagonal, and
+    # the scale 2^48 / norm >= 2^14 makes that outweigh half-unit roundings.
+    if m_ab != m_ba:
+        raise MessageError(f"observable entries ({col_a}, {col_b}) are not symmetric")
+    if m_aa < 0 or m_bb < 0:
+        raise MessageError("observable has a negative diagonal entry")
+    if m_aa * m_bb < m_ab * m_ab:
+        raise MessageError("observable's 2x2 minor is not positive semidefinite")
+    quad = m_aa + 2 * m_ab + m_bb
     target = Fraction(quad, 1 << (ENTRY_FRAC_BITS + 1))
     rescale = 2 * Fraction(norm_fp, 1 << NORM_FRAC_BITS)
     return _sum_norm_reading(target, rescale, nnz_a, i, cfg, sr)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -49,6 +50,38 @@ def _immutable(buf) -> bool:
     return isinstance(buf, bytes)
 
 
+@lru_cache(maxsize=4)
+def _zeros(nbytes: int) -> bytes:
+    """An immutable run of zero bytes, shared by every dense message of one size."""
+    return bytes(nbytes)
+
+
+def dense_wire_parts(prefix, qubits: int) -> tuple[tuple, int, int]:
+    """The dense wire form of a state on ``qubits`` qubits whose amplitudes
+    past ``prefix`` are all zero, written without building the full array.
+
+    Returns ``(parts, bits, norm_sq)``. The parts are the 10-byte header, a
+    memoryview over the prefix as little-endian int64 (no copy when it
+    already is one) and a shared zero tail; joined, they are the payload
+    ``ExactState.serialize`` writes for the padded state, of ``bits`` bits.
+    ``norm_sq`` is summed over the prefix alone, since the zeros add nothing.
+    """
+    if not 1 <= qubits <= 255:
+        raise StateError("qubit count outside the wire format's 1..255")
+    arr = np.ascontiguousarray(prefix, dtype="<i8")
+    dim = 1 << qubits
+    if arr.ndim != 1 or arr.shape[0] > dim:
+        raise StateError(f"dense prefix of shape {arr.shape} does not fit {dim} amplitudes")
+    norm_sq = exact_sq_sum(arr)
+    if norm_sq == 0:
+        raise StateError("state must be nonzero")
+    if norm_sq >> 64:
+        raise StateError("norm_sq too large for the wire format")
+    header = struct.pack("<BBQ", 0, qubits, norm_sq)
+    parts = (header, memoryview(arr).cast("B"), _zeros(8 * (dim - arr.shape[0])))
+    return parts, 8 + 8 + 64 + 64 * dim, norm_sq
+
+
 # Passed as ``norm_sq`` by the constructors below: the squared norm is then
 # the sum that ``__post_init__`` computes anyway, instead of a second pass.
 _SUMMED = object()
@@ -66,8 +99,8 @@ class ExactState:
     A dense int64 array that owns its data is taken over, not copied: it is
     locked read-only in place, and the caller must not unlock it and write
     to it. A view of a writable array is copied, since its base could still
-    change. Alice hands over her freshly built payload arrays this way
-    without a second copy of each.
+    change. A caller hands over a freshly built array this way without a
+    second copy.
     """
 
     qubits: int
@@ -157,14 +190,13 @@ class ExactState:
     # All integers little-endian.
 
     def serialize(self) -> tuple[bytes, int]:
+        if self.numerators is not None:
+            parts, bits, _ = dense_wire_parts(self.numerators, self.qubits)
+            return b"".join(parts), bits
         if self.norm_sq >> 64:
             raise StateError("norm_sq too large for the wire format")
         if self.qubits > 255:
             raise StateError("qubit count too large for the wire format")
-        if self.numerators is not None:
-            header = struct.pack("<BBQ", 0, self.qubits, self.norm_sq)
-            body = memoryview(self.numerators.astype("<i8", copy=False))
-            return b"".join((header, body)), 8 + 8 + 64 + 64 * self.numerators.shape[0]
         header = struct.pack("<BBQ", 1, self.qubits, self.norm_sq)
         parts = [header, struct.pack("<Q", len(self.support))]
         for idx, val in self.support:

@@ -65,6 +65,14 @@ class TestBitVector:
             assert consumed == len(payload)
             assert 0 <= 8 * len(payload) - bits < 8
 
+    @pytest.mark.parametrize("bit", [5, 6, 7])
+    def test_set_padding_bit_raises_message_error(self, bit):
+        payload, _ = BitVector.from_bits([1, 0, 1, 1, 1]).serialize()
+        BitVector.deserialize(payload)
+        bad = payload[:-1] + bytes([payload[-1] | (1 << bit)])
+        with pytest.raises(MessageError, match="padding bits"):
+            BitVector.deserialize(bad)
+
     @pytest.mark.parametrize(
         "buf",
         [b"\x00\x01", struct.pack("<Q", 16), struct.pack("<Q", 16) + b"\x01", struct.pack("<Q", 1 << 60)],

@@ -35,6 +35,14 @@ class TestProtocolMessage:
         with pytest.raises(MessageError):
             ProtocolMessage("pauli-state", b"\x00\x00", 3)
 
+    def test_main_payload_given_as_parts(self):
+        msg = ProtocolMessage("general-state", (b"\x01", memoryview(b"\x02\x03"), b""), 24, b"\x09", 8)
+        assert msg.main_payload == b"\x01\x02\x03"
+        assert msg.to_wire() == ProtocolMessage("general-state", b"\x01\x02\x03", 24, b"\x09", 8).to_wire()
+        assert ProtocolMessage.from_wire(msg.to_wire()) == msg
+        with pytest.raises(MessageError, match="main_bits 32 inconsistent with 3"):
+            ProtocolMessage("general-state", (b"\x01", b"\x02\x03"), 32)
+
     def test_unknown_protocol_rejected(self):
         with pytest.raises(MessageError):
             ProtocolMessage("carrier-pigeon", b"", 0)

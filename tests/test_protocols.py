@@ -1,5 +1,7 @@
 """Protocol encoders/decoders against brute-force constructions."""
+import copy
 import math
+import pickle
 import struct
 import tracemalloc
 from fractions import Fraction
@@ -15,7 +17,7 @@ from gapcomm.harness import _subset_state_target, sample_instance
 from gapcomm.messages import ByteWriter, MessageError, ProtocolMessage
 from gapcomm.oracle import OracleSpec
 from gapcomm.pauli import PauliMask
-from gapcomm.states import ExactState
+from gapcomm.states import ExactState, StateError, dense_wire_parts
 
 
 def make_config(kind, qubits, epsilon, **kw) -> proto.ProtocolConfig:
@@ -254,6 +256,73 @@ class TestDenseWirePath:
             proto.BOB["general-state"](ProtocolMessage.from_wire(wire), l, pc, sr, OracleSpec())
 
 
+def stacked_reference_wire(kind, x, pc, sr) -> bytes:
+    """Alice's stacked-state wire rebuilt from the full padded array."""
+    a_rows, b_rows = proto.encode_block_matrices(x, pc, sr)
+    rows = a_rows if kind == "inner-product" else np.concatenate([a_rows, b_rows])
+    stacked = np.zeros(1 << (pc.qubits + pc.pad_exponent), dtype=np.int64)
+    stacked[: rows.size] = rows.reshape(-1)
+    state = ExactState.dense(stacked)
+    counts = a_rows.sum(axis=1)
+    side = struct.pack("<QI", state.norm_sq, len(counts)) + counts.astype("<u4").tobytes()
+    return ProtocolMessage(kind, *state.serialize(), side, 8 * len(side)).to_wire()
+
+
+class TestDenseWireParts:
+    """Alice writes her stacked state as parts (header, occupied amplitudes,
+    shared zero tail); ``to_wire`` is the one join of the 2 MiB message."""
+
+    @pytest.mark.parametrize("kind", ["general-state", "inner-product"])
+    @pytest.mark.parametrize("qubits,epsilon", [(6, 0.5), (8, 0.4), (12, 0.3)])
+    def test_wire_equals_the_serialized_full_state(self, kind, qubits, epsilon):
+        pc = make_config(kind, qubits, epsilon)
+        for seed in (80, 81):
+            sr, x, _ = draw_instance(pc, seed)
+            wire = proto.ALICE[kind](x, pc, sr).to_wire()
+            assert wire == stacked_reference_wire(kind, x, pc, sr)
+
+    def test_alice_and_to_wire_hold_little_beyond_the_wire(self):
+        pc = make_config("general-state", 12, 0.3)
+        sr, x, _ = draw_instance(pc, 82)
+        alice = proto.ALICE["general-state"]
+        alice(x, pc, sr).to_wire()  # warm the pad and zero-tail caches
+        wire, peak = TestDenseWirePath.peak_bytes(lambda: alice(x, pc, sr).to_wire())
+        main_bytes = 10 + 8 * (1 << 18)
+        assert len(wire) > main_bytes
+        # the wire plus the occupied amplitudes, never a second full copy
+        assert peak < 1.3 * main_bytes
+
+    def test_unwired_message_reads_pickles_and_copies_like_the_wired_one(self):
+        pc = make_config("inner-product", 8, 0.4)
+        sr, x, l = draw_instance(pc, 83)
+        msg = proto.ALICE["inner-product"](x, pc, sr)
+        assert len(msg.main_parts) == 3
+        wired = ProtocolMessage.from_wire(msg.to_wire())
+        assert bytes(msg.main_payload) == bytes(wired.main_payload)
+        assert msg.main_payload is msg.main_payload  # joined once, then cached
+        assert msg == wired
+        for twin in (pickle.loads(pickle.dumps(msg)), copy.deepcopy(msg)):
+            assert twin == msg
+            assert twin.to_wire() == msg.to_wire()
+        res = proto.BOB["inner-product"](msg, l, pc, sr, OracleSpec())
+        assert res == proto.BOB["inner-product"](wired, l, pc, sr, OracleSpec())
+
+    def test_writer_rejects_a_prefix_longer_than_the_state(self):
+        with pytest.raises(StateError, match="does not fit"):
+            dense_wire_parts(np.ones(9, dtype=np.int64), 3)
+
+    @pytest.mark.parametrize("prefix", [np.zeros(5, dtype=np.int64), np.zeros(0, dtype=np.int64)])
+    def test_writer_rejects_an_all_zero_prefix(self, prefix):
+        with pytest.raises(StateError, match="nonzero"):
+            dense_wire_parts(prefix, 3)
+
+    def test_writer_keeps_the_wire_limits(self):
+        with pytest.raises(StateError, match="norm_sq too large"):
+            dense_wire_parts(np.full(4, 1 << 31, dtype=np.int64), 2)
+        with pytest.raises(StateError, match="qubit count"):
+            dense_wire_parts(np.ones(1, dtype=np.int64), 256)
+
+
 class TestPauliState:
     def test_solution_round_trips_to_stacked_norms(self):
         from gapcomm.fwht import fwht
@@ -381,6 +450,49 @@ class TestObservableGeneral:
         assert res.target == 0
         assert res.bit == 1  # zero distance estimate decodes below threshold
 
+    @staticmethod
+    def read_entries(pc, l):
+        """Byte offsets of the four matrix entries Bob reads for index l."""
+        i, j = proto.decompose_index(l, pc.ghd.gamma)
+        dim = 1 << pc.qubits
+        a, b = j - 1, dim - pc.ghd.gamma + i - 1
+        return {name: 4 + 8 * (r * dim + c) for name, (r, c) in
+                {"aa": (a, a), "ab": (a, b), "ba": (b, a), "bb": (b, b)}.items()}
+
+    def bob_on(self, pc, sr, l, msg, main):
+        bad = ProtocolMessage("observable-general", bytes(main), msg.main_bits, msg.side_payload, msg.side_bits)
+        return proto.BOB["observable-general"](bad, l, pc, sr, OracleSpec())
+
+    @pytest.mark.parametrize(
+        "entry,match",
+        [("aa", "negative diagonal"), ("bb", "negative diagonal"), ("ab", "not symmetric"),
+         ("ba", "not symmetric")],
+    )
+    def test_each_read_entry_is_checked(self, entry, match):
+        pc = make_config("observable-general", 6, 0.5)
+        sr, x, l = draw_instance(pc, 58)
+        msg = proto.ALICE["observable-general"](x, pc, sr)
+        self.bob_on(pc, sr, l, msg, msg.main_payload)  # the honest entries pass
+        main = bytearray(msg.main_payload)
+        offset = self.read_entries(pc, l)[entry]
+        (value,) = struct.unpack_from("<q", main, offset)
+        # a diagonal entry turned negative, an off-diagonal one moved by one unit
+        struct.pack_into("<q", main, offset, -1 - value if entry in ("aa", "bb") else value + 1)
+        with pytest.raises(MessageError, match=match):
+            self.bob_on(pc, sr, l, msg, main)
+
+    def test_minor_must_be_positive_semidefinite(self):
+        pc = make_config("observable-general", 6, 0.5)
+        sr, x, l = draw_instance(pc, 59)
+        msg = proto.ALICE["observable-general"](x, pc, sr)
+        main = bytearray(msg.main_payload)
+        offsets = self.read_entries(pc, l)
+        aa, bb = (struct.unpack_from("<q", main, offsets[k])[0] for k in ("aa", "bb"))
+        for k in ("ab", "ba"):
+            struct.pack_into("<q", main, offsets[k], math.isqrt(aa * bb) + 1)
+        with pytest.raises(MessageError, match="positive semidefinite"):
+            self.bob_on(pc, sr, l, msg, main)
+
     def test_recovers_bit_with_exact_oracle(self):
         pc = make_config("observable-general", 6, 0.5)
         hits = 0
@@ -487,6 +599,18 @@ class TestObservablePauli:
                     BitVector(z_bits[(j - 1) * c : j * c]), BitVector(z_bits[(col - 1) * c : col * c])
                 )
                 assert target == (1 - Fraction(dist, c) if marked == 0 else Fraction(-dist, c))
+
+    @pytest.mark.parametrize("bit", range(1, 8))
+    def test_set_padding_bit_is_rejected(self, bit):
+        pc = make_config("observable-pauli", 256, 0.3)
+        sr, x, l = draw_instance(pc, 84)
+        msg = proto.ALICE["observable-pauli"](x, pc, sr)
+        assert msg.main_bits % 8 == 1  # 11521 Z-string bits: 7 padding bits in the last byte
+        main = bytearray(msg.main_payload)
+        main[-1] |= 1 << bit
+        bad = ProtocolMessage("observable-pauli", bytes(main), msg.main_bits, msg.side_payload, msg.side_bits)
+        with pytest.raises(MessageError, match="padding bits"):
+            proto.BOB["observable-pauli"](ProtocolMessage.from_wire(bad.to_wire()), l, pc, sr, OracleSpec())
 
     def test_wrong_side_info_length_is_rejected(self):
         pc = make_config("observable-pauli", 64, 0.5)
@@ -672,6 +796,22 @@ class TestBobValidation:
         bad = ProtocolMessage(kind, main, msg.main_bits + 8 * change, msg.side_payload, msg.side_bits)
         with pytest.raises(MessageError, match="main-payload length"):
             proto.BOB[kind](bad, l, pc, sr, OracleSpec())
+
+    @pytest.mark.parametrize(
+        "kind,qubits",
+        [("general-state", 6), ("inner-product", 6), ("observable-general", 5), ("pauli-state", 6),
+         ("observable-pauli", 64)],
+    )
+    def test_honest_messages_round_trip(self, kind, qubits):
+        pc = make_config(kind, qubits, 0.5)
+        for seed in (78, 79):
+            sr, x, l = draw_instance(pc, seed)
+            msg = proto.ALICE[kind](x, pc, sr)
+            wire = msg.to_wire()
+            back = ProtocolMessage.from_wire(wire)
+            assert back.to_wire() == wire
+            res = proto.BOB[kind](back, l, pc, sr, OracleSpec())
+            assert res == proto.BOB[kind](msg, l, pc, sr, OracleSpec())
 
     def test_sparse_state_payload_is_rejected(self):
         pc = make_config("general-state", 6, 0.5)

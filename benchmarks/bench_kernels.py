@@ -85,6 +85,11 @@ def main() -> None:
     gx = harness.sample_instance(gsr.substream(STREAM_INSTANCE).generator(), gc, True)
     faults_row("general-state n=12 alice+to_wire", lambda: proto.ALICE["general-state"](gx, gc, gsr).to_wire())
 
+    # pauli-state n=12 at epsilon 0.3: 52 Alice rows and 12 Bob rows of 720 bits
+    a_rows = rng.integers(0, 2, size=(52, 720), dtype=np.uint8)
+    b_rows = rng.integers(0, 2, size=(12, 720), dtype=np.uint8)
+    row("pairwise sum-norms 52x720x12", proto._pairwise_sum_norms, a_rows, b_rows)
+
     pads = rng.integers(0, 2, size=(720, 12), dtype=np.uint8)
     selected = np.array([0, 3, 5, 7, 9], dtype=np.int64)
 

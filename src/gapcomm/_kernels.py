@@ -23,11 +23,11 @@ def fwht(vec: np.ndarray) -> np.ndarray:
 
 
 def parity_u64(values: np.ndarray) -> np.ndarray:
-    """Per-element parity of the set bits of a uint64 array (0 or 1)."""
-    t = np.array(values, dtype=np.uint64, copy=True)
-    for shift in (32, 16, 8, 4, 2, 1):
-        t ^= t >> np.uint64(shift)
-    return (t & np.uint64(1)).astype(np.int64)
+    """Per-element parity of the set bits of a uint64 array, as int8 0 or 1.
+
+    Signed, so that ``1 - 2 * parity`` gives the +-1 signs without wrapping.
+    """
+    return (np.bitwise_count(values) & 1).view(np.int8)
 
 
 def pauli_quad(nums: np.ndarray, z_mask: int, x_mask: int) -> int:
@@ -56,11 +56,14 @@ def majority_blocks(pads: np.ndarray, blocks: np.ndarray) -> np.ndarray:
 
     Row j of the result is ``majority_rows(pads, nonzero(blocks[j]))``. The
     counts are summed in float32, exact while they stay below 2^24, which
-    needs fewer than 2^24 columns in ``pads``.
+    needs fewer than 2^24 columns in ``pads``; so are the halved block
+    weights, since halves of integers below 2^24 are representable.
     """
     sel = blocks.astype(np.float32)
     counts = sel @ pads.T.astype(np.float32)
-    return (2 * counts > sel.sum(axis=1, keepdims=True)).astype(np.uint8)
+    half = sel.sum(axis=1, keepdims=True)
+    half *= 0.5
+    return np.greater(counts, half).view(np.uint8)
 
 
 def backend_name() -> str:

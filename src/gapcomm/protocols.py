@@ -57,8 +57,9 @@ MAX_OBSERVABLE_QUBITS = 10
 ENTRY_FRAC_BITS = 48
 NORM_FRAC_BITS = 32
 
-# Block encoding and the Gram matrix count 0/1 products in float32, which is
-# exact for integers below 2^24; every count is at most code_len (>= gamma).
+# Block encoding, the Gram matrix and pauli-state's sum-norm table count 0/1
+# products in float32, which is exact for integers below 2^24; every count
+# is at most code_len (>= gamma).
 FLOAT32_EXACT = 1 << 24
 
 
@@ -420,11 +421,10 @@ def _read_inner_product(msg, i: int, j: int, cfg: ProtocolConfig, sr) -> Reading
 
 def _pairwise_sum_norms(a_rows: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
     """All ||a^j + b^i||^2 in index-major order ((j-1)*gamma + i - 1)."""
-    a64 = a_rows.astype(np.int64)
-    b64 = b_rows.astype(np.int64)
-    cross = a64 @ b64.T
-    nnz_a = a64.sum(axis=1)
-    nnz_b = b64.sum(axis=1)
+    # float32 counts are exact: each is at most code_len < FLOAT32_EXACT
+    cross = (a_rows.astype(np.float32) @ b_rows.T.astype(np.float32)).astype(np.int64)
+    nnz_a = a_rows.sum(axis=1, dtype=np.int64)
+    nnz_b = b_rows.sum(axis=1, dtype=np.int64)
     return (nnz_a[:, None] + nnz_b[None, :] + 2 * cross).reshape(-1)
 
 
@@ -458,11 +458,12 @@ def _read_pauli_state(msg, i: int, j: int, cfg: ProtocolConfig, sr) -> Reading:
 # ---------------------------------------------------------------------------
 
 def _encode_observable_general(a_rows, b_rows, cfg: ProtocolConfig) -> tuple:
-    columns = np.concatenate([a_rows, b_rows], axis=0).astype(np.float32).T  # (code_len, 2^n)
+    columns = np.concatenate([a_rows, b_rows], axis=0, dtype=np.float32).T  # (code_len, 2^n)
     dim = 1 << cfg.qubits
     # integer entries at most max(code_len, 2^n) < 2^24: exact in float32
     gram = (columns.T @ columns).astype(np.float64)
-    if np.any(columns):
+    # the diagonal holds the column weights: all zero only for zero columns
+    if np.any(np.diagonal(gram)):
         # both Gram sides share the nonzero spectrum; iterate on the smaller
         small = gram if dim <= cfg.ghd.code_len else (columns @ columns.T).astype(np.float64)
         norm_fp = round(operator_norm(small) * (1 << NORM_FRAC_BITS))
@@ -470,15 +471,14 @@ def _encode_observable_general(a_rows, b_rows, cfg: ProtocolConfig) -> tuple:
         # in place, in the same order as round(gram / q * 2^f)
         gram /= quantized_norm
         gram *= 1 << ENTRY_FRAC_BITS
-        entries_fp = np.round(gram, out=gram)
+        entries_fp = np.round(gram, out=gram).astype("<i8")
     else:
         # all-zero matrix is sent unnormalized
         norm_fp = 0
-        entries_fp = np.zeros((dim, dim))
-    w = ByteWriter()
-    w.put_u32(cfg.qubits)
-    w.put_payload(entries_fp.astype("<i8"), 64 * dim * dim)
-    return (w.getvalue(), w.bits, *_write_weight_side(norm_fp, a_rows.sum(axis=1)))
+        entries_fp = np.zeros((dim, dim), dtype="<i8")
+    # the u32 qubit count and the matrix stay two parts until to_wire joins them
+    main = (struct.pack("<I", cfg.qubits), entries_fp)
+    return (main, 32 + 64 * dim * dim, *_write_weight_side(norm_fp, a_rows.sum(axis=1)))
 
 
 def _read_observable_general(msg, i: int, j: int, cfg: ProtocolConfig, sr) -> Reading:
@@ -529,6 +529,9 @@ def _read_observable_pauli(msg, i: int, j: int, cfg: ProtocolConfig, sr) -> Read
     code_len = ByteReader(msg.side_payload).take_u64()
     _expect("codeword length", code_len, cfg.ghd.code_len)
     z = BitVector.deserialize(msg.main_payload)[0].bits
+    # the only kind whose main bits end inside a byte: the header count must
+    # be the Z-string's own, not another count with the same byte length
+    _expect("main-payload bit count", msg.main_bits, 64 + len(z))
 
     # Subset state: one two-hot string per code position, pairing Alice's
     # block-j bit with Bob's block bit, each of sign -1 exactly where the two

@@ -6,7 +6,10 @@ from gapcomm import _kernels
 
 def test_parity_matches_bit_count():
     rng = np.random.default_rng(26)
-    values = rng.integers(0, 2**63, size=500, dtype=np.uint64)
+    values = np.concatenate([
+        np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64),
+        rng.integers(0, 2**64 - 1, size=500, dtype=np.uint64, endpoint=True),
+    ])
     expected = np.array([int(v).bit_count() & 1 for v in values], dtype=np.int64)
     assert np.array_equal(_kernels.parity_u64(values), expected)
 

@@ -15,6 +15,7 @@ from gapcomm.bits import STREAM_INDEX, STREAM_INSTANCE, BitVector, SharedRandomn
 from gapcomm.ghd import GhdParams, encode_alice, encode_bob, public_pads
 from gapcomm.harness import _subset_state_target, sample_instance
 from gapcomm.messages import ByteWriter, MessageError, ProtocolMessage
+from gapcomm.observables import operator_norm
 from gapcomm.oracle import OracleSpec
 from gapcomm.pauli import PauliMask
 from gapcomm.states import ExactState, StateError, dense_wire_parts
@@ -385,6 +386,23 @@ class TestPauliState:
             nums = state.numerators
             assert res.target == Fraction(int(nums @ dense @ nums), state.norm_sq)
 
+    @pytest.mark.parametrize("fill", ["random", "ones", "zeros"])
+    def test_pairwise_sum_norms_match_an_int64_reference(self, fill):
+        # pauli-state n=12 at epsilon 0.3: 52 Alice rows, 12 Bob rows of 720 bits
+        rng = np.random.default_rng(60)
+        if fill == "random":
+            a_rows = rng.integers(0, 2, size=(52, 720), dtype=np.uint8)
+            b_rows = rng.integers(0, 2, size=(12, 720), dtype=np.uint8)
+        else:
+            a_rows = np.full((52, 720), fill == "ones", dtype=np.uint8)
+            b_rows = np.full((12, 720), fill == "ones", dtype=np.uint8)
+        expected = [
+            int((a + b) @ (a + b)) for a in a_rows.astype(np.int64) for b in b_rows.astype(np.int64)
+        ]
+        norms = proto._pairwise_sum_norms(a_rows, b_rows)
+        assert norms.dtype == np.int64
+        assert norms.tolist() == expected
+
     def test_recovers_bit_with_exact_oracle(self):
         pc = make_config("pauli-state", 8, 0.5)
         hits = 0
@@ -433,6 +451,35 @@ class TestObservableGeneral:
             cols = np.stack([v.bits for v in list(a_vectors) + list(b_vectors)]).T.astype(float)
             norm = float(np.abs(np.linalg.eigvalsh(cols.T @ cols)).max())
             assert abs(float(res.target) - int(summed @ summed) / (2 * norm)) <= 1e-9
+
+    @staticmethod
+    def byte_writer_main(a_rows, b_rows, pc) -> bytes:
+        """The main payload as first written: a float64 Gram matrix rounded
+        through ``ByteWriter``, which joined it before ``to_wire`` did."""
+        columns = np.concatenate([a_rows, b_rows], axis=0).astype(np.float32).T
+        dim = 1 << pc.qubits
+        gram = (columns.T @ columns).astype(np.float64)
+        small = gram if dim <= pc.ghd.code_len else (columns @ columns.T).astype(np.float64)
+        norm_fp = round(operator_norm(small) * (1 << proto.NORM_FRAC_BITS))
+        entries = np.round(gram / (norm_fp / (1 << proto.NORM_FRAC_BITS)) * (1 << proto.ENTRY_FRAC_BITS))
+        w = ByteWriter()
+        w.put_u32(pc.qubits)
+        w.put_payload(entries.astype("<i8"), 64 * dim * dim)
+        return w.getvalue()
+
+    @pytest.mark.parametrize("qubits,epsilon", [(4, 0.5), (6, 0.5), (8, 0.3), (8, 0.5)])
+    def test_main_payload_is_two_parts_with_the_byte_writer_wire(self, qubits, epsilon):
+        # (8, 0.5) has 2^n > code_len, so the norm comes from the smaller Gram side
+        pc = make_config("observable-general", qubits, epsilon)
+        sr, x, _ = draw_instance(pc, 61)
+        msg = proto.ALICE["observable-general"](x, pc, sr)
+        assert len(msg.main_parts) == 2
+        a_rows, b_rows = proto.encode_block_matrices(x, pc, sr)
+        old = ProtocolMessage(
+            "observable-general", self.byte_writer_main(a_rows, b_rows, pc), msg.main_bits,
+            msg.side_payload, msg.side_bits,
+        )
+        assert msg.to_wire() == old.to_wire()
 
     def test_all_zero_matrix_is_sent_unnormalized(self, monkeypatch):
         import gapcomm.ghd as ghd_mod

@@ -1,0 +1,112 @@
+"""Seeded hostile-input fuzz over the wire: mutated messages of all five kinds.
+
+Each honest message is truncated, extended, or has one bit of its 20-byte
+wire header, its main payload or its side info flipped, and then goes
+through ``ProtocolMessage.from_wire`` and Bob. Whatever the bytes, the only
+error that may escape is ``MessageError``, and the traced allocation peak
+stays within the wire length plus ``FIXED_BYTES``: nothing a message field
+declares may size an allocation.
+
+Which mutations a kind can detect at all:
+
+* Truncation, extension and every header bit flip: all five kinds. The tag,
+  the bit counts and the payload lengths leave no slack (observable-pauli's
+  header bit count is checked against its Z-string, since it alone ends
+  inside a byte).
+* Main-payload bit flips: the dense kinds (general-state, pauli-state,
+  inner-product) reject every one, because a flipped amplitude changes the
+  exact sum of squares the state header and the side info both carry.
+  observable-general cannot: Bob reads four matrix entries and checks only
+  those. observable-pauli cannot: every bit of its Z-string is information.
+* Side-info bit flips: no kind rejects all of them. Bob reads the leading
+  field, the block count and one block weight; a flip in another block's
+  weight is never read, and a flip in the weight he reads moves the decoded
+  distance (observable-general's leading field, the quantized norm, is not
+  checkable either). observable-pauli's side info is one u64 that must equal
+  the code length, so it rejects every side flip.
+"""
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import gapcomm.protocols as proto
+from gapcomm.bits import STREAM_INDEX, STREAM_INSTANCE, SharedRandomness
+from gapcomm.ghd import GhdParams
+from gapcomm.harness import sample_instance
+from gapcomm.messages import MessageError, ProtocolMessage
+from gapcomm.oracle import OracleSpec
+
+# (qubits, epsilon) per kind: the dense states are 2^12 (general-state,
+# inner-product) and 2^7 (pauli-state) amplitudes
+CASES = {
+    "general-state": (6, 0.5),
+    "pauli-state": (6, 0.5),
+    "observable-general": (4, 0.5),
+    "observable-pauli": (64, 0.5),
+    "inner-product": (6, 0.5),
+}
+# Bob's own work at these sizes: at most the two buffers einsum takes for the
+# dense norm check (2 x 32 KiB for a 2^12-amplitude state), a few KiB else.
+FIXED_BYTES = 64 << 10
+# kinds that reject every single-bit flip of the main payload
+DETECTS_MAIN_FLIPS = {
+    "general-state": True,
+    "pauli-state": True,
+    "observable-general": False,
+    "observable-pauli": False,
+    "inner-product": True,
+}
+DETECTS_SIDE_FLIPS = {kind: kind == "observable-pauli" for kind in CASES}
+SAMPLES = 40
+
+
+def flipped(wire: bytes, bit: int) -> bytes:
+    out = bytearray(wire)
+    out[bit // 8] ^= 1 << (bit % 8)
+    return bytes(out)
+
+
+def mutations(wire: bytes, side_len: int, rng) -> dict[str, list[bytes]]:
+    main_end = len(wire) - side_len
+    return {
+        "truncate": [wire[:n] for n in rng.integers(0, len(wire), size=SAMPLES)],
+        "extend": [wire + rng.bytes(int(n)) for n in rng.integers(1, 17, size=SAMPLES)],
+        "header": [flipped(wire, bit) for bit in range(20 * 8)],
+        "main": [flipped(wire, int(b)) for b in rng.integers(20 * 8, 8 * main_end, size=SAMPLES)],
+        "side": [flipped(wire, int(b)) for b in rng.integers(8 * main_end, 8 * len(wire), size=SAMPLES)],
+    }
+
+
+def accepted_by_bob(wire: bytes, kind, l, pc, sr) -> bool:
+    """True if Bob decodes ``wire``; only ``MessageError`` may reject it."""
+    tracemalloc.start()
+    try:
+        proto.BOB[kind](ProtocolMessage.from_wire(wire), l, pc, sr, OracleSpec())
+        return True
+    except MessageError:
+        return False
+    finally:
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak <= len(wire) + FIXED_BYTES, f"{kind}: peak {peak} B on a {len(wire)}-byte wire"
+
+
+@pytest.mark.parametrize("kind", sorted(CASES))
+def test_mutated_wire_raises_only_message_error_and_allocates_little(kind):
+    qubits, epsilon = CASES[kind]
+    pc = proto.ProtocolConfig(kind, qubits, GhdParams(epsilon=epsilon))
+    sr = SharedRandomness(11)
+    x = sample_instance(sr.substream(STREAM_INSTANCE).generator(), pc, True)
+    l = int(sr.substream(STREAM_INDEX).generator().integers(1, pc.capacity + 1))
+    msg = proto.ALICE[kind](x, pc, sr)
+    wire = msg.to_wire()
+    assert accepted_by_bob(wire, kind, l, pc, sr)
+
+    accepted = {
+        how: sum(accepted_by_bob(bad, kind, l, pc, sr) for bad in batch)
+        for how, batch in mutations(wire, len(msg.side_payload), np.random.default_rng(5)).items()
+    }
+    assert accepted["truncate"] == accepted["extend"] == accepted["header"] == 0
+    assert (accepted["main"] == 0) == DETECTS_MAIN_FLIPS[kind]
+    assert (accepted["side"] == 0) == DETECTS_SIDE_FLIPS[kind]

@@ -9,7 +9,16 @@ Each row is the best of seven runs after one warm-up call, except the
 rows that also print minor page faults (``ru_minflt``): those are means
 over 20 calls after one warm-up call, since a fault-free best run would
 hide the faults.
+
+BLAS and OpenMP run one thread unless the environment says otherwise, as
+in ``perfbench/run.py`` and the test suite: on a small host a second BLAS
+thread makes the small float32 matmuls many times slower.
 """
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import resource
 import time
 
@@ -34,7 +43,7 @@ def best_of(fn, *args, reps: int = 7) -> float:
 
 
 def row(name: str, fn, *args) -> None:
-    print(f"{name:<34} {best_of(fn, *args) * 1e3:9.3f} ms")
+    print(f"{name:<50} {best_of(fn, *args) * 1e3:9.3f} ms")
 
 
 def faults_row(name: str, fn, *args, calls: int = 20) -> None:
@@ -45,7 +54,7 @@ def faults_row(name: str, fn, *args, calls: int = 20) -> None:
         fn(*args)
     ms = (time.perf_counter() - t0) / calls * 1e3
     faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0) / calls
-    print(f"{name:<34} {ms:9.3f} ms {faults:7.0f} minflt")
+    print(f"{name:<50} {ms:9.3f} ms {faults:7.0f} minflt")
 
 
 def abs_dot_sq_sum(arr: np.ndarray) -> int:
@@ -73,10 +82,17 @@ def main() -> None:
 
     # a dense general-state n=12 message read in place: its amplitudes sit
     # at byte offset 30 of the wire, so the int64 view is unaligned
+    def wire_view(amps):
+        return np.frombuffer(bytes(30) + amps.tobytes(), dtype="<i8", offset=30)
+
     amps = rng.integers(0, 2, size=1 << 18).astype("<i8")
-    view = np.frombuffer(bytes(30) + amps.tobytes(), dtype="<i8", offset=30)
+    view = wire_view(amps)
     row("abs+dot sq sum 2^18 unaligned", abs_dot_sq_sum, view)
     row("exact_sq_sum 2^18 unaligned", exact_sq_sum, view)
+    # the general-state layout at epsilon 0.3: 64 blocks of 720 occupied
+    # (46080 amplitudes), then a zero tail the norm check proves and skips
+    amps[46080:] = 0
+    row("exact_sq_sum 2^18 unaligned, general-state layout", exact_sq_sum, wire_view(amps))
 
     # one general-state n=12 message at epsilon 0.3, written by Alice and
     # joined into its 2 MiB wire: the page faults count the fresh buffers

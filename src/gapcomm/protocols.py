@@ -46,7 +46,7 @@ from .ghd import (
 from .messages import ByteReader, ByteWriter, MessageError, ProtocolMessage
 from .observables import operator_norm
 from .pauli import PauliMask, pauli_expectation
-from .states import ExactState, StateError, dense_wire_parts
+from .states import ExactState, StateError, dense_wire_parts, exact_sq_sum
 from . import _kernels
 
 # Desk-scale guards: dense state messages and dense observable payloads.
@@ -366,13 +366,26 @@ def _encode_general_state(a_rows, b_rows, cfg: ProtocolConfig) -> tuple:
     return _encode_stacked(np.concatenate([a_rows.reshape(-1), b_rows.reshape(-1)]), a_rows, cfg)
 
 
-def _read_general_state(msg, i: int, j: int, cfg: ProtocolConfig, sr) -> Reading:
+def _read_stacked(msg, j: int, cfg: ProtocolConfig) -> tuple[ExactState, np.ndarray, int]:
+    """Alice's stacked state, her block a^j and nnz(a^j), which must be
+    ||a^j||^2: the weight of an honest 0/1 block, as the decoder assumes."""
     state, nnz_a = _read_state(msg, j, cfg)
     code_len = cfg.ghd.code_len
     blk_a = state.numerators[(j - 1) * code_len : j * code_len]
+    # exact: the checked norm_sq < 2^64 bounds the block's squares, so a
+    # wrapped int64 sum is negative and never equals the u32 weight
+    _expect("side-info block weight", nnz_a, int(np.dot(blk_a, blk_a)))
+    return state, blk_a, nnz_a
+
+
+def _read_general_state(msg, i: int, j: int, cfg: ProtocolConfig, sr) -> Reading:
+    state, blk_a, nnz_a = _read_stacked(msg, j, cfg)
+    code_len = cfg.ghd.code_len
     col = cfg.block_count - cfg.ghd.gamma + i
     blk_b = state.numerators[(col - 1) * code_len : col * code_len]
-    sum_norm = int(np.dot(blk_a + blk_b, blk_a + blk_b))
+    # each amplitude is below 2^32 (its square is at most norm_sq < 2^64), so
+    # the sum cannot wrap; its squares can pass 2^63, which exact_sq_sum takes
+    sum_norm = exact_sq_sum(blk_a + blk_b)
     rescale = 2 * state.norm_sq
     return _sum_norm_reading(Fraction(sum_norm, rescale), rescale, nnz_a, i, cfg, sr)
 
@@ -401,14 +414,12 @@ def _encode_inner_product(a_rows, b_rows, cfg: ProtocolConfig) -> tuple:
 
 
 def _read_inner_product(msg, i: int, j: int, cfg: ProtocolConfig, sr) -> Reading:
-    state, nnz_a = _read_state(msg, j, cfg)
-    code_len = cfg.ghd.code_len
+    state, blk_a, nnz_a = _read_stacked(msg, j, cfg)
     b = encode_bob(i, cfg.ghd, sr)
     own_norm = b.nnz
     if own_norm == 0:
         raise ProtocolError("Bob's codeword is the zero vector")
-    blk = state.numerators[(j - 1) * code_len : j * code_len]
-    cross = int(np.dot(blk, b.bits.astype(np.int64)))
+    cross = int(np.dot(blk_a, b.bits.astype(np.int64)))
     scale = math.sqrt(state.norm_sq * own_norm)
     return Reading(cross / scale, nnz_a + own_norm - 2 * cross, nnz_a + own_norm, 2.0 * scale)
 

@@ -28,8 +28,20 @@ def abs_bound(values: np.ndarray) -> int:
     return max(int(values.max()), -int(values.min()))
 
 
+# Amplitudes per chunk of the zero-tail scan in ``exact_sq_sum``.
+TAIL_CHUNK = 4096
+
+
 def exact_sq_sum(values: np.ndarray) -> int:
     """Sum of squares, exact even when int64 accumulation could overflow.
+
+    A stacked state is nonzero only in a prefix. When the last entry is
+    zero and the length is a whole number of chunks, one OR pass over
+    ``TAIL_CHUNK``-entry chunks proves every chunk after the last nonzero
+    one zero, and only the entries up to there are squared. Every entry is
+    still read, so the sum stays exact on hostile input. Any other length
+    is squared whole: its remainder past the last full chunk counts as
+    occupied, so there would be nothing to cut.
 
     ``einsum`` reads unaligned views (such as amplitudes at an odd offset
     of a wire buffer) through a small buffer; ``np.dot`` would copy them.
@@ -37,6 +49,12 @@ def exact_sq_sum(values: np.ndarray) -> int:
     arr = np.ascontiguousarray(values, dtype=np.int64)
     if arr.size == 0:
         return 0
+    if arr[-1] == 0 and arr.size % TAIL_CHUNK == 0:
+        chunk_or = np.bitwise_or.reduce(arr.reshape(-1, TAIL_CHUNK), axis=1)
+        occupied = np.flatnonzero(chunk_or)
+        if occupied.size == 0:
+            return 0
+        arr = arr[: (int(occupied[-1]) + 1) * TAIL_CHUNK]
     # safe int64 accumulation: len * max^2 < 2^62
     if 2 * abs_bound(arr).bit_length() + arr.size.bit_length() < 62:
         return int(np.einsum("i,i->", arr, arr))
@@ -96,11 +114,9 @@ class ExactState:
     numerators[i] / sqrt(norm_sq). Dense numerators are a read-only int64
     array, possibly a view over an immutable wire buffer.
 
-    A dense int64 array that owns its data is taken over, not copied: it is
-    locked read-only in place, and the caller must not unlock it and write
-    to it. A view of a writable array is copied, since its base could still
-    change. A caller hands over a freshly built array this way without a
-    second copy.
+    A writable array is copied, so later writes through it cannot reach a
+    checked state. A read-only array, such as a view over immutable wire
+    bytes, is kept as it is.
     """
 
     qubits: int
@@ -115,8 +131,7 @@ class ExactState:
             raise StateError("exactly one of numerators/support must be given")
         if self.numerators is not None:
             arr = np.ascontiguousarray(self.numerators, dtype=np.int64)
-            if arr.flags.writeable and not arr.flags.owndata:
-                # a view of a writable base could change after the check
+            if arr.flags.writeable:
                 arr = arr.copy()
             if arr.shape != (1 << self.qubits,):
                 raise StateError(
@@ -225,7 +240,9 @@ class ExactState:
             need(8 * count, "dense amplitudes")
             arr = np.frombuffer(buf, dtype="<i8", count=count, offset=offset)
             if not _immutable(buf):
+                # a private copy, locked so that __post_init__ keeps it as is
                 arr = arr.copy()
+                arr.setflags(write=False)
             offset += 8 * count
             return ExactState(qubits=qubits, norm_sq=norm_sq, numerators=arr), offset
         if tag == 1:

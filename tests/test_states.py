@@ -1,9 +1,11 @@
 """Exact state invariants and the wire layout."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import gapcomm.states as states_mod
-from gapcomm.states import ExactState, StateError, abs_bound, exact_sq_sum
+from gapcomm.states import TAIL_CHUNK, ExactState, StateError, abs_bound, exact_sq_sum
 
 
 def unaligned_view(arr: np.ndarray) -> np.ndarray:
@@ -61,13 +63,14 @@ class TestConstruction:
         assert state.norm_sq == 14 == exact_sq_sum(state.numerators)
         assert base.flags.writeable
 
-    def test_array_that_owns_its_data_is_taken_over_read_only(self):
+    def test_writable_array_that_owns_its_data_is_copied(self):
         base = np.array([3, -1, 2, 0], dtype=np.int64)
         state = ExactState.dense(base)
-        assert state.numerators is base
-        assert not base.flags.writeable
-        with pytest.raises(ValueError):
-            base[0] = 7
+        assert base.flags.writeable
+        assert not np.shares_memory(state.numerators, base)
+        base[0] = 7
+        assert state.norm_sq == 14 == exact_sq_sum(state.numerators)
+        assert not state.numerators.flags.writeable
 
     def test_amplitudes_are_unit_norm(self):
         state = ExactState.dense(np.array([1, 2, -2, 0], dtype=np.int64))
@@ -93,6 +96,39 @@ class TestExactSqSum:
         view = unaligned_view(arr)
         assert exact_sq_sum(view) == sum(int(v) ** 2 for v in arr)
         assert abs_bound(view) == bound
+
+    @pytest.mark.parametrize(
+        "length, occupied",
+        [
+            (4 * TAIL_CHUNK, 2 * TAIL_CHUNK),  # tail starts on a chunk boundary
+            (4 * TAIL_CHUNK, 2 * TAIL_CHUNK + 100),  # tail starts mid-chunk
+            (4 * TAIL_CHUNK, 4 * TAIL_CHUNK),  # nonzero last amplitude
+            (4 * TAIL_CHUNK, 0),  # all zero
+            (1, 1),
+            (7, 3),  # below one chunk
+            (TAIL_CHUNK - 1, 100),
+            (TAIL_CHUNK + 1, 100),  # not a multiple of the chunk
+            (3 * TAIL_CHUNK + 5, TAIL_CHUNK),
+        ],
+    )
+    def test_zero_tail_matches_python_reference(self, length, occupied):
+        arr = np.zeros(length, dtype=np.int64)
+        arr[:occupied] = np.random.default_rng(length + occupied).integers(-9, 10, size=occupied)
+        if occupied:
+            arr[occupied - 1] = 3  # the last occupied amplitude is nonzero
+        reference = sum(int(v) ** 2 for v in arr)
+        assert exact_sq_sum(arr) == reference
+        assert exact_sq_sum(unaligned_view(arr)) == reference
+
+    @pytest.mark.parametrize("value", [12345, np.iinfo(np.int64).min])
+    def test_one_amplitude_deep_in_the_tail_is_counted(self, value):
+        # -2**63 squared overflows int64, so it must reach the big-int sum
+        arr = np.zeros(8 * TAIL_CHUNK, dtype=np.int64)
+        arr[:100] = 1
+        arr[6 * TAIL_CHUNK + 17] = value
+        reference = 100 + int(value) ** 2
+        assert exact_sq_sum(arr) == reference
+        assert exact_sq_sum(unaligned_view(arr)) == reference
 
     def test_abs_bound_does_not_wrap_at_the_int64_minimum(self):
         arr = np.array([5, np.iinfo(np.int64).min], dtype=np.int64)
@@ -164,6 +200,16 @@ class TestSerialization:
         source[10:] = np.array([5, 3, -1, 1], dtype="<i8").tobytes()  # squares sum to 36
         assert back == state
         assert back.norm_sq == 14 == exact_sq_sum(back.numerators)
+
+    def test_state_from_a_mutable_buffer_is_copied_once(self):
+        payload, _ = ExactState.dense(np.ones(1 << 12, dtype=np.int64)).serialize()
+        tracemalloc.start()
+        back, _ = ExactState.deserialize(bytearray(payload))
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert back.norm_sq == 1 << 12
+        # the payload's bytearray copy plus one private copy of the amplitudes
+        assert peak < len(payload) + 2 * back.numerators.nbytes
 
     def test_short_buffer_raises_state_error(self):
         dense, _ = ExactState.dense(np.array([2, -1, 0, 3], dtype=np.int64)).serialize()

@@ -19,13 +19,21 @@ Which mutations a kind can detect at all:
   observable-general cannot: Bob reads four matrix entries and checks only
   those. observable-pauli cannot: every bit of its Z-string is information.
 * Side-info bit flips: no kind rejects all of them. Bob reads the leading
-  field, the block count and one block weight; a flip in another block's
-  weight is never read, and a flip in the weight he reads moves the decoded
-  distance (observable-general's leading field, the quantized norm, is not
-  checkable either). observable-pauli's side info is one u64 that must equal
-  the code length, so it rejects every side flip.
+  field, the block count and one block weight, nnz(a^j); a flip in another
+  block's weight is never read. general-state and inner-product compare the
+  weight he reads with ||a^j||^2 over the state block he already reads, so
+  they reject every flip of it; pauli-state and observable-general cannot
+  check it, and a flip there moves the decoded distance (observable-general's
+  leading field, the quantized norm, is not checkable either).
+  observable-pauli's side info is one u64 that must equal the code length,
+  so it rejects every side flip.
+* The zero tail of a stacked state (general-state, inner-product): the norm
+  check proves it zero rather than skipping it, so a flipped tail bit is
+  rejected like any other main-payload flip.
 """
+import struct
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,6 +44,7 @@ from gapcomm.ghd import GhdParams
 from gapcomm.harness import sample_instance
 from gapcomm.messages import MessageError, ProtocolMessage
 from gapcomm.oracle import OracleSpec
+from gapcomm.states import ExactState
 
 # (qubits, epsilon) per kind: the dense states are 2^12 (general-state,
 # inner-product) and 2^7 (pauli-state) amplitudes
@@ -92,14 +101,18 @@ def accepted_by_bob(wire: bytes, kind, l, pc, sr) -> bool:
         assert peak <= len(wire) + FIXED_BYTES, f"{kind}: peak {peak} B on a {len(wire)}-byte wire"
 
 
-@pytest.mark.parametrize("kind", sorted(CASES))
-def test_mutated_wire_raises_only_message_error_and_allocates_little(kind):
-    qubits, epsilon = CASES[kind]
+def honest_message(kind: str, qubits: int, epsilon: float):
+    """Alice's message for one seeded instance, with Bob's index and config."""
     pc = proto.ProtocolConfig(kind, qubits, GhdParams(epsilon=epsilon))
     sr = SharedRandomness(11)
     x = sample_instance(sr.substream(STREAM_INSTANCE).generator(), pc, True)
     l = int(sr.substream(STREAM_INDEX).generator().integers(1, pc.capacity + 1))
-    msg = proto.ALICE[kind](x, pc, sr)
+    return proto.ALICE[kind](x, pc, sr), l, pc, sr
+
+
+@pytest.mark.parametrize("kind", sorted(CASES))
+def test_mutated_wire_raises_only_message_error_and_allocates_little(kind):
+    msg, l, pc, sr = honest_message(kind, *CASES[kind])
     wire = msg.to_wire()
     assert accepted_by_bob(wire, kind, l, pc, sr)
 
@@ -110,3 +123,51 @@ def test_mutated_wire_raises_only_message_error_and_allocates_little(kind):
     assert accepted["truncate"] == accepted["extend"] == accepted["header"] == 0
     assert (accepted["main"] == 0) == DETECTS_MAIN_FLIPS[kind]
     assert (accepted["side"] == 0) == DETECTS_SIDE_FLIPS[kind]
+
+
+@pytest.mark.parametrize("kind", ["general-state", "inner-product"])
+def test_every_flip_of_the_block_weight_bob_reads_is_rejected(kind):
+    msg, l, pc, sr = honest_message(kind, *CASES[kind])
+    wire = msg.to_wire()
+    _, j = proto.decompose_index(l, pc.ghd.gamma)
+    weight_at = len(wire) - len(msg.side_payload) + 12 + 4 * (j - 1)
+    assert accepted_by_bob(wire, kind, l, pc, sr)
+    for bit in range(8 * weight_at, 8 * (weight_at + 4)):
+        assert not accepted_by_bob(flipped(wire, bit), kind, l, pc, sr), bit
+
+
+@pytest.mark.parametrize("kind", ["general-state", "inner-product"])
+def test_flips_in_the_zero_tail_of_a_stacked_state_are_rejected(kind):
+    # n=10 stacks a few thousand amplitudes into a 2^16 state: the tail
+    # starts inside a 4096-amplitude chunk and fills every later one
+    msg, l, pc, sr = honest_message(kind, 10, 0.5)
+    wire = msg.to_wire()
+    # general-state stacks Alice's and Bob's blocks, inner-product Alice's only
+    blocks = pc.block_count - (pc.ghd.gamma if kind == "inner-product" else 0)
+    occupied = blocks * pc.ghd.code_len
+    first = 20 + 10 + 8 * occupied
+    last = len(wire) - len(msg.side_payload) - 1
+    assert not any(wire[first : last + 1])
+    assert accepted_by_bob(wire, kind, l, pc, sr)
+    for byte in (first, (first + last) // 2, last):
+        assert not accepted_by_bob(flipped(wire, 8 * byte), kind, l, pc, sr), byte
+
+
+def test_general_state_sum_norm_past_int64_is_exact():
+    # a hostile state whose two blocks Bob adds square-sum past 2^63 while
+    # the whole norm still fits the u64 header: an int64 dot would wrap
+    msg, l, pc, sr = honest_message("general-state", *CASES["general-state"])
+    i, j = proto.decompose_index(l, pc.ghd.gamma)
+    code_len = pc.ghd.code_len
+    col = pc.block_count - pc.ghd.gamma + i
+    amps = ExactState.deserialize(msg.main_payload)[0].numerators.copy()
+    amps[(col - 1) * code_len : col * code_len] = 3 << 26
+    norm_sq = sum(int(v) ** 2 for v in amps)
+    blk = amps[(j - 1) * code_len : j * code_len] + amps[(col - 1) * code_len : col * code_len]
+    sum_norm = sum(int(v) ** 2 for v in blk)
+    assert sum_norm >= 1 << 63 and norm_sq < 1 << 64
+    side = struct.pack("<Q", norm_sq) + msg.side_payload[8:]
+    main = struct.pack("<BBQ", 0, pc.qubits + pc.pad_exponent, norm_sq) + amps.astype("<i8").tobytes()
+    wire = ProtocolMessage(msg.protocol, main, msg.main_bits, side, msg.side_bits).to_wire()
+    reading = proto.SPECS["general-state"].read(ProtocolMessage.from_wire(wire), i, j, pc, sr)
+    assert reading.target == Fraction(sum_norm, 2 * norm_sq)

@@ -5,14 +5,12 @@ from .bits import (
     BitVector,
     DimensionError,
     InconsistentInputsError,
-    IndexingInstance,
     SharedRandomness,
-    derive_public_strings,
     hamming,
     hamming_via_identity,
     inner_product,
 )
-from .fwht import character_matrix, character_row, fwht, fwht_solve
+from .fwht import character_matrix, character_row, fwht
 from .ghd import (
     DEFAULT_BIAS_C,
     DEFAULT_SLACK_D,
@@ -27,9 +25,9 @@ from .ghd import (
 )
 from .harness import ExperimentConfig, ExperimentReport, run_experiment, verify_suite, wilson95
 from .messages import ProtocolMessage
-from .observables import DenseObservable, NumericError, operator_norm
-from .oracle import OracleSpec, estimate, exact_oracle
-from .pauli import ObservableError, PauliMask, expectation, pauli_expectation, subset_state_expectation
+from .observables import NumericError, operator_norm
+from .oracle import OracleSpec, estimate
+from .pauli import ObservableError, PauliMask, pauli_expectation, subset_state_expectation
 from .protocols import (
     PROTOCOL_KINDS,
     BobResult,
@@ -37,7 +35,6 @@ from .protocols import (
     ProtocolConfig,
     ProtocolError,
     decompose_index,
-    partition_and_encode,
 )
 from .shadows import (
     ClassicalDensityMatrix,

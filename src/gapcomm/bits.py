@@ -192,33 +192,5 @@ class SharedRandomness:
         key = np.array([self.root_seed, self.stream_id], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
-    def bits(self, count: int) -> np.ndarray:
-        return self.generator().integers(0, 2, size=count, dtype=np.uint8)
-
     def bit_matrix(self, rows: int, cols: int) -> np.ndarray:
         return self.generator().integers(0, 2, size=(rows, cols), dtype=np.uint8)
-
-
-def derive_public_strings(sr: SharedRandomness, count: int, length: int) -> list[BitVector]:
-    """``count`` public random strings of ``length`` bits each.
-
-    Deterministic in (sr, count, length); each bit is marginally uniform.
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    matrix = sr.bit_matrix(count, length)
-    return [BitVector(matrix[r]) for r in range(count)]
-
-
-@dataclass(frozen=True)
-class IndexingInstance:
-    """Alice's string together with the position Bob must recover."""
-
-    x: BitVector
-    l: int
-
-    def __post_init__(self):
-        if not 1 <= self.l <= len(self.x):
-            raise ValueError(f"index {self.l} out of range [1, {len(self.x)}]")

@@ -34,18 +34,6 @@ def fwht(vec) -> np.ndarray:
     return _kernels.fwht(arr)
 
 
-def fwht_solve(stacked) -> tuple[np.ndarray, int]:
-    """Solve H @ v = stacked exactly.
-
-    Returns ``(numerators, denominator)`` with v = numerators / denominator
-    and denominator = 2**n; the round trip H @ v == stacked holds exactly in
-    integer arithmetic.
-    """
-    arr = np.ascontiguousarray(stacked, dtype=np.int64)
-    _check_length(arr.shape[0])
-    return fwht(arr), int(arr.shape[0])
-
-
 def character_row(z_mask: int, qubits: int) -> np.ndarray:
     """Row of the character matrix for one Z-mask: (-1)^popcount(z & y)."""
     idx = np.arange(1 << qubits, dtype=np.uint64)

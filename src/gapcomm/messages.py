@@ -81,10 +81,6 @@ class ProtocolMessage:
     def __hash__(self):
         return hash((self.protocol, self.main_bits, self.side_bits))
 
-    @property
-    def total_bits(self) -> int:
-        return self.main_bits + self.side_bits
-
     def to_wire(self) -> bytes:
         """4-byte protocol tag, u64 main_bits, u64 side_bits, then payloads."""
         return b"".join((
@@ -135,10 +131,6 @@ class ByteWriter:
         self._parts.append(struct.pack("<Q", value))
         self.bits += 64
 
-    def put_i64(self, value: int) -> None:
-        self._parts.append(struct.pack("<q", value))
-        self.bits += 64
-
     def put_payload(self, payload, bits: int) -> None:
         """Append any contiguous buffer (bytes, memoryview, numpy array) as is."""
         if bits % 8 != 0 or memoryview(payload).nbytes * 8 != bits:
@@ -170,6 +162,3 @@ class ByteReader:
 
     def take_u64(self) -> int:
         return self._take("<Q")
-
-    def take_i64(self) -> int:
-        return self._take("<q")

@@ -1,7 +1,5 @@
-"""Dense symmetric observables and an eigensolver-free operator norm."""
+"""An eigensolver-free operator norm for dense symmetric matrices."""
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,39 +10,6 @@ class NumericError(RuntimeError):
     """An iterative numeric routine failed to converge."""
 
 
-@dataclass(frozen=True, eq=False)
-class DenseObservable:
-    """Real symmetric matrix observable; all constructions here are real.
-
-    ``norm_bounded`` flags matrices promised to satisfy ||M||_op <= 1 + 1e-9.
-    Materialization is capped at 12 qubits (16.8M entries); anything larger
-    must use PauliMask or structured forms.
-    """
-
-    entries: np.ndarray
-    norm_bounded: bool = False
-
-    def __post_init__(self):
-        arr = np.ascontiguousarray(self.entries, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise DimensionError("observable must be square")
-        dim = arr.shape[0]
-        if dim < 2 or (dim & (dim - 1)) != 0:
-            raise DimensionError("dimension must be a power of two >= 2")
-        if dim > 1 << 12:
-            raise DimensionError("dense observables capped at 12 qubits")
-        if not np.array_equal(arr, arr.T):
-            raise ValueError("observable must be exactly symmetric")
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
-        if self.norm_bounded and operator_norm(arr) > 1.0 + 1e-9:
-            raise ValueError("operator norm exceeds the declared bound")
-
-    @property
-    def qubits(self) -> int:
-        return int(self.entries.shape[0]).bit_length() - 1
-
-
 def operator_norm(matrix, rel_tol: float = 1e-9, max_iter: int = 20000) -> float:
     """Largest absolute eigenvalue of a symmetric matrix via power iteration.
 
@@ -53,10 +18,7 @@ def operator_norm(matrix, rel_tol: float = 1e-9, max_iter: int = 20000) -> float
     start vector is seeded from the dimension alone, so results are
     reproducible. Raises NumericError after ``max_iter`` sweeps.
     """
-    arr = np.ascontiguousarray(
-        matrix.entries if isinstance(matrix, DenseObservable) else matrix,
-        dtype=np.float64,
-    )
+    arr = np.ascontiguousarray(matrix, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionError("operator norm needs a square matrix")
     if not np.array_equal(arr, arr.T):

@@ -73,15 +73,10 @@ def estimate(true_value, spec: OracleSpec, push: int | None = None, draw: int = 
     return v + direction * spec.accuracy
 
 
-def exact_oracle() -> OracleSpec:
-    return OracleSpec()
-
-
 __all__ = [
     "MODELS",
     "PUSH_UP",
     "PUSH_DOWN",
     "OracleSpec",
     "estimate",
-    "exact_oracle",
 ]

@@ -81,26 +81,17 @@ def pauli_expectation(state: ExactState, mask: PauliMask) -> Fraction:
             f"observable on {mask.qubits} qubits vs state on {state.qubits}"
         )
     z, x = mask.z_int, mask.x_int
-    if state.is_dense:
-        # the kernel makes several full passes: align a wire-buffer view once
-        nums = np.require(state.numerators, requirements="A")
-        # int64 kernel is exact while len * max^2 stays below 2^62
-        if 2 * abs_bound(nums).bit_length() + nums.shape[0].bit_length() < 62:
-            total = _kernels.pauli_quad(nums, z, x)
-        else:
-            total = sum(
-                (-1 if (z & y).bit_count() & 1 else 1) * int(v) * int(nums[y ^ x])
-                for y, v in enumerate(nums)
-                if v
-            )
-        return Fraction(total, state.norm_sq)
-    lookup = dict(state.support)
-    total = 0
-    for idx, val in state.support:
-        partner = lookup.get(idx ^ x)
-        if partner:
-            sign = -1 if (z & idx).bit_count() & 1 else 1
-            total += sign * val * partner
+    # the kernel makes several full passes: align a wire-buffer view once
+    nums = np.require(state.numerators, requirements="A")
+    # int64 kernel is exact while len * max^2 stays below 2^62
+    if 2 * abs_bound(nums).bit_length() + nums.shape[0].bit_length() < 62:
+        total = _kernels.pauli_quad(nums, z, x)
+    else:
+        total = sum(
+            (-1 if (z & y).bit_count() & 1 else 1) * int(v) * int(nums[y ^ x])
+            for y, v in enumerate(nums)
+            if v
+        )
     return Fraction(total, state.norm_sq)
 
 
@@ -126,24 +117,3 @@ def subset_state_expectation(z_mask, support, norm_sq: int) -> Fraction:
         sign = -1 if (z & idx).bit_count() & 1 else 1
         total += sign * int(amp) * int(amp)
     return Fraction(total, norm_sq)
-
-
-def expectation(state: ExactState, obs) -> Fraction | float:
-    """<psi| M |psi> for a PauliMask (exact rational) or DenseObservable (float).
-
-    The float path documents a 1e-12 relative tolerance; everything
-    protocol-critical goes through the exact path.
-    """
-    if isinstance(obs, PauliMask):
-        return pauli_expectation(state, obs)
-    # late import: observables depends on nothing here, avoid a cycle at import
-    from .observables import DenseObservable
-
-    if isinstance(obs, DenseObservable):
-        if obs.qubits != state.qubits:
-            raise DimensionError(
-                f"observable on {obs.qubits} qubits vs state on {state.qubits}"
-            )
-        amps = state.amplitudes()
-        return float(amps @ obs.entries @ amps)
-    raise ObservableError(f"unsupported observable type {type(obs).__name__}")

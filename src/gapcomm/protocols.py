@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from . import oracle as oracle_mod
-from .bits import BitVector, IndexingInstance, SharedRandomness
+from .bits import BitVector, SharedRandomness
 from .fwht import fwht
 from .ghd import (
     GhdParams,
@@ -188,10 +188,6 @@ def _require_index(l: int, cfg: ProtocolConfig) -> tuple[int, int]:
     return decompose_index(l, cfg.ghd.gamma)
 
 
-def _source_bits(inst) -> BitVector:
-    return inst.x if isinstance(inst, IndexingInstance) else inst
-
-
 def encode_block_matrices(
     x: BitVector, cfg: ProtocolConfig, sr: SharedRandomness
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -210,17 +206,6 @@ def encode_block_matrices(
     a_rows = _kernels.majority_blocks(pads, x.bits.reshape(-1, params.gamma))
     b_rows = np.ascontiguousarray(pads.T)
     return a_rows, b_rows
-
-
-def partition_and_encode(
-    inst, cfg: ProtocolConfig, sr: SharedRandomness
-) -> tuple[tuple[BitVector, ...], tuple[BitVector, ...]]:
-    """Block-encoded codewords as BitVector tuples."""
-    a_rows, b_rows = encode_block_matrices(_source_bits(inst), cfg, sr)
-    return (
-        tuple(BitVector(row) for row in a_rows),
-        tuple(BitVector(row) for row in b_rows),
-    )
 
 
 @dataclass(frozen=True)
@@ -249,11 +234,11 @@ class Reading:
     rescale: object
 
 
-def alice(kind: str, inst, cfg: ProtocolConfig, sr: SharedRandomness) -> ProtocolMessage:
+def alice(kind: str, x: BitVector, cfg: ProtocolConfig, sr: SharedRandomness) -> ProtocolMessage:
     """Alice's side of every protocol: block-encode, then the kind's encoder."""
     if cfg.kind != kind:
         raise ConfigError("config kind mismatch")
-    a_rows, b_rows = encode_block_matrices(_source_bits(inst), cfg, sr)
+    a_rows, b_rows = encode_block_matrices(x, cfg, sr)
     return ProtocolMessage(kind, *SPECS[kind].encode(a_rows, b_rows, cfg))
 
 
@@ -333,8 +318,6 @@ def _read_state(msg, j: int, cfg: ProtocolConfig) -> tuple[ExactState, int]:
         state, _ = ExactState.deserialize(msg.main_payload)
     except StateError as exc:
         raise MessageError(f"malformed state payload: {exc}") from exc
-    if not state.is_dense:
-        raise MessageError("state payload is not in the dense layout")
     _expect("side-info squared norm", norm_sq, state.norm_sq)
     return state, nnz_a
 

@@ -65,26 +65,6 @@ class ClassicalDensityMatrix:
     def qubits(self) -> int:
         return int(self.entries.shape[0]).bit_length() - 1
 
-    # file format: u64 qubit count, then row-major (real, imag) float64 pairs,
-    # all little-endian
-    def to_bytes(self) -> bytes:
-        import struct
-
-        flat = self.entries.reshape(-1)
-        pairs = np.empty(2 * flat.shape[0], dtype="<f8")
-        pairs[0::2] = flat.real
-        pairs[1::2] = flat.imag
-        return struct.pack("<Q", self.qubits) + pairs.tobytes()
-
-    @staticmethod
-    def from_bytes(buf: bytes) -> "ClassicalDensityMatrix":
-        import struct
-
-        (qubits,) = struct.unpack_from("<Q", buf, 0)
-        dim = 1 << qubits
-        pairs = np.frombuffer(buf, dtype="<f8", count=2 * dim * dim, offset=8)
-        return ClassicalDensityMatrix((pairs[0::2] + 1j * pairs[1::2]).reshape(dim, dim))
-
 
 def _as_generator(rng) -> np.random.Generator:
     if isinstance(rng, SharedRandomness):

@@ -35,13 +35,14 @@ TAIL_CHUNK = 4096
 def exact_sq_sum(values: np.ndarray) -> int:
     """Sum of squares, exact even when int64 accumulation could overflow.
 
-    A stacked state is nonzero only in a prefix. When the last entry is
-    zero and the length is a whole number of chunks, one OR pass over
-    ``TAIL_CHUNK``-entry chunks proves every chunk after the last nonzero
-    one zero, and only the entries up to there are squared. Every entry is
-    still read, so the sum stays exact on hostile input. Any other length
-    is squared whole: its remainder past the last full chunk counts as
-    occupied, so there would be nothing to cut.
+    A stacked state is nonzero only in a prefix. When the length is a
+    whole number of chunks and the last ``TAIL_CHUNK`` entries are zero
+    (the last entry is tested first, in O(1)), one OR pass over the chunks
+    proves every chunk after the last nonzero one zero, and only the
+    entries up to there are squared. Every entry is still read, so the sum
+    stays exact on hostile input. Any other array is squared whole: with a
+    nonzero last chunk, or a remainder past the last full chunk, there
+    would be nothing to cut.
 
     ``einsum`` reads unaligned views (such as amplitudes at an odd offset
     of a wire buffer) through a small buffer; ``np.dot`` would copy them.
@@ -49,7 +50,7 @@ def exact_sq_sum(values: np.ndarray) -> int:
     arr = np.ascontiguousarray(values, dtype=np.int64)
     if arr.size == 0:
         return 0
-    if arr[-1] == 0 and arr.size % TAIL_CHUNK == 0:
+    if arr[-1] == 0 and arr.size % TAIL_CHUNK == 0 and not arr[-TAIL_CHUNK:].any():
         chunk_or = np.bitwise_or.reduce(arr.reshape(-1, TAIL_CHUNK), axis=1)
         occupied = np.flatnonzero(chunk_or)
         if occupied.size == 0:
@@ -100,19 +101,18 @@ def dense_wire_parts(prefix, qubits: int) -> tuple[tuple, int, int]:
     return parts, 8 + 8 + 64 + 64 * dim, norm_sq
 
 
-# Passed as ``norm_sq`` by the constructors below: the squared norm is then
-# the sum that ``__post_init__`` computes anyway, instead of a second pass.
+# Passed as ``norm_sq`` by ``ExactState.dense``: the squared norm is then the
+# sum that ``__post_init__`` computes anyway, instead of a second pass.
 _SUMMED = object()
 
 
 @dataclass(frozen=True, eq=False)
 class ExactState:
-    """Dense or sparse integer-amplitude state vector.
+    """Dense integer-amplitude state vector.
 
-    Exactly one of ``numerators`` (dense int64 array of length 2**qubits)
-    and ``support`` (tuple of (index, value) pairs) is set. Amplitude i is
-    numerators[i] / sqrt(norm_sq). Dense numerators are a read-only int64
-    array, possibly a view over an immutable wire buffer.
+    Amplitude i is numerators[i] / sqrt(norm_sq), over 2**qubits int64
+    numerators held as a read-only array, possibly a view over an immutable
+    wire buffer.
 
     A writable array is copied, so later writes through it cannot reach a
     checked state. A read-only array, such as a view over immutable wire
@@ -121,39 +121,21 @@ class ExactState:
 
     qubits: int
     norm_sq: int
-    numerators: np.ndarray | None = None
-    support: tuple[tuple[int, int], ...] | None = None
+    numerators: np.ndarray
 
     def __post_init__(self):
         if self.qubits < 1:
             raise StateError("need at least one qubit")
-        if (self.numerators is None) == (self.support is None):
-            raise StateError("exactly one of numerators/support must be given")
-        if self.numerators is not None:
-            arr = np.ascontiguousarray(self.numerators, dtype=np.int64)
-            if arr.flags.writeable:
-                arr = arr.copy()
-            if arr.shape != (1 << self.qubits,):
-                raise StateError(
-                    f"dense state on {self.qubits} qubits needs {1 << self.qubits} entries"
-                )
-            arr.setflags(write=False)
-            object.__setattr__(self, "numerators", arr)
-            total = exact_sq_sum(arr)
-        else:
-            dim = 1 << self.qubits
-            seen = set()
-            total = 0
-            for idx, val in self.support:
-                if not 0 <= idx < dim:
-                    raise StateError(f"support index {idx} out of range")
-                if idx in seen:
-                    raise StateError(f"duplicate support index {idx}")
-                seen.add(idx)
-                total += int(val) * int(val)
-            object.__setattr__(
-                self, "support", tuple((int(i), int(v)) for i, v in self.support)
+        arr = np.ascontiguousarray(self.numerators, dtype=np.int64)
+        if arr.flags.writeable:
+            arr = arr.copy()
+        if arr.shape != (1 << self.qubits,):
+            raise StateError(
+                f"dense state on {self.qubits} qubits needs {1 << self.qubits} entries"
             )
+        arr.setflags(write=False)
+        object.__setattr__(self, "numerators", arr)
+        total = exact_sq_sum(arr)
         if self.norm_sq is _SUMMED:
             object.__setattr__(self, "norm_sq", total)
         elif total != self.norm_sq:
@@ -162,30 +144,13 @@ class ExactState:
             raise StateError("state must be nonzero")
 
     @staticmethod
-    def dense(numerators, qubits: int | None = None) -> "ExactState":
+    def dense(numerators) -> "ExactState":
         arr = np.ascontiguousarray(numerators, dtype=np.int64)
-        n = qubits if qubits is not None else (arr.shape[0].bit_length() - 1)
-        return ExactState(qubits=n, norm_sq=_SUMMED, numerators=arr)
-
-    @staticmethod
-    def from_support(pairs, qubits: int) -> "ExactState":
-        return ExactState(qubits=qubits, norm_sq=_SUMMED, support=tuple(pairs))
-
-    @property
-    def is_dense(self) -> bool:
-        return self.numerators is not None
-
-    def to_dense(self) -> np.ndarray:
-        if self.numerators is not None:
-            return self.numerators
-        out = np.zeros(1 << self.qubits, dtype=np.int64)
-        for idx, val in self.support:
-            out[idx] = val
-        return out
+        return ExactState(qubits=arr.shape[0].bit_length() - 1, norm_sq=_SUMMED, numerators=arr)
 
     def amplitudes(self) -> np.ndarray:
         """Floating-point unit-norm amplitude vector (cross-check use only)."""
-        return self.to_dense().astype(np.float64) / np.sqrt(float(self.norm_sq))
+        return self.numerators.astype(np.float64) / np.sqrt(float(self.norm_sq))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactState):
@@ -193,70 +158,41 @@ class ExactState:
         return (
             self.qubits == other.qubits
             and self.norm_sq == other.norm_sq
-            and np.array_equal(self.to_dense(), other.to_dense())
+            and np.array_equal(self.numerators, other.numerators)
         )
 
     def __hash__(self):
         return hash((self.qubits, self.norm_sq))
 
     # -- wire format ---------------------------------------------------
-    # u8 layout tag (0 dense, 1 sparse) | u8 qubits | u64 norm_sq |
-    # dense: 2**qubits * i64 | sparse: u64 count, then (u64 index, i64 value) pairs
+    # u8 layout tag (always 0) | u8 qubits | u64 norm_sq | 2**qubits * i64
     # All integers little-endian.
 
     def serialize(self) -> tuple[bytes, int]:
-        if self.numerators is not None:
-            parts, bits, _ = dense_wire_parts(self.numerators, self.qubits)
-            return b"".join(parts), bits
-        if self.norm_sq >> 64:
-            raise StateError("norm_sq too large for the wire format")
-        if self.qubits > 255:
-            raise StateError("qubit count too large for the wire format")
-        header = struct.pack("<BBQ", 1, self.qubits, self.norm_sq)
-        parts = [header, struct.pack("<Q", len(self.support))]
-        for idx, val in self.support:
-            parts.append(struct.pack("<Qq", idx, val))
-        return b"".join(parts), 8 + 8 + 64 + 64 + 128 * len(self.support)
+        parts, bits, _ = dense_wire_parts(self.numerators, self.qubits)
+        return b"".join(parts), bits
 
     @staticmethod
     def deserialize(buf: bytes, offset: int = 0) -> tuple["ExactState", int]:
         """Read one state at ``offset``; a buffer too short for it raises StateError.
 
-        Dense amplitudes come back as a read-only view over ``buf`` when
+        The amplitudes come back as a read-only view over ``buf`` when
         ``buf`` is immutable (``bytes``, or a read-only memoryview of
         ``bytes``) and as a copy otherwise, so a state checked here cannot
         change afterwards. Either way the norm check reads every amplitude.
         """
-
-        def need(nbytes: int, what: str) -> None:
-            if len(buf) - offset < nbytes:
-                raise StateError(f"buffer too short for the {what}")
-
-        need(10, "state header")
+        if len(buf) - offset < 10:
+            raise StateError("buffer too short for the state header")
         tag, qubits, norm_sq = struct.unpack_from("<BBQ", buf, offset)
         offset += 10
-        if tag == 0:
-            count = 1 << qubits
-            need(8 * count, "dense amplitudes")
-            arr = np.frombuffer(buf, dtype="<i8", count=count, offset=offset)
-            if not _immutable(buf):
-                # a private copy, locked so that __post_init__ keeps it as is
-                arr = arr.copy()
-                arr.setflags(write=False)
-            offset += 8 * count
-            return ExactState(qubits=qubits, norm_sq=norm_sq, numerators=arr), offset
-        if tag == 1:
-            need(8, "sparse support count")
-            (count,) = struct.unpack_from("<Q", buf, offset)
-            offset += 8
-            need(16 * count, "sparse support")
-            pairs = []
-            for _ in range(count):
-                idx, val = struct.unpack_from("<Qq", buf, offset)
-                offset += 16
-                pairs.append((idx, val))
-            return (
-                ExactState(qubits=qubits, norm_sq=norm_sq, support=tuple(pairs)),
-                offset,
-            )
-        raise StateError(f"unknown state layout tag {tag}")
+        if tag != 0:
+            raise StateError(f"unknown state layout tag {tag}")
+        count = 1 << qubits
+        if len(buf) - offset < 8 * count:
+            raise StateError("buffer too short for the dense amplitudes")
+        arr = np.frombuffer(buf, dtype="<i8", count=count, offset=offset)
+        if not _immutable(buf):
+            # a private copy, locked so that __post_init__ keeps it as is
+            arr = arr.copy()
+            arr.setflags(write=False)
+        return ExactState(qubits=qubits, norm_sq=norm_sq, numerators=arr), offset + 8 * count

@@ -9,9 +9,7 @@ from gapcomm.bits import (
     BitVector,
     DimensionError,
     InconsistentInputsError,
-    IndexingInstance,
     SharedRandomness,
-    derive_public_strings,
     hamming,
     hamming_via_identity,
     inner_product,
@@ -145,41 +143,17 @@ class TestDistanceIdentity:
 
 class TestSharedRandomness:
     def test_same_labels_give_identical_bits(self):
-        a = SharedRandomness(1234).substream(7).bits(256)
-        b = SharedRandomness(1234).substream(7).bits(256)
+        a = SharedRandomness(1234).substream(7).bit_matrix(1, 256)[0]
+        b = SharedRandomness(1234).substream(7).bit_matrix(1, 256)[0]
         assert np.array_equal(a, b)
-
-    def test_derive_public_strings_deterministic(self):
-        sr = SharedRandomness(99, 5)
-        first = derive_public_strings(sr, 5, 8)
-        second = derive_public_strings(sr, 5, 8)
-        assert first == second
-        assert len(first) == 5 and all(len(s) == 8 for s in first)
 
     def test_distinct_streams_disagree(self):
         base = SharedRandomness(314159)
         seen = set()
         for label in range(1000):
-            seen.add(base.substream(label).bits(64).tobytes())
+            seen.add(base.substream(label).bit_matrix(1, 64)[0].tobytes())
         assert len(seen) == 1000
 
     def test_bit_bias_is_near_half(self):
-        bits = SharedRandomness(2718).bits(1_000_000)
+        bits = SharedRandomness(2718).bit_matrix(1, 1_000_000)[0]
         assert abs(bits.mean() - 0.5) < 0.01
-
-    def test_validation_of_public_string_args(self):
-        with pytest.raises(ValueError):
-            derive_public_strings(SharedRandomness(1), 0, 4)
-        with pytest.raises(ValueError):
-            derive_public_strings(SharedRandomness(1), 4, 0)
-
-
-class TestIndexingInstance:
-    def test_index_bounds(self):
-        x = BitVector.from_bits([1, 0, 1])
-        IndexingInstance(x, 1)
-        IndexingInstance(x, 3)
-        with pytest.raises(ValueError):
-            IndexingInstance(x, 0)
-        with pytest.raises(ValueError):
-            IndexingInstance(x, 4)

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from gapcomm import _kernels
-from gapcomm.fwht import character_matrix, character_row, fwht, fwht_solve
+from gapcomm.fwht import character_matrix, character_row, fwht
 
 
 def reference_matrix(qubits: int) -> np.ndarray:
@@ -50,30 +50,6 @@ def test_rejects_non_power_of_two():
 def test_overflow_guard():
     with pytest.raises(OverflowError):
         fwht(np.full(1 << 4, 1 << 60, dtype=np.int64))
-
-
-class TestSolve:
-    def test_zero_input(self):
-        nums, denom = fwht_solve(np.zeros(8, dtype=np.int64))
-        assert denom == 8
-        assert not nums.any()
-
-    def test_first_basis_vector(self):
-        # first row of the matrix is all ones, so e1 solves to all-ones / 2^n
-        e1 = np.zeros(8, dtype=np.int64)
-        e1[0] = 1
-        nums, denom = fwht_solve(e1)
-        assert denom == 8
-        assert np.array_equal(nums, np.ones(8, dtype=np.int64))
-
-    def test_exact_round_trip_random(self):
-        rng = np.random.default_rng(6)
-        for n in (2, 4, 6, 8):
-            dim = 1 << n
-            stacked = rng.integers(0, 4 * 240 + 1, size=dim).astype(np.int64)
-            nums, denom = fwht_solve(stacked)
-            assert denom == dim
-            assert np.array_equal(fwht(nums), denom * stacked)
 
 
 def test_kernel_fwht_matches_character_matrix():

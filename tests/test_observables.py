@@ -1,28 +1,8 @@
-"""Dense observable validation and the power-iteration norm."""
+"""The power-iteration operator norm."""
 import numpy as np
 import pytest
 
-from gapcomm.bits import DimensionError
-from gapcomm.observables import DenseObservable, NumericError, operator_norm
-
-
-class TestDenseObservable:
-    def test_requires_exact_symmetry(self):
-        bad = np.array([[1.0, 2.0], [2.0 + 1e-12, 1.0]])
-        with pytest.raises(ValueError):
-            DenseObservable(bad)
-
-    def test_requires_power_of_two_dimension(self):
-        with pytest.raises(DimensionError):
-            DenseObservable(np.eye(3))
-
-    def test_norm_bound_flag_enforced(self):
-        with pytest.raises(ValueError):
-            DenseObservable(np.diag([2.0, 0.5]), norm_bounded=True)
-        DenseObservable(np.diag([1.0, -1.0]), norm_bounded=True)
-
-    def test_qubit_count(self):
-        assert DenseObservable(np.eye(8)).qubits == 3
+from gapcomm.observables import NumericError, operator_norm
 
 
 class TestOperatorNorm:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from gapcomm.bits import SharedRandomness
-from gapcomm.oracle import PUSH_DOWN, PUSH_UP, OracleSpec, estimate, exact_oracle
+from gapcomm.oracle import PUSH_DOWN, PUSH_UP, OracleSpec, estimate
 
 
 def spec(model, accuracy=0.0, failure=0.0, seed=0):
@@ -15,11 +15,11 @@ def spec(model, accuracy=0.0, failure=0.0, seed=0):
 
 class TestExact:
     def test_passthrough(self):
-        assert estimate(0.5, exact_oracle()) == 0.5
+        assert estimate(0.5, OracleSpec()) == 0.5
 
     def test_fractions_stay_exact(self):
         value = Fraction(3, 7)
-        out = estimate(value, exact_oracle())
+        out = estimate(value, OracleSpec())
         assert out == value and isinstance(out, Fraction)
 
 

@@ -5,11 +5,9 @@ import numpy as np
 import pytest
 
 from gapcomm.bits import BitVector, DimensionError
-from gapcomm.observables import DenseObservable
 from gapcomm.pauli import (
     ObservableError,
     PauliMask,
-    expectation,
     pauli_expectation,
     subset_state_expectation,
 )
@@ -101,18 +99,6 @@ class TestExpectation:
             value = pauli_expectation(ExactState.dense(nums), random_mask(rng, 4))
             assert -1 <= value <= 1
 
-    def test_sparse_and_dense_paths_agree(self):
-        rng = np.random.default_rng(15)
-        n = 10
-        for _ in range(10):
-            idx = rng.choice(1 << n, size=17, replace=False)
-            vals = rng.integers(-6, 7, size=17).astype(np.int64)
-            vals[vals == 0] = 1
-            sparse = ExactState.from_support(list(zip(map(int, idx), map(int, vals))), qubits=n)
-            dense = ExactState.dense(sparse.to_dense())
-            mask = random_mask(rng, n)
-            assert pauli_expectation(sparse, mask) == pauli_expectation(dense, mask)
-
     def test_dimension_mismatch(self):
         state = ExactState.dense(np.array([1, 0], dtype=np.int64))
         with pytest.raises(DimensionError):
@@ -146,7 +132,9 @@ class TestSubsetExpectation:
             idx = rng.choice(1 << n, size=13, replace=False)
             vals = rng.integers(1, 7, size=13).astype(np.int64)
             pairs = list(zip(map(int, idx), map(int, vals)))
-            state = ExactState.from_support(pairs, qubits=n)
+            nums = np.zeros(1 << n, dtype=np.int64)
+            nums[idx] = vals
+            state = ExactState.dense(nums)
             z = int(rng.integers(0, 1 << n))
             mask = PauliMask.from_ints(z=z, x=0, qubits=n)
             assert subset_state_expectation(z, pairs, state.norm_sq) == pauli_expectation(
@@ -172,23 +160,6 @@ class TestSubsetExpectation:
         two_hot = subset_state_expectation(z, support, 2 * code_len)
         marked = Fraction(-code_len, 2 * code_len)
         assert two_hot + marked == -1
-
-
-class TestDenseObservablePath:
-    def test_float_path_tracks_exact_rational(self):
-        rng = np.random.default_rng(17)
-        nums = rng.integers(-5, 6, size=8).astype(np.int64)
-        nums[0] = 1
-        state = ExactState.dense(nums)
-        mask = random_mask(rng, 3)
-        dense = DenseObservable(mask.to_dense().astype(np.float64), norm_bounded=True)
-        exact = pauli_expectation(state, mask)
-        assert abs(expectation(state, dense) - float(exact)) < 1e-12
-
-    def test_unsupported_observable_type(self):
-        state = ExactState.dense(np.array([1, 0], dtype=np.int64))
-        with pytest.raises(ObservableError):
-            expectation(state, object())
 
 
 def test_character_rows_pairwise_orthogonal_small():

@@ -118,27 +118,27 @@ class TestPartitionAndEncode:
     def test_block_count_arithmetic(self):
         pc = make_config("general-state", 8, 0.5)
         x = BitVector.zeros(pc.capacity)
-        a_vectors, b_vectors = proto.partition_and_encode(x, pc, SharedRandomness(31))
-        assert len(a_vectors) == pc.block_count - pc.ghd.gamma
-        assert len(b_vectors) == pc.ghd.gamma
+        a_rows, b_rows = proto.encode_block_matrices(x, pc, SharedRandomness(31))
+        assert a_rows.shape == (pc.block_count - pc.ghd.gamma, pc.ghd.code_len)
+        assert b_rows.shape == (pc.ghd.gamma, pc.ghd.code_len)
 
     def test_all_zero_source_gives_zero_codewords(self):
         pc = make_config("general-state", 8, 0.5)
-        a_vectors, _ = proto.partition_and_encode(
+        a_rows, _ = proto.encode_block_matrices(
             BitVector.zeros(pc.capacity), pc, SharedRandomness(32)
         )
-        assert all(a.nnz == 0 for a in a_vectors)
+        assert not a_rows.any()
 
     def test_blockwise_agreement_with_single_encoder(self):
         pc = make_config("general-state", 8, 0.5)
         sr, x, _ = draw_instance(pc, 33)
-        a_vectors, b_vectors = proto.partition_and_encode(x, pc, sr)
+        a_rows, b_rows = proto.encode_block_matrices(x, pc, sr)
         gamma = pc.ghd.gamma
-        for j, a in enumerate(a_vectors, start=1):
+        for j, a in enumerate(a_rows, start=1):
             block = BitVector(x.bits[(j - 1) * gamma : j * gamma])
-            assert a == encode_alice(block, pc.ghd, sr)
-        for i, b in enumerate(b_vectors, start=1):
-            assert b == encode_bob(i, pc.ghd, sr)
+            assert BitVector(a) == encode_alice(block, pc.ghd, sr)
+        for i, b in enumerate(b_rows, start=1):
+            assert BitVector(b) == encode_bob(i, pc.ghd, sr)
 
     def test_matrix_encoding_matches_per_block_majority(self):
         # unrestricted instances hold even-weight blocks (majority ties) and,
@@ -164,7 +164,7 @@ class TestPartitionAndEncode:
     def test_length_mismatch_rejected(self):
         pc = make_config("general-state", 8, 0.5)
         with pytest.raises(proto.ConfigError):
-            proto.partition_and_encode(BitVector.zeros(3), pc, SharedRandomness(34))
+            proto.encode_block_matrices(BitVector.zeros(3), pc, SharedRandomness(34))
 
 
 class TestGeneralState:
@@ -173,8 +173,8 @@ class TestGeneralState:
         sr, x, _ = draw_instance(pc, 35)
         msg = ProtocolMessage.from_wire(proto.ALICE["general-state"](x, pc, sr).to_wire())
         state, _ = ExactState.deserialize(msg.main_payload)
-        a_vectors, b_vectors = proto.partition_and_encode(x, pc, sr)
-        assert state.norm_sq == sum(v.nnz for v in a_vectors) + sum(v.nnz for v in b_vectors)
+        a_rows, b_rows = proto.encode_block_matrices(x, pc, sr)
+        assert state.norm_sq == int(a_rows.sum()) + int(b_rows.sum())
         assert msg.side_bits < msg.main_bits
 
     def test_target_matches_brute_force_quadratic(self):
@@ -337,12 +337,12 @@ class TestPauliState:
         ones_half = state.numerators[dim:]
         assert np.array_equal(ones_half, np.full(dim, dim))
         # independent recomputation of every pairwise sum-norm
-        a_vectors, b_vectors = proto.partition_and_encode(x, pc, sr)
+        a_rows, b_rows = proto.encode_block_matrices(x, pc, sr)
         stacked = np.zeros(dim, dtype=np.int64)
         gamma = pc.ghd.gamma
-        for j, a in enumerate(a_vectors, start=1):
-            for i, b in enumerate(b_vectors, start=1):
-                summed = a.bits.astype(np.int64) + b.bits.astype(np.int64)
+        for j, a in enumerate(a_rows, start=1):
+            for i, b in enumerate(b_rows, start=1):
+                summed = a.astype(np.int64) + b.astype(np.int64)
                 stacked[(j - 1) * gamma + i - 1] = summed @ summed
         assert np.array_equal(fwht(v_half), dim * stacked)
 
@@ -433,8 +433,8 @@ class TestObservableGeneral:
         msg = proto.ALICE["observable-general"](x, pc, sr)
         dim = 1 << pc.qubits
         entries = np.frombuffer(msg.main_payload, dtype="<i8", offset=4).reshape(dim, dim)
-        a_vectors, b_vectors = proto.partition_and_encode(x, pc, sr)
-        cols = np.stack([v.bits for v in list(a_vectors) + list(b_vectors)]).T.astype(float)
+        a_rows, b_rows = proto.encode_block_matrices(x, pc, sr)
+        cols = np.concatenate([a_rows, b_rows]).T.astype(float)
         gram = cols.T @ cols
         norm = float(np.abs(np.linalg.eigvalsh(gram)).max())
         assert np.abs(entries / float(1 << proto.ENTRY_FRAC_BITS) - gram / norm).max() < 2**-31
@@ -447,8 +447,8 @@ class TestObservableGeneral:
             res = proto.BOB["observable-general"](msg, l, pc, sr, OracleSpec())
             a, b, i, j = queried_codewords(x, l, pc, sr)
             summed = a.bits.astype(np.int64) + b.bits.astype(np.int64)
-            a_vectors, b_vectors = proto.partition_and_encode(x, pc, sr)
-            cols = np.stack([v.bits for v in list(a_vectors) + list(b_vectors)]).T.astype(float)
+            a_rows, b_rows = proto.encode_block_matrices(x, pc, sr)
+            cols = np.concatenate([a_rows, b_rows]).T.astype(float)
             norm = float(np.abs(np.linalg.eigvalsh(cols.T @ cols)).max())
             assert abs(float(res.target) - int(summed @ summed) / (2 * norm)) <= 1e-9
 
@@ -565,10 +565,8 @@ class TestObservablePauli:
         sr, x, _ = draw_instance(pc, 58)
         msg = proto.ALICE["observable-pauli"](x, pc, sr)
         z_vector, _ = BitVector.deserialize(msg.main_payload)
-        a_vectors, b_vectors = proto.partition_and_encode(x, pc, sr)
-        rebuilt = np.concatenate(
-            [v.bits for v in list(a_vectors) + list(b_vectors)] + [np.ones(1, dtype=np.uint8)]
-        )
+        a_rows, b_rows = proto.encode_block_matrices(x, pc, sr)
+        rebuilt = np.concatenate([a_rows.reshape(-1), b_rows.reshape(-1), np.ones(1, dtype=np.uint8)])
         assert np.array_equal(z_vector.bits, rebuilt)
         assert len(z_vector) == pc.ghd.code_len * pc.block_count + 1
 
@@ -865,9 +863,9 @@ class TestBobValidation:
         sr, x, l = draw_instance(pc, 77)
         msg = proto.ALICE["general-state"](x, pc, sr)
         state, _ = ExactState.deserialize(msg.main_payload)
-        support = [(int(k), int(v)) for k, v in enumerate(state.numerators) if v]
-        sparse, _ = ExactState.from_support(support, state.qubits).serialize()
-        main = sparse + bytes(len(msg.main_payload) - len(sparse))
+        # a header with layout tag 1, padded to the honest payload length
+        header = struct.pack("<BBQ", 1, state.qubits, state.norm_sq)
+        main = header + bytes(len(msg.main_payload) - len(header))
         bad = ProtocolMessage("general-state", main, 8 * len(main), msg.side_payload, msg.side_bits)
-        with pytest.raises(MessageError, match="dense layout"):
+        with pytest.raises(MessageError, match="layout tag"):
             proto.BOB["general-state"](bad, l, pc, sr, OracleSpec())

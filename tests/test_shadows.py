@@ -60,12 +60,6 @@ class TestDensityMatrix:
         assert rho.qubits == 1
         assert rho.entries[0, 1] == pytest.approx(0.5)
 
-    def test_file_bytes_round_trip(self):
-        rng = np.random.default_rng(72)
-        rho = random_pure(rng, 2)
-        back = ClassicalDensityMatrix.from_bytes(rho.to_bytes())
-        assert np.allclose(back.entries, rho.entries)
-
 
 class TestSimulateMeasure:
     def test_ground_state_in_z_basis_is_deterministic(self):

@@ -32,19 +32,7 @@ class TestConstruction:
         with pytest.raises(StateError):
             ExactState(qubits=3, norm_sq=1, numerators=np.array([1, 0], dtype=np.int64))
 
-    def test_sparse_duplicate_index_rejected(self):
-        with pytest.raises(StateError):
-            ExactState.from_support([(1, 1), (1, 2)], qubits=2)
-
-    def test_sparse_index_range(self):
-        with pytest.raises(StateError):
-            ExactState.from_support([(4, 1)], qubits=2)
-
-    def test_exactly_one_layout(self):
-        with pytest.raises(StateError):
-            ExactState(qubits=1, norm_sq=1)
-
-    def test_dense_and_from_support_sum_the_squares_once(self, monkeypatch):
+    def test_dense_sums_the_squares_once(self, monkeypatch):
         calls = []
 
         def counting(values):
@@ -54,7 +42,6 @@ class TestConstruction:
         monkeypatch.setattr(states_mod, "exact_sq_sum", counting)
         state = ExactState.dense(np.array([3, -1, 2, 0], dtype=np.int64))
         assert state.norm_sq == 14 and calls == [4]
-        assert ExactState.from_support(iter([(0, 2), (3, -3)]), qubits=2).norm_sq == 13
 
     def test_view_of_a_writable_array_is_copied(self):
         base = np.array([2, -1, 0, 3, 5, 5, 5, 5], dtype=np.int64)
@@ -103,6 +90,7 @@ class TestExactSqSum:
             (4 * TAIL_CHUNK, 2 * TAIL_CHUNK),  # tail starts on a chunk boundary
             (4 * TAIL_CHUNK, 2 * TAIL_CHUNK + 100),  # tail starts mid-chunk
             (4 * TAIL_CHUNK, 4 * TAIL_CHUNK),  # nonzero last amplitude
+            (4 * TAIL_CHUNK, 4 * TAIL_CHUNK - 1),  # zero last amplitude, nonzero last chunk
             (4 * TAIL_CHUNK, 0),  # all zero
             (1, 1),
             (7, 3),  # below one chunk
@@ -156,25 +144,19 @@ class TestSerialization:
             np.frombuffer(payload, dtype="<i8", count=4, offset=10), [1, 0, -1, 2]
         )
 
-    def test_sparse_round_trip(self):
-        state = ExactState.from_support([(0, 2), (7, -3)], qubits=3)
-        payload, bits = state.serialize()
-        assert payload[0] == 1  # sparse tag
-        back, _ = ExactState.deserialize(payload)
-        assert back == state
-        assert back.to_dense()[7] == -3
-        assert bits == 8 * len(payload)
-
     def test_norm_must_fit_wire_width(self):
-        state = ExactState.from_support([(0, 1 << 33)], qubits=1)
+        state = ExactState.dense(np.array([1 << 33, 0], dtype=np.int64))
         with pytest.raises(StateError):
             state.serialize()
 
-    def test_unknown_tag_rejected(self):
+    @pytest.mark.parametrize("tag", [1, 7, 255])
+    def test_unknown_tag_rejected(self, tag):
         state = ExactState.dense(np.array([1, 1], dtype=np.int64))
         payload, _ = state.serialize()
-        with pytest.raises(StateError):
-            ExactState.deserialize(b"\x07" + payload[1:])
+        # rejected on the header alone, before the length of what follows matters
+        for rest in (payload[1:], payload[1:10]):
+            with pytest.raises(StateError, match=f"unknown state layout tag {tag}"):
+                ExactState.deserialize(bytes([tag]) + rest)
 
     def test_corrupted_numerator_fails_the_norm_check(self):
         state = ExactState.dense(np.array([2, -1, 0, 3], dtype=np.int64))
@@ -212,15 +194,7 @@ class TestSerialization:
         assert peak < len(payload) + 2 * back.numerators.nbytes
 
     def test_short_buffer_raises_state_error(self):
-        dense, _ = ExactState.dense(np.array([2, -1, 0, 3], dtype=np.int64)).serialize()
-        sparse, _ = ExactState.from_support([(3, 2), (7, -3)], qubits=3).serialize()
-        for payload in (dense, sparse):
-            for cut in (1, 8, len(payload) - 9, len(payload) - 1):
-                with pytest.raises(StateError, match="too short"):
-                    ExactState.deserialize(payload[:cut])
-
-    def test_inflated_sparse_count_is_rejected_before_reading(self):
-        sparse, _ = ExactState.from_support([(3, 2)], qubits=3).serialize()
-        inflated = sparse[:10] + (1 << 40).to_bytes(8, "little") + sparse[18:]
-        with pytest.raises(StateError, match="too short"):
-            ExactState.deserialize(inflated)
+        payload, _ = ExactState.dense(np.array([2, -1, 0, 3], dtype=np.int64)).serialize()
+        for cut in (1, 8, len(payload) - 9, len(payload) - 1):
+            with pytest.raises(StateError, match="too short"):
+                ExactState.deserialize(payload[:cut])

@@ -47,6 +47,19 @@ class TestBitVector:
         with pytest.raises(ValueError):
             BitVector.from_int(16, 4)
 
+    def test_from_int_rejects_negative(self):
+        with pytest.raises(ValueError):
+            BitVector.from_int(-1, 4)
+
+    def test_rejects_two_dimensional_bits(self):
+        with pytest.raises(ValueError):
+            BitVector(np.zeros((2, 2), dtype=np.uint8))
+
+    def test_repr_short_and_long(self):
+        assert repr(BitVector.from_bits([1, 0, 1])) == "BitVector(101)"
+        long = BitVector(np.r_[np.ones(5, np.uint8), np.zeros(35, np.uint8)])
+        assert repr(long) == "BitVector(len=40,nnz=5)"
+
     def test_serialization_layout(self):
         payload, bits = BitVector.from_bits([1, 0, 1, 1]).serialize()
         assert bits == 64 + 4
@@ -153,6 +166,17 @@ class TestSharedRandomness:
         for label in range(1000):
             seen.add(base.substream(label).bit_matrix(1, 64)[0].tobytes())
         assert len(seen) == 1000
+
+    def test_seed_and_stream_reduce_mod_2_64(self):
+        assert SharedRandomness(-1, -2) == SharedRandomness(2**64 - 1, 2**64 - 2)
+        wrapped = SharedRandomness(2**64 + 5).bit_matrix(2, 40)
+        assert np.array_equal(wrapped, SharedRandomness(5).bit_matrix(2, 40))
+
+    def test_bit_matrix_is_one_stream_in_row_order(self):
+        sr = SharedRandomness(77).substream(3)
+        rows = sr.bit_matrix(3, 16)
+        assert rows.shape == (3, 16) and rows.dtype == np.uint8
+        assert np.array_equal(rows.reshape(-1), sr.bit_matrix(1, 48)[0])
 
     def test_bit_bias_is_near_half(self):
         bits = SharedRandomness(2718).bit_matrix(1, 1_000_000)[0]

@@ -52,6 +52,27 @@ def test_overflow_guard():
         fwht(np.full(1 << 4, 1 << 60, dtype=np.int64))
 
 
+class TestSolve:
+    """H v = s solved exactly by a second forward pass: v = fwht(s) / 2^n."""
+
+    def test_zero_input(self):
+        assert not fwht(np.zeros(8, dtype=np.int64)).any()
+
+    def test_first_basis_vector(self):
+        # first row of the matrix is all ones, so e1 solves to all-ones / 2^n
+        e1 = np.zeros(8, dtype=np.int64)
+        e1[0] = 1
+        assert np.array_equal(fwht(e1), np.ones(8, dtype=np.int64))
+
+    def test_exact_round_trip_random(self):
+        rng = np.random.default_rng(6)
+        for n in (2, 4, 6, 8):
+            dim = 1 << n
+            stacked = rng.integers(0, 4 * 240 + 1, size=dim).astype(np.int64)
+            nums = fwht(stacked)
+            assert np.array_equal(reference_matrix(n) @ nums, dim * stacked)
+
+
 def test_kernel_fwht_matches_character_matrix():
     rng = np.random.default_rng(7)
     for n in (1, 4, 9):

@@ -35,6 +35,12 @@ class TestProtocolMessage:
         with pytest.raises(MessageError):
             ProtocolMessage("pauli-state", b"\x00\x00", 3)
 
+    @pytest.mark.parametrize("field", ["main", "side"])
+    def test_negative_bit_count_rejected(self, field):
+        bits = {"main_bits": 0, "side_bits": 0, f"{field}_bits": -1}
+        with pytest.raises(MessageError, match="nonnegative"):
+            ProtocolMessage("pauli-state", b"", bits["main_bits"], b"", bits["side_bits"])
+
     def test_main_payload_given_as_parts(self):
         msg = ProtocolMessage("general-state", (b"\x01", memoryview(b"\x02\x03"), b""), 24, b"\x09", 8)
         assert msg.main_payload == b"\x01\x02\x03"
@@ -98,6 +104,17 @@ class TestByteWriterReader:
         reader.take_u32()
         with pytest.raises(MessageError, match="offset 12"):
             getattr(reader, take)()
+
+    def test_reader_offset_counts_bytes_taken(self):
+        w = ByteWriter()
+        w.put_u32(1)
+        w.put_payload(b"\x05\x06", 16)
+        w.put_u64(9)
+        assert w.bits == 32 + 16 + 64
+        r = ByteReader(w.getvalue())
+        assert r.take_u32() == 1 and r.offset == 4
+        r.offset += 2  # skip the embedded payload
+        assert r.take_u64() == 9 and r.offset == 14
 
     def test_embedded_payload_must_be_aligned(self):
         w = ByteWriter()

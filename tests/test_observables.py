@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from gapcomm.bits import DimensionError
 from gapcomm.observables import NumericError, operator_norm
 
 
@@ -42,3 +43,21 @@ class TestOperatorNorm:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             operator_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_requires_exact_symmetry(self):
+        bad = np.array([[1.0, 2.0], [2.0 + 1e-12, 1.0]])
+        with pytest.raises(ValueError):
+            operator_norm(bad)
+
+    @pytest.mark.parametrize("shape", [(3, 2), (4,), (2, 2, 2)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(DimensionError):
+            operator_norm(np.zeros(shape))
+
+    def test_any_square_dimension(self):
+        # no power-of-two requirement: the Gram matrices need none
+        sym = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
+        assert operator_norm(sym) == pytest.approx(2.0 + np.sqrt(2.0), rel=1e-9)
+
+    def test_accepts_integer_input(self):
+        assert operator_norm([[0, 3], [3, 0]]) == pytest.approx(3.0, abs=1e-9)

@@ -65,6 +65,22 @@ class TestMask:
             dense = mask.to_dense()
             assert np.array_equal(dense @ dense, np.eye(16, dtype=np.int64))
 
+    def test_rejects_empty_mask(self):
+        with pytest.raises(ObservableError):
+            PauliMask(BitVector.zeros(0), BitVector.zeros(0))
+
+    def test_dense_capped_at_13_qubits(self):
+        with pytest.raises(ObservableError):
+            PauliMask.from_ints(z=1, x=0, qubits=14).to_dense()
+
+    def test_diagonal_sign_matches_dense_diagonal(self):
+        rng = np.random.default_rng(12)
+        for n in (1, 3, 5):
+            z = int(rng.integers(0, 1 << n))
+            mask = PauliMask.from_ints(z=z, x=0, qubits=n)
+            signs = [mask.diagonal_sign(y) for y in range(1 << n)]
+            assert np.array_equal(signs, np.diagonal(kron_oracle(mask)))
+
 
 class TestExpectation:
     def test_z_eigenstate(self):
@@ -160,6 +176,19 @@ class TestSubsetExpectation:
         two_hot = subset_state_expectation(z, support, 2 * code_len)
         marked = Fraction(-code_len, 2 * code_len)
         assert two_hot + marked == -1
+
+
+class TestDenseObservablePath:
+    def test_float_path_tracks_exact_rational(self):
+        # the float quadratic form over unit amplitudes agrees with the exact value
+        rng = np.random.default_rng(17)
+        nums = rng.integers(-5, 6, size=8).astype(np.int64)
+        nums[0] = 1
+        state = ExactState.dense(nums)
+        mask = random_mask(rng, 3)
+        amps = state.amplitudes()
+        floating = float(amps @ mask.to_dense().astype(np.float64) @ amps)
+        assert abs(floating - float(pauli_expectation(state, mask))) < 1e-12
 
 
 def test_character_rows_pairwise_orthogonal_small():

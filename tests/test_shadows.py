@@ -55,6 +55,11 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             ClassicalDensityMatrix(np.diag([1.5, -0.5]).astype(complex))
 
+    @pytest.mark.parametrize("entries", [np.ones((2, 3)) / 2, np.eye(1), np.eye(3) / 3])
+    def test_rejects_bad_shape(self, entries):
+        with pytest.raises(ValueError):
+            ClassicalDensityMatrix(entries.astype(complex))
+
     def test_pure_state_construction(self):
         rho = ClassicalDensityMatrix.from_pure([1.0, 1.0])
         assert rho.qubits == 1

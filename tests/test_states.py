@@ -59,6 +59,19 @@ class TestConstruction:
         assert state.norm_sq == 14 == exact_sq_sum(state.numerators)
         assert not state.numerators.flags.writeable
 
+    def test_qubit_count_must_be_positive(self):
+        with pytest.raises(StateError, match="at least one qubit"):
+            ExactState(qubits=0, norm_sq=1, numerators=np.array([1], dtype=np.int64))
+
+    def test_equality_compares_contents(self):
+        state = ExactState.dense(np.array([3, -1, 2, 0], dtype=np.int64))
+        assert state == ExactState.dense(np.array([3, -1, 2, 0], dtype=np.int64))
+        assert hash(state) == hash(ExactState.dense(np.array([3, -1, 2, 0], dtype=np.int64)))
+        # same norm, other amplitudes
+        assert state != ExactState.dense(np.array([-3, 1, 2, 0], dtype=np.int64))
+        assert state != ExactState.dense(np.array([3, -1, 2, 0, 0, 0, 0, 0], dtype=np.int64))
+        assert state != (2, 14)
+
     def test_amplitudes_are_unit_norm(self):
         state = ExactState.dense(np.array([1, 2, -2, 0], dtype=np.int64))
         assert abs(np.linalg.norm(state.amplitudes()) - 1.0) < 1e-12
@@ -133,6 +146,15 @@ class TestSerialization:
         assert back == state
         assert consumed == len(payload)
         assert bits == 8 * len(payload)  # dense layout is byte-aligned
+
+    def test_states_read_back_to_back_at_an_offset(self):
+        first = ExactState.dense(np.array([1, 0, -1, 2], dtype=np.int64))
+        second = ExactState.dense(np.array([0, 5], dtype=np.int64))
+        buf = b"\xff" * 3 + first.serialize()[0] + second.serialize()[0]
+        back_first, offset = ExactState.deserialize(buf, 3)
+        back_second, end = ExactState.deserialize(buf, offset)
+        assert (back_first, back_second) == (first, second)
+        assert end == len(buf)
 
     def test_dense_layout_fields(self):
         state = ExactState.dense(np.array([1, 0, -1, 2], dtype=np.int64))

@@ -98,7 +98,7 @@ def main() -> None:
     # joined into its 2 MiB wire: the page faults count the fresh buffers
     gc = proto.ProtocolConfig("general-state", 12, GhdParams(epsilon=0.3))
     gsr = SharedRandomness(3)
-    gx = harness.sample_instance(gsr.substream(STREAM_INSTANCE).generator(), gc, True)
+    gx = harness.sample_instance(gsr.substream(STREAM_INSTANCE), gc, True)
     faults_row("general-state n=12 alice+to_wire", lambda: proto.ALICE["general-state"](gx, gc, gsr).to_wire())
 
     # pauli-state n=12 at epsilon 0.3: 52 Alice rows and 12 Bob rows of 720 bits
@@ -115,18 +115,34 @@ def main() -> None:
 
     row("majority encode 720x12 (x1000)", majority_many, pads, selected)
 
+    # the public randomness of one trial at epsilon 0.3: the 720x12 pad
+    # matrix on a fresh generator and on the reused one, and the index draw
+    psr = SharedRandomness(4).substream(1)
+
+    def many(draw):
+        for _ in range(1000):
+            draw()
+
+    row(
+        "pads generator().integers 720x12 (x1000)",
+        many,
+        lambda: psr.generator().integers(0, 2, size=(720, 12), dtype=np.uint8),
+    )
+    row("pads bit_matrix 720x12 (x1000)", many, lambda: psr.bit_matrix(720, 12))
+    row("index draw integer(1, 8641) (x1000)", many, lambda: psr.integer(1, 8641))
+
     # one trial of observable-general n=8 at epsilon 0.3: 244 blocks of 12 bits
-    gen = np.random.default_rng(1)
-    row("odd-weight sampling 244x12", sample_sources, gen, 244, 12, True)
-    blocks = sample_sources(gen, 244, 12, True)
+    bsr = SharedRandomness(1)
+    row("odd-weight sampling 244x12", sample_sources, bsr, 244, 12, True)
+    blocks = sample_sources(bsr, 244, 12, True)
     row("block majority 244x12 vs 720x12", _kernels.majority_blocks, pads, blocks)
 
     # one observable-pauli n=256 message at epsilon 0.3 (11649 wire bits):
     # Bob's reader against the two-hot subset-state route verify keeps
     pc = proto.ProtocolConfig("observable-pauli", 256, GhdParams(epsilon=0.3))
     sr = SharedRandomness(2)
-    x = harness.sample_instance(sr.substream(STREAM_INSTANCE).generator(), pc, True)
-    l = int(sr.substream(STREAM_INDEX).generator().integers(1, pc.capacity + 1))
+    x = harness.sample_instance(sr.substream(STREAM_INSTANCE), pc, True)
+    l = sr.substream(STREAM_INDEX).integer(1, pc.capacity + 1)
     msg = proto.ALICE["observable-pauli"](x, pc, sr)
     i, j = proto.decompose_index(l, pc.ghd.gamma)
     row("observable-pauli read n=256", proto.SPECS["observable-pauli"].read, msg, i, j, pc, sr)

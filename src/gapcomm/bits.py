@@ -7,6 +7,7 @@ nowhere else.
 from __future__ import annotations
 
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,10 +60,6 @@ class BitVector:
     @staticmethod
     def zeros(length: int) -> "BitVector":
         return BitVector(np.zeros(length, dtype=np.uint8))
-
-    @staticmethod
-    def from_bits(seq) -> "BitVector":
-        return BitVector(np.asarray(list(seq), dtype=np.uint8))
 
     @staticmethod
     def from_int(value: int, length: int) -> "BitVector":
@@ -168,6 +165,13 @@ def hamming_via_identity(nnz_x: int, nnz_y: int, ip: int) -> int:
     return result
 
 
+# One reused Philox per thread, created on its first draw: building a fresh
+# one costs several times more than rewinding it, and creating it at import
+# would load numpy.random into processes that never draw.
+_reused = threading.local()
+_ZERO_WORDS = (0, 0, 0, 0)
+
+
 @dataclass(frozen=True)
 class SharedRandomness:
     """Counter-based public randomness keyed by (root_seed, stream_id).
@@ -175,6 +179,11 @@ class SharedRandomness:
     Derivation is stateless: the bit stream is a pure function of the key,
     so two parties (or two worker processes) deriving the same labels read
     identical bits without any coordination.
+
+    ``stream_bits``, ``integer`` and ``doubles`` each read the stream from
+    its start on a per-thread Philox rewound to this key, and return plain
+    values, so no two draws share state. Each equals the matching call on a
+    fresh ``generator()``.
     """
 
     root_seed: int
@@ -189,8 +198,42 @@ class SharedRandomness:
         return SharedRandomness(self.root_seed, mixed)
 
     def generator(self) -> np.random.Generator:
+        """An independent generator at the start of this stream."""
         key = np.array([self.root_seed, self.stream_id], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
+    def _rewound(self) -> np.random.Generator:
+        """This thread's reused generator, set to the start of this stream."""
+        gen = getattr(_reused, "gen", None)
+        if gen is None:
+            gen = _reused.gen = np.random.Generator(np.random.Philox(0))
+        gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": _ZERO_WORDS, "key": (self.root_seed, self.stream_id)},
+            "buffer": _ZERO_WORDS,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return gen
+
+    def stream_bits(self, n: int) -> np.ndarray:
+        """The first ``n`` bits of the stream, one per uint8.
+
+        Equal to ``generator().integers(0, 2, size=n, dtype=np.uint8)``: that
+        call takes bit 7 of each byte of Philox's little-endian 32-bit words,
+        which are the bytes of its raw 64-bit words in order.
+        """
+        raw = self._rewound().bit_generator.random_raw(-(-n // 8))
+        return raw.astype("<u8", copy=False).view(np.uint8)[:n] >> 7
+
     def bit_matrix(self, rows: int, cols: int) -> np.ndarray:
-        return self.generator().integers(0, 2, size=(rows, cols), dtype=np.uint8)
+        return self.stream_bits(rows * cols).reshape(rows, cols)
+
+    def integer(self, low: int, high: int) -> int:
+        """Equal to ``int(generator().integers(low, high))``."""
+        return int(self._rewound().integers(low, high))
+
+    def doubles(self, n: int) -> list[float]:
+        """The first ``n`` doubles in [0, 1), equal to ``generator().random(n)``."""
+        return self._rewound().random(n).tolist()

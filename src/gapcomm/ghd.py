@@ -134,31 +134,30 @@ def delta_from_sum_norm(sum_norm_sq, nnz_a, nnz_b):
 
 
 def sample_sources(
-    gen: np.random.Generator, count: int, length: int, odd_weight: bool
+    sr: SharedRandomness, count: int, length: int, odd_weight: bool
 ) -> np.ndarray:
     """``count`` source strings of ``length`` bits, one per row of a uint8 matrix.
 
-    Unrestricted rows are one uniform draw of ``count * length`` bits.
-    Odd-weight rows are uniform over the odd-weight strings and read the
-    same stream as drawing each row with its own
-    ``gen.integers(0, 2, size=length, dtype=np.uint8)`` call, redrawn until
-    its weight is odd. Such a call takes its bits four to a 32-bit word and
-    drops the rest of its last word, so one draw of rows padded to a
-    multiple of four holds exactly those calls' bits, and the first
-    ``count`` odd-weight rows are what the redraw loop would keep. Rows
-    past those are drawn but unused, so ``gen`` is spent afterwards.
+    Unrestricted rows are the first ``count * length`` bits of ``sr``'s
+    stream. Odd-weight rows are uniform over the odd-weight strings and
+    equal what a generator at the start of the stream gives by drawing each
+    row with its own ``integers(0, 2, size=length, dtype=np.uint8)`` call,
+    redrawn until its weight is odd. Such a call takes its bits four to a
+    32-bit word and drops the rest of its last word, so those calls read
+    the stream in rows padded to a multiple of four bits, and the result is
+    the first ``count`` odd-weight rows of it. A draw that holds too few is
+    repeated from the start of the stream at twice the rows.
     """
     if not odd_weight:
-        return gen.integers(0, 2, size=(count, length), dtype=np.uint8)
+        return sr.bit_matrix(count, length)
     width = 4 * -(-length // 4)
-    found = [np.zeros((0, length), dtype=np.uint8)]
-    need = count
-    while need > 0:
-        rows = gen.integers(0, 2, size=(2 * need + 8, width), dtype=np.uint8)[:, :length]
-        odd = rows[rows.sum(axis=1) % 2 == 1][:need]
-        found.append(odd)
-        need -= odd.shape[0]
-    return np.concatenate(found)
+    drawn = 2 * count + 8
+    while True:
+        rows = sr.bit_matrix(drawn, width)[:, :length]
+        odd = rows[rows.sum(axis=1) % 2 == 1]
+        if odd.shape[0] >= count:
+            return odd[:count]
+        drawn *= 2
 
 
 def gap_statistics(
@@ -182,10 +181,8 @@ def gap_statistics(
     zero_total = zero_hit = one_total = one_hit = decoded = 0
     for t in range(trials):
         sr_t = sr.substream(t)
-        x = sample_sources(
-            sr_t.substream(STREAM_INSTANCE).generator(), 1, params.gamma, odd_weight
-        )[0]
-        i = int(sr_t.substream(STREAM_INDEX).generator().integers(1, params.gamma + 1))
+        x = sample_sources(sr_t.substream(STREAM_INSTANCE), 1, params.gamma, odd_weight)[0]
+        i = sr_t.substream(STREAM_INDEX).integer(1, params.gamma + 1)
         xv = BitVector(x)
         a = encode_alice(xv, params, sr_t)
         b = encode_bob(i, params, sr_t)

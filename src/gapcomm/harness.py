@@ -105,11 +105,12 @@ class ExperimentConfig:
 
 
 def sample_instance(
-    gen: np.random.Generator, pc: proto.ProtocolConfig, odd_weight: bool
+    sr: SharedRandomness, pc: proto.ProtocolConfig, odd_weight: bool
 ) -> BitVector:
-    """Draw Alice's string; odd-weight mode keeps every block's weight odd."""
+    """Draw Alice's string from ``sr``'s stream; odd-weight mode keeps every
+    block's weight odd."""
     gamma = pc.ghd.gamma
-    return BitVector(sample_sources(gen, pc.block_count - gamma, gamma, odd_weight).reshape(-1))
+    return BitVector(sample_sources(sr, pc.block_count - gamma, gamma, odd_weight).reshape(-1))
 
 
 def _queried_codewords(x, l, pc, sr) -> tuple[BitVector, BitVector]:
@@ -123,9 +124,8 @@ def _queried_codewords(x, l, pc, sr) -> tuple[BitVector, BitVector]:
 def run_trial(cfg: ExperimentConfig, pc: proto.ProtocolConfig, trial: int) -> dict:
     """One full Alice -> wire -> Bob round trip plus independent diagnostics."""
     sr = SharedRandomness(cfg.root_seed).substream(trial)
-    inst_gen = sr.substream(STREAM_INSTANCE).generator()
-    x = sample_instance(inst_gen, pc, cfg.sampling == "odd-weight")
-    l = int(sr.substream(STREAM_INDEX).generator().integers(1, pc.capacity + 1))
+    x = sample_instance(sr.substream(STREAM_INSTANCE), pc, cfg.sampling == "odd-weight")
+    l = sr.substream(STREAM_INDEX).integer(1, pc.capacity + 1)
     spec = OracleSpec(
         model=cfg.oracle_model,
         accuracy=cfg.resolved_accuracy(pc),
@@ -420,9 +420,8 @@ def _verify_targets(kind: str, instances: int, seed: int, qubits: int) -> CheckR
     name = f"target-{kind}-n{qubits}"
     for k in range(instances):
         sr = SharedRandomness(seed).substream(k)
-        gen = sr.substream(STREAM_INSTANCE).generator()
-        x = sample_instance(gen, pc, True)
-        l = int(sr.substream(STREAM_INDEX).generator().integers(1, pc.capacity + 1))
+        x = sample_instance(sr.substream(STREAM_INSTANCE), pc, True)
+        l = sr.substream(STREAM_INDEX).integer(1, pc.capacity + 1)
         msg = proto.ALICE[kind](x, pc, sr)
         target = proto.BOB[kind](msg, l, pc, sr, OracleSpec()).target
         for route in check.routes:
@@ -439,7 +438,7 @@ def _check_norm_bounds(instances: int, seed: int) -> CheckResult:
     pc = _feasible_config("general-state", 6, 0.5)
     for k in range(instances):
         sr = SharedRandomness(seed).substream(k)
-        l = int(sr.substream(STREAM_INDEX).generator().integers(1, pc.capacity + 1))
+        l = sr.substream(STREAM_INDEX).integer(1, pc.capacity + 1)
         strip = proto.general_state_ml_strip(pc, l)
         eig_small = np.linalg.eigvalsh(strip @ strip.T)
         if eig_small.min() < -1e-9 or eig_small.max() > 1 + 1e-9:

@@ -8,7 +8,6 @@ fired with a configurable probability.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .bits import STREAM_ORACLE, SharedRandomness
 
@@ -55,21 +54,26 @@ def estimate(true_value, spec: OracleSpec, push: int | None = None, draw: int = 
     if spec.model == "exact" and spec.failure_prob == 0.0:
         return true_value
 
-    gen = spec.rng.substream(STREAM_ORACLE).substream(draw).generator()
-    failed = spec.failure_prob > 0.0 and float(gen.random()) < spec.failure_prob
+    # the stream's first double decides a failure when one can happen; the
+    # next one drives the noise
+    draws = spec.rng.substream(STREAM_ORACLE).substream(draw).doubles(2)
+    can_fail = spec.failure_prob > 0.0
+    failed = can_fail and draws[0] < spec.failure_prob
+    u = draws[1] if can_fail else draws[0]
     v = float(true_value)
     if failed:
         return v * (1.0 + 10.0 * spec.accuracy)
     if spec.model == "exact":
         return true_value
     if spec.model == "relative-uniform":
-        u = float(gen.uniform(-spec.accuracy, spec.accuracy))
-        return v + u * abs(v)
+        # numpy's uniform(low, high) is low + (high - low) * next double
+        low, high = -spec.accuracy, spec.accuracy
+        return v + (low + (high - low) * u) * abs(v)
     if spec.model == "relative-adversarial":
         direction = PUSH_UP if push is None else push
         return v + direction * spec.accuracy * abs(v)
     # additive: full-magnitude shift, hint-directed or coin-flipped
-    direction = push if push is not None else (1 if gen.random() < 0.5 else -1)
+    direction = push if push is not None else (1 if u < 0.5 else -1)
     return v + direction * spec.accuracy
 
 

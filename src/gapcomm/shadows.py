@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .bits import STREAM_SHADOW, BitVector, SharedRandomness
-from .messages import ProtocolMessage
+from .messages import MessageError, ProtocolMessage
 from .pauli import ObservableError, PauliMask
 
 MAX_SIM_QUBITS = 10
@@ -127,11 +127,15 @@ def _pack_rounds(codes: np.ndarray, outcomes: np.ndarray) -> BitVector:
 
 
 def _unpack_rounds(shadow: BitVector, qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Basis codes and outcomes per round; a shadow no ``measure`` could have
+    written raises MessageError."""
     per_round = 3 * qubits
-    if len(shadow) % per_round != 0:
-        raise ValueError("shadow length inconsistent with qubit count")
+    if len(shadow) == 0 or len(shadow) % per_round != 0:
+        raise MessageError(f"shadow length {len(shadow)} is not a positive multiple of {per_round}")
     rounds = shadow.bits.reshape(-1, per_round)
     codes = rounds[:, 0 : 2 * qubits : 2] + 2 * rounds[:, 1 : 2 * qubits : 2]
+    if (codes == 3).any():
+        raise MessageError("shadow holds basis code 3")
     return codes.astype(np.int64), rounds[:, 2 * qubits :].astype(np.int64)
 
 
@@ -203,7 +207,12 @@ class OneWayShadowProtocol:
         return ProtocolMessage("shadow-adapter", packed, len(shadow))
 
     def bob(self, msg: ProtocolMessage, observable: PauliMask) -> float:
+        """Estimate from the shadow alone; a malformed message raises MessageError."""
+        if msg.protocol != "shadow-adapter":
+            raise MessageError(f"expected a shadow-adapter message, got {msg.protocol!r}")
         raw = np.frombuffer(msg.main_payload, dtype=np.uint8)
+        if msg.main_bits % 8 and int(raw[-1]) >> (msg.main_bits % 8):
+            raise MessageError("shadow padding bits are not zero")
         bits = np.unpackbits(raw, count=msg.main_bits, bitorder="little")
         return self.pair.estimate(observable, BitVector(bits))
 

@@ -97,9 +97,8 @@ def kron_oracle(mask: PauliMask) -> np.ndarray:
 
 def draw(pc, seed):
     sr = SharedRandomness(seed)
-    gen = sr.substream(3).generator()  # STREAM_INSTANCE
-    x = sample_instance(gen, pc, True)
-    l = int(sr.substream(4).generator().integers(1, pc.capacity + 1))
+    x = sample_instance(sr.substream(3), pc, True)  # STREAM_INSTANCE
+    l = sr.substream(4).integer(1, pc.capacity + 1)
     return sr, x, l
 
 

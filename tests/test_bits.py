@@ -1,10 +1,15 @@
 """Bit vectors, distance arithmetic, shared randomness."""
+import os
 import struct
+import subprocess
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import gapcomm
 from gapcomm.bits import (
     BitVector,
     DimensionError,
@@ -23,7 +28,7 @@ def brute_hamming(x: BitVector, y: BitVector) -> int:
 
 class TestBitVector:
     def test_accessors_are_one_based(self):
-        v = BitVector.from_bits([1, 0, 1])
+        v = BitVector(np.array([1, 0, 1], dtype=np.uint8))
         assert v.bit(1) == 1 and v.bit(2) == 0 and v.bit(3) == 1
         with pytest.raises(IndexError):
             v.bit(0)
@@ -41,7 +46,7 @@ class TestBitVector:
             assert 0 <= v.nnz <= len(v)
 
     def test_int_round_trip_lsb_first(self):
-        v = BitVector.from_bits([1, 0, 1, 1])  # 1 + 4 + 8
+        v = BitVector(np.array([1, 0, 1, 1], dtype=np.uint8))  # 1 + 4 + 8
         assert v.to_int() == 13
         assert BitVector.from_int(13, 4) == v
         with pytest.raises(ValueError):
@@ -56,12 +61,12 @@ class TestBitVector:
             BitVector(np.zeros((2, 2), dtype=np.uint8))
 
     def test_repr_short_and_long(self):
-        assert repr(BitVector.from_bits([1, 0, 1])) == "BitVector(101)"
+        assert repr(BitVector(np.array([1, 0, 1], dtype=np.uint8))) == "BitVector(101)"
         long = BitVector(np.r_[np.ones(5, np.uint8), np.zeros(35, np.uint8)])
         assert repr(long) == "BitVector(len=40,nnz=5)"
 
     def test_serialization_layout(self):
-        payload, bits = BitVector.from_bits([1, 0, 1, 1]).serialize()
+        payload, bits = BitVector(np.array([1, 0, 1, 1], dtype=np.uint8)).serialize()
         assert bits == 64 + 4
         assert payload[:8] == (4).to_bytes(8, "little")
         assert payload[8] == 0b1101
@@ -78,7 +83,7 @@ class TestBitVector:
 
     @pytest.mark.parametrize("bit", [5, 6, 7])
     def test_set_padding_bit_raises_message_error(self, bit):
-        payload, _ = BitVector.from_bits([1, 0, 1, 1, 1]).serialize()
+        payload, _ = BitVector(np.array([1, 0, 1, 1, 1], dtype=np.uint8)).serialize()
         BitVector.deserialize(payload)
         bad = payload[:-1] + bytes([payload[-1] | (1 << bit)])
         with pytest.raises(MessageError, match="padding bits"):
@@ -101,18 +106,20 @@ class TestBitVector:
 
 class TestHamming:
     def test_identical_strings(self):
-        v = BitVector.from_bits([1, 0, 1, 1, 0])
+        v = BitVector(np.array([1, 0, 1, 1, 0], dtype=np.uint8))
         assert hamming(v, v) == 0
 
     def test_complement(self):
-        assert hamming(BitVector.from_bits([0, 0, 0]), BitVector.from_bits([1, 1, 1])) == 3
+        zeros, ones = BitVector(np.zeros(3, np.uint8)), BitVector(np.ones(3, np.uint8))
+        assert hamming(zeros, ones) == 3
 
     def test_hand_count(self):
-        assert hamming(BitVector.from_bits([1, 0, 1]), BitVector.from_bits([1, 1, 0])) == 2
+        x = BitVector(np.array([1, 0, 1], dtype=np.uint8))
+        assert hamming(x, BitVector(np.array([1, 1, 0], dtype=np.uint8))) == 2
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
-            hamming(BitVector.from_bits([1]), BitVector.from_bits([1, 0]))
+            hamming(BitVector(np.ones(1, np.uint8)), BitVector(np.array([1, 0], dtype=np.uint8)))
 
     def test_metric_properties_on_random_triples(self):
         rng = np.random.default_rng(2)
@@ -181,3 +188,82 @@ class TestSharedRandomness:
     def test_bit_bias_is_near_half(self):
         bits = SharedRandomness(2718).bit_matrix(1, 1_000_000)[0]
         assert abs(bits.mean() - 0.5) < 0.01
+
+
+def random_keys(count: int, seed: int) -> list[SharedRandomness]:
+    rng = np.random.default_rng(seed)
+    words = rng.integers(0, 2**64, size=(count, 2), dtype=np.uint64)
+    return [SharedRandomness(int(root), int(stream)) for root, stream in words]
+
+
+class TestDrawContract:
+    """Each draw equals the same call on a fresh ``generator()``."""
+
+    # odd counts of 32-bit words, partial last words, the 720 x 12 pads and a large prime
+    SIZES = [0, *range(1, 18), 20, 8640, 100003]
+
+    def test_stream_bits_match_generator_integers(self):
+        for sr in random_keys(200, 40):
+            for n in self.SIZES:
+                expected = sr.generator().integers(0, 2, size=n, dtype=np.uint8)
+                bits = sr.stream_bits(n)
+                assert bits.dtype == np.uint8 and np.array_equal(bits, expected), (sr, n)
+
+    def test_integer_matches_generator_integers(self):
+        bounds = [(0, 2), (1, 13), (1, 8641), (1, 2**31 + 7), (-5, 2**40), (0, 2**63)]
+        for sr in random_keys(200, 41):
+            for low, high in bounds:
+                value = sr.integer(low, high)
+                assert type(value) is int
+                assert value == int(sr.generator().integers(low, high)), (sr, low, high)
+
+    def test_doubles_match_generator_random(self):
+        for sr in random_keys(200, 42):
+            for n in (1, 2, 5):
+                assert sr.doubles(n) == sr.generator().random(n).tolist()
+
+    def test_held_generator_is_not_disturbed_by_draws(self):
+        held_sr, other = SharedRandomness(5, 6), SharedRandomness(7, 8)
+        held = held_sr.generator()
+        head = held.integers(0, 2, size=5, dtype=np.uint8)
+        other.bit_matrix(3, 7)
+        middle = held.integers(0, 1000, size=3)
+        other.integer(1, 100)
+        other.doubles(2)
+        tail = held.random(3)
+        ref = held_sr.generator()
+        assert np.array_equal(head, ref.integers(0, 2, size=5, dtype=np.uint8))
+        assert np.array_equal(middle, ref.integers(0, 1000, size=3))
+        assert np.array_equal(tail, ref.random(3))
+
+    def test_threads_drawing_at_once_each_read_their_own_stream(self):
+        keys = random_keys(4, 43)
+        expected = [(k.stream_bits(100), k.integer(0, 10**9)) for k in keys]
+        bad = []
+
+        def work(k: int):
+            for _ in range(300):
+                bits, value = keys[k].stream_bits(100), keys[k].integer(0, 10**9)
+                if not (np.array_equal(bits, expected[k][0]) and value == expected[k][1]):
+                    bad.append(k)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(len(keys))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert bad == []
+
+    def test_import_does_not_load_numpy_random(self):
+        # the reused generator is made on the first draw, so a process that
+        # never draws (a pool's parent) never pays for numpy.random
+        code = "import sys, gapcomm, gapcomm.harness; assert 'numpy.random' not in sys.modules"
+        src = os.path.dirname(os.path.dirname(gapcomm.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env=env)

@@ -26,7 +26,7 @@ def brute_majority_codeword(x: BitVector, pads: np.ndarray) -> BitVector:
         votes = [int(pads[j, k]) for k in selected]
         ones = sum(votes)
         out.append(1 if 2 * ones > len(votes) else 0)
-    return BitVector.from_bits(out)
+    return BitVector(np.array(out, dtype=np.uint8))
 
 
 def rejection_rows(gen, count: int, length: int) -> np.ndarray:
@@ -188,15 +188,15 @@ class TestSampleSources:
         for length in range(1, 30):
             for seed in seeds:
                 sr = SharedRandomness(1000 * length + seed)
-                bulk = sample_sources(sr.generator(), count, length, True)
+                bulk = sample_sources(sr, count, length, True)
                 assert bulk.shape == (count, length) and bulk.dtype == np.uint8
                 assert np.array_equal(bulk, rejection_rows(sr.generator(), count, length))
 
     def test_unrestricted_rows_are_one_flat_draw(self):
         sr = SharedRandomness(31)
-        rows = sample_sources(sr.generator(), 7, 13, False)
+        rows = sample_sources(sr, 7, 13, False)
         flat = sr.generator().integers(0, 2, size=7 * 13, dtype=np.uint8)
         assert np.array_equal(rows.reshape(-1), flat)
 
     def test_zero_rows(self):
-        assert sample_sources(SharedRandomness(32).generator(), 0, 5, True).shape == (0, 5)
+        assert sample_sources(SharedRandomness(32), 0, 5, True).shape == (0, 5)

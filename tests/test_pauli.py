@@ -45,7 +45,7 @@ class TestMask:
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ObservableError):
-            PauliMask(BitVector.from_bits([1]), BitVector.from_bits([0, 0]))
+            PauliMask(BitVector(np.ones(1, np.uint8)), BitVector(np.zeros(2, np.uint8)))
 
     def test_letters(self):
         mask = PauliMask.from_ints(z=0b001, x=0b100, qubits=3)

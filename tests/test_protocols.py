@@ -27,9 +27,8 @@ def make_config(kind, qubits, epsilon, **kw) -> proto.ProtocolConfig:
 
 def draw_instance(pc, seed, odd=True):
     sr = SharedRandomness(seed)
-    gen = sr.substream(STREAM_INSTANCE).generator()
-    x = sample_instance(gen, pc, odd)
-    l = int(sr.substream(STREAM_INDEX).generator().integers(1, pc.capacity + 1))
+    x = sample_instance(sr.substream(STREAM_INSTANCE), pc, odd)
+    l = sr.substream(STREAM_INDEX).integer(1, pc.capacity + 1)
     return sr, x, l
 
 

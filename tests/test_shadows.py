@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from gapcomm.bits import BitVector, SharedRandomness
+from gapcomm.messages import MessageError, ProtocolMessage
 from gapcomm.pauli import ObservableError, PauliMask
 from gapcomm.shadows import (
     ClassicalDensityMatrix,
@@ -210,3 +211,41 @@ class TestAdapter:
         direct = pair.estimate(mask, direct_shadow)
         via_adapter = protocol.bob(protocol.alice(rho, SharedRandomness(93)), mask)
         assert via_adapter == direct
+
+
+class TestAdapterRejectsMalformedMessages:
+    """Bob's side of the adapter raises MessageError, never a bare ValueError."""
+
+    MASK = PauliMask.from_ints(z=1, x=2, qubits=2)
+
+    def honest(self) -> tuple:
+        # 7 rounds of 6 bits leave 6 padding bits in the last byte
+        protocol = to_one_way_protocol(reference_shadow_pair(copies=7))
+        msg = protocol.alice(np.array([1.0, 0.0, 0.0, 0.0]), SharedRandomness(94))
+        return protocol, bytes(msg.main_payload), msg.main_bits
+
+    def test_other_protocol_tag(self):
+        protocol, payload, bits = self.honest()
+        with pytest.raises(MessageError, match="shadow-adapter"):
+            protocol.bob(ProtocolMessage("observable-pauli", payload, bits), self.MASK)
+
+    @pytest.mark.parametrize("rounds_bits", [0, 6 * 7 - 1, 6 * 6 + 3])
+    def test_length_not_a_whole_number_of_rounds(self, rounds_bits):
+        protocol, payload, _ = self.honest()
+        bits = np.unpackbits(np.frombuffer(payload, np.uint8), bitorder="little")[:rounds_bits]
+        short = np.packbits(bits, bitorder="little").tobytes()
+        with pytest.raises(MessageError, match="multiple of 6"):
+            protocol.bob(ProtocolMessage("shadow-adapter", short, rounds_bits), self.MASK)
+
+    def test_basis_code_three(self):
+        protocol, payload, bits = self.honest()
+        # qubit 1's two basis bits of round 1 are bits 0 and 1: code 3
+        forged = bytes([payload[0] | 0b11]) + payload[1:]
+        with pytest.raises(MessageError, match="basis code 3"):
+            protocol.bob(ProtocolMessage("shadow-adapter", forged, bits), self.MASK)
+
+    def test_set_padding_bit(self):
+        protocol, payload, bits = self.honest()
+        forged = payload[:-1] + bytes([payload[-1] | 1 << (bits % 8)])
+        with pytest.raises(MessageError, match="padding"):
+            protocol.bob(ProtocolMessage("shadow-adapter", forged, bits), self.MASK)

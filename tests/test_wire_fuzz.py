@@ -27,6 +27,10 @@ Which mutations a kind can detect at all:
   leading field, the quantized norm, is not checkable either).
   observable-pauli's side info is one u64 that must equal the code length,
   so it rejects every side flip.
+* The shadow adapter (no side info): truncation, extension and every
+  header bit flip, like the five kinds. Of main-payload flips it rejects
+  those that make a basis code 3 or set a padding bit; every other bit of
+  a shadow is information.
 * The zero tail of a stacked state (general-state, inner-product): the norm
   check proves it zero rather than skipping it, so a flipped tail bit is
   rejected like any other main-payload flip.
@@ -44,6 +48,8 @@ from gapcomm.ghd import GhdParams
 from gapcomm.harness import sample_instance
 from gapcomm.messages import MessageError, ProtocolMessage
 from gapcomm.oracle import OracleSpec
+from gapcomm.pauli import PauliMask
+from gapcomm.shadows import reference_shadow_pair, to_one_way_protocol
 from gapcomm.states import ExactState
 
 # (qubits, epsilon) per kind: the dense states are 2^12 (general-state,
@@ -83,15 +89,17 @@ def mutations(wire: bytes, side_len: int, rng) -> dict[str, list[bytes]]:
         "extend": [wire + rng.bytes(int(n)) for n in rng.integers(1, 17, size=SAMPLES)],
         "header": [flipped(wire, bit) for bit in range(20 * 8)],
         "main": [flipped(wire, int(b)) for b in rng.integers(20 * 8, 8 * main_end, size=SAMPLES)],
-        "side": [flipped(wire, int(b)) for b in rng.integers(8 * main_end, 8 * len(wire), size=SAMPLES)],
+        "side": [flipped(wire, int(b)) for b in rng.integers(8 * main_end, 8 * len(wire), size=SAMPLES)]
+        if side_len
+        else [],
     }
 
 
-def accepted_by_bob(wire: bytes, kind, l, pc, sr) -> bool:
-    """True if Bob decodes ``wire``; only ``MessageError`` may reject it."""
+def accepted_by(decode, wire: bytes, kind: str) -> bool:
+    """True if ``decode`` reads ``wire``; only ``MessageError`` may reject it."""
     tracemalloc.start()
     try:
-        proto.BOB[kind](ProtocolMessage.from_wire(wire), l, pc, sr, OracleSpec())
+        decode(ProtocolMessage.from_wire(wire))
         return True
     except MessageError:
         return False
@@ -101,12 +109,17 @@ def accepted_by_bob(wire: bytes, kind, l, pc, sr) -> bool:
         assert peak <= len(wire) + FIXED_BYTES, f"{kind}: peak {peak} B on a {len(wire)}-byte wire"
 
 
+def accepted_by_bob(wire: bytes, kind, l, pc, sr) -> bool:
+    """True if Bob decodes ``wire``; only ``MessageError`` may reject it."""
+    return accepted_by(lambda msg: proto.BOB[kind](msg, l, pc, sr, OracleSpec()), wire, kind)
+
+
 def honest_message(kind: str, qubits: int, epsilon: float):
     """Alice's message for one seeded instance, with Bob's index and config."""
     pc = proto.ProtocolConfig(kind, qubits, GhdParams(epsilon=epsilon))
     sr = SharedRandomness(11)
-    x = sample_instance(sr.substream(STREAM_INSTANCE).generator(), pc, True)
-    l = int(sr.substream(STREAM_INDEX).generator().integers(1, pc.capacity + 1))
+    x = sample_instance(sr.substream(STREAM_INSTANCE), pc, True)
+    l = sr.substream(STREAM_INDEX).integer(1, pc.capacity + 1)
     return proto.ALICE[kind](x, pc, sr), l, pc, sr
 
 
@@ -123,6 +136,26 @@ def test_mutated_wire_raises_only_message_error_and_allocates_little(kind):
     assert accepted["truncate"] == accepted["extend"] == accepted["header"] == 0
     assert (accepted["main"] == 0) == DETECTS_MAIN_FLIPS[kind]
     assert (accepted["side"] == 0) == DETECTS_SIDE_FLIPS[kind]
+
+
+def test_mutated_shadow_wire_raises_only_message_error_and_allocates_little():
+    # 50 rounds of 3 qubits: 450 bits, so the last byte holds 6 padding bits
+    protocol = to_one_way_protocol(reference_shadow_pair(copies=50))
+    wire = protocol.alice(np.full(8, 8**-0.5), SharedRandomness(12)).to_wire()
+    mask = PauliMask.from_ints(z=1, x=6, qubits=3)
+
+    def decode(msg):
+        return protocol.bob(msg, mask)
+
+    assert accepted_by(decode, wire, "shadow-adapter")
+    accepted = {
+        how: sum(accepted_by(decode, bad, "shadow-adapter") for bad in batch)
+        for how, batch in mutations(wire, 0, np.random.default_rng(5)).items()
+    }
+    assert accepted["truncate"] == accepted["extend"] == accepted["header"] == 0
+    # a basis flip that makes code 3 and a padding flip are rejected; the
+    # other main bits are all information
+    assert 0 < accepted["main"] < SAMPLES
 
 
 @pytest.mark.parametrize("kind", ["general-state", "inner-product"])

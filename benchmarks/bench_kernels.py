@@ -70,6 +70,19 @@ def main() -> None:
     print(f"kernel backend: {_kernels.backend_name()}")
     print()
 
+    # one observable-general n=8 message at epsilon 0.3: the Gram matrix of
+    # 256 rows of 720 bits, normalized and joined into its 512 KiB wire.
+    # It runs first: once a larger buffer has been freed, glibc raises the
+    # threshold at which it trims the heap, and fresh buffers of this size
+    # would stop faulting here while they still fault in a trial loop.
+    oc = proto.ProtocolConfig("observable-general", 8, GhdParams(epsilon=0.3))
+    osr = SharedRandomness(3)
+    ox = harness.sample_instance(osr.substream(STREAM_INSTANCE), oc, True)
+    faults_row(
+        "observable-general n=8 alice+to_wire",
+        lambda: proto.ALICE["observable-general"](ox, oc, osr).to_wire(),
+    )
+
     for n in (12, 16, 18):
         vec = rng.integers(-1000, 1000, size=1 << n).astype(np.int64)
         row(f"walsh-hadamard transform 2^{n}", _kernels.fwht, vec)

@@ -41,7 +41,6 @@ from .shadows import (
     ShadowPair,
     born_vector,
     reference_shadow_pair,
-    simulate_measure,
     to_one_way_protocol,
 )
 from .states import ExactState, StateError

@@ -1,6 +1,9 @@
 """An eigensolver-free operator norm for dense symmetric matrices."""
 from __future__ import annotations
 
+import math
+from functools import lru_cache
+
 import numpy as np
 
 from .bits import DimensionError
@@ -8,6 +11,19 @@ from .bits import DimensionError
 
 class NumericError(RuntimeError):
     """An iterative numeric routine failed to converge."""
+
+
+def _seeded(dim: int) -> np.random.Generator:
+    return np.random.default_rng(0xC0FFEE ^ dim)
+
+
+@lru_cache(maxsize=8)
+def _start_vector(dim: int) -> np.ndarray:
+    """The first draw of the dimension's seeded generator, as a unit vector."""
+    v = _seeded(dim).standard_normal(dim)
+    v /= math.sqrt(v @ v)
+    v.flags.writeable = False
+    return v
 
 
 def operator_norm(matrix, rel_tol: float = 1e-9, max_iter: int = 20000) -> float:
@@ -27,22 +43,25 @@ def operator_norm(matrix, rel_tol: float = 1e-9, max_iter: int = 20000) -> float
         return 0.0
 
     dim = arr.shape[0]
-    rng = np.random.default_rng(0xC0FFEE ^ dim)
-    v = rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
+    v = _start_vector(dim)
+    restarts = None
     estimate = 0.0
     stable = 0
     for _ in range(max_iter):
         w = arr @ v
-        nw = float(np.linalg.norm(w))
+        nw = math.sqrt(w @ w)
         if nw == 0.0:
-            # v sits in the null space; restart from a fresh direction
-            v = rng.standard_normal(dim)
-            v /= np.linalg.norm(v)
+            # v sits in the null space; restart from a fresh direction, the
+            # next draw of the generator that seeded the start vector
+            if restarts is None:
+                restarts = _seeded(dim)
+                restarts.standard_normal(dim)
+            v = restarts.standard_normal(dim)
+            v /= math.sqrt(v @ v)
             stable = 0
             continue
         u = arr @ w
-        nu = float(np.linalg.norm(u))
+        nu = math.sqrt(u @ u)
         new_estimate = nw  # ||M v|| -> sqrt(lambda_max(M^2)) for unit v
         if nu != 0.0:
             v = u / nu

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import struct
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
@@ -451,28 +452,58 @@ def _read_pauli_state(msg, i: int, j: int, cfg: ProtocolConfig, sr) -> Reading:
 # codeword columns; Bob contracts it with a two-point state.
 # ---------------------------------------------------------------------------
 
+# Alice's float work arrays, one per role per thread, reused while their
+# shape holds. Fresh ones would cost page faults every trial, since glibc
+# gives the freed heap top back to the OS between trials. No message ever
+# holds one: the payload is rounded into a fresh int64 array.
+_work = threading.local()
+
+
+def _work_array(role: str, shape: tuple, dtype) -> np.ndarray:
+    arr = getattr(_work, role, None)
+    if arr is None or arr.shape != shape:
+        arr = np.empty(shape, dtype)
+        setattr(_work, role, arr)
+    return arr
+
+
+def _gram(rows: np.ndarray, role: str) -> tuple[np.ndarray, np.ndarray]:
+    """``rows @ rows.T`` in float32 and widened to float64, both work arrays.
+
+    A matrix times its own transpose is one syrk. The integer entries are at
+    most max(code_len, 2^n) < 2^24, so float32 holds them exactly.
+    """
+    side = rows.shape[0]
+    gram32 = np.matmul(rows, rows.T, out=_work_array(role + "32", (side, side), np.float32))
+    gram64 = _work_array(role + "64", (side, side), np.float64)
+    np.copyto(gram64, gram32)
+    return gram32, gram64
+
+
 def _encode_observable_general(a_rows, b_rows, cfg: ProtocolConfig) -> tuple:
-    columns = np.concatenate([a_rows, b_rows], axis=0, dtype=np.float32).T  # (code_len, 2^n)
     dim = 1 << cfg.qubits
-    # integer entries at most max(code_len, 2^n) < 2^24: exact in float32
-    gram = (columns.T @ columns).astype(np.float64)
-    # the diagonal holds the column weights: all zero only for zero columns
-    if np.any(np.diagonal(gram)):
+    rows = _work_array("rows", (dim, cfg.ghd.code_len), np.float32)
+    np.concatenate([a_rows, b_rows], axis=0, out=rows)
+    gram32, gram = _gram(rows, "gram")
+    # the diagonal holds the row weights, so nnz(a^j) for Alice's rows, and
+    # is all zero only for an all-zero matrix
+    weights = np.diagonal(gram32)
+    if np.any(weights):
         # both Gram sides share the nonzero spectrum; iterate on the smaller
-        small = gram if dim <= cfg.ghd.code_len else (columns @ columns.T).astype(np.float64)
+        small = gram if dim <= cfg.ghd.code_len else _gram(rows.T, "small")[1]
         norm_fp = round(operator_norm(small) * (1 << NORM_FRAC_BITS))
         quantized_norm = norm_fp / (1 << NORM_FRAC_BITS)
-        # in place, in the same order as round(gram / q * 2^f)
-        gram /= quantized_norm
-        gram *= 1 << ENTRY_FRAC_BITS
-        entries_fp = np.round(gram, out=gram).astype("<i8")
+        # dividing by q * 2^-f rounds as round(gram / q * 2^f) does: scaling
+        # by a power of two is exact
+        gram /= quantized_norm * 2.0**-ENTRY_FRAC_BITS
+        entries_fp = np.rint(gram, out=np.empty((dim, dim), dtype="<i8"), casting="unsafe")
     else:
         # all-zero matrix is sent unnormalized
         norm_fp = 0
         entries_fp = np.zeros((dim, dim), dtype="<i8")
     # the u32 qubit count and the matrix stay two parts until to_wire joins them
     main = (struct.pack("<I", cfg.qubits), entries_fp)
-    return (main, 32 + 64 * dim * dim, *_write_weight_side(norm_fp, a_rows.sum(axis=1)))
+    return (main, 32 + 64 * dim * dim, *_write_weight_side(norm_fp, weights[: len(a_rows)]))
 
 
 def _read_observable_general(msg, i: int, j: int, cfg: ProtocolConfig, sr) -> Reading:

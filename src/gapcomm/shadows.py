@@ -89,20 +89,6 @@ def born_vector(rho: ClassicalDensityMatrix, letters: str) -> np.ndarray:
     return probs / probs.sum()
 
 
-def simulate_measure(rho: ClassicalDensityMatrix, letters: str, rng) -> BitVector:
-    """One simulated measurement round with exact outcome probabilities.
-
-    Returns the outcome bits, qubit t at position t.
-    """
-    gen = _as_generator(rng)
-    probs = born_vector(rho, letters)
-    u = float(gen.random())
-    index = int(np.searchsorted(np.cumsum(probs), u, side="right"))
-    index = min(index, probs.shape[0] - 1)
-    n = rho.qubits
-    return BitVector(np.array([(index >> t) & 1 for t in range(n)], dtype=np.uint8))
-
-
 @dataclass(frozen=True)
 class ShadowPair:
     """A measurement algorithm and an estimation algorithm.

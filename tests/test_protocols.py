@@ -3,6 +3,8 @@ import copy
 import math
 import pickle
 import struct
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -479,6 +481,54 @@ class TestObservableGeneral:
             msg.side_payload, msg.side_bits,
         )
         assert msg.to_wire() == old.to_wire()
+
+    @staticmethod
+    def wire_on_new_thread(pc, sr, x) -> bytes:
+        """The wire Alice writes on a thread with no work arrays yet."""
+        out = []
+        t = threading.Thread(target=lambda: out.append(proto.ALICE["observable-general"](x, pc, sr).to_wire()))
+        t.start()
+        t.join(timeout=60)
+        return out[0]
+
+    @pytest.mark.parametrize("qubits", [6, 8])
+    def test_reused_work_arrays_never_back_a_message(self, qubits):
+        # at n=8, epsilon 0.5 the norm comes from the smaller Gram side
+        pc = make_config("observable-general", qubits, 0.5)
+        sr_a, x_a, _ = draw_instance(pc, 62)
+        sr_b, x_b, _ = draw_instance(pc, 63)
+        alone = self.wire_on_new_thread(pc, sr_a, x_a)
+        msg_a = proto.ALICE["observable-general"](x_a, pc, sr_a)
+        msg_b = proto.ALICE["observable-general"](x_b, pc, sr_b)
+        assert msg_a.to_wire() == alone
+        assert msg_b.to_wire() != alone
+
+    def test_threads_encoding_at_once_give_the_serial_bytes(self):
+        pc = make_config("observable-general", 6, 0.5)
+        draws = [draw_instance(pc, 64 + k)[:2] for k in range(4)]
+        serial = [proto.ALICE["observable-general"](x, pc, sr).to_wire() for sr, x in draws]
+        bad = []
+        start = threading.Barrier(8)
+
+        def work(k):
+            sr, x = draws[k % len(draws)]
+            start.wait(timeout=60)
+            for _ in range(10):
+                if proto.ALICE["observable-general"](x, pc, sr).to_wire() != serial[k % len(draws)]:
+                    bad.append(k)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert bad == []
 
     def test_all_zero_matrix_is_sent_unnormalized(self, monkeypatch):
         import gapcomm.ghd as ghd_mod

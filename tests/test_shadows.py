@@ -6,10 +6,11 @@ from gapcomm.bits import BitVector, SharedRandomness
 from gapcomm.messages import MessageError, ProtocolMessage
 from gapcomm.pauli import ObservableError, PauliMask
 from gapcomm.shadows import (
+    LETTERS,
     ClassicalDensityMatrix,
+    _unpack_rounds,
     born_vector,
     reference_shadow_pair,
-    simulate_measure,
     to_one_way_protocol,
 )
 
@@ -67,23 +68,33 @@ class TestDensityMatrix:
         assert rho.entries[0, 1] == pytest.approx(0.5)
 
 
-class TestSimulateMeasure:
+def measured_rounds(rho, copies, stream):
+    """Per round of ``reference_shadow_pair(copies).measure``: the basis
+    letters, qubit 1 first, and the outcome as a basis index."""
+    shadow = reference_shadow_pair(copies).measure(rho, SharedRandomness(stream))
+    codes, outcomes = _unpack_rounds(shadow, rho.qubits)
+    letters = np.array(["".join(LETTERS[c] for c in row) for row in codes])
+    return letters, outcomes @ (1 << np.arange(rho.qubits))
+
+
+class TestMeasure:
     def test_ground_state_in_z_basis_is_deterministic(self):
         rho = ClassicalDensityMatrix.from_pure([1.0, 0.0])
-        for draw in range(20):
-            outcome = simulate_measure(rho, "Z", SharedRandomness(73, draw))
-            assert outcome.bit(1) == 0
+        letters, index = measured_rounds(rho, 600, 73)
+        in_z = letters == "Z"
+        assert in_z.sum() > 100
+        assert not index[in_z].any()
 
     def test_ground_state_in_x_basis_is_balanced(self):
         rho = ClassicalDensityMatrix.from_pure([1.0, 0.0])
-        gen = SharedRandomness(74).generator()
-        ones = sum(simulate_measure(rho, "X", gen).bit(1) for _ in range(10_000))
-        assert abs(ones / 10_000 - 0.5) < 0.02
+        letters, index = measured_rounds(rho, 30_000, 74)
+        in_x = letters == "X"
+        assert abs(index[in_x].mean() - 0.5) < 0.02
 
     def test_invalid_basis_letter(self):
         rho = ClassicalDensityMatrix.from_pure([1.0, 0.0])
         with pytest.raises(ValueError):
-            simulate_measure(rho, "Q", SharedRandomness(75))
+            born_vector(rho, "Q")
 
     def test_distribution_matches_projector_oracle(self):
         rng = np.random.default_rng(76)
@@ -94,18 +105,15 @@ class TestSimulateMeasure:
             )
 
     def test_empirical_total_variation_small(self):
+        # about 10000 rounds in each of the 9 two-qubit bases
         rng = np.random.default_rng(77)
         rho = random_pure(rng, 2)
-        letters = "XZ"
-        exact = projector_born_oracle(rho, letters)
-        gen = SharedRandomness(78).generator()
-        counts = np.zeros(4)
-        shots = 100_000
-        for _ in range(shots):
-            outcome = simulate_measure(rho, letters, gen)
-            counts[outcome.to_int()] += 1
-        tv = 0.5 * np.abs(counts / shots - exact).sum()
-        assert tv <= 0.02
+        letters, index = measured_rounds(rho, 90_000, 78)
+        for basis in sorted(set(letters)):
+            outcomes = index[letters == basis]
+            empirical = np.bincount(outcomes, minlength=4) / outcomes.size
+            tv = 0.5 * np.abs(empirical - projector_born_oracle(rho, basis)).sum()
+            assert tv <= 0.02, basis
 
 
 class TestReferencePair:

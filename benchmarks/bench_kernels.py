@@ -87,11 +87,22 @@ def main() -> None:
         vec = rng.integers(-1000, 1000, size=1 << n).astype(np.int64)
         row(f"walsh-hadamard transform 2^{n}", _kernels.fwht, vec)
 
+    # pauli-state n=12 transforms a sum-norm table: entries 0..4 * 720
+    vec = rng.integers(-2880, 2881, size=1 << 12).astype(np.int64)
+    row("walsh-hadamard transform 2^12, |v| <= 2880", _kernels.fwht, vec)
+    # 43-bit entries: 43 + 12 > 53 bits, so the int64 butterflies run
+    vec = rng.integers(-(1 << 42), 1 << 42, size=1 << 12).astype(np.int64)
+    row("walsh-hadamard transform 2^12, butterfly fallback", _kernels.fwht, vec)
+
     for n in (13, 17):
         nums = rng.integers(-500, 500, size=1 << n).astype(np.int64)
         z = int(rng.integers(0, 1 << n))
         x = int(rng.integers(0, 1 << n))
         row(f"mask quadratic form 2^{n}", _kernels.pauli_quad, nums, z, x)
+    # pauli-state n=12: Bob's X on the top qubit of 13, Z-string below it
+    nums = rng.integers(-500, 500, size=1 << 13).astype(np.int64)
+    z = int(rng.integers(0, 1 << 12))
+    row("mask quadratic form 2^13, x = 2^12", _kernels.pauli_quad, nums, z, 1 << 12)
 
     # a dense general-state n=12 message read in place: its amplitudes sit
     # at byte offset 30 of the wire, so the int64 view is unaligned
@@ -117,7 +128,13 @@ def main() -> None:
     # pauli-state n=12 at epsilon 0.3: 52 Alice rows and 12 Bob rows of 720 bits
     a_rows = rng.integers(0, 2, size=(52, 720), dtype=np.uint8)
     b_rows = rng.integers(0, 2, size=(12, 720), dtype=np.uint8)
-    row("pairwise sum-norms 52x720x12", proto._pairwise_sum_norms, a_rows, b_rows)
+    row(
+        "pairwise sum-norms 52x720x12",
+        proto._pairwise_sum_norms,
+        a_rows,
+        b_rows,
+        a_rows.sum(axis=1, dtype=np.int64),
+    )
 
     pads = rng.integers(0, 2, size=(720, 12), dtype=np.uint8)
     selected = np.array([0, 3, 5, 7, 9], dtype=np.int64)

@@ -4,12 +4,64 @@
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
+
+from .states import abs_bound
+
+# Largest Walsh-Hadamard factor, in qubits: a 2^7 x 2^7 float64 matrix is 128 KiB.
+MAX_FACTOR_QUBITS = 7
+# Integers of up to this many bits are exact in float64.
+FLOAT64_EXACT_BITS = 53
+
+
+def factor_qubits(qubits: int) -> list[int]:
+    """Split ``qubits`` into as few parts of at most ``MAX_FACTOR_QUBITS`` as
+    possible, as even as possible, largest (most significant axis) first."""
+    parts = max(1, -(-qubits // MAX_FACTOR_QUBITS))
+    base, extra = divmod(qubits, parts)
+    return [base + 1] * extra + [base] * (parts - extra)
+
+
+@lru_cache(maxsize=None)
+def hadamard_factor(qubits: int, dtype) -> np.ndarray:
+    """Read-only character matrix H[k, y] = (-1)^popcount(k & y) of one factor."""
+    idx = np.arange(1 << qubits, dtype=np.uint64)
+    h = (1 - 2 * parity_u64(idx[:, None] & idx)).astype(dtype)
+    h.setflags(write=False)
+    return h
 
 
 def fwht(vec: np.ndarray) -> np.ndarray:
-    """In-place-style Walsh-Hadamard butterflies on a fresh int64 copy."""
-    out = np.array(vec, dtype=np.int64, copy=True)
+    """Walsh-Hadamard transform of a power-of-two-length int64 vector, as a
+    fresh int64 array.
+
+    H_{2^n} is the Kronecker product of one factor per part of
+    ``factor_qubits(n)``, so the transform is one small float64 matmul per
+    factor. That is exact when max|v|.bit_length() + n <= 53: every partial
+    sum is then an integer below 2^53 in size, which float64 holds exactly,
+    in any summation order. Larger inputs take int64 butterflies, which the
+    caller keeps inside int64.
+    """
+    arr = np.asarray(vec, dtype=np.int64)
+    qubits = arr.shape[0].bit_length() - 1
+    if abs_bound(arr).bit_length() + qubits <= FLOAT64_EXACT_BITS:
+        return _fwht_float(arr, qubits)
+    return _fwht_butterflies(arr)
+
+
+def _fwht_float(arr: np.ndarray, qubits: int) -> np.ndarray:
+    # each pass transforms the last axis and moves it to the front, so after
+    # one pass per factor the axes are back in their first order
+    t = arr.astype(np.float64)
+    for bits in factor_qubits(qubits):
+        t = (t.reshape(-1, 1 << bits) @ hadamard_factor(bits, np.float64)).T
+    return t.astype(np.int64, order="C").reshape(-1)
+
+
+def _fwht_butterflies(arr: np.ndarray) -> np.ndarray:
+    out = arr.copy()
     n = out.shape[0]
     h = 1
     while h < n:
@@ -31,12 +83,32 @@ def parity_u64(values: np.ndarray) -> np.ndarray:
 
 
 def pauli_quad(nums: np.ndarray, z_mask: int, x_mask: int) -> int:
-    """Quadratic form sum(s_y * nums[y] * nums[y ^ x]) with s_y = (-1)^|y & z|."""
-    n = nums.shape[0]
-    idx = np.arange(n, dtype=np.uint64)
-    signs = 1 - 2 * parity_u64(idx & np.uint64(z_mask))
-    partner = (idx ^ np.uint64(x_mask)).astype(np.int64)
-    return int(np.sum(signs * nums * nums[partner]))
+    """Quadratic form sum(s_y * nums[y] * nums[y ^ x]) with s_y = (-1)^|y & z|.
+
+    ``nums`` is viewed as a tensor with one axis per part of
+    ``factor_qubits``. The partner y ^ x is one gather along each axis where
+    x has bits, and the signs factor into one row of a character matrix per
+    axis, contracted last axis first. In int64 this is exact whenever
+    len * max^2 < 2^62: every partial sum is a signed subset sum of the
+    products.
+    """
+    qubits = nums.shape[0].bit_length() - 1
+    parts = factor_qubits(qubits)
+    v = nums.reshape([1 << bits for bits in parts])
+    partner = v
+    shift = qubits
+    for axis, bits in enumerate(parts):
+        shift -= bits
+        x_part = (x_mask >> shift) & ((1 << bits) - 1)
+        if x_part:
+            perm = np.arange(1 << bits) ^ x_part
+            partner = partner[(slice(None),) * axis + (perm,)]
+    w = v * partner
+    shift = 0
+    for bits in reversed(parts):
+        w = w @ hadamard_factor(bits, np.int64)[(z_mask >> shift) & ((1 << bits) - 1)]
+        shift += bits
+    return int(w)
 
 
 def majority_rows(pads: np.ndarray, selected: np.ndarray) -> np.ndarray:

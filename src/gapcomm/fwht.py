@@ -23,8 +23,9 @@ def _check_length(n: int) -> int:
 def fwht(vec) -> np.ndarray:
     """Apply the character matrix exactly; output is int64.
 
-    Input entries must be small enough that every butterfly stays inside
-    int64 (|entry| * len < 2**63); protocol-scale inputs are far below that.
+    Input entries must be small enough that every partial sum stays inside
+    int64 (|entry| * len < 2**63); protocol-scale inputs are far below that,
+    and within the exact float64 range of ``_kernels.fwht``'s matmul path.
     """
     arr = np.ascontiguousarray(vec, dtype=np.int64)
     qubits = _check_length(arr.shape[0])

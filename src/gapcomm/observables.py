@@ -26,13 +26,14 @@ def _start_vector(dim: int) -> np.ndarray:
     return v
 
 
-def operator_norm(matrix, rel_tol: float = 1e-9, max_iter: int = 20000) -> float:
+def operator_norm(matrix, max_iter: int = 20000) -> float:
     """Largest absolute eigenvalue of a symmetric matrix via power iteration.
 
     Iterates on M @ M (so paired eigenvalues +-lambda cannot stall it) and
-    stops when the norm estimate stabilizes to well below ``rel_tol``; the
-    start vector is seeded from the dimension alone, so results are
-    reproducible. Raises NumericError after ``max_iter`` sweeps.
+    stops after three consecutive sweeps whose estimate is within 1e-13
+    (relative) of the sweep before. The start vector is seeded from the
+    dimension alone, so results are reproducible. Raises NumericError after
+    ``max_iter`` sweeps.
     """
     arr = np.ascontiguousarray(matrix, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:

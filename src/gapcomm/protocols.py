@@ -414,11 +414,11 @@ def _read_inner_product(msg, i: int, j: int, cfg: ProtocolConfig, sr) -> Reading
 # one sum-norm back off a single Z-string (tensored with a final X).
 # ---------------------------------------------------------------------------
 
-def _pairwise_sum_norms(a_rows: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
-    """All ||a^j + b^i||^2 in index-major order ((j-1)*gamma + i - 1)."""
+def _pairwise_sum_norms(a_rows: np.ndarray, b_rows: np.ndarray, nnz_a: np.ndarray) -> np.ndarray:
+    """All ||a^j + b^i||^2 in index-major order ((j-1)*gamma + i - 1), given
+    Alice's int64 row weights ``nnz_a``."""
     # float32 counts are exact: each is at most code_len < FLOAT32_EXACT
     cross = (a_rows.astype(np.float32) @ b_rows.T.astype(np.float32)).astype(np.int64)
-    nnz_a = a_rows.sum(axis=1, dtype=np.int64)
     nnz_b = b_rows.sum(axis=1, dtype=np.int64)
     return (nnz_a[:, None] + nnz_b[None, :] + 2 * cross).reshape(-1)
 
@@ -427,14 +427,15 @@ def _encode_pauli_state(a_rows, b_rows, cfg: ProtocolConfig) -> tuple:
     n = cfg.qubits
     dim = 1 << n
     stacked = np.zeros(dim, dtype=np.int64)
-    norms = _pairwise_sum_norms(a_rows, b_rows)
+    nnz_a = a_rows.sum(axis=1, dtype=np.int64)
+    norms = _pairwise_sum_norms(a_rows, b_rows, nnz_a)
     stacked[: norms.shape[0]] = norms
     # Solving transform(v) = stacked gives v in 2^-n increments; scaling all
     # amplitudes by 2^n keeps the whole state integral.
     tilde_v = fwht(stacked)
     numerators = np.concatenate([tilde_v, np.full(dim, dim, dtype=np.int64)])
     parts, bits, norm_sq = dense_wire_parts(numerators, n + 1)
-    return (parts, bits, *_write_weight_side(norm_sq, a_rows.sum(axis=1)))
+    return (parts, bits, *_write_weight_side(norm_sq, nnz_a))
 
 
 def _read_pauli_state(msg, i: int, j: int, cfg: ProtocolConfig, sr) -> Reading:

@@ -79,3 +79,71 @@ def test_kernel_fwht_matches_character_matrix():
         v = rng.integers(-500, 500, size=1 << n).astype(np.int64)
         expected = reference_matrix(n) @ v
         assert np.array_equal(_kernels.fwht(v), expected)
+
+
+class TestFactoredTransform:
+    """The float64 Kronecker-factored path against the int64 butterflies."""
+
+    def test_factor_splits(self):
+        assert _kernels.factor_qubits(1) == [1]
+        assert _kernels.factor_qubits(7) == [7]
+        assert _kernels.factor_qubits(8) == [4, 4]
+        assert _kernels.factor_qubits(12) == [6, 6]
+        assert _kernels.factor_qubits(13) == [7, 6]
+        assert _kernels.factor_qubits(14) == [7, 7]
+        assert _kernels.factor_qubits(15) == [5, 5, 5]
+        for n in range(1, 25):
+            parts = _kernels.factor_qubits(n)
+            assert sum(parts) == n
+            assert max(parts) <= _kernels.MAX_FACTOR_QUBITS
+            assert max(parts) - min(parts) <= 1
+
+    @pytest.mark.parametrize("n", range(1, 19))
+    def test_float_path_equals_butterflies(self, n):
+        # pauli-state's transform input lies in 0..4 * code_len; take the
+        # signed range of its largest code length, 720
+        rng = np.random.default_rng(100 + n)
+        v = rng.integers(-2880, 2881, size=1 << n).astype(np.int64)
+        fast = _kernels._fwht_float(v, n)
+        assert fast.dtype == np.int64
+        assert np.array_equal(fast, _kernels._fwht_butterflies(v))
+
+    @staticmethod
+    def _forbid(monkeypatch, name):
+        def fail(*args):
+            raise AssertionError(f"{name} must not run here")
+
+        monkeypatch.setattr(_kernels, name, fail)
+
+    def test_float_path_is_exact_at_53_bits(self, monkeypatch):
+        # bit_length 49 + 4 qubits = 53: every partial sum stays below 2^53
+        n, top = 4, (1 << 49) - 1
+        v = np.array([top, -top, top - 1, top] * 4, dtype=np.int64)
+        self._forbid(monkeypatch, "_fwht_butterflies")
+        expected = [sum(int(a) * int(b) for a, b in zip(row, v)) for row in reference_matrix(n)]
+        assert _kernels.fwht(v).tolist() == expected
+
+    def test_falls_back_to_butterflies_at_54_bits(self, monkeypatch):
+        # bit_length 50 + 4 qubits = 54: the all-plus row sums to
+        # 2^54 - 17, which is odd and above 2^53, so float64 would round it
+        n, top = 4, (1 << 50) - 1
+        v = np.full(1 << n, top, dtype=np.int64)
+        v[-1] = top - 1
+        expected = [sum(int(a) * int(b) for a, b in zip(row, v)) for row in reference_matrix(n)]
+        assert int(np.float64(expected[0])) != expected[0]
+        self._forbid(monkeypatch, "_fwht_float")
+        assert _kernels.fwht(v).tolist() == expected
+
+    @pytest.mark.parametrize("top", [2880, (1 << 50) - 1])
+    def test_input_kept_and_output_fresh(self, top):
+        # one input per path: the float path and the butterflies
+        rng = np.random.default_rng(8)
+        v = rng.integers(-top, top, size=1 << 12, dtype=np.int64)
+        v.setflags(write=False)
+        before = v.copy()
+        out = _kernels.fwht(v)
+        assert np.array_equal(v, before)
+        assert out.dtype == np.int64 and out.flags.c_contiguous and out.flags.writeable
+        assert not np.shares_memory(out, v)
+        out[0] += 1
+        assert np.array_equal(_kernels.fwht(v), fwht(v))

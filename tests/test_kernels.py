@@ -1,5 +1,6 @@
 """Kernels against direct reference computations; parity against int.bit_count."""
 import numpy as np
+import pytest
 
 from gapcomm import _kernels
 
@@ -62,3 +63,47 @@ def test_majority_blocks_matches_majority_rows_per_block():
     for j, block in enumerate(blocks):
         selected = np.nonzero(block)[0].astype(np.int64)
         assert np.array_equal(out[j], _kernels.majority_rows(pads, selected))
+
+
+def reference_quad(nums, z: int, x: int) -> int:
+    return sum(
+        (-1 if (y & z).bit_count() & 1 else 1) * int(nums[y]) * int(nums[y ^ x])
+        for y in range(len(nums))
+    )
+
+
+def wire_view(nums: np.ndarray) -> np.ndarray:
+    """The amplitudes as a wire buffer holds them: at byte offset 30, unaligned."""
+    return np.frombuffer(bytes(30) + nums.astype("<i8").tobytes(), dtype="<i8", offset=30)
+
+
+# (qubits, x) per case; the factor axes are 7 | 9 = 5+4 | 13 = 7+6 | 15 = 5+5+5
+QUAD_CASES = [
+    (7, 0), (7, 0b1010001),
+    (9, 0), (9, 1 << 8), (9, 0b0101), (9, (1 << 8) | 0b0011),
+    (13, 0), (13, 1 << 12), (13, 0b100001), (13, (1 << 12) | (1 << 7) | 1),
+    (15, 1 << 7), (15, (1 << 14) | (1 << 6) | 0b10),
+]
+
+
+@pytest.mark.parametrize("qubits,x", QUAD_CASES)
+def test_pauli_quad_matches_per_entry_reference(qubits, x):
+    # x zero, only high bits, only low bits, or both; z never overlaps x
+    rng = np.random.default_rng(qubits * 7919 + x)
+    nums = rng.integers(-500, 500, size=1 << qubits).astype(np.int64)
+    z = int(rng.integers(0, 1 << qubits)) & ~x
+    expected = reference_quad(nums, z, x)
+    assert _kernels.pauli_quad(nums, z, x) == expected
+    view = wire_view(nums)
+    assert not view.flags.aligned
+    assert _kernels.pauli_quad(view, z, x) == expected
+
+
+def test_pauli_quad_exact_at_the_int64_guard():
+    # 2 * 23 + 14 = 60 < 62, the guard pauli_expectation applies
+    rng = np.random.default_rng(31)
+    top = (1 << 23) - 1
+    nums = rng.integers(-top, top, size=1 << 13, endpoint=True).astype(np.int64)
+    nums[:64] = top
+    for z, x in ((0, 0), (0b1011, 1 << 12), (1 << 12, 0b110)):
+        assert _kernels.pauli_quad(nums, z, x) == reference_quad(nums, z, x)

@@ -400,7 +400,7 @@ class TestPauliState:
         expected = [
             int((a + b) @ (a + b)) for a in a_rows.astype(np.int64) for b in b_rows.astype(np.int64)
         ]
-        norms = proto._pairwise_sum_norms(a_rows, b_rows)
+        norms = proto._pairwise_sum_norms(a_rows, b_rows, a_rows.sum(axis=1, dtype=np.int64))
         assert norms.dtype == np.int64
         assert norms.tolist() == expected
 

@@ -25,9 +25,10 @@ import time
 import numpy as np
 
 from gapcomm import _kernels
+from gapcomm import ghd
 from gapcomm import harness
 from gapcomm import protocols as proto
-from gapcomm.bits import STREAM_INDEX, STREAM_INSTANCE, SharedRandomness
+from gapcomm.bits import STREAM_INDEX, STREAM_INSTANCE, BitVector, SharedRandomness, hamming
 from gapcomm.ghd import GhdParams, sample_sources
 from gapcomm.states import exact_sq_sum
 
@@ -164,6 +165,11 @@ def main() -> None:
     # one trial of observable-general n=8 at epsilon 0.3: 244 blocks of 12 bits
     bsr = SharedRandomness(1)
     row("odd-weight sampling 244x12", sample_sources, bsr, 244, 12, True)
+    # its row filter on the 2 * 244 + 8 rows it draws, as first written
+    # (sum, modulo and a boolean index) and as the sampler runs it now
+    drawn = bsr.bit_matrix(496, 12)
+    row("odd-weight filter 496x12, sum % 2 and mask", lambda r: r[r.sum(axis=1) % 2 == 1], drawn)
+    row("odd-weight filter 496x12, parity and compress", ghd._odd_rows, drawn)
     blocks = sample_sources(bsr, 244, 12, True)
     row("block majority 244x12 vs 720x12", _kernels.majority_blocks, pads, blocks)
 
@@ -177,6 +183,21 @@ def main() -> None:
     i, j = proto.decompose_index(l, pc.ghd.gamma)
     row("observable-pauli read n=256", proto.SPECS["observable-pauli"].read, msg, i, j, pc, sr)
     row("two-hot subset state n=256", harness._subset_state_target, x, l, pc, sr, msg)
+
+    # run_trial's ground-truth distance on the same trial (720x12 pads): as
+    # first written through bit vectors, and from the per-block kernel
+    gamma = pc.ghd.gamma
+    block = BitVector(x.bits[(j - 1) * gamma : j * gamma])
+
+    def distance_via_bit_vectors():
+        return hamming(ghd.encode_alice(block, pc.ghd, sr), ghd.encode_bob(i, pc.ghd, sr))
+
+    def distance_via_kernel():
+        a, b = harness._queried_codewords(x, l, pc, sr)
+        return int(np.count_nonzero(a ^ b))
+
+    row("ground truth 720x12 pads, bit vectors (x1000)", many, distance_via_bit_vectors)
+    row("ground truth 720x12 pads, kernel arrays (x1000)", many, distance_via_kernel)
 
 
 if __name__ == "__main__":

@@ -68,9 +68,8 @@ class BitVector:
             raise ValueError("value must be nonnegative")
         if value >> length:
             raise ValueError("value does not fit in the requested length")
-        return BitVector(
-            np.array([(value >> k) & 1 for k in range(length)], dtype=np.uint8)
-        )
+        raw = np.frombuffer(value.to_bytes((length + 7) // 8, "little"), dtype=np.uint8)
+        return BitVector(np.unpackbits(raw, count=length, bitorder="little"))
 
     def __len__(self) -> int:
         return int(self.bits.shape[0])
@@ -113,8 +112,7 @@ class BitVector:
         Returns ``(payload, bit_length)`` where ``bit_length`` counts the
         64 header bits plus one bit per position (byte padding excluded).
         """
-        packed = np.packbits(self.bits, bitorder="little").tobytes()
-        return struct.pack("<Q", len(self)) + packed, 64 + len(self)
+        return pack_bits(self.bits)
 
     @staticmethod
     def deserialize(buf: bytes, offset: int = 0) -> tuple["BitVector", int]:
@@ -136,6 +134,13 @@ class BitVector:
             raise MessageError("bit-vector padding bits are not zero")
         bits = np.unpackbits(raw, count=count, bitorder="little") if count else np.zeros(0, np.uint8)
         return BitVector(bits), offset + nbytes
+
+
+def pack_bits(bits: np.ndarray) -> tuple[bytes, int]:
+    """``BitVector.serialize`` of a one-dimensional 0/1 uint8 array, for a
+    caller whose own kernels made the bits and so need no 0/1 check."""
+    packed = np.packbits(bits, bitorder="little").tobytes()
+    return struct.pack("<Q", len(bits)) + packed, 64 + len(bits)
 
 
 def hamming(x: BitVector, y: BitVector) -> int:
@@ -195,7 +200,12 @@ class SharedRandomness:
 
     def substream(self, label: int) -> "SharedRandomness":
         mixed = _splitmix64((self.stream_id ^ ((label + 1) * _GOLDEN)) & MASK64)
-        return SharedRandomness(self.root_seed, mixed)
+        # both words are already below 2^64, so __post_init__'s masking is
+        # skipped: it was most of a substream's cost, and a trial takes several
+        child = object.__new__(SharedRandomness)
+        object.__setattr__(child, "root_seed", self.root_seed)
+        object.__setattr__(child, "stream_id", mixed)
+        return child
 
     def generator(self) -> np.random.Generator:
         """An independent generator at the start of this stream."""

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -72,6 +73,11 @@ class GhdParams:
     def code_len(self) -> int:
         return self.amp_factor * self.gamma
 
+    @cached_property
+    def exact_threshold(self) -> Fraction:
+        """``decision_threshold`` as the exact rational value of that float."""
+        return Fraction(decision_threshold(self))
+
 
 @lru_cache(maxsize=4)
 def public_pads(params: GhdParams, sr: SharedRandomness) -> np.ndarray:
@@ -116,9 +122,20 @@ def decision_threshold(params: GhdParams) -> float:
     return params.code_len / 2.0 - 1.5 * math.sqrt(params.code_len)
 
 
+def threshold_for(value, params: GhdParams):
+    """The decision threshold in the form ``value`` compares with cheapest.
+
+    Python compares a Fraction with a float exactly, but converts the float
+    to a Fraction on every comparison; a Fraction gets the threshold
+    converted once per ``GhdParams``, anything else the float. Every
+    comparison gives the same result either way.
+    """
+    return params.exact_threshold if isinstance(value, Fraction) else decision_threshold(params)
+
+
 def decode_bit(delta_estimate, params: GhdParams) -> int:
     """0 if the distance estimate clears the threshold, else 1."""
-    return 0 if delta_estimate >= decision_threshold(params) else 1
+    return 0 if delta_estimate >= threshold_for(delta_estimate, params) else 1
 
 
 def delta_from_sum_norm(sum_norm_sq, nnz_a, nnz_b):
@@ -153,11 +170,18 @@ def sample_sources(
     width = 4 * -(-length // 4)
     drawn = 2 * count + 8
     while True:
-        rows = sr.bit_matrix(drawn, width)[:, :length]
-        odd = rows[rows.sum(axis=1) % 2 == 1]
+        odd = _odd_rows(sr.bit_matrix(drawn, width)[:, :length])
         if odd.shape[0] >= count:
             return odd[:count]
         drawn *= 2
+
+
+def _odd_rows(rows: np.ndarray) -> np.ndarray:
+    """The odd-weight rows of a 0/1 uint8 matrix, in order.
+
+    A uint8 row sum wraps modulo 256, which keeps its parity.
+    """
+    return np.compress((rows @ np.ones(rows.shape[1], dtype=np.uint8)) & 1, rows, axis=0)
 
 
 def gap_statistics(

@@ -15,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import _kernels
 from . import ghd as ghd_mod
 from . import protocols as proto
 from .bits import (
@@ -113,12 +114,17 @@ def sample_instance(
     return BitVector(sample_sources(sr, pc.block_count - gamma, gamma, odd_weight).reshape(-1))
 
 
-def _queried_codewords(x, l, pc, sr) -> tuple[BitVector, BitVector]:
-    """Re-encode the queried block and Bob's column directly."""
+def _queried_codewords(x, l, pc, sr) -> tuple[np.ndarray, np.ndarray]:
+    """Re-encode the queried block and Bob's column directly, as 0/1 arrays.
+
+    The block goes through the per-block ``majority_rows`` kernel, not the
+    all-blocks one Alice uses, so the ground truth stays a second route.
+    """
     i, j = proto.decompose_index(l, pc.ghd.gamma)
     gamma = pc.ghd.gamma
-    block = BitVector(x.bits[(j - 1) * gamma : j * gamma])
-    return ghd_mod.encode_alice(block, pc.ghd, sr), ghd_mod.encode_bob(i, pc.ghd, sr)
+    pads = ghd_mod.public_pads(pc.ghd, sr)
+    selected = np.flatnonzero(x.bits[(j - 1) * gamma : j * gamma])
+    return _kernels.majority_rows(pads, selected), pads[:, i - 1]
 
 
 def run_trial(cfg: ExperimentConfig, pc: proto.ProtocolConfig, trial: int) -> dict:
@@ -133,7 +139,8 @@ def run_trial(cfg: ExperimentConfig, pc: proto.ProtocolConfig, trial: int) -> di
         rng=sr,
     )
 
-    record = {"trial": trial, "l": l, "x_l": x.bit(l)}
+    x_l = x.bit(l)
+    record = {"trial": trial, "l": l, "x_l": x_l}
     try:
         msg = proto.ALICE[cfg.protocol](x, pc, sr)
         msg = ProtocolMessage.from_wire(msg.to_wire())
@@ -145,11 +152,12 @@ def run_trial(cfg: ExperimentConfig, pc: proto.ProtocolConfig, trial: int) -> di
         )
         return record
 
-    delta_exact = hamming(*_queried_codewords(x, l, pc, sr))  # independent ground truth
+    a, b = _queried_codewords(x, l, pc, sr)
+    delta_exact = int(np.count_nonzero(a ^ b))  # independent ground truth
 
     record.update(
         bit=result.bit,
-        success=result.bit == x.bit(l),
+        success=result.bit == x_l,
         error=None,
         delta_exact=delta_exact,
         delta_estimate=float(result.delta_estimate),
@@ -339,7 +347,7 @@ def _dense_contraction_target(x, l, pc, sr, msg) -> Fraction:
 
 def _sum_norm_formula_target(x, l, pc, sr, msg) -> Fraction:
     a, b = _queried_codewords(x, l, pc, sr)
-    summed = a.bits.astype(np.int64) + b.bits.astype(np.int64)
+    summed = a.astype(np.int64) + b
     state, _ = ExactState.deserialize(msg.main_payload)
     return Fraction(2 * int(np.dot(summed, summed)) * (1 << (2 * pc.qubits)), state.norm_sq)
 
@@ -358,7 +366,7 @@ def _eigensolver_target(x, l, pc, sr, msg) -> float:
 
 def _scaled_distance_target(x, l, pc, sr, msg) -> Fraction:
     a, b = _queried_codewords(x, l, pc, sr)
-    return Fraction(-hamming(a, b), pc.ghd.code_len)
+    return Fraction(-int(np.count_nonzero(a ^ b)), pc.ghd.code_len)
 
 
 def _subset_state_target(x, l, pc, sr, msg) -> Fraction:

@@ -42,7 +42,12 @@ def operator_norm(matrix, max_iter: int = 20000) -> float:
         raise ValueError("operator norm path requires an exactly symmetric matrix")
     if not np.any(arr):
         return 0.0
+    return _power_norm(arr, max_iter)
 
+
+def _power_norm(arr: np.ndarray, max_iter: int = 20000) -> float:
+    """``operator_norm``'s iteration, for a caller that knows ``arr`` is a
+    nonzero, exactly symmetric, square float64 matrix."""
     dim = arr.shape[0]
     v = _start_vector(dim)
     restarts = None

@@ -34,18 +34,18 @@ from typing import Callable
 import numpy as np
 
 from . import oracle as oracle_mod
-from .bits import BitVector, SharedRandomness
+from .bits import BitVector, SharedRandomness, pack_bits
 from .fwht import fwht
 from .ghd import (
     GhdParams,
-    decision_threshold,
     decode_bit,
     delta_from_sum_norm,
     encode_bob,
     public_pads,
+    threshold_for,
 )
 from .messages import ByteReader, ByteWriter, MessageError, ProtocolMessage
-from .observables import operator_norm
+from .observables import _power_norm
 from .pauli import PauliMask, pauli_expectation
 from .states import ExactState, StateError, dense_wire_parts, exact_sq_sum
 from . import _kernels
@@ -275,7 +275,7 @@ def bob(
     # The reconstructed distance decreases in the estimate for every
     # protocol here, so pushing the ESTIMATE up drags the distance toward
     # a threshold sitting below it, and vice versa.
-    threshold = decision_threshold(cfg.ghd)
+    threshold = threshold_for(reading.delta, cfg.ghd)
     push = oracle_mod.PUSH_UP if reading.delta > threshold else oracle_mod.PUSH_DOWN
     est = oracle_mod.estimate(reading.target, oracle, push)
     # Exact estimates stay exact; a noisy float may undershoot zero and
@@ -490,9 +490,11 @@ def _encode_observable_general(a_rows, b_rows, cfg: ProtocolConfig) -> tuple:
     # is all zero only for an all-zero matrix
     weights = np.diagonal(gram32)
     if np.any(weights):
-        # both Gram sides share the nonzero spectrum; iterate on the smaller
+        # both Gram sides share the nonzero spectrum; iterate on the smaller.
+        # Either is nonzero and exactly symmetric (syrk mirrors one triangle),
+        # so operator_norm's checks are skipped
         small = gram if dim <= cfg.ghd.code_len else _gram(rows.T, "small")[1]
-        norm_fp = round(operator_norm(small) * (1 << NORM_FRAC_BITS))
+        norm_fp = round(_power_norm(small) * (1 << NORM_FRAC_BITS))
         quantized_norm = norm_fp / (1 << NORM_FRAC_BITS)
         # dividing by q * 2^-f rounds as round(gram / q * 2^f) does: scaling
         # by a power of two is exact
@@ -547,7 +549,7 @@ def _encode_observable_pauli(a_rows, b_rows, cfg: ProtocolConfig) -> tuple:
     # the Z-string IS the message; the x-mask is structurally zero here
     w = ByteWriter()
     w.put_u64(cfg.ghd.code_len)
-    return (*BitVector(z_bits).serialize(), w.getvalue(), w.bits)
+    return (*pack_bits(z_bits), w.getvalue(), w.bits)
 
 
 def _read_observable_pauli(msg, i: int, j: int, cfg: ProtocolConfig, sr) -> Reading:
@@ -569,8 +571,8 @@ def _read_observable_pauli(msg, i: int, j: int, cfg: ProtocolConfig, sr) -> Read
     blk_b = z[(col - 1) * code_len : col * code_len]
     dist = int(np.count_nonzero(blk_a ^ blk_b))
     marked = -1 if z[-1] else 1
-    target = Fraction(code_len - 2 * dist, 2 * code_len) + Fraction(marked * code_len, 2 * code_len)
-    return Reading(target, -code_len * target, 0, code_len)
+    num = code_len - 2 * dist + marked * code_len
+    return Reading(Fraction(num, 2 * code_len), Fraction(-num, 2), 0, code_len)
 
 
 def _state_blocks(n: int) -> int:

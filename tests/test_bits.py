@@ -56,6 +56,17 @@ class TestBitVector:
         with pytest.raises(ValueError):
             BitVector.from_int(-1, 4)
 
+    def test_from_int_round_trips_through_to_int(self):
+        rng = np.random.default_rng(5)
+        for length in (0, 1, 7, 8, 9, 13, 64, 65, 200):
+            for _ in range(20):
+                value = int.from_bytes(rng.bytes(32), "little") & ((1 << length) - 1)
+                v = BitVector.from_int(value, length)
+                assert len(v) == length and v.to_int() == value
+                assert v.bits.tolist() == [(value >> k) & 1 for k in range(length)]
+            with pytest.raises(ValueError):
+                BitVector.from_int(1 << length, length)
+
     def test_rejects_two_dimensional_bits(self):
         with pytest.raises(ValueError):
             BitVector(np.zeros((2, 2), dtype=np.uint8))
@@ -178,6 +189,33 @@ class TestSharedRandomness:
         assert SharedRandomness(-1, -2) == SharedRandomness(2**64 - 1, 2**64 - 2)
         wrapped = SharedRandomness(2**64 + 5).bit_matrix(2, 40)
         assert np.array_equal(wrapped, SharedRandomness(5).bit_matrix(2, 40))
+
+    @pytest.mark.parametrize(
+        "root,stream,label,expected",
+        [
+            (0, 0, 0, 7960286522194355700),
+            (9, 0, 3, 1961750202426094747),
+            (2**64 - 1, 2**64 - 1, 7, 10078564121556696136),
+            (1234, 5, 2**70, 10284945619046896904),
+        ],
+    )
+    def test_substream_ids_are_pinned(self, root, stream, label, expected):
+        child = SharedRandomness(root, stream).substream(label)
+        assert (child.root_seed, child.stream_id) == (root, expected)
+        # equal to, and hashed as, the same key built through the constructor
+        built = SharedRandomness(root, expected)
+        assert child == built and hash(child) == hash(built)
+
+    def test_nested_substreams_are_pinned(self):
+        child = SharedRandomness(7).substream(1).substream(4).substream(2)
+        assert child.stream_id == 7235899734078418837
+
+    def test_user_seeds_are_masked(self):
+        big = SharedRandomness(2**64 + 5, 2**65 + 3)
+        assert (big.root_seed, big.stream_id) == (5, 3)
+        negative = SharedRandomness(-1, -7)
+        assert (negative.root_seed, negative.stream_id) == (2**64 - 1, 2**64 - 7)
+        assert big.substream(2) == SharedRandomness(5, 3).substream(2)
 
     def test_bit_matrix_is_one_stream_in_row_order(self):
         sr = SharedRandomness(77).substream(3)

@@ -1,5 +1,6 @@
 """Majority gadget: encoders, threshold decoder, gap concentration."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -136,6 +137,19 @@ class TestDecoder:
             assert decode_bit(delta + shift, params) == base
             assert decode_bit(delta - shift, params) == base
 
+    @pytest.mark.parametrize("epsilon", [0.3, 0.5, 0.75])
+    def test_exact_and_float_estimates_decide_as_compared_with_the_float(self, epsilon):
+        params = GhdParams(epsilon=epsilon)
+        t = decision_threshold(params)
+        at = Fraction(t)
+        tiny = Fraction(1, 1 << 80)
+        values = [at - tiny, at, at + tiny, math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf)]
+        values += [Fraction(math.floor(t)), Fraction(math.ceil(t)), math.floor(t), math.ceil(t)]
+        for value in values:
+            # Python compares a Fraction with a float exactly
+            assert decode_bit(value, params) == (0 if value >= t else 1), value
+        assert decode_bit(at - tiny, params) == 1 and decode_bit(at, params) == 0
+
 
 class TestDistanceFromSumNorm:
     def test_hand_example(self):
@@ -191,6 +205,27 @@ class TestSampleSources:
                 bulk = sample_sources(sr, count, length, True)
                 assert bulk.shape == (count, length) and bulk.dtype == np.uint8
                 assert np.array_equal(bulk, rejection_rows(sr.generator(), count, length))
+
+    def test_odd_weight_rows_match_the_sum_and_mask_filter(self):
+        # the filter as first written, on the same draws; lengths past 255
+        # make the uint8 parity sum wrap
+        def summed_filter(sr, count, length):
+            width = 4 * -(-length // 4)
+            drawn = 2 * count + 8
+            while True:
+                rows = sr.bit_matrix(drawn, width)[:, :length]
+                odd = rows[rows.sum(axis=1) % 2 == 1]
+                if odd.shape[0] >= count:
+                    return odd[:count]
+                drawn *= 2
+
+        for length in [*range(1, 41), 255, 256, 257, 300, 513]:
+            for count in (1, 5, 244):
+                for seed in range(4):
+                    sr = SharedRandomness(7919 * length + 31 * count + seed)
+                    assert np.array_equal(
+                        sample_sources(sr, count, length, True), summed_filter(sr, count, length)
+                    )
 
     def test_unrestricted_rows_are_one_flat_draw(self):
         sr = SharedRandomness(31)

@@ -4,13 +4,17 @@ import math
 
 import pytest
 
+from gapcomm.bits import STREAM_INDEX, STREAM_INSTANCE, BitVector, SharedRandomness, hamming
+from gapcomm.ghd import encode_alice, encode_bob
 from gapcomm.harness import (
     ExperimentConfig,
     run_experiment,
+    run_trial,
+    sample_instance,
     verify_suite,
     wilson95,
 )
-from gapcomm.protocols import ConfigError
+from gapcomm.protocols import ConfigError, decompose_index
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -67,6 +71,27 @@ class TestDeterminism:
         a = run_experiment(small_config(root_seed=1, trials=40))
         b = run_experiment(small_config(root_seed=2, trials=40))
         assert a.to_json() != b.to_json()
+
+
+class TestGroundTruth:
+    @pytest.mark.parametrize("sampling", ["odd-weight", "unrestricted"])
+    @pytest.mark.parametrize("protocol,qubits,epsilon", [("observable-pauli", 256, 0.3), ("pauli-state", 8, 0.5)])
+    def test_delta_exact_is_the_bit_vector_distance(self, protocol, qubits, epsilon, sampling):
+        cfg = small_config(protocol=protocol, qubits=qubits, epsilon=epsilon, sampling=sampling)
+        pc = cfg.protocol_config()
+        gamma = pc.ghd.gamma
+        for trial in range(40):
+            record = run_trial(cfg, pc, trial)
+            # the codewords re-derived as first written: bit vectors from
+            # encode_alice and encode_bob on the trial's own draws
+            sr = SharedRandomness(cfg.root_seed).substream(trial)
+            x = sample_instance(sr.substream(STREAM_INSTANCE), pc, sampling == "odd-weight")
+            l = sr.substream(STREAM_INDEX).integer(1, pc.capacity + 1)
+            i, j = decompose_index(l, gamma)
+            a = encode_alice(BitVector(x.bits[(j - 1) * gamma : j * gamma]), pc.ghd, sr)
+            b = encode_bob(i, pc.ghd, sr)
+            assert record["l"] == l
+            assert record["delta_exact"] == hamming(a, b)
 
 
 class TestReports:

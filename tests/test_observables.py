@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from gapcomm.bits import DimensionError
-from gapcomm.observables import NumericError, operator_norm
+from gapcomm.observables import NumericError, _power_norm, operator_norm
 
 
 class TestOperatorNorm:
@@ -150,3 +150,5 @@ class TestRestart:
             mats += [a + a.T, rows @ rows.T, rows.T @ rows]
         for arr in mats:
             assert operator_norm(arr) == reference_operator_norm(arr)
+            # the unchecked iteration that Alice's encoder calls
+            assert _power_norm(arr) == reference_operator_norm(arr)

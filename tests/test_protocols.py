@@ -1,5 +1,6 @@
 """Protocol encoders/decoders against brute-force constructions."""
 import copy
+import dataclasses
 import math
 import pickle
 import struct
@@ -14,11 +15,11 @@ import pytest
 import gapcomm.protocols as proto
 from gapcomm import _kernels
 from gapcomm.bits import STREAM_INDEX, STREAM_INSTANCE, BitVector, SharedRandomness, hamming
-from gapcomm.ghd import GhdParams, encode_alice, encode_bob, public_pads
+from gapcomm.ghd import GhdParams, decision_threshold, encode_alice, encode_bob, public_pads
 from gapcomm.harness import _subset_state_target, sample_instance
 from gapcomm.messages import ByteWriter, MessageError, ProtocolMessage
 from gapcomm.observables import operator_norm
-from gapcomm.oracle import OracleSpec
+from gapcomm.oracle import PUSH_DOWN, PUSH_UP, OracleSpec
 from gapcomm.pauli import PauliMask
 from gapcomm.states import ExactState, StateError, dense_wire_parts
 
@@ -813,6 +814,28 @@ class TestAdversarialBudget:
             res = proto.BOB[kind](msg, l, pc, sr, spec)
             a, b, _, _ = queried_codewords(x, l, pc, sr)
             assert abs(float(res.delta_estimate) - hamming(a, b)) <= budget + 1e-9
+
+
+class TestBobThreshold:
+    @pytest.mark.parametrize("epsilon", [0.5, 0.75])
+    def test_push_and_bit_for_distances_around_the_threshold(self, monkeypatch, epsilon):
+        # a reader that reports a chosen distance and the target 0, so Bob's
+        # push and threshold comparisons see that distance, exact or float
+        pc = make_config("observable-pauli", 64, epsilon)
+        sr, x, l = draw_instance(pc, 76)
+        msg = proto.ALICE["observable-pauli"](x, pc, sr)
+        t = decision_threshold(pc.ghd)
+        at, tiny = Fraction(t), Fraction(1, 1 << 80)
+        values = [at - tiny, at, at + tiny, math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf)]
+        for delta in values:
+            reading = proto.Reading(Fraction(0), delta, delta, 1)
+            spec = dataclasses.replace(proto.SPECS["observable-pauli"], read=lambda *args: reading)
+            monkeypatch.setitem(proto.SPECS, "observable-pauli", spec)
+            res = proto.BOB["observable-pauli"](msg, l, pc, sr, OracleSpec())
+            # the exact oracle returns the target, so the estimate is delta itself
+            assert res.delta_estimate == delta
+            assert res.push == (PUSH_UP if delta > t else PUSH_DOWN), delta
+            assert res.bit == (0 if delta >= t else 1), delta
 
 
 class TestBobValidation:

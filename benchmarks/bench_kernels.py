@@ -30,7 +30,7 @@ from gapcomm import harness
 from gapcomm import protocols as proto
 from gapcomm.bits import STREAM_INDEX, STREAM_INSTANCE, BitVector, SharedRandomness, hamming
 from gapcomm.ghd import GhdParams, sample_sources
-from gapcomm.states import exact_sq_sum
+from gapcomm.states import dense_wire_parts, exact_sq_sum
 
 
 def best_of(fn, *args, reps: int = 7) -> float:
@@ -118,6 +118,13 @@ def main() -> None:
     # (46080 amplitudes), then a zero tail the norm check proves and skips
     amps[46080:] = 0
     row("exact_sq_sum 2^18 unaligned, general-state layout", exact_sq_sum, wire_view(amps))
+    # Alice's side of that layout: the occupied 0/1 prefix, as uint8 rows the
+    # encoder stacks, written as wire parts; its squared norm is its weight
+    occupied = amps[:46080].astype(np.uint8)
+    row(
+        "dense_wire_parts general-state n=12",
+        lambda: dense_wire_parts(occupied, 18, int(np.count_nonzero(occupied))),
+    )
 
     # one general-state n=12 message at epsilon 0.3, written by Alice and
     # joined into its 2 MiB wire: the page faults count the fresh buffers

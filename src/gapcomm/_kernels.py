@@ -25,12 +25,24 @@ def factor_qubits(qubits: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def hadamard_factor(qubits: int, dtype) -> np.ndarray:
-    """Read-only character matrix H[k, y] = (-1)^popcount(k & y) of one factor."""
+def hadamard_factor(qubits: int) -> np.ndarray:
+    """Read-only float64 character matrix H[k, y] = (-1)^popcount(k & y) of one factor."""
     idx = np.arange(1 << qubits, dtype=np.uint64)
-    h = (1 - 2 * parity_u64(idx[:, None] & idx)).astype(dtype)
+    h = (1 - 2 * parity_u64(idx[:, None] & idx)).astype(np.float64)
     h.setflags(write=False)
     return h
+
+
+# One entry per (factor bits, z part): at most 2^7 parts of each of 7 factor
+# sizes, 1 KiB each, so the cache stays bounded without an eviction limit.
+@lru_cache(maxsize=None)
+def sign_row(qubits: int, z_part: int) -> np.ndarray:
+    """Read-only int64 row z_part of one factor's character matrix:
+    s[y] = (-1)^popcount(z_part & y), built without the matrix."""
+    idx = np.arange(1 << qubits, dtype=np.uint64)
+    row = (1 - 2 * parity_u64(idx & np.uint64(z_part))).astype(np.int64)
+    row.setflags(write=False)
+    return row
 
 
 def fwht(vec: np.ndarray) -> np.ndarray:
@@ -56,7 +68,7 @@ def _fwht_float(arr: np.ndarray, qubits: int) -> np.ndarray:
     # one pass per factor the axes are back in their first order
     t = arr.astype(np.float64)
     for bits in factor_qubits(qubits):
-        t = (t.reshape(-1, 1 << bits) @ hadamard_factor(bits, np.float64)).T
+        t = (t.reshape(-1, 1 << bits) @ hadamard_factor(bits)).T
     return t.astype(np.int64, order="C").reshape(-1)
 
 
@@ -106,7 +118,7 @@ def pauli_quad(nums: np.ndarray, z_mask: int, x_mask: int) -> int:
     w = v * partner
     shift = 0
     for bits in reversed(parts):
-        w = w @ hadamard_factor(bits, np.int64)[(z_mask >> shift) & ((1 << bits) - 1)]
+        w = w @ sign_row(bits, (z_mask >> shift) & ((1 << bits) - 1))
         shift += bits
     return int(w)
 

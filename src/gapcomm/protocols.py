@@ -40,7 +40,6 @@ from .ghd import (
     GhdParams,
     decode_bit,
     delta_from_sum_norm,
-    encode_bob,
     public_pads,
     threshold_for,
 )
@@ -325,7 +324,8 @@ def _read_state(msg, j: int, cfg: ProtocolConfig) -> tuple[ExactState, int]:
 
 def _sum_norm_reading(target, rescale, nnz_a: int, i: int, cfg, sr) -> Reading:
     """``target`` is ||a^j + b^i||^2 / rescale; distance = 2 nnz_a + 2 nnz_b - ||a+b||^2."""
-    nnz_b = encode_bob(i, cfg.ghd, sr).nnz
+    # Bob's codeword b^i is pad column i (in range: i comes from a checked index)
+    nnz_b = int(np.count_nonzero(public_pads(cfg.ghd, sr)[:, i - 1]))
     delta = delta_from_sum_norm(target * rescale, nnz_a, nnz_b)
     return Reading(target, delta, 2 * nnz_a + 2 * nnz_b, rescale)
 
@@ -339,11 +339,13 @@ def _sum_norm_reading(target, rescale, nnz_a: int, i: int, cfg, sr) -> Reading:
 
 def _encode_stacked(occupied: np.ndarray, a_rows: np.ndarray, cfg: ProtocolConfig) -> tuple:
     # the stacked state is ``occupied`` padded with zeros; its wire parts are
-    # written straight from the occupied prefix, never as a full array
-    if not occupied.any():
+    # written straight from the occupied prefix, never as a full array. A 0/1
+    # vector's squared norm is its weight.
+    norm_sq = int(np.count_nonzero(occupied))
+    if norm_sq == 0:
         raise ProtocolError("all-zero instance produced the zero vector")
-    parts, bits, total = dense_wire_parts(occupied, _stacked_qubits(cfg))
-    return (parts, bits, *_write_weight_side(total, a_rows.sum(axis=1)))
+    parts, bits = dense_wire_parts(occupied, _stacked_qubits(cfg), norm_sq)
+    return (parts, bits, *_write_weight_side(norm_sq, a_rows.sum(axis=1)))
 
 
 def _encode_general_state(a_rows, b_rows, cfg: ProtocolConfig) -> tuple:
@@ -399,11 +401,11 @@ def _encode_inner_product(a_rows, b_rows, cfg: ProtocolConfig) -> tuple:
 
 def _read_inner_product(msg, i: int, j: int, cfg: ProtocolConfig, sr) -> Reading:
     state, blk_a, nnz_a = _read_stacked(msg, j, cfg)
-    b = encode_bob(i, cfg.ghd, sr)
-    own_norm = b.nnz
+    b = public_pads(cfg.ghd, sr)[:, i - 1]
+    own_norm = int(np.count_nonzero(b))
     if own_norm == 0:
         raise ProtocolError("Bob's codeword is the zero vector")
-    cross = int(np.dot(blk_a, b.bits.astype(np.int64)))
+    cross = int(np.dot(blk_a, b.astype(np.int64)))
     scale = math.sqrt(state.norm_sq * own_norm)
     return Reading(cross / scale, nnz_a + own_norm - 2 * cross, nnz_a + own_norm, 2.0 * scale)
 
@@ -434,7 +436,10 @@ def _encode_pauli_state(a_rows, b_rows, cfg: ProtocolConfig) -> tuple:
     # amplitudes by 2^n keeps the whole state integral.
     tilde_v = fwht(stacked)
     numerators = np.concatenate([tilde_v, np.full(dim, dim, dtype=np.int64)])
-    parts, bits, norm_sq = dense_wire_parts(numerators, n + 1)
+    # Parseval: the unnormalized transform scales squared norms by dim, and
+    # the flat half adds dim entries of dim^2
+    norm_sq = dim * (exact_sq_sum(norms) + dim * dim)
+    parts, bits = dense_wire_parts(numerators, n + 1, norm_sq)
     return (parts, bits, *_write_weight_side(norm_sq, nnz_a))
 
 

@@ -37,27 +37,38 @@ def exact_sq_sum(values: np.ndarray) -> int:
 
     A stacked state is nonzero only in a prefix. When the length is a
     whole number of chunks and the last ``TAIL_CHUNK`` entries are zero
-    (the last entry is tested first, in O(1)), one OR pass over the chunks
-    proves every chunk after the last nonzero one zero, and only the
-    entries up to there are squared. Every entry is still read, so the sum
+    (the last entry is tested first, in O(1)), one ``max`` per chunk over
+    the array's bytes proves every chunk after the last nonzero one zero,
+    and only the entries up to there are squared. The test is bytewise, so
+    it reads an unaligned view (such as amplitudes at byte 30 of a wire
+    buffer) as fast as an aligned one. Every entry is still read, so the sum
     stays exact on hostile input. Any other array is squared whole: with a
     nonzero last chunk, or a remainder past the last full chunk, there
     would be nothing to cut.
 
-    ``einsum`` reads unaligned views (such as amplitudes at an odd offset
-    of a wire buffer) through a small buffer; ``np.dot`` would copy them.
+    The headroom bound is the OR of the entries: when it is nonnegative so
+    is every entry, and it has the largest entry's bit length. An OR of 0
+    or 1 means every entry is 0 or 1, which are their own squares.
+
+    ``einsum`` reads unaligned views through a small buffer; ``np.dot``
+    would copy them.
     """
     arr = np.ascontiguousarray(values, dtype=np.int64)
     if arr.size == 0:
         return 0
     if arr[-1] == 0 and arr.size % TAIL_CHUNK == 0 and not arr[-TAIL_CHUNK:].any():
-        chunk_or = np.bitwise_or.reduce(arr.reshape(-1, TAIL_CHUNK), axis=1)
-        occupied = np.flatnonzero(chunk_or)
+        chunk_max = arr.view(np.uint8).reshape(-1, 8 * TAIL_CHUNK).max(axis=1)
+        occupied = np.flatnonzero(chunk_max)
         if occupied.size == 0:
             return 0
         arr = arr[: (int(occupied[-1]) + 1) * TAIL_CHUNK]
+    bound = int(np.bitwise_or.reduce(arr))
+    if bound < 0:
+        bound = abs_bound(arr)
+    elif bound <= 1:
+        return int(arr.sum())
     # safe int64 accumulation: len * max^2 < 2^62
-    if 2 * abs_bound(arr).bit_length() + arr.size.bit_length() < 62:
+    if 2 * bound.bit_length() + arr.size.bit_length() < 62:
         return int(np.einsum("i,i->", arr, arr))
     return int(sum(int(v) * int(v) for v in arr))
 
@@ -75,15 +86,17 @@ def _zeros(nbytes: int) -> bytes:
     return bytes(nbytes)
 
 
-def dense_wire_parts(prefix, qubits: int) -> tuple[tuple, int, int]:
+def dense_wire_parts(prefix, qubits: int, norm_sq: int) -> tuple[tuple, int]:
     """The dense wire form of a state on ``qubits`` qubits whose amplitudes
     past ``prefix`` are all zero, written without building the full array.
 
-    Returns ``(parts, bits, norm_sq)``. The parts are the 10-byte header, a
+    Returns ``(parts, bits)``. The parts are the 10-byte header, a
     memoryview over the prefix as little-endian int64 (no copy when it
     already is one) and a shared zero tail; joined, they are the payload
     ``ExactState.serialize`` writes for the padded state, of ``bits`` bits.
-    ``norm_sq`` is summed over the prefix alone, since the zeros add nothing.
+    ``norm_sq`` is the prefix's sum of squares, which the caller knows
+    without summing (a 0/1 prefix's weight, say); it is not checked here,
+    since Bob's ``deserialize`` checks it against every amplitude.
     """
     if not 1 <= qubits <= 255:
         raise StateError("qubit count outside the wire format's 1..255")
@@ -91,14 +104,13 @@ def dense_wire_parts(prefix, qubits: int) -> tuple[tuple, int, int]:
     dim = 1 << qubits
     if arr.ndim != 1 or arr.shape[0] > dim:
         raise StateError(f"dense prefix of shape {arr.shape} does not fit {dim} amplitudes")
-    norm_sq = exact_sq_sum(arr)
     if norm_sq == 0:
         raise StateError("state must be nonzero")
     if norm_sq >> 64:
         raise StateError("norm_sq too large for the wire format")
     header = struct.pack("<BBQ", 0, qubits, norm_sq)
     parts = (header, memoryview(arr).cast("B"), _zeros(8 * (dim - arr.shape[0])))
-    return parts, 8 + 8 + 64 + 64 * dim, norm_sq
+    return parts, 8 + 8 + 64 + 64 * dim
 
 
 # Passed as ``norm_sq`` by ``ExactState.dense``: the squared norm is then the
@@ -169,7 +181,7 @@ class ExactState:
     # All integers little-endian.
 
     def serialize(self) -> tuple[bytes, int]:
-        parts, bits, _ = dense_wire_parts(self.numerators, self.qubits)
+        parts, bits = dense_wire_parts(self.numerators, self.qubits, self.norm_sq)
         return b"".join(parts), bits
 
     @staticmethod

@@ -21,7 +21,7 @@ from gapcomm.messages import ByteWriter, MessageError, ProtocolMessage
 from gapcomm.observables import operator_norm
 from gapcomm.oracle import PUSH_DOWN, PUSH_UP, OracleSpec
 from gapcomm.pauli import PauliMask
-from gapcomm.states import ExactState, StateError, dense_wire_parts
+from gapcomm.states import TAIL_CHUNK, ExactState, StateError, dense_wire_parts
 
 
 def make_config(kind, qubits, epsilon, **kw) -> proto.ProtocolConfig:
@@ -310,20 +310,70 @@ class TestDenseWireParts:
         res = proto.BOB["inner-product"](msg, l, pc, sr, OracleSpec())
         assert res == proto.BOB["inner-product"](wired, l, pc, sr, OracleSpec())
 
+    @pytest.mark.parametrize("kind", ["general-state", "inner-product", "pauli-state"])
+    @pytest.mark.parametrize("odd", [True, False])
+    def test_header_norm_is_the_sum_of_squares(self, kind, odd):
+        # Alice takes her norm from her own weights (stacked kinds) or by
+        # Parseval (pauli-state); both header fields must be the plain sum
+        for qubits, epsilon in [(6, 0.5), (8, 0.4), (12, 0.3)]:
+            pc = make_config(kind, qubits, epsilon)
+            sr, x, _ = draw_instance(pc, 84, odd)
+            msg = proto.ALICE[kind](x, pc, sr)
+            amps = np.frombuffer(msg.main_payload, dtype="<i8", offset=10)
+            reference = sum(int(v) ** 2 for v in amps[np.flatnonzero(amps)])
+            assert struct.unpack_from("<Q", msg.main_payload, 2)[0] == reference
+            assert struct.unpack_from("<Q", msg.side_payload)[0] == reference
+
+    @pytest.mark.parametrize("kind", ["general-state", "inner-product"])
+    def test_bob_reads_the_norm_of_an_amplitude_planted_in_the_zero_tail(self, kind):
+        # a hostile stacked state with one amplitude in its zero tail and both
+        # norm fields fixed up: the norm check must count it, wherever its
+        # nonzero bytes sit
+        pc = make_config(kind, 10, 0.5)
+        sr, x, l = draw_instance(pc, 85)
+        msg = proto.ALICE[kind](x, pc, sr)
+        i, j = proto.decompose_index(l, pc.ghd.gamma)
+        honest = proto.SPECS[kind].read(msg, i, j, pc, sr)
+        amps = np.frombuffer(msg.main_payload, dtype="<i8", offset=10)
+        tail = int(np.flatnonzero(amps)[-1]) + 1
+        dim = amps.size
+        planted = [
+            (tail, 1),  # byte 0, in the chunk the prefix ends in
+            (tail + TAIL_CHUNK, 1 << 8),  # byte 1
+            ((tail + dim) // 2, 1 << 16),  # byte 2
+            (dim - TAIL_CHUNK - 1, 1 << 24),  # byte 3, last entry of its chunk
+            (dim - TAIL_CHUNK // 2, -1),  # every byte, in the last chunk
+            (dim - 1, -(1 << 31)),  # bytes 3-7, the last entry
+        ]
+        own_norm = int(np.count_nonzero(public_pads(pc.ghd, sr)[:, i - 1]))
+        for index, value in planted:
+            bad = amps.copy()
+            bad[index] = value
+            norm_sq = sum(int(v) ** 2 for v in bad[np.flatnonzero(bad)])
+            main = msg.main_payload[:2] + struct.pack("<Q", norm_sq) + bad.tobytes()
+            side = struct.pack("<Q", norm_sq) + msg.side_payload[8:]
+            wire = ProtocolMessage(kind, main, msg.main_bits, side, msg.side_bits).to_wire()
+            reading = proto.SPECS[kind].read(ProtocolMessage.from_wire(wire), i, j, pc, sr)
+            assert reading.delta == honest.delta
+            if kind == "general-state":
+                assert reading.rescale == 2 * norm_sq, index
+            else:
+                assert reading.rescale == 2.0 * math.sqrt(norm_sq * own_norm), index
+
     def test_writer_rejects_a_prefix_longer_than_the_state(self):
         with pytest.raises(StateError, match="does not fit"):
-            dense_wire_parts(np.ones(9, dtype=np.int64), 3)
+            dense_wire_parts(np.ones(9, dtype=np.int64), 3, 9)
 
     @pytest.mark.parametrize("prefix", [np.zeros(5, dtype=np.int64), np.zeros(0, dtype=np.int64)])
     def test_writer_rejects_an_all_zero_prefix(self, prefix):
         with pytest.raises(StateError, match="nonzero"):
-            dense_wire_parts(prefix, 3)
+            dense_wire_parts(prefix, 3, 0)
 
     def test_writer_keeps_the_wire_limits(self):
         with pytest.raises(StateError, match="norm_sq too large"):
-            dense_wire_parts(np.full(4, 1 << 31, dtype=np.int64), 2)
+            dense_wire_parts(np.full(4, 1 << 31, dtype=np.int64), 2, 4 << 62)
         with pytest.raises(StateError, match="qubit count"):
-            dense_wire_parts(np.ones(1, dtype=np.int64), 256)
+            dense_wire_parts(np.ones(1, dtype=np.int64), 256, 1)
 
 
 class TestPauliState:

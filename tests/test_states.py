@@ -8,11 +8,13 @@ import gapcomm.states as states_mod
 from gapcomm.states import TAIL_CHUNK, ExactState, StateError, abs_bound, exact_sq_sum
 
 
-def unaligned_view(arr: np.ndarray) -> np.ndarray:
-    """``arr`` as a read-only int64 view at byte offset 30 of a bytes object,
-    where the amplitudes of a dense message sit on the wire."""
-    view = np.frombuffer(bytes(30) + arr.astype("<i8").tobytes(), dtype="<i8", offset=30)
-    assert not view.flags.aligned
+def unaligned_view(arr: np.ndarray, offset: int = 30) -> np.ndarray:
+    """``arr`` as a read-only int64 view at byte ``offset`` of a bytes object;
+    the default, 30, is where the amplitudes of a dense message sit on the
+    wire. A bytes object's data is 8-byte aligned, so the view is aligned
+    exactly when ``offset`` is a multiple of 8."""
+    view = np.frombuffer(bytes(offset) + arr.astype("<i8").tobytes(), dtype="<i8", offset=offset)
+    assert view.flags.aligned == (offset % 8 == 0)
     return view
 
 
@@ -119,17 +121,49 @@ class TestExactSqSum:
             arr[occupied - 1] = 3  # the last occupied amplitude is nonzero
         reference = sum(int(v) ** 2 for v in arr)
         assert exact_sq_sum(arr) == reference
-        assert exact_sq_sum(unaligned_view(arr)) == reference
+        for offset in range(8):
+            assert exact_sq_sum(unaligned_view(arr, offset)) == reference, offset
 
-    @pytest.mark.parametrize("value", [12345, np.iinfo(np.int64).min])
+    @pytest.mark.parametrize("value", [12345, 1 << 40, np.iinfo(np.int64).min])
     def test_one_amplitude_deep_in_the_tail_is_counted(self, value):
+        # the prefix is 0/1, so only the planted value lifts the OR bound;
         # -2**63 squared overflows int64, so it must reach the big-int sum
         arr = np.zeros(8 * TAIL_CHUNK, dtype=np.int64)
         arr[:100] = 1
         arr[6 * TAIL_CHUNK + 17] = value
         reference = 100 + int(value) ** 2
         assert exact_sq_sum(arr) == reference
-        assert exact_sq_sum(unaligned_view(arr)) == reference
+        for offset in range(8):
+            assert exact_sq_sum(unaligned_view(arr, offset)) == reference, offset
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0, 1, 1, 0, 1],  # all 0/1: the sum is the weight
+            [0, 0, 0],
+            [1, 0, 2, 1],  # a single 2 lifts the bound past the 0/1 sum
+            [1, -1, 0, 1],  # negative: the OR is negative, so abs_bound bounds
+            [3, -5, 7, 0],
+            [1, np.iinfo(np.int64).min, 0],
+            [np.iinfo(np.int64).max, 1],
+            [1 << 31, 1, 0],  # past the int64 headroom
+            [(1 << 31) - 1, -(1 << 31), 5],
+            [1 << 40, 3, (1 << 40) + 1],
+        ],
+    )
+    def test_or_bound_matches_python_reference(self, values):
+        reference = sum(int(v) ** 2 for v in values)
+        for arr in (np.array(values, dtype=np.int64), np.tile(np.array(values, dtype=np.int64), 1000)):
+            scale = arr.size // len(values)
+            assert exact_sq_sum(arr) == scale * reference
+            assert exact_sq_sum(unaligned_view(arr)) == scale * reference
+
+    def test_zero_one_prefix_with_a_zero_tail_sums_its_weight(self):
+        arr = np.zeros(4 * TAIL_CHUNK, dtype=np.int64)
+        arr[: 2 * TAIL_CHUNK + 5] = np.random.default_rng(3).integers(0, 2, size=2 * TAIL_CHUNK + 5)
+        arr[2 * TAIL_CHUNK + 4] = 1
+        for offset in range(8):
+            assert exact_sq_sum(unaligned_view(arr, offset)) == int(arr.sum()), offset
 
     def test_abs_bound_does_not_wrap_at_the_int64_minimum(self):
         arr = np.array([5, np.iinfo(np.int64).min], dtype=np.int64)

@@ -43,6 +43,7 @@ import numpy as np
 import pytest
 
 import gapcomm.protocols as proto
+from gapcomm import _kernels
 from gapcomm.bits import STREAM_INDEX, STREAM_INSTANCE, SharedRandomness
 from gapcomm.ghd import GhdParams
 from gapcomm.harness import sample_instance
@@ -136,6 +137,18 @@ def test_mutated_wire_raises_only_message_error_and_allocates_little(kind):
     assert accepted["truncate"] == accepted["extend"] == accepted["header"] == 0
     assert (accepted["main"] == 0) == DETECTS_MAIN_FLIPS[kind]
     assert (accepted["side"] == 0) == DETECTS_SIDE_FLIPS[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(CASES))
+def test_honest_message_decodes_within_the_bound_on_cold_kernel_caches(kind):
+    # the kernels' caches are built on first use, which may fall inside
+    # Bob's traced decode: what they hold must fit the fixed allowance
+    msg, l, pc, sr = honest_message(kind, *CASES[kind])
+    wire = msg.to_wire()
+    for cached in vars(_kernels).values():
+        if hasattr(cached, "cache_clear"):
+            cached.cache_clear()
+    assert accepted_by_bob(wire, kind, l, pc, sr)
 
 
 def test_mutated_shadow_wire_raises_only_message_error_and_allocates_little():

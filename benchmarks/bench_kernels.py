@@ -91,9 +91,9 @@ def main() -> None:
     # pauli-state n=12 transforms a sum-norm table: entries 0..4 * 720
     vec = rng.integers(-2880, 2881, size=1 << 12).astype(np.int64)
     row("walsh-hadamard transform 2^12, |v| <= 2880", _kernels.fwht, vec)
-    # 43-bit entries: 43 + 12 > 53 bits, so the int64 butterflies run
+    # 43-bit entries: 43 + 12 > 53 bits, so two float64 limbs of 41 bits run
     vec = rng.integers(-(1 << 42), 1 << 42, size=1 << 12).astype(np.int64)
-    row("walsh-hadamard transform 2^12, butterfly fallback", _kernels.fwht, vec)
+    row("walsh-hadamard transform 2^12, two limbs", _kernels.fwht, vec)
 
     for n in (13, 17):
         nums = rng.integers(-500, 500, size=1 << n).astype(np.int64)
@@ -104,6 +104,18 @@ def main() -> None:
     nums = rng.integers(-500, 500, size=1 << 13).astype(np.int64)
     z = int(rng.integers(0, 1 << 12))
     row("mask quadratic form 2^13, x = 2^12", _kernels.pauli_quad, nums, z, 1 << 12)
+    # 24-bit entries: 2 * 24 + 18 > 63 bits, so two limbs of 22 bits run
+    nums = rng.integers(-(1 << 23), 1 << 23, size=1 << 17).astype(np.int64)
+    z = int(rng.integers(0, 1 << 16))
+    row("mask quadratic form 2^17, 24-bit entries", _kernels.pauli_quad, nums, z, 1 << 16)
+
+    # wide entries: chunks of the sum of squares split into limbs (two at 40
+    # bits, three at 63)
+    for bits in (40, 63):
+        top = (1 << (bits - 1)) - 1
+        amps = rng.integers(-top, top, size=1 << 18, endpoint=True).astype(np.int64)
+        amps[0] = -(1 << (bits - 1))
+        row(f"exact_sq_sum 2^18, {bits}-bit entries", exact_sq_sum, amps)
 
     # a dense general-state n=12 message read in place: its amplitudes sit
     # at byte offset 30 of the wire, so the int64 view is unaligned

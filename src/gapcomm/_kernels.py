@@ -1,19 +1,77 @@
-"""Hot numeric kernels, vectorized in numpy.
-
-``benchmarks/bench_kernels.py`` times each of them on protocol-scale inputs.
-"""
+"""Hot numeric kernels, vectorized in numpy; the exact ones run on ``limbs``.
+``benchmarks/bench_kernels.py`` times each of them on protocol-scale inputs."""
 from __future__ import annotations
 
 from functools import lru_cache
 
 import numpy as np
 
-from .states import abs_bound
-
 # Largest Walsh-Hadamard factor, in qubits: a 2^7 x 2^7 float64 matrix is 128 KiB.
 MAX_FACTOR_QUBITS = 7
-# Integers of up to this many bits are exact in float64.
+# Integers up to 2^53 in size are exact in float64; below 2^63, in int64.
 FLOAT64_EXACT_BITS = 53
+INT64_BITS = 63
+# Entries per chunk when ``sq_sum`` splits a wide array into limbs.
+LIMB_CHUNK = 1024
+
+
+def abs_bound(values: np.ndarray) -> int:
+    """Largest |entry| as a Python int, from ``max``/``min``: no ``abs``
+    temporary, and -2**63 gives 2**63 where ``np.abs`` would wrap."""
+    if values.size == 0:
+        return 0
+    return max(int(values.max()), -int(values.min()))
+
+
+def limbs(arr: np.ndarray, bound: int, width: int) -> list[np.ndarray]:
+    """``arr`` == sum(limb_s << (width * s)), given ``bound`` >= every |arr[i]|.
+
+    Every limb but the signed top one lies in [0, 2^width), so none exceeds
+    2^width in size; an ``arr`` below 2^width is its own single limb, uncopied.
+    """
+    if bound.bit_length() <= width:
+        return [arr]
+    count, low = -(-bound.bit_length() // width), (1 << width) - 1
+    return [(arr >> (width * s)) & low for s in range(count - 1)] + [arr >> (width * (count - 1))]
+
+
+def product_width(count: int) -> int:
+    """Limb width at which an int64 sum of ``count`` limb products is exact."""
+    return (INT64_BITS - count.bit_length()) // 2
+
+
+def product_form(form, arr: np.ndarray, bound: int) -> int:
+    """``form(arr, arr)`` exactly, for an int64 kernel ``form(u, v)`` linear in
+    each argument whose partial sums are signed subset sums of len(arr) products
+    u[i] * v[j]. It runs on every ordered pair of limbs (``form`` need not be
+    symmetric), and the results add up as Python ints."""
+    width = product_width(arr.size)
+    parts = limbs(arr, bound, width)
+    if len(parts) == 1:
+        return form(arr, arr)
+    return sum(
+        form(u, v) << (width * (s + t)) for s, u in enumerate(parts) for t, v in enumerate(parts)
+    )
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> int:
+    # einsum reads unaligned views through a small buffer; np.dot would copy them
+    return int(np.einsum("i,i->", u, v))
+
+
+def sq_sum(arr: np.ndarray, bound: int) -> int:
+    """Exact sum of squares of an int64 array, given ``bound`` >= every |entry|.
+
+    An array too wide for one limb goes in chunks, halved until ``bound`` fits
+    one limb or down to ``LIMB_CHUNK``, each split by its own bound: one large
+    hostile entry splits only its chunk, into small limbs."""
+    step = arr.size
+    while step > LIMB_CHUNK and bound.bit_length() > product_width(step):
+        step = -(-step // 2)
+    if step == arr.size:
+        return product_form(_dot, arr, bound)
+    chunks = (arr[i : i + step] for i in range(0, arr.size, step))
+    return sum(product_form(_dot, chunk, abs_bound(chunk)) for chunk in chunks)
 
 
 def factor_qubits(qubits: int) -> list[int]:
@@ -47,20 +105,26 @@ def sign_row(qubits: int, z_part: int) -> np.ndarray:
 
 def fwht(vec: np.ndarray) -> np.ndarray:
     """Walsh-Hadamard transform of a power-of-two-length int64 vector, as a
-    fresh int64 array.
+    fresh int64 array; OverflowError once max|v|.bit_length() + n reaches 63.
 
     H_{2^n} is the Kronecker product of one factor per part of
     ``factor_qubits(n)``, so the transform is one small float64 matmul per
-    factor. That is exact when max|v|.bit_length() + n <= 53: every partial
-    sum is then an integer below 2^53 in size, which float64 holds exactly,
-    in any summation order. Larger inputs take int64 butterflies, which the
-    caller keeps inside int64.
+    factor. Every partial sum is a signed subset sum of the input, so on
+    limbs of 53 - n bits it stays exact in float64, in any summation order.
     """
     arr = np.asarray(vec, dtype=np.int64)
     qubits = arr.shape[0].bit_length() - 1
-    if abs_bound(arr).bit_length() + qubits <= FLOAT64_EXACT_BITS:
-        return _fwht_float(arr, qubits)
-    return _fwht_butterflies(arr)
+    bound = abs_bound(arr)
+    if bound.bit_length() + qubits >= INT64_BITS:
+        raise OverflowError("transform would overflow int64")
+    width = FLOAT64_EXACT_BITS - qubits
+    parts = limbs(arr, bound, width)
+    # Horner's rule from the top limb; int64 holds every step, since each is
+    # the transform of arr >> (width * s)
+    out = _fwht_float(parts.pop(), qubits)
+    while parts:
+        out = (out << width) + _fwht_float(parts.pop(), qubits)
+    return out
 
 
 def _fwht_float(arr: np.ndarray, qubits: int) -> np.ndarray:
@@ -72,20 +136,6 @@ def _fwht_float(arr: np.ndarray, qubits: int) -> np.ndarray:
     return t.astype(np.int64, order="C").reshape(-1)
 
 
-def _fwht_butterflies(arr: np.ndarray) -> np.ndarray:
-    out = arr.copy()
-    n = out.shape[0]
-    h = 1
-    while h < n:
-        blocks = out.reshape(-1, 2 * h)
-        left = blocks[:, :h].copy()
-        right = blocks[:, h:].copy()
-        blocks[:, :h] = left + right
-        blocks[:, h:] = left - right
-        h *= 2
-    return out
-
-
 def parity_u64(values: np.ndarray) -> np.ndarray:
     """Per-element parity of the set bits of a uint64 array, as int8 0 or 1.
 
@@ -95,19 +145,22 @@ def parity_u64(values: np.ndarray) -> np.ndarray:
 
 
 def pauli_quad(nums: np.ndarray, z_mask: int, x_mask: int) -> int:
-    """Quadratic form sum(s_y * nums[y] * nums[y ^ x]) with s_y = (-1)^|y & z|.
+    """Quadratic form sum(s_y * nums[y] * nums[y ^ x]) with s_y = (-1)^|y & z|, exactly."""
+    return product_form(lambda u, v: _pauli_bilinear(u, v, z_mask, x_mask), nums, abs_bound(nums))
 
-    ``nums`` is viewed as a tensor with one axis per part of
+
+def _pauli_bilinear(u: np.ndarray, v: np.ndarray, z_mask: int, x_mask: int) -> int:
+    """Bilinear form sum(s_y * u[y] * v[y ^ x]) in int64.
+
+    ``u`` and ``v`` are viewed as tensors with one axis per part of
     ``factor_qubits``. The partner y ^ x is one gather along each axis where
     x has bits, and the signs factor into one row of a character matrix per
-    axis, contracted last axis first. In int64 this is exact whenever
-    len * max^2 < 2^62: every partial sum is a signed subset sum of the
-    products.
+    axis, contracted last axis first.
     """
-    qubits = nums.shape[0].bit_length() - 1
+    qubits = u.shape[0].bit_length() - 1
     parts = factor_qubits(qubits)
-    v = nums.reshape([1 << bits for bits in parts])
-    partner = v
+    shape = [1 << bits for bits in parts]
+    partner = v.reshape(shape)
     shift = qubits
     for axis, bits in enumerate(parts):
         shift -= bits
@@ -115,7 +168,7 @@ def pauli_quad(nums: np.ndarray, z_mask: int, x_mask: int) -> int:
         if x_part:
             perm = np.arange(1 << bits) ^ x_part
             partner = partner[(slice(None),) * axis + (perm,)]
-    w = v * partner
+    w = u.reshape(shape) * partner
     shift = 0
     for bits in reversed(parts):
         w = w @ sign_row(bits, (z_mask >> shift) & ((1 << bits) - 1))

@@ -11,27 +11,14 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels
-from .states import abs_bound
-
-
-def _check_length(n: int) -> int:
-    if n < 1 or (n & (n - 1)) != 0:
-        raise ValueError(f"length {n} is not a power of two")
-    return n.bit_length() - 1
 
 
 def fwht(vec) -> np.ndarray:
-    """Apply the character matrix exactly; output is int64.
-
-    Input entries must be small enough that every partial sum stays inside
-    int64 (|entry| * len < 2**63); protocol-scale inputs are far below that,
-    and within the exact float64 range of ``_kernels.fwht``'s matmul path.
-    """
+    """Apply the character matrix exactly; output is int64 (see ``_kernels.fwht``)."""
     arr = np.ascontiguousarray(vec, dtype=np.int64)
-    qubits = _check_length(arr.shape[0])
-    max_abs = abs_bound(arr)
-    if max_abs and max_abs.bit_length() + qubits >= 63:
-        raise OverflowError("transform would overflow int64")
+    n = arr.shape[0]
+    if n < 1 or (n & (n - 1)) != 0:
+        raise ValueError(f"length {n} is not a power of two")
     return _kernels.fwht(arr)
 
 

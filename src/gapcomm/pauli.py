@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _kernels
 from .bits import BitVector, DimensionError
-from .states import ExactState, abs_bound
+from .states import ExactState
 
 
 class ObservableError(ValueError):
@@ -77,22 +77,10 @@ class PauliMask:
 def pauli_expectation(state: ExactState, mask: PauliMask) -> Fraction:
     """<psi| P |psi> as an exact rational."""
     if mask.qubits != state.qubits:
-        raise DimensionError(
-            f"observable on {mask.qubits} qubits vs state on {state.qubits}"
-        )
-    z, x = mask.z_int, mask.x_int
+        raise DimensionError(f"observable on {mask.qubits} qubits vs state on {state.qubits}")
     # the kernel makes several full passes: align a wire-buffer view once
     nums = np.require(state.numerators, requirements="A")
-    # int64 kernel is exact while len * max^2 stays below 2^62
-    if 2 * abs_bound(nums).bit_length() + nums.shape[0].bit_length() < 62:
-        total = _kernels.pauli_quad(nums, z, x)
-    else:
-        total = sum(
-            (-1 if (z & y).bit_count() & 1 else 1) * int(v) * int(nums[y ^ x])
-            for y, v in enumerate(nums)
-            if v
-        )
-    return Fraction(total, state.norm_sq)
+    return Fraction(_kernels.pauli_quad(nums, mask.z_int, mask.x_int), state.norm_sq)
 
 
 def subset_state_expectation(z_mask, support, norm_sq: int) -> Fraction:

@@ -370,7 +370,7 @@ def _read_general_state(msg, i: int, j: int, cfg: ProtocolConfig, sr) -> Reading
     col = cfg.block_count - cfg.ghd.gamma + i
     blk_b = state.numerators[(col - 1) * code_len : col * code_len]
     # each amplitude is below 2^32 (its square is at most norm_sq < 2^64), so
-    # the sum cannot wrap; its squares can pass 2^63, which exact_sq_sum takes
+    # the sum cannot wrap; its squares can overflow int64, which exact_sq_sum takes
     sum_norm = exact_sq_sum(blk_a + blk_b)
     rescale = 2 * state.norm_sq
     return _sum_norm_reading(Fraction(sum_norm, rescale), rescale, nnz_a, i, cfg, sr)

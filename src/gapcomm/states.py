@@ -12,20 +12,11 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._kernels import abs_bound, sq_sum
+
 
 class StateError(ValueError):
     pass
-
-
-def abs_bound(values: np.ndarray) -> int:
-    """Largest absolute entry as a Python int, with no ``abs`` temporary.
-
-    Taken from ``max``/``min`` so that -2**63 gives 2**63 rather than
-    wrapping round as ``np.abs`` does.
-    """
-    if values.size == 0:
-        return 0
-    return max(int(values.max()), -int(values.min()))
 
 
 # Amplitudes per chunk of the zero-tail scan in ``exact_sq_sum``.
@@ -33,25 +24,16 @@ TAIL_CHUNK = 4096
 
 
 def exact_sq_sum(values: np.ndarray) -> int:
-    """Sum of squares, exact even when int64 accumulation could overflow.
+    """Sum of squares, exact for every int64 input.
 
-    A stacked state is nonzero only in a prefix. When the length is a
-    whole number of chunks and the last ``TAIL_CHUNK`` entries are zero
-    (the last entry is tested first, in O(1)), one ``max`` per chunk over
-    the array's bytes proves every chunk after the last nonzero one zero,
-    and only the entries up to there are squared. The test is bytewise, so
-    it reads an unaligned view (such as amplitudes at byte 30 of a wire
-    buffer) as fast as an aligned one. Every entry is still read, so the sum
-    stays exact on hostile input. Any other array is squared whole: with a
-    nonzero last chunk, or a remainder past the last full chunk, there
-    would be nothing to cut.
-
-    The headroom bound is the OR of the entries: when it is nonnegative so
-    is every entry, and it has the largest entry's bit length. An OR of 0
-    or 1 means every entry is 0 or 1, which are their own squares.
-
-    ``einsum`` reads unaligned views through a small buffer; ``np.dot``
-    would copy them.
+    A stacked state is nonzero only in a prefix. When the length is a whole
+    number of ``TAIL_CHUNK`` chunks and the last chunk is zero (its last
+    entry tested first, in O(1)), one bytewise ``max`` per chunk, as fast on
+    an unaligned wire view as on an aligned array, proves every chunk after
+    the last nonzero one zero, and only the prefix is squared. Every entry
+    is still read, so hostile input stays exact. The bound for
+    ``_kernels.sq_sum`` is the entries' OR when that is nonnegative (it has
+    the largest entry's bit length); 0 or 1 means every entry is its own square.
     """
     arr = np.ascontiguousarray(values, dtype=np.int64)
     if arr.size == 0:
@@ -67,10 +49,7 @@ def exact_sq_sum(values: np.ndarray) -> int:
         bound = abs_bound(arr)
     elif bound <= 1:
         return int(arr.sum())
-    # safe int64 accumulation: len * max^2 < 2^62
-    if 2 * bound.bit_length() + arr.size.bit_length() < 62:
-        return int(np.einsum("i,i->", arr, arr))
-    return int(sum(int(v) * int(v) for v in arr))
+    return sq_sum(arr, bound)
 
 
 def _immutable(buf) -> bool:

@@ -15,6 +15,18 @@ def reference_matrix(qubits: int) -> np.ndarray:
     )
 
 
+def python_int_fwht(v) -> list[int]:
+    """Independent oracle: butterflies over Python ints, in an object array."""
+    out = np.array([int(a) for a in v], dtype=object)
+    h = 1
+    while h < out.size:
+        blocks = out.reshape(-1, 2, h)
+        left, right = blocks[:, 0].copy(), blocks[:, 1].copy()
+        blocks[:, 0], blocks[:, 1] = left + right, left - right
+        h *= 2
+    return out.tolist()
+
+
 def test_single_qubit_rows():
     # rows are the diagonals of the identity and the sign-flip operator
     assert np.array_equal(character_row(0, 1), [1, 1])
@@ -47,9 +59,30 @@ def test_rejects_non_power_of_two():
         fwht(np.zeros(0, dtype=np.int64))
 
 
+@pytest.mark.parametrize(
+    "qubits, value",
+    [
+        (4, (1 << 58) - 1),  # 58 + 4 bits: the widest exact case
+        (0, (1 << 62) - 1),  # a 62-bit value alone
+        (0, -(1 << 61)),  # -2^61 is 62 bits in size
+    ],
+)
+def test_exact_just_below_the_int64_guard(qubits, value):
+    v = np.full(1 << qubits, value, dtype=np.int64)
+    v[1::2] = 1 - v[1::2]
+    assert fwht(v).tolist() == python_int_fwht(v)
+
+
 def test_overflow_guard():
-    with pytest.raises(OverflowError):
-        fwht(np.full(1 << 4, 1 << 60, dtype=np.int64))
+    # bits + n reaching 63 raises in the kernel itself; -2^63 is 64 bits
+    int64 = np.iinfo(np.int64)
+    cases = [(4, 1 << 60), (4, 1 << 58), (0, 1 << 62), (0, int64.max), (0, int64.min), (3, int64.min)]
+    for qubits, value in cases:
+        v = np.full(1 << qubits, value, dtype=np.int64)
+        with pytest.raises(OverflowError):
+            fwht(v)
+        with pytest.raises(OverflowError):
+            _kernels.fwht(v)
 
 
 class TestSolve:
@@ -82,7 +115,7 @@ def test_kernel_fwht_matches_character_matrix():
 
 
 class TestFactoredTransform:
-    """The float64 Kronecker-factored path against the int64 butterflies."""
+    """The float64 Kronecker-factored path and its limbs against Python ints."""
 
     def test_factor_splits(self):
         assert _kernels.factor_qubits(1) == [1]
@@ -106,37 +139,36 @@ class TestFactoredTransform:
         v = rng.integers(-2880, 2881, size=1 << n).astype(np.int64)
         fast = _kernels._fwht_float(v, n)
         assert fast.dtype == np.int64
-        assert np.array_equal(fast, _kernels._fwht_butterflies(v))
+        assert fast.tolist() == python_int_fwht(v)
 
     @staticmethod
-    def _forbid(monkeypatch, name):
-        def fail(*args):
-            raise AssertionError(f"{name} must not run here")
-
-        monkeypatch.setattr(_kernels, name, fail)
-
-    def test_float_path_is_exact_at_53_bits(self, monkeypatch):
-        # bit_length 49 + 4 qubits = 53: every partial sum stays below 2^53
-        n, top = 4, (1 << 49) - 1
-        v = np.array([top, -top, top - 1, top] * 4, dtype=np.int64)
-        self._forbid(monkeypatch, "_fwht_butterflies")
-        expected = [sum(int(a) * int(b) for a, b in zip(row, v)) for row in reference_matrix(n)]
-        assert _kernels.fwht(v).tolist() == expected
-
-    def test_falls_back_to_butterflies_at_54_bits(self, monkeypatch):
-        # bit_length 50 + 4 qubits = 54: the all-plus row sums to
-        # 2^54 - 17, which is odd and above 2^53, so float64 would round it
-        n, top = 4, (1 << 50) - 1
+    def _wide_input(bits):
+        n, top = 4, (1 << bits) - 1
         v = np.full(1 << n, top, dtype=np.int64)
         v[-1] = top - 1
-        expected = [sum(int(a) * int(b) for a, b in zip(row, v)) for row in reference_matrix(n)]
-        assert int(np.float64(expected[0])) != expected[0]
-        self._forbid(monkeypatch, "_fwht_float")
-        assert _kernels.fwht(v).tolist() == expected
+        v[1] = -top
+        return v, len(_kernels.limbs(v, _kernels.abs_bound(v), 53 - n))
+
+    def test_float_path_is_exact_at_53_bits(self):
+        # bit_length 49 + 4 qubits = 53: every partial sum stays below 2^53,
+        # so the input is its own single limb
+        v, limbs = self._wide_input(49)
+        assert limbs == 1
+        assert _kernels.fwht(v).tolist() == python_int_fwht(v)
+
+    @pytest.mark.parametrize("bits", [50, 58])
+    def test_splits_into_two_limbs_past_53_bits(self, bits):
+        # bit_length 50 + 4 qubits = 54: the all-plus row sums past 2^53 to
+        # an odd number, which float64 would round; two limbs of 49 bits keep
+        # it exact, up to 58 + 4 = 62, the widest input below the guard
+        v, limbs = self._wide_input(bits)
+        plus_row = sum(int(a) for a in v)
+        assert limbs == 2 and int(np.float64(plus_row)) != plus_row
+        assert _kernels.fwht(v).tolist() == python_int_fwht(v)
 
     @pytest.mark.parametrize("top", [2880, (1 << 50) - 1])
     def test_input_kept_and_output_fresh(self, top):
-        # one input per path: the float path and the butterflies
+        # one input per limb count: one limb and two
         rng = np.random.default_rng(8)
         v = rng.integers(-top, top, size=1 << 12, dtype=np.int64)
         v.setflags(write=False)
@@ -145,5 +177,6 @@ class TestFactoredTransform:
         assert np.array_equal(v, before)
         assert out.dtype == np.int64 and out.flags.c_contiguous and out.flags.writeable
         assert not np.shares_memory(out, v)
+        assert out.tolist() == python_int_fwht(v)
         out[0] += 1
         assert np.array_equal(_kernels.fwht(v), fwht(v))

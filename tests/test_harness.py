@@ -252,7 +252,7 @@ def test_verify_suite_at_one_qubit_runs_core_identities_only():
 
 
 def test_verify_suite_catches_a_corrupted_transform(monkeypatch):
-    # mutation sanity: a sign flip in the butterflies must fail the
+    # mutation sanity: a sign flip in the transform's output must fail the
     # involution check
     import gapcomm._kernels as kernels
 

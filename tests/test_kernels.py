@@ -100,10 +100,25 @@ def test_pauli_quad_matches_per_entry_reference(qubits, x):
 
 
 def test_pauli_quad_exact_at_the_int64_guard():
-    # 2 * 23 + 14 = 60 < 62, the guard pauli_expectation applies
-    rng = np.random.default_rng(31)
-    top = (1 << 23) - 1
-    nums = rng.integers(-top, top, size=1 << 13, endpoint=True).astype(np.int64)
-    nums[:64] = top
-    for z, x in ((0, 0), (0b1011, 1 << 12), (1 << 12, 0b110)):
+    # 2 * bits + len bits: 60 and 61 were under the old int64 guard, 62 and
+    # 63 fell to a per-entry loop; 63 is one limb, 64 takes two, and 62- and
+    # 63-bit entries take three
+    for qubits, bits in ((13, 23), (12, 24), (13, 24), (12, 25), (13, 25), (7, 62), (7, 63)):
+        rng = np.random.default_rng(31 + bits)
+        top = (1 << bits) - 1
+        nums = rng.integers(-top, top, size=1 << qubits, endpoint=True).astype(np.int64)
+        nums[:64] = top
+        high = 1 << (qubits - 1)
+        # x zero, x on the top qubit, and z overlapping x (not a Pauli mask,
+        # but the kernel is defined for it and Q(u, v) != Q(v, u) there)
+        for z, x in ((0, 0), (0b1011, high), (high | 0b110, high | 0b10)):
+            expected = reference_quad(nums, z, x)
+            assert _kernels.pauli_quad(nums, z, x) == expected, (qubits, bits, z, x)
+
+
+@pytest.mark.parametrize("fill", [np.iinfo(np.int64).min, np.iinfo(np.int64).max])
+def test_pauli_quad_exact_at_the_int64_extremes(fill):
+    nums = np.full(1 << 6, fill, dtype=np.int64)
+    nums[5] = -7
+    for z, x in ((0, 0), (0b101, 0b10), (0b110, 0b11)):
         assert _kernels.pauli_quad(nums, z, x) == reference_quad(nums, z, x)

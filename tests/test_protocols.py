@@ -16,7 +16,7 @@ import gapcomm.protocols as proto
 from gapcomm import _kernels
 from gapcomm.bits import STREAM_INDEX, STREAM_INSTANCE, BitVector, SharedRandomness, hamming
 from gapcomm.ghd import GhdParams, decision_threshold, encode_alice, encode_bob, public_pads
-from gapcomm.harness import _subset_state_target, sample_instance
+from gapcomm.harness import _subset_state_target, _sum_norm_formula_target, sample_instance
 from gapcomm.messages import ByteWriter, MessageError, ProtocolMessage
 from gapcomm.observables import operator_norm
 from gapcomm.oracle import PUSH_DOWN, PUSH_UP, OracleSpec
@@ -454,6 +454,20 @@ class TestPauliState:
         norms = proto._pairwise_sum_norms(a_rows, b_rows, a_rows.sum(axis=1, dtype=np.int64))
         assert norms.dtype == np.int64
         assert norms.tolist() == expected
+
+    @pytest.mark.parametrize("qubits, epsilon, limbs", [(14, 0.2, 1), (16, 0.3, 1), (18, 0.3, 2)])
+    def test_target_is_exact_where_the_int64_guard_used_to_fail(self, qubits, epsilon, limbs):
+        # sizes where the norm check and the quadratic form once looped per
+        # entry in Python, under the old guard 2 * bits + len bits < 62
+        pc = make_config("pauli-state", qubits, epsilon)
+        sr, x, l = draw_instance(pc, 52)
+        msg = proto.ALICE["pauli-state"](x, pc, sr)
+        nums = ExactState.deserialize(msg.main_payload)[0].numerators
+        bound = _kernels.abs_bound(nums)
+        assert 2 * bound.bit_length() + nums.size.bit_length() >= 62
+        assert len(_kernels.limbs(nums, bound, _kernels.product_width(nums.size))) == limbs
+        res = proto.BOB["pauli-state"](msg, l, pc, sr, OracleSpec())
+        assert res.target == _sum_norm_formula_target(x, l, pc, sr, msg)
 
     def test_recovers_bit_with_exact_oracle(self):
         pc = make_config("pauli-state", 8, 0.5)

@@ -99,6 +99,36 @@ class TestExactSqSum:
         assert exact_sq_sum(view) == sum(int(v) ** 2 for v in arr)
         assert abs_bound(view) == bound
 
+    @pytest.mark.parametrize("signed", [True, False])
+    @pytest.mark.parametrize(
+        "length, bits",
+        [
+            # 2 * bits + len bits = 61, 62, 63 and 64: the old int64 guard
+            # passed 61 only; one limb covers up to 63
+            (1 << 12, 24),
+            (1 << 13, 24),
+            (1 << 12, 25),
+            (1 << 13, 25),
+            # 62- and 63-bit entries: several limbs in every chunk
+            (3000, 62),
+            (3000, 63),
+        ],
+    )
+    def test_exact_on_both_sides_of_the_int64_guard(self, length, bits, signed):
+        rng = np.random.default_rng(length + bits)
+        top = (1 << bits) - 1
+        arr = rng.integers(-top if signed else 0, top, size=length, endpoint=True).astype(np.int64)
+        arr[::3] = top  # squares near the top, so the sum nears length * 2^(2 * bits)
+        reference = sum(int(v) ** 2 for v in arr)
+        assert exact_sq_sum(arr) == reference
+        assert exact_sq_sum(unaligned_view(arr)) == reference
+
+    def test_exact_on_the_int64_minimum_throughout(self):
+        arr = np.full(3000, np.iinfo(np.int64).min, dtype=np.int64)
+        arr[1234] = 5
+        assert exact_sq_sum(arr) == 2999 * (1 << 126) + 25
+        assert exact_sq_sum(unaligned_view(arr)) == 2999 * (1 << 126) + 25
+
     @pytest.mark.parametrize(
         "length, occupied",
         [

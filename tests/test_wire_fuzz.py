@@ -199,6 +199,27 @@ def test_flips_in_the_zero_tail_of_a_stacked_state_are_rejected(kind):
         assert not accepted_by_bob(flipped(wire, 8 * byte), kind, l, pc, sr), byte
 
 
+@pytest.mark.parametrize("fix_norms", [False, True])
+@pytest.mark.parametrize("kind", ["general-state", "inner-product", "pauli-state"])
+def test_a_planted_large_amplitude_is_rejected_within_the_bound(kind, fix_norms):
+    # amplitude 0 at 2^40 and a nonzero last amplitude: no zero tail to cut,
+    # and one chunk of the norm check needs several limbs
+    msg, l, pc, sr = honest_message(kind, *CASES[kind])
+    amps = np.frombuffer(msg.main_payload, dtype="<i8", offset=10).copy()
+    amps[0] = 1 << 40
+    amps[-1] = 1
+    main, side = msg.main_payload[:10] + amps.tobytes(), msg.side_payload
+    if fix_norms:
+        # the squared norm passes 2^80, past both u64 norm fields; their
+        # closest fix-up is its low 64 bits, which a wrapping int64 sum
+        # would match
+        norm_sq = sum(int(v) ** 2 for v in amps) % (1 << 64)
+        main = main[:2] + struct.pack("<Q", norm_sq) + main[10:]
+        side = struct.pack("<Q", norm_sq) + side[8:]
+    wire = ProtocolMessage(msg.protocol, main, msg.main_bits, side, msg.side_bits).to_wire()
+    assert not accepted_by_bob(wire, kind, l, pc, sr)
+
+
 def test_general_state_sum_norm_past_int64_is_exact():
     # a hostile state whose two blocks Bob adds square-sum past 2^63 while
     # the whole norm still fits the u64 header: an int64 dot would wrap

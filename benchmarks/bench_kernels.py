@@ -148,13 +148,7 @@ def main() -> None:
     # pauli-state n=12 at epsilon 0.3: 52 Alice rows and 12 Bob rows of 720 bits
     a_rows = rng.integers(0, 2, size=(52, 720), dtype=np.uint8)
     b_rows = rng.integers(0, 2, size=(12, 720), dtype=np.uint8)
-    row(
-        "pairwise sum-norms 52x720x12",
-        proto._pairwise_sum_norms,
-        a_rows,
-        b_rows,
-        a_rows.sum(axis=1, dtype=np.int64),
-    )
+    row("pairwise sum-norms and weights 52x720x12", proto._pairwise_sum_norms, a_rows, b_rows)
 
     pads = rng.integers(0, 2, size=(720, 12), dtype=np.uint8)
     selected = np.array([0, 3, 5, 7, 9], dtype=np.int64)
@@ -203,9 +197,27 @@ def main() -> None:
     row("observable-pauli read n=256", proto.SPECS["observable-pauli"].read, msg, i, j, pc, sr)
     row("two-hot subset state n=256", harness._subset_state_target, x, l, pc, sr, msg)
 
+    # the rest of that trial's fixed cost (4 blocks of 12 bits, 720x12 pads):
+    # its odd-weight filter on the 2 * 4 + 8 rows the sampler draws, Alice's
+    # block majority, her Z-string build from the codeword rows, and Bob's
+    # read of the 11521-bit Z-string, unpacked and as one int
+    gamma = pc.ghd.gamma
+    lm_pads = ghd.public_pads(pc.ghd, sr)
+    lm_blocks = x.bits.reshape(-1, gamma)
+    row("odd-weight filter 16x12 (x1000)", many, lambda: ghd._odd_rows(lm_pads[:16]))
+    row("block majority 4x12 vs 720x12 (x1000)", many, lambda: _kernels.majority_blocks(lm_pads, lm_blocks))
+    a_rows, b_rows = proto.encode_block_matrices(x, pc, sr)
+    row(
+        "observable-pauli Z-string build n=256 (x1000)",
+        many,
+        lambda: proto.SPECS["observable-pauli"].encode(a_rows, b_rows, pc),
+    )
+    main = bytes(msg.main_payload)
+    row("Z-string read n=256, BitVector (x1000)", many, lambda: BitVector.deserialize(main))
+    row("Z-string read n=256, one int (x1000)", many, lambda: int.from_bytes(main[8:], "little"))
+
     # run_trial's ground-truth distance on the same trial (720x12 pads): as
     # first written through bit vectors, and from the per-block kernel
-    gamma = pc.ghd.gamma
     block = BitVector(x.bits[(j - 1) * gamma : j * gamma])
 
     def distance_via_bit_vectors():

@@ -40,18 +40,22 @@ def product_width(count: int) -> int:
     return (INT64_BITS - count.bit_length()) // 2
 
 
-def product_form(form, arr: np.ndarray, bound: int) -> int:
+def product_form(form, arr: np.ndarray, bound: int, symmetric: bool = False) -> int:
     """``form(arr, arr)`` exactly, for an int64 kernel ``form(u, v)`` linear in
     each argument whose partial sums are signed subset sums of len(arr) products
-    u[i] * v[j]. It runs on every ordered pair of limbs (``form`` need not be
-    symmetric), and the results add up as Python ints."""
+    u[i] * v[j]. It runs on every ordered pair of limbs, or, when ``symmetric``
+    says form(u, v) == form(v, u), once per unordered pair with the cross
+    pairs doubled; the results add up as Python ints."""
     width = product_width(arr.size)
     parts = limbs(arr, bound, width)
     if len(parts) == 1:
         return form(arr, arr)
-    return sum(
-        form(u, v) << (width * (s + t)) for s, u in enumerate(parts) for t, v in enumerate(parts)
-    )
+    total = 0
+    for s, u in enumerate(parts):
+        for t in range(s if symmetric else 0, len(parts)):
+            term = form(u, parts[t]) << (width * (s + t))
+            total += 2 * term if symmetric and t != s else term
+    return total
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> int:
@@ -69,9 +73,9 @@ def sq_sum(arr: np.ndarray, bound: int) -> int:
     while step > LIMB_CHUNK and bound.bit_length() > product_width(step):
         step = -(-step // 2)
     if step == arr.size:
-        return product_form(_dot, arr, bound)
+        return product_form(_dot, arr, bound, symmetric=True)
     chunks = (arr[i : i + step] for i in range(0, arr.size, step))
-    return sum(product_form(_dot, chunk, abs_bound(chunk)) for chunk in chunks)
+    return sum(product_form(_dot, chunk, abs_bound(chunk), symmetric=True) for chunk in chunks)
 
 
 def factor_qubits(qubits: int) -> list[int]:
@@ -145,8 +149,19 @@ def parity_u64(values: np.ndarray) -> np.ndarray:
 
 
 def pauli_quad(nums: np.ndarray, z_mask: int, x_mask: int) -> int:
-    """Quadratic form sum(s_y * nums[y] * nums[y ^ x]) with s_y = (-1)^|y & z|, exactly."""
-    return product_form(lambda u, v: _pauli_bilinear(u, v, z_mask, x_mask), nums, abs_bound(nums))
+    """Quadratic form sum(s_y * nums[y] * nums[y ^ x]) with s_y = (-1)^|y & z|, exactly.
+
+    For z & x == 0 the bilinear form is symmetric (y -> y ^ x keeps every
+    sign), so two limbs take three forms, not four.
+    """
+    bound = abs_bound(nums)
+    if bound.bit_length() <= product_width(nums.size):
+        # one limb, read by the form itself: align a wire-buffer view once.
+        # Wider inputs split into limbs, which are fresh aligned arrays.
+        nums = np.require(nums, requirements="A")
+    return product_form(
+        lambda u, v: _pauli_bilinear(u, v, z_mask, x_mask), nums, bound, symmetric=not z_mask & x_mask
+    )
 
 
 def _pauli_bilinear(u: np.ndarray, v: np.ndarray, z_mask: int, x_mask: int) -> int:
@@ -184,8 +199,9 @@ def majority_rows(pads: np.ndarray, selected: np.ndarray) -> np.ndarray:
     """
     if selected.size == 0:
         return np.zeros(pads.shape[0], dtype=np.uint8)
-    counts = pads[:, selected].sum(axis=1, dtype=np.int64)
-    return (2 * counts > selected.size).astype(np.uint8)
+    # 2 * count > size exactly when count > size // 2, for odd and even sizes
+    counts = pads[:, selected].sum(axis=1, dtype=np.intp)
+    return np.greater(counts, selected.size // 2).view(np.uint8)
 
 
 def majority_blocks(pads: np.ndarray, blocks: np.ndarray) -> np.ndarray:
@@ -197,7 +213,8 @@ def majority_blocks(pads: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     weights, since halves of integers below 2^24 are representable.
     """
     sel = blocks.astype(np.float32)
-    counts = sel @ pads.T.astype(np.float32)
+    # cast while ``pads`` is contiguous; the matmul takes the transposed view
+    counts = sel @ pads.astype(np.float32).T
     half = sel.sum(axis=1, keepdims=True)
     half *= 0.5
     return np.greater(counts, half).view(np.uint8)

@@ -181,7 +181,15 @@ def _odd_rows(rows: np.ndarray) -> np.ndarray:
 
     A uint8 row sum wraps modulo 256, which keeps its parity.
     """
-    return np.compress((rows @ np.ones(rows.shape[1], dtype=np.uint8)) & 1, rows, axis=0)
+    return rows.compress((rows @ _ones_row(rows.shape[1])) & 1, axis=0)
+
+
+@lru_cache(maxsize=None)
+def _ones_row(length: int) -> np.ndarray:
+    """A read-only uint8 row of ``length`` ones; one per source length."""
+    ones = np.ones(length, dtype=np.uint8)
+    ones.setflags(write=False)
+    return ones
 
 
 def gap_statistics(

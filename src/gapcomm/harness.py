@@ -123,7 +123,7 @@ def _queried_codewords(x, l, pc, sr) -> tuple[np.ndarray, np.ndarray]:
     i, j = proto.decompose_index(l, pc.ghd.gamma)
     gamma = pc.ghd.gamma
     pads = ghd_mod.public_pads(pc.ghd, sr)
-    selected = np.flatnonzero(x.bits[(j - 1) * gamma : j * gamma])
+    selected = x.bits[(j - 1) * gamma : j * gamma].nonzero()[0]
     return _kernels.majority_rows(pads, selected), pads[:, i - 1]
 
 
@@ -154,14 +154,15 @@ def run_trial(cfg: ExperimentConfig, pc: proto.ProtocolConfig, trial: int) -> di
 
     a, b = _queried_codewords(x, l, pc, sr)
     delta_exact = int(np.count_nonzero(a ^ b))  # independent ground truth
+    delta_estimate = float(result.delta_estimate)
 
     record.update(
         bit=result.bit,
         success=result.bit == x_l,
         error=None,
         delta_exact=delta_exact,
-        delta_estimate=float(result.delta_estimate),
-        delta_error=abs(float(result.delta_estimate) - delta_exact),
+        delta_estimate=delta_estimate,
+        delta_error=abs(delta_estimate - delta_exact),
         main_bits=msg.main_bits,
         side_bits=msg.side_bits,
     )

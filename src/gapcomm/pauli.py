@@ -78,9 +78,18 @@ def pauli_expectation(state: ExactState, mask: PauliMask) -> Fraction:
     """<psi| P |psi> as an exact rational."""
     if mask.qubits != state.qubits:
         raise DimensionError(f"observable on {mask.qubits} qubits vs state on {state.qubits}")
-    # the kernel makes several full passes: align a wire-buffer view once
-    nums = np.require(state.numerators, requirements="A")
-    return Fraction(_kernels.pauli_quad(nums, mask.z_int, mask.x_int), state.norm_sq)
+    return mask_expectation(state, mask.z_int, mask.x_int)
+
+
+def mask_expectation(state: ExactState, z: int, x: int) -> Fraction:
+    """``pauli_expectation`` of the mask pair (z, x) given as plain ints on
+    the state's qubits, with the checks ``PauliMask`` makes, made on the ints."""
+    n = state.qubits
+    if not (0 <= z < 1 << n and 0 <= x < 1 << n):
+        raise DimensionError(f"mask pair ({z}, {x}) does not fit the state's {n} qubits")
+    if z & x:
+        raise ObservableError("overlapping z/x masks (Y factors unsupported)")
+    return Fraction(_kernels.pauli_quad(state.numerators, z, x), state.norm_sq)
 
 
 def subset_state_expectation(z_mask, support, norm_sq: int) -> Fraction:

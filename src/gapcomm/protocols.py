@@ -45,7 +45,7 @@ from .ghd import (
 )
 from .messages import ByteReader, ByteWriter, MessageError, ProtocolMessage
 from .observables import _power_norm
-from .pauli import PauliMask, pauli_expectation
+from .pauli import mask_expectation
 from .states import ExactState, StateError, dense_wire_parts, exact_sq_sum
 from . import _kernels
 
@@ -196,7 +196,8 @@ def encode_block_matrices(
     Uses one shared pad matrix for every block, exactly as both parties
     derive it; ``encode_alice``/``encode_bob`` applied block by block agree
     bit for bit. All blocks are encoded by one matmul (ties and empty blocks
-    give 0).
+    give 0). Bob's rows are a read-only, non-contiguous view of the cached
+    pads; an encoder that needs them flat copies them once.
     """
     params = cfg.ghd
     if len(x) != cfg.capacity:
@@ -204,8 +205,7 @@ def encode_block_matrices(
     pads = public_pads(params, sr)
     # float32 counts are exact: ProtocolConfig keeps gamma below 2^24
     a_rows = _kernels.majority_blocks(pads, x.bits.reshape(-1, params.gamma))
-    b_rows = np.ascontiguousarray(pads.T)
-    return a_rows, b_rows
+    return a_rows, pads.T
 
 
 @dataclass(frozen=True)
@@ -277,10 +277,15 @@ def bob(
     threshold = threshold_for(reading.delta, cfg.ghd)
     push = oracle_mod.PUSH_UP if reading.delta > threshold else oracle_mod.PUSH_DOWN
     est = oracle_mod.estimate(reading.target, oracle, push)
-    # Exact estimates stay exact; a noisy float may undershoot zero and
-    # still maps to a (poor) distance estimate rather than an error.
-    r = reading.rescale
-    delta_est = reading.offset - (est * r if isinstance(est, Fraction) else float(est) * float(r))
+    if est is reading.target and isinstance(est, Fraction):
+        # the exact oracle handed the rational target back, which maps to the
+        # exact distance the reader already holds
+        delta_est = reading.delta
+    else:
+        # a noisy float may undershoot zero and still maps to a (poor)
+        # distance estimate rather than an error
+        r = reading.rescale
+        delta_est = reading.offset - (est * r if isinstance(est, Fraction) else float(est) * float(r))
     return BobResult(decode_bit(delta_est, cfg.ghd), reading.target, est, delta_est, push)
 
 
@@ -348,8 +353,16 @@ def _encode_stacked(occupied: np.ndarray, a_rows: np.ndarray, cfg: ProtocolConfi
     return (parts, bits, *_write_weight_side(norm_sq, a_rows.sum(axis=1)))
 
 
+def _flat_codewords(a_rows: np.ndarray, b_rows: np.ndarray, tail: int = 0) -> np.ndarray:
+    """Alice's rows, then Bob's, in one fresh uint8 array with ``tail`` more
+    entries left unset: the one copy ever made of Bob's strided rows."""
+    flat = np.empty(a_rows.size + b_rows.size + tail, dtype=np.uint8)
+    np.concatenate([a_rows, b_rows], out=flat[: flat.size - tail].reshape(-1, a_rows.shape[1]))
+    return flat
+
+
 def _encode_general_state(a_rows, b_rows, cfg: ProtocolConfig) -> tuple:
-    return _encode_stacked(np.concatenate([a_rows.reshape(-1), b_rows.reshape(-1)]), a_rows, cfg)
+    return _encode_stacked(_flat_codewords(a_rows, b_rows), a_rows, cfg)
 
 
 def _read_stacked(msg, j: int, cfg: ProtocolConfig) -> tuple[ExactState, np.ndarray, int]:
@@ -416,21 +429,26 @@ def _read_inner_product(msg, i: int, j: int, cfg: ProtocolConfig, sr) -> Reading
 # one sum-norm back off a single Z-string (tensored with a final X).
 # ---------------------------------------------------------------------------
 
-def _pairwise_sum_norms(a_rows: np.ndarray, b_rows: np.ndarray, nnz_a: np.ndarray) -> np.ndarray:
-    """All ||a^j + b^i||^2 in index-major order ((j-1)*gamma + i - 1), given
-    Alice's int64 row weights ``nnz_a``."""
-    # float32 counts are exact: each is at most code_len < FLOAT32_EXACT
-    cross = (a_rows.astype(np.float32) @ b_rows.T.astype(np.float32)).astype(np.int64)
-    nnz_b = b_rows.sum(axis=1, dtype=np.int64)
-    return (nnz_a[:, None] + nnz_b[None, :] + 2 * cross).reshape(-1)
+def _pairwise_sum_norms(a_rows: np.ndarray, b_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All ||a^j + b^i||^2 in index-major order ((j-1)*gamma + i - 1), and
+    Alice's int64 row weights nnz(a^j)."""
+    # float32 counts are exact: each is at most code_len < FLOAT32_EXACT.
+    # Bob's rows are cast as columns, which is contiguous when they are the
+    # transposed pad matrix; both weight vectors are matvecs with ones.
+    a32 = a_rows.astype(np.float32)
+    b_cols = b_rows.T.astype(np.float32)
+    ones = np.ones(a32.shape[1], dtype=np.float32)
+    nnz_a = (a32 @ ones).astype(np.int64)
+    nnz_b = (ones @ b_cols).astype(np.int64)
+    cross = (a32 @ b_cols).astype(np.int64)
+    return (nnz_a[:, None] + nnz_b[None, :] + 2 * cross).reshape(-1), nnz_a
 
 
 def _encode_pauli_state(a_rows, b_rows, cfg: ProtocolConfig) -> tuple:
     n = cfg.qubits
     dim = 1 << n
     stacked = np.zeros(dim, dtype=np.int64)
-    nnz_a = a_rows.sum(axis=1, dtype=np.int64)
-    norms = _pairwise_sum_norms(a_rows, b_rows, nnz_a)
+    norms, nnz_a = _pairwise_sum_norms(a_rows, b_rows)
     stacked[: norms.shape[0]] = norms
     # Solving transform(v) = stacked gives v in 2^-n increments; scaling all
     # amplitudes by 2^n keeps the whole state integral.
@@ -446,11 +464,13 @@ def _encode_pauli_state(a_rows, b_rows, cfg: ProtocolConfig) -> tuple:
 def _read_pauli_state(msg, i: int, j: int, cfg: ProtocolConfig, sr) -> Reading:
     state, nnz_a = _read_state(msg, j, cfg)
     n = cfg.qubits
-    mask = PauliMask.from_ints(z=(j - 1) * cfg.ghd.gamma + i - 1, x=1 << n, qubits=n + 1)
+    # the Z-string picks the pair's table entry; the X on the top qubit pairs
+    # the solution half with the flat half
+    target = mask_expectation(state, (j - 1) * cfg.ghd.gamma + i - 1, 1 << n)
     # target = 2 * sum_norm / D with D = norm_sq / 2^{2n}; undoing the
     # scale turns the estimate back into a sum-norm estimate.
     rescale = Fraction(state.norm_sq, 1 << (2 * n + 1))
-    return _sum_norm_reading(pauli_expectation(state, mask), rescale, nnz_a, i, cfg, sr)
+    return _sum_norm_reading(target, rescale, nnz_a, i, cfg, sr)
 
 
 # ---------------------------------------------------------------------------
@@ -544,13 +564,13 @@ def _read_observable_general(msg, i: int, j: int, cfg: ProtocolConfig, sr) -> Re
 # observable-pauli: Alice ships one long Z-string spelled by all codewords;
 # Bob reads the distance off a two-hot subset state. Its expectation is a
 # Hamming distance between two slices of the Z-string, so Bob computes it
-# on the unpacked wire bits and never builds the long basis indices.
+# on the packed wire bits read as one int and never builds the long basis
+# indices.
 # ---------------------------------------------------------------------------
 
 def _encode_observable_pauli(a_rows, b_rows, cfg: ProtocolConfig) -> tuple:
-    z_bits = np.concatenate(
-        [a_rows.reshape(-1), b_rows.reshape(-1), np.ones(1, dtype=np.uint8)]
-    )
+    z_bits = _flat_codewords(a_rows, b_rows, tail=1)
+    z_bits[-1] = 1
     # the Z-string IS the message; the x-mask is structurally zero here
     w = ByteWriter()
     w.put_u64(cfg.ghd.code_len)
@@ -561,10 +581,20 @@ def _read_observable_pauli(msg, i: int, j: int, cfg: ProtocolConfig, sr) -> Read
     _expect("side-info length", len(msg.side_payload), 8)
     code_len = ByteReader(msg.side_payload).take_u64()
     _expect("codeword length", code_len, cfg.ghd.code_len)
-    z = BitVector.deserialize(msg.main_payload)[0].bits
+    main = msg.main_payload
+    # ``bob`` has matched the u64 bit count and the payload length with the
+    # config; both are checked again so that the reader stands alone
+    count = ByteReader(main).take_u64()
+    _expect("Z-string bit count", count, cfg.spec.payload_qubits(cfg))
+    _expect("main-payload length", len(main), 8 + (count + 7) // 8)
     # the only kind whose main bits end inside a byte: the header count must
     # be the Z-string's own, not another count with the same byte length
-    _expect("main-payload bit count", msg.main_bits, 64 + len(z))
+    _expect("main-payload bit count", msg.main_bits, 64 + count)
+    # the whole Z-string as one int, bit k at 2**k: set bits past ``count``
+    # would give one string two wire forms
+    z = int.from_bytes(main[8:], "little")
+    if z >> count:
+        raise MessageError("Z-string padding bits are not zero")
 
     # Subset state: one two-hot string per code position, pairing Alice's
     # block-j bit with Bob's block bit, each of sign -1 exactly where the two
@@ -572,10 +602,9 @@ def _read_observable_pauli(msg, i: int, j: int, cfg: ProtocolConfig, sr) -> Read
     # The marked last-qubit point carries squared weight code_len and the
     # sign of the last bit, which Alice sets but a hostile message need not.
     col = cfg.block_count - cfg.ghd.gamma + i
-    blk_a = z[(j - 1) * code_len : j * code_len]
-    blk_b = z[(col - 1) * code_len : col * code_len]
-    dist = int(np.count_nonzero(blk_a ^ blk_b))
-    marked = -1 if z[-1] else 1
+    diff = (z >> ((j - 1) * code_len)) ^ (z >> ((col - 1) * code_len))
+    dist = (diff & ((1 << code_len) - 1)).bit_count()
+    marked = -1 if z >> (count - 1) else 1
     num = code_len - 2 * dist + marked * code_len
     return Reading(Fraction(num, 2 * code_len), Fraction(-num, 2), 0, code_len)
 

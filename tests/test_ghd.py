@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from gapcomm import ghd
 from gapcomm.bits import STREAM_PADS, BitVector, SharedRandomness, hamming
 from gapcomm.ghd import (
     GhdParams,
@@ -226,6 +227,11 @@ class TestSampleSources:
                     assert np.array_equal(
                         sample_sources(sr, count, length, True), summed_filter(sr, count, length)
                     )
+
+    def test_parity_row_is_cached_and_read_only(self):
+        ones = ghd._ones_row(12)
+        assert ones is ghd._ones_row(12)
+        assert not ones.flags.writeable and ones.tolist() == [1] * 12
 
     def test_unrestricted_rows_are_one_flat_draw(self):
         sr = SharedRandomness(31)

@@ -122,3 +122,25 @@ def test_pauli_quad_exact_at_the_int64_extremes(fill):
     nums[5] = -7
     for z, x in ((0, 0), (0b101, 0b10), (0b110, 0b11)):
         assert _kernels.pauli_quad(nums, z, x) == reference_quad(nums, z, x)
+
+
+@pytest.mark.parametrize("z,x,forms", [(0b1011, 1 << 9, 3), (0b110, 0b010, 4)])
+def test_pauli_quad_on_two_limbs_runs_three_forms_for_disjoint_masks(monkeypatch, z, x, forms):
+    # 28-bit entries over 2^10 amplitudes split into two 26-bit limbs; the
+    # form is symmetric only when the masks are disjoint
+    rng = np.random.default_rng(32)
+    top = (1 << 28) - 1
+    nums = rng.integers(-top, top, size=1 << 10, endpoint=True).astype(np.int64)
+    assert len(_kernels.limbs(nums, _kernels.abs_bound(nums), _kernels.product_width(nums.size))) == 2
+    calls = []
+    bilinear = _kernels._pauli_bilinear
+    monkeypatch.setattr(
+        _kernels, "_pauli_bilinear", lambda *args: calls.append(1) or bilinear(*args)
+    )
+    expected = reference_quad(nums, z, x)
+    assert _kernels.pauli_quad(nums, z, x) == expected
+    assert len(calls) == forms
+    view = wire_view(nums)
+    assert not view.flags.aligned
+    assert _kernels.pauli_quad(view, z, x) == expected
+

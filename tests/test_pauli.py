@@ -8,6 +8,7 @@ from gapcomm.bits import BitVector, DimensionError
 from gapcomm.pauli import (
     ObservableError,
     PauliMask,
+    mask_expectation,
     pauli_expectation,
     subset_state_expectation,
 )
@@ -127,6 +128,28 @@ class TestExpectation:
         # signs: +1, -1, +1, -1 on the diagonal
         expected = Fraction(big * big - big * big + big * big - big * big, state.norm_sq)
         assert pauli_expectation(state, mask) == expected
+
+
+class TestMaskExpectation:
+    def test_matches_the_mask_route(self):
+        rng = np.random.default_rng(15)
+        for _ in range(30):
+            nums = rng.integers(-9, 10, size=32).astype(np.int64)
+            nums[0] = 1
+            state = ExactState.dense(nums)
+            mask = random_mask(rng, 5)
+            assert mask_expectation(state, mask.z_int, mask.x_int) == pauli_expectation(state, mask)
+
+    @pytest.mark.parametrize("z,x", [(1 << 3, 0), (0, 1 << 3), (-1, 0), (0, -2)])
+    def test_masks_outside_the_state_are_rejected(self, z, x):
+        state = ExactState.dense(np.arange(1, 9, dtype=np.int64))
+        with pytest.raises(DimensionError):
+            mask_expectation(state, z, x)
+
+    def test_overlapping_masks_are_rejected(self):
+        state = ExactState.dense(np.arange(1, 9, dtype=np.int64))
+        with pytest.raises(ObservableError, match="overlapping"):
+            mask_expectation(state, 0b011, 0b010)
 
 
 class TestSubsetExpectation:

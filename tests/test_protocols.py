@@ -168,6 +168,18 @@ class TestPartitionAndEncode:
         with pytest.raises(proto.ConfigError):
             proto.encode_block_matrices(BitVector.zeros(3), pc, SharedRandomness(34))
 
+    def test_bob_rows_are_a_read_only_view_of_the_cached_pads(self):
+        pc = make_config("general-state", 8, 0.5)
+        sr, x, _ = draw_instance(pc, 41)
+        _, b_rows = proto.encode_block_matrices(x, pc, sr)
+        pads = public_pads(pc.ghd, sr)
+        before = pads.copy()
+        assert np.shares_memory(b_rows, pads)
+        assert not b_rows.flags.writeable
+        with pytest.raises(ValueError):
+            b_rows[0, 0] ^= 1
+        assert np.array_equal(public_pads(pc.ghd, sr), before)
+
 
 class TestGeneralState:
     def test_message_round_trips_and_norm_is_total_weight(self):
@@ -451,9 +463,11 @@ class TestPauliState:
         expected = [
             int((a + b) @ (a + b)) for a in a_rows.astype(np.int64) for b in b_rows.astype(np.int64)
         ]
-        norms = proto._pairwise_sum_norms(a_rows, b_rows, a_rows.sum(axis=1, dtype=np.int64))
+        norms, nnz_a = proto._pairwise_sum_norms(a_rows, b_rows)
         assert norms.dtype == np.int64
         assert norms.tolist() == expected
+        assert nnz_a.dtype == np.int64
+        assert nnz_a.tolist() == a_rows.sum(axis=1, dtype=np.int64).tolist()
 
     @pytest.mark.parametrize("qubits, epsilon, limbs", [(14, 0.2, 1), (16, 0.3, 1), (18, 0.3, 2)])
     def test_target_is_exact_where_the_int64_guard_used_to_fail(self, qubits, epsilon, limbs):
@@ -796,6 +810,64 @@ class TestObservablePauli:
         with pytest.raises(MessageError, match="payload qubit count"):
             proto.BOB["observable-pauli"](msg, 1, pc, SharedRandomness(86), OracleSpec())
 
+    @staticmethod
+    def hostile_mains(main: bytes, main_bits: int) -> dict:
+        """(payload, declared main bits) a hostile sender could ship in place
+        of an honest Z-string ``main`` of ``main_bits`` bits."""
+        count = main_bits - 64
+        padded = bytearray(main)
+        padded[-1] |= 0x80
+
+        def recount(value):
+            return struct.pack("<Q", value) + main[8:]
+
+        return {
+            "padding bit": (bytes(padded), main_bits),
+            "truncated": (main[:-1], main_bits - 8),
+            "header only": (main[:8], 64),
+            "short header": (main[:5], 40),
+            "zero count": (recount(0), main_bits),
+            "count one less": (recount(count - 1), main_bits),
+            "count one more": (recount(count + 1), main_bits),
+            # the same byte length, with the bit count declared to match
+            "count one more, declared": (recount(count + 1), main_bits + 1),
+            "count 2^64 - 1": (recount((1 << 64) - 1), main_bits),
+        }
+
+    @pytest.mark.parametrize(
+        "case",
+        ["padding bit", "truncated", "header only", "short header", "zero count", "count one less",
+         "count one more", "count one more, declared", "count 2^64 - 1"],
+    )
+    def test_hostile_z_strings_raise_only_message_errors(self, case):
+        pc = make_config("observable-pauli", 256, 0.3)
+        sr, x, l = draw_instance(pc, 87)
+        i, j = proto.decompose_index(l, pc.ghd.gamma)
+        msg = proto.ALICE["observable-pauli"](x, pc, sr)
+        main, main_bits = self.hostile_mains(bytes(msg.main_payload), msg.main_bits)[case]
+        bad = ProtocolMessage("observable-pauli", main, main_bits, msg.side_payload, msg.side_bits)
+        with pytest.raises(MessageError):
+            proto.BOB["observable-pauli"](bad, l, pc, sr, OracleSpec())
+        # the reader stands alone: it checks again what ``bob`` checks first
+        with pytest.raises(MessageError):
+            proto.SPECS["observable-pauli"].read(bad, i, j, pc, sr)
+
+    def test_int_read_distance_matches_the_unpacked_blocks(self):
+        pc = make_config("observable-pauli", 256, 0.3)
+        c = pc.ghd.code_len
+        for seed in range(20):
+            sr, x, l = draw_instance(pc, 88 + seed)
+            msg = proto.ALICE["observable-pauli"](x, pc, sr)
+            z, _ = BitVector.deserialize(msg.main_payload)
+            for l in {l, 1, pc.capacity}:
+                i, j = proto.decompose_index(l, pc.ghd.gamma)
+                col = pc.block_count - pc.ghd.gamma + i
+                dist = int(np.count_nonzero(z.bits[(j - 1) * c : j * c] ^ z.bits[(col - 1) * c : col * c]))
+                reading = proto.SPECS["observable-pauli"].read(msg, i, j, pc, sr)
+                # an honest message marks its last bit: target = -distance / code_len
+                assert reading.delta == dist
+                assert reading.target == Fraction(-dist, c)
+
 
 class TestInnerProduct:
     def test_disjoint_supports_give_zero_target(self):
@@ -993,6 +1065,23 @@ class TestBobValidation:
             assert back.to_wire() == wire
             res = proto.BOB[kind](back, l, pc, sr, OracleSpec())
             assert res == proto.BOB[kind](msg, l, pc, sr, OracleSpec())
+
+    @pytest.mark.parametrize(
+        "kind,qubits",
+        [("general-state", 6), ("observable-general", 5), ("pauli-state", 6), ("observable-pauli", 64)],
+    )
+    def test_exact_target_maps_to_the_reader_distance(self, kind, qubits):
+        # Bob takes an exact oracle's rational answer straight to the reader's
+        # distance; the rescaling a noisy estimate goes through agrees there
+        pc = make_config(kind, qubits, 0.5)
+        for seed in (80, 81, 82):
+            sr, x, l = draw_instance(pc, seed)
+            msg = proto.ALICE[kind](x, pc, sr)
+            reading = proto.SPECS[kind].read(msg, *proto.decompose_index(l, pc.ghd.gamma), pc, sr)
+            assert isinstance(reading.target, Fraction)
+            assert reading.offset - reading.target * reading.rescale == reading.delta
+            res = proto.BOB[kind](msg, l, pc, sr, OracleSpec())
+            assert res.delta_estimate == reading.delta
 
     def test_sparse_state_payload_is_rejected(self):
         pc = make_config("general-state", 6, 0.5)

@@ -277,15 +277,13 @@ def bob(
     threshold = threshold_for(reading.delta, cfg.ghd)
     push = oracle_mod.PUSH_UP if reading.delta > threshold else oracle_mod.PUSH_DOWN
     est = oracle_mod.estimate(reading.target, oracle, push)
-    if est is reading.target and isinstance(est, Fraction):
-        # the exact oracle handed the rational target back, which maps to the
-        # exact distance the reader already holds
+    # only the exact oracle hands a Fraction back, and then it is the target
+    # itself, whose distance the reader already holds; a noisy float may
+    # undershoot zero and still maps to a (poor) distance estimate
+    if isinstance(est, Fraction):
         delta_est = reading.delta
     else:
-        # a noisy float may undershoot zero and still maps to a (poor)
-        # distance estimate rather than an error
-        r = reading.rescale
-        delta_est = reading.offset - (est * r if isinstance(est, Fraction) else float(est) * float(r))
+        delta_est = reading.offset - float(est) * float(reading.rescale)
     return BobResult(decode_bit(delta_est, cfg.ghd), reading.target, est, delta_est, push)
 
 

@@ -41,15 +41,12 @@ class GhdParams:
     code_len = amp_factor * gamma codeword bits with
     amp_factor = ceil(9 / bias_c^2). ``slack_d`` bounds the tolerated
     additive error on the distance estimate as a fraction of
-    sqrt(code_len); ``target_margin`` records the advantage constant the
-    analysis aims for (not enforced at runtime - success rates are
-    measured, not proved).
+    sqrt(code_len). Success rates are measured, not proved.
     """
 
     epsilon: float
     bias_c: float = DEFAULT_BIAS_C
     slack_d: float = DEFAULT_SLACK_D
-    target_margin: float = 1.0 / 3.0
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:

@@ -25,8 +25,9 @@ class ProtocolMessage:
     """Alice's serialized payload, split into main and side-info sections.
 
     ``main_bits``/``side_bits`` are the exact information bit counts of the
-    two sections; byte strings may carry up to 7 bits of padding beyond
-    them, never more. The main payload is given as one buffer or as a
+    two sections. The main payload may carry up to 7 bits of padding beyond
+    its count, never more; the side info is whole bytes, so ``side_bits``
+    is 8 times its length. The main payload is given as one buffer or as a
     tuple of buffers (``main_parts``) whose concatenation it is, so that
     ``to_wire`` is the one place a large payload is joined; ``main_payload``
     reads it as one bytes-like object, joining the parts on first use. A
@@ -51,13 +52,13 @@ class ProtocolMessage:
         main_len = 0
         for part in self.main_parts:
             main_len += memoryview(part).nbytes
-        for name, nbytes, bits in (
-            ("main", main_len, self.main_bits),
-            ("side", len(self.side_payload), self.side_bits),
+        for name, nbytes, bits, max_padding in (
+            ("main", main_len, self.main_bits, 7),
+            ("side", len(self.side_payload), self.side_bits, 0),
         ):
             if bits < 0:
                 raise MessageError(f"{name}_bits must be nonnegative")
-            if not 0 <= 8 * nbytes - bits < 8:
+            if not 0 <= 8 * nbytes - bits <= max_padding:
                 raise MessageError(
                     f"{name}_bits {bits} inconsistent with {nbytes} payload bytes"
                 )
@@ -115,50 +116,3 @@ class ProtocolMessage:
         side = buf[20 + main_len :]
         return ProtocolMessage(protocol, (main,), main_bits, side, side_bits)
 
-
-class ByteWriter:
-    """Accumulates little-endian fields while tracking exact bit counts."""
-
-    def __init__(self):
-        self._parts: list[bytes] = []
-        self.bits = 0
-
-    def put_u32(self, value: int) -> None:
-        self._parts.append(struct.pack("<I", value))
-        self.bits += 32
-
-    def put_u64(self, value: int) -> None:
-        self._parts.append(struct.pack("<Q", value))
-        self.bits += 64
-
-    def put_payload(self, payload, bits: int) -> None:
-        """Append any contiguous buffer (bytes, memoryview, numpy array) as is."""
-        if bits % 8 != 0 or memoryview(payload).nbytes * 8 != bits:
-            raise MessageError("embedded payloads must be byte-aligned")
-        self._parts.append(payload)
-        self.bits += bits
-
-    def getvalue(self) -> bytes:
-        return b"".join(self._parts)
-
-
-class ByteReader:
-    """Reads little-endian fields; a read past the end raises MessageError."""
-
-    def __init__(self, buf: bytes):
-        self._buf = buf
-        self.offset = 0
-
-    def _take(self, fmt: str) -> int:
-        size = struct.calcsize(fmt)
-        if len(self._buf) - self.offset < size:
-            raise MessageError(f"buffer too short for a {8 * size}-bit field at offset {self.offset}")
-        (v,) = struct.unpack_from(fmt, self._buf, self.offset)
-        self.offset += size
-        return v
-
-    def take_u32(self) -> int:
-        return self._take("<I")
-
-    def take_u64(self) -> int:
-        return self._take("<Q")

@@ -12,7 +12,9 @@ A protocol kind is one ``ProtocolSpec`` in ``SPECS`` (plus its wire tag in
 the block codewords; its reader turns Bob's message into the oracle target
 and the affine map ``offset - rescale * value`` that takes an estimate back
 to a distance. ``ALICE`` and ``BOB`` run every kind through ``alice`` and
-``bob``.
+``bob``. The spec's ``main_bits`` is the one closed form for the size of the
+main payload: ``alice`` declares it, and ``bob`` checks a message against it
+before he reads anything the message sizes. Side info is whole bytes.
 
 Side-info formats (all little-endian):
   general-state       u64 D | u32 count | count * u32 nnz(a^j)
@@ -43,7 +45,7 @@ from .ghd import (
     public_pads,
     threshold_for,
 )
-from .messages import ByteReader, ByteWriter, MessageError, ProtocolMessage
+from .messages import MessageError, ProtocolMessage
 from .observables import _power_norm
 from .pauli import mask_expectation
 from .states import ExactState, StateError, dense_wire_parts, exact_sq_sum
@@ -85,9 +87,10 @@ class ProtocolSpec:
     ``payload_qubits``: the size of what Alice ships (for observable-pauli,
     its Pauli string length), read back from the main payload at
     ``qubit_field`` = (struct format, offset); capped at ``max_payload_qubits``.
-    ``main_bytes(payload_qubits)`` is the exact main-payload length.
-    ``encode(a_rows, b_rows, cfg)`` gives (main, main_bits, side, side_bits),
-    main being one buffer or a tuple of parts that ``to_wire`` joins;
+    ``main_bits(payload_qubits)`` is the exact main-payload bit count, the
+    only size the spec states: Alice declares it and Bob checks it.
+    ``encode(a_rows, b_rows, cfg)`` gives (main, side), main being one
+    buffer or a tuple of parts that ``to_wire`` joins and side whole bytes;
     ``read(msg, i, j, cfg, sr)`` gives a ``Reading``.
     """
 
@@ -96,7 +99,7 @@ class ProtocolSpec:
     epsilon_floor: Callable[[int], float]
     payload_qubits: Callable[["ProtocolConfig"], int]
     qubit_field: tuple[str, int]
-    main_bytes: Callable[[int], int]
+    main_bits: Callable[[int], int]
     encode: Callable
     read: Callable
     max_payload_qubits: float = math.inf
@@ -235,11 +238,17 @@ class Reading:
 
 
 def alice(kind: str, x: BitVector, cfg: ProtocolConfig, sr: SharedRandomness) -> ProtocolMessage:
-    """Alice's side of every protocol: block-encode, then the kind's encoder."""
+    """Alice's side of every protocol: block-encode, then the kind's encoder.
+
+    The message declares the spec's closed-form main-payload bit count and
+    its side info's length in bits.
+    """
     if cfg.kind != kind:
         raise ConfigError("config kind mismatch")
     a_rows, b_rows = encode_block_matrices(x, cfg, sr)
-    return ProtocolMessage(kind, *SPECS[kind].encode(a_rows, b_rows, cfg))
+    spec = SPECS[kind]
+    main, side = spec.encode(a_rows, b_rows, cfg)
+    return ProtocolMessage(kind, main, spec.main_bits(spec.payload_qubits(cfg)), side, 8 * len(side))
 
 
 def bob(
@@ -253,8 +262,9 @@ def bob(
     """Bob's side of every protocol: one oracle query, rescaled and thresholded.
 
     The message must match the config: its kind, its payload qubit count,
-    its main-payload length and (in the kind's reader) its side-info block
-    count are checked before anything sized by the message is read.
+    its declared main-payload bit count (which pins the payload's byte
+    length) and (in the kind's reader) its side-info length and block count
+    are checked before anything sized by the message is read.
     """
     if msg.protocol != kind:
         raise MessageError(f"wrong message for {kind} decoder")
@@ -268,7 +278,7 @@ def bob(
     (qubits,) = struct.unpack_from(fmt, msg.main_payload, offset)
     expected_qubits = spec.payload_qubits(cfg)
     _expect("payload qubit count", qubits, expected_qubits)
-    _expect("main-payload length", len(msg.main_payload), spec.main_bytes(expected_qubits))
+    _expect("main-payload length in bits", msg.main_bits, spec.main_bits(expected_qubits))
     reading = spec.read(msg, i, j, cfg, sr)
 
     # The reconstructed distance decreases in the estimate for every
@@ -292,25 +302,27 @@ def _expect(what: str, found: int, expected: int) -> None:
         raise MessageError(f"message {what} {found} does not match the config's {expected}")
 
 
-def _write_weight_side(first_field: int, nnz_list) -> tuple[bytes, int]:
+def _row_weights(rows: np.ndarray) -> np.ndarray:
+    """Each 0/1 row's weight as int64: one float32 matvec with ones, exact
+    since every weight is at most code_len < FLOAT32_EXACT."""
+    rows32 = rows.astype(np.float32, copy=False)
+    return (rows32 @ np.ones(rows32.shape[1], dtype=np.float32)).astype(np.int64)
+
+
+def _write_weight_side(first_field: int, nnz_list) -> bytes:
     # each count is at most code_len < 2^24, so u32 holds it
     counts = np.asarray(nnz_list, dtype="<u4")
-    w = ByteWriter()
-    w.put_u64(first_field)
-    w.put_u32(len(counts))
-    w.put_payload(counts, 32 * len(counts))
-    return w.getvalue(), w.bits
+    return struct.pack("<QI", first_field, len(counts)) + counts.tobytes()
 
 
 def _read_weight_side(side: bytes, j: int, cfg: ProtocolConfig) -> tuple[int, int]:
     """The leading side-info field and nnz(a^j), once the block count checks out."""
     blocks = cfg.block_count - cfg.ghd.gamma
     _expect("side-info length", len(side), 12 + 4 * blocks)
-    r = ByteReader(side)
-    first = r.take_u64()
-    _expect("side-info block count", r.take_u32(), blocks)
-    r.offset += 4 * (j - 1)
-    return first, r.take_u32()
+    first, count = struct.unpack_from("<QI", side)
+    _expect("side-info block count", count, blocks)
+    (nnz_a,) = struct.unpack_from("<I", side, 12 + 4 * (j - 1))
+    return first, nnz_a
 
 
 def _read_state(msg, j: int, cfg: ProtocolConfig) -> tuple[ExactState, int]:
@@ -347,8 +359,8 @@ def _encode_stacked(occupied: np.ndarray, a_rows: np.ndarray, cfg: ProtocolConfi
     norm_sq = int(np.count_nonzero(occupied))
     if norm_sq == 0:
         raise ProtocolError("all-zero instance produced the zero vector")
-    parts, bits = dense_wire_parts(occupied, _stacked_qubits(cfg), norm_sq)
-    return (parts, bits, *_write_weight_side(norm_sq, a_rows.sum(axis=1)))
+    parts = dense_wire_parts(occupied, _stacked_qubits(cfg), norm_sq)
+    return parts, _write_weight_side(norm_sq, _row_weights(a_rows))
 
 
 def _flat_codewords(a_rows: np.ndarray, b_rows: np.ndarray, tail: int = 0) -> np.ndarray:
@@ -432,12 +444,11 @@ def _pairwise_sum_norms(a_rows: np.ndarray, b_rows: np.ndarray) -> tuple[np.ndar
     Alice's int64 row weights nnz(a^j)."""
     # float32 counts are exact: each is at most code_len < FLOAT32_EXACT.
     # Bob's rows are cast as columns, which is contiguous when they are the
-    # transposed pad matrix; both weight vectors are matvecs with ones.
+    # transposed pad matrix.
     a32 = a_rows.astype(np.float32)
     b_cols = b_rows.T.astype(np.float32)
-    ones = np.ones(a32.shape[1], dtype=np.float32)
-    nnz_a = (a32 @ ones).astype(np.int64)
-    nnz_b = (ones @ b_cols).astype(np.int64)
+    nnz_a = _row_weights(a32)
+    nnz_b = _row_weights(b_cols.T)
     cross = (a32 @ b_cols).astype(np.int64)
     return (nnz_a[:, None] + nnz_b[None, :] + 2 * cross).reshape(-1), nnz_a
 
@@ -455,8 +466,7 @@ def _encode_pauli_state(a_rows, b_rows, cfg: ProtocolConfig) -> tuple:
     # Parseval: the unnormalized transform scales squared norms by dim, and
     # the flat half adds dim entries of dim^2
     norm_sq = dim * (exact_sq_sum(norms) + dim * dim)
-    parts, bits = dense_wire_parts(numerators, n + 1, norm_sq)
-    return (parts, bits, *_write_weight_side(norm_sq, nnz_a))
+    return dense_wire_parts(numerators, n + 1, norm_sq), _write_weight_side(norm_sq, nnz_a)
 
 
 def _read_pauli_state(msg, i: int, j: int, cfg: ProtocolConfig, sr) -> Reading:
@@ -529,7 +539,7 @@ def _encode_observable_general(a_rows, b_rows, cfg: ProtocolConfig) -> tuple:
         entries_fp = np.zeros((dim, dim), dtype="<i8")
     # the u32 qubit count and the matrix stay two parts until to_wire joins them
     main = (struct.pack("<I", cfg.qubits), entries_fp)
-    return (main, 32 + 64 * dim * dim, *_write_weight_side(norm_fp, weights[: len(a_rows)]))
+    return main, _write_weight_side(norm_fp, weights[: len(a_rows)])
 
 
 def _read_observable_general(msg, i: int, j: int, cfg: ProtocolConfig, sr) -> Reading:
@@ -570,27 +580,19 @@ def _encode_observable_pauli(a_rows, b_rows, cfg: ProtocolConfig) -> tuple:
     z_bits = _flat_codewords(a_rows, b_rows, tail=1)
     z_bits[-1] = 1
     # the Z-string IS the message; the x-mask is structurally zero here
-    w = ByteWriter()
-    w.put_u64(cfg.ghd.code_len)
-    return (*pack_bits(z_bits), w.getvalue(), w.bits)
+    return pack_bits(z_bits)[0], struct.pack("<Q", cfg.ghd.code_len)
 
 
 def _read_observable_pauli(msg, i: int, j: int, cfg: ProtocolConfig, sr) -> Reading:
     _expect("side-info length", len(msg.side_payload), 8)
-    code_len = ByteReader(msg.side_payload).take_u64()
+    (code_len,) = struct.unpack("<Q", msg.side_payload)
     _expect("codeword length", code_len, cfg.ghd.code_len)
-    main = msg.main_payload
-    # ``bob`` has matched the u64 bit count and the payload length with the
-    # config; both are checked again so that the reader stands alone
-    count = ByteReader(main).take_u64()
-    _expect("Z-string bit count", count, cfg.spec.payload_qubits(cfg))
-    _expect("main-payload length", len(main), 8 + (count + 7) // 8)
-    # the only kind whose main bits end inside a byte: the header count must
-    # be the Z-string's own, not another count with the same byte length
-    _expect("main-payload bit count", msg.main_bits, 64 + count)
+    # ``bob`` has matched the u64 bit count and the declared main bits with
+    # the config, so the Z-string is main_bits - 64 bits long
+    count = msg.main_bits - 64
     # the whole Z-string as one int, bit k at 2**k: set bits past ``count``
     # would give one string two wire forms
-    z = int.from_bytes(main[8:], "little")
+    z = int.from_bytes(msg.main_payload[8:], "little")
     if z >> count:
         raise MessageError("Z-string padding bits are not zero")
 
@@ -622,29 +624,29 @@ def _stacked_qubits(cfg: ProtocolConfig) -> int:
 _STATE_QUBITS = ("<B", 1)  # ExactState wire header: u8 layout tag, u8 qubits, ...
 
 
-def _dense_state_bytes(qubits: int) -> int:
-    """ExactState dense wire length: 10-byte header, one i64 per amplitude."""
-    return 10 + 8 * (1 << qubits)
+def _dense_state_bits(qubits: int) -> int:
+    """ExactState dense wire size: 80-bit header, one i64 per amplitude."""
+    return 80 + 64 * (1 << qubits)
 
 
 SPECS = {
     "general-state": ProtocolSpec(
         kappa=4.0, block_count=_state_blocks, epsilon_floor=_state_floor,
         payload_qubits=_stacked_qubits, qubit_field=_STATE_QUBITS,
-        main_bytes=_dense_state_bytes, encode=_encode_general_state, read=_read_general_state,
+        main_bits=_dense_state_bits, encode=_encode_general_state, read=_read_general_state,
         max_payload_qubits=MAX_STATE_QUBITS,
     ),
     "pauli-state": ProtocolSpec(
         kappa=4.0, block_count=_state_blocks, epsilon_floor=_state_floor,
         payload_qubits=lambda cfg: cfg.qubits + 1, qubit_field=_STATE_QUBITS,
-        main_bytes=_dense_state_bytes, encode=_encode_pauli_state, read=_read_pauli_state,
+        main_bits=_dense_state_bits, encode=_encode_pauli_state, read=_read_pauli_state,
         max_payload_qubits=MAX_STATE_QUBITS,
     ),
     "observable-general": ProtocolSpec(
         kappa=4.0, block_count=lambda n: 1 << n, epsilon_floor=lambda n: 2.0 ** (-n / 2.0),
         payload_qubits=lambda cfg: cfg.qubits, qubit_field=("<I", 0),
         # u32 qubit count, then the 2^n x 2^n i64 matrix
-        main_bytes=lambda n: 4 + 8 * (1 << (2 * n)),
+        main_bits=lambda n: 32 + 64 * (1 << (2 * n)),
         encode=_encode_observable_general, read=_read_observable_general,
         max_payload_qubits=MAX_OBSERVABLE_QUBITS,
     ),
@@ -652,13 +654,13 @@ SPECS = {
         kappa=1.0, block_count=math.isqrt, epsilon_floor=lambda n: n ** (-1.0 / 4.0),
         # the payload is a Pauli string; its BitVector header is a u64 bit count
         payload_qubits=lambda cfg: cfg.ghd.code_len * cfg.block_count + 1, qubit_field=("<Q", 0),
-        main_bytes=lambda bits: 8 + (bits + 7) // 8,
+        main_bits=lambda bits: 64 + bits,
         encode=_encode_observable_pauli, read=_read_observable_pauli,
     ),
     "inner-product": ProtocolSpec(
         kappa=2.0, block_count=_state_blocks, epsilon_floor=_state_floor,
         payload_qubits=_stacked_qubits, qubit_field=_STATE_QUBITS,
-        main_bytes=_dense_state_bytes, encode=_encode_inner_product, read=_read_inner_product,
+        main_bits=_dense_state_bits, encode=_encode_inner_product, read=_read_inner_product,
         max_payload_qubits=MAX_STATE_QUBITS,
     ),
 }

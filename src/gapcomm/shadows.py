@@ -20,6 +20,9 @@ from .pauli import ObservableError, PauliMask
 
 MAX_SIM_QUBITS = 10
 
+# rounds per mean in the reference estimator's median of means
+GROUP_SIZE = 2000
+
 # basis letter codes packed into the shadow (2 bits per qubit per round)
 LETTERS = "XYZ"
 _CODE = {"X": 0, "Y": 1, "Z": 2}
@@ -125,13 +128,13 @@ def _unpack_rounds(shadow: BitVector, qubits: int) -> tuple[np.ndarray, np.ndarr
     return codes.astype(np.int64), rounds[:, 2 * qubits :].astype(np.int64)
 
 
-def reference_shadow_pair(copies: int, group_size: int = 2000) -> ShadowPair:
+def reference_shadow_pair(copies: int) -> ShadowPair:
     """Random-basis single-qubit measurements with a median-of-means estimator.
 
     Per round each qubit is measured in a uniformly random X/Y/Z basis;
     the shadow records 2 basis bits plus 1 outcome bit per qubit per round.
     Estimation inverts the single-qubit depolarizing channel (factor 3 per
-    matched qubit) and takes a median over means of ``group_size`` rounds.
+    matched qubit) and takes a median over means of ``GROUP_SIZE`` rounds.
     Only mask-type observables (I/Z/X factors) are supported.
     """
     if copies < 1:
@@ -167,7 +170,7 @@ def reference_shadow_pair(copies: int, group_size: int = 2000) -> ShadowPair:
         matched = np.all(codes[:, support] == want, axis=1)
         signs = np.prod(1 - 2 * outcomes[:, support], axis=1)
         values = np.where(matched, (3.0 ** len(support)) * signs, 0.0)
-        groups = max(1, values.shape[0] // group_size)
+        groups = max(1, values.shape[0] // GROUP_SIZE)
         means = [float(chunk.mean()) for chunk in np.array_split(values, groups)]
         return float(np.median(means))
 

@@ -65,14 +65,14 @@ def _zeros(nbytes: int) -> bytes:
     return bytes(nbytes)
 
 
-def dense_wire_parts(prefix, qubits: int, norm_sq: int) -> tuple[tuple, int]:
+def dense_wire_parts(prefix, qubits: int, norm_sq: int) -> tuple:
     """The dense wire form of a state on ``qubits`` qubits whose amplitudes
     past ``prefix`` are all zero, written without building the full array.
 
-    Returns ``(parts, bits)``. The parts are the 10-byte header, a
-    memoryview over the prefix as little-endian int64 (no copy when it
-    already is one) and a shared zero tail; joined, they are the payload
-    ``ExactState.serialize`` writes for the padded state, of ``bits`` bits.
+    The parts are the 10-byte header, a memoryview over the prefix as
+    little-endian int64 (no copy when it already is one) and a shared zero
+    tail; joined, they are the payload ``ExactState.serialize`` writes for
+    the padded state.
     ``norm_sq`` is the prefix's sum of squares, which the caller knows
     without summing (a 0/1 prefix's weight, say); it is not checked here,
     since Bob's ``deserialize`` checks it against every amplitude.
@@ -88,8 +88,7 @@ def dense_wire_parts(prefix, qubits: int, norm_sq: int) -> tuple[tuple, int]:
     if norm_sq >> 64:
         raise StateError("norm_sq too large for the wire format")
     header = struct.pack("<BBQ", 0, qubits, norm_sq)
-    parts = (header, memoryview(arr).cast("B"), _zeros(8 * (dim - arr.shape[0])))
-    return parts, 8 + 8 + 64 + 64 * dim
+    return header, memoryview(arr).cast("B"), _zeros(8 * (dim - arr.shape[0]))
 
 
 # Passed as ``norm_sq`` by ``ExactState.dense``: the squared norm is then the
@@ -160,8 +159,8 @@ class ExactState:
     # All integers little-endian.
 
     def serialize(self) -> tuple[bytes, int]:
-        parts, bits = dense_wire_parts(self.numerators, self.qubits, self.norm_sq)
-        return b"".join(parts), bits
+        payload = b"".join(dense_wire_parts(self.numerators, self.qubits, self.norm_sq))
+        return payload, 8 * len(payload)
 
     @staticmethod
     def deserialize(buf: bytes, offset: int = 0) -> tuple["ExactState", int]:

@@ -4,12 +4,7 @@ import pickle
 
 import pytest
 
-from gapcomm.messages import (
-    ByteReader,
-    ByteWriter,
-    MessageError,
-    ProtocolMessage,
-)
+from gapcomm.messages import MessageError, ProtocolMessage
 
 
 class TestProtocolMessage:
@@ -34,6 +29,15 @@ class TestProtocolMessage:
     def test_padding_overflow_rejected(self):
         with pytest.raises(MessageError):
             ProtocolMessage("pauli-state", b"\x00\x00", 3)
+
+    @pytest.mark.parametrize("side_bits", [1, 7, 9])
+    def test_side_info_is_whole_bytes(self, side_bits):
+        with pytest.raises(MessageError, match=f"side_bits {side_bits} inconsistent"):
+            ProtocolMessage("general-state", b"\x00", 8, b"\x01", side_bits)
+        wire = bytearray(ProtocolMessage("general-state", b"\x00", 8, b"\x01", 8).to_wire())
+        wire[12] = side_bits
+        with pytest.raises(MessageError):
+            ProtocolMessage.from_wire(bytes(wire))
 
     @pytest.mark.parametrize("field", ["main", "side"])
     def test_negative_bit_count_rejected(self, field):
@@ -84,39 +88,3 @@ class TestProtocolMessage:
         with pytest.raises(MessageError):
             ProtocolMessage.from_wire(msg.to_wire()[:-1])
 
-
-class TestByteWriterReader:
-    def test_round_trip(self):
-        w = ByteWriter()
-        w.put_u64(2**40)
-        w.put_u32(77)
-        assert w.bits == 64 + 32
-        r = ByteReader(w.getvalue())
-        assert r.take_u64() == 2**40
-        assert r.take_u32() == 77
-
-    @pytest.mark.parametrize("take", ["take_u32", "take_u64"])
-    def test_short_read_raises_message_error(self, take):
-        with pytest.raises(MessageError, match="too short"):
-            getattr(ByteReader(b"\x00\x01"), take)()
-        reader = ByteReader(bytes(12))
-        reader.take_u64()
-        reader.take_u32()
-        with pytest.raises(MessageError, match="offset 12"):
-            getattr(reader, take)()
-
-    def test_reader_offset_counts_bytes_taken(self):
-        w = ByteWriter()
-        w.put_u32(1)
-        w.put_payload(b"\x05\x06", 16)
-        w.put_u64(9)
-        assert w.bits == 32 + 16 + 64
-        r = ByteReader(w.getvalue())
-        assert r.take_u32() == 1 and r.offset == 4
-        r.offset += 2  # skip the embedded payload
-        assert r.take_u64() == 9 and r.offset == 14
-
-    def test_embedded_payload_must_be_aligned(self):
-        w = ByteWriter()
-        with pytest.raises(MessageError):
-            w.put_payload(b"\x00", 3)

@@ -17,7 +17,7 @@ from gapcomm import _kernels
 from gapcomm.bits import STREAM_INDEX, STREAM_INSTANCE, BitVector, SharedRandomness, hamming
 from gapcomm.ghd import GhdParams, decision_threshold, encode_alice, encode_bob, public_pads
 from gapcomm.harness import _subset_state_target, _sum_norm_formula_target, sample_instance
-from gapcomm.messages import ByteWriter, MessageError, ProtocolMessage
+from gapcomm.messages import MessageError, ProtocolMessage
 from gapcomm.observables import operator_norm
 from gapcomm.oracle import PUSH_DOWN, PUSH_UP, OracleSpec
 from gapcomm.pauli import PauliMask
@@ -535,17 +535,14 @@ class TestObservableGeneral:
     @staticmethod
     def byte_writer_main(a_rows, b_rows, pc) -> bytes:
         """The main payload as first written: a float64 Gram matrix rounded
-        through ``ByteWriter``, which joined it before ``to_wire`` did."""
+        and joined to its u32 qubit count in one buffer, before ``to_wire``."""
         columns = np.concatenate([a_rows, b_rows], axis=0).astype(np.float32).T
         dim = 1 << pc.qubits
         gram = (columns.T @ columns).astype(np.float64)
         small = gram if dim <= pc.ghd.code_len else (columns @ columns.T).astype(np.float64)
         norm_fp = round(operator_norm(small) * (1 << proto.NORM_FRAC_BITS))
         entries = np.round(gram / (norm_fp / (1 << proto.NORM_FRAC_BITS)) * (1 << proto.ENTRY_FRAC_BITS))
-        w = ByteWriter()
-        w.put_u32(pc.qubits)
-        w.put_payload(entries.astype("<i8"), 64 * dim * dim)
-        return w.getvalue()
+        return struct.pack("<I", pc.qubits) + entries.astype("<i8").tobytes()
 
     @pytest.mark.parametrize("qubits,epsilon", [(4, 0.5), (6, 0.5), (8, 0.3), (8, 0.5)])
     def test_main_payload_is_two_parts_with_the_byte_writer_wire(self, qubits, epsilon):
@@ -681,9 +678,8 @@ class TestObservableGeneral:
 
 def pauli_wire_message(z_bits, code_len) -> ProtocolMessage:
     """An observable-pauli message carrying ``z_bits``, through the wire."""
-    side = ByteWriter()
-    side.put_u64(code_len)
-    msg = ProtocolMessage("observable-pauli", *BitVector(z_bits).serialize(), side.getvalue(), side.bits)
+    side = struct.pack("<Q", code_len)
+    msg = ProtocolMessage("observable-pauli", *BitVector(z_bits).serialize(), side, 8 * len(side))
     return ProtocolMessage.from_wire(msg.to_wire())
 
 
@@ -842,15 +838,11 @@ class TestObservablePauli:
     def test_hostile_z_strings_raise_only_message_errors(self, case):
         pc = make_config("observable-pauli", 256, 0.3)
         sr, x, l = draw_instance(pc, 87)
-        i, j = proto.decompose_index(l, pc.ghd.gamma)
         msg = proto.ALICE["observable-pauli"](x, pc, sr)
         main, main_bits = self.hostile_mains(bytes(msg.main_payload), msg.main_bits)[case]
         bad = ProtocolMessage("observable-pauli", main, main_bits, msg.side_payload, msg.side_bits)
         with pytest.raises(MessageError):
             proto.BOB["observable-pauli"](bad, l, pc, sr, OracleSpec())
-        # the reader stands alone: it checks again what ``bob`` checks first
-        with pytest.raises(MessageError):
-            proto.SPECS["observable-pauli"].read(bad, i, j, pc, sr)
 
     def test_int_read_distance_matches_the_unpacked_blocks(self):
         pc = make_config("observable-pauli", 256, 0.3)
@@ -1051,6 +1043,28 @@ class TestBobValidation:
             proto.BOB[kind](bad, l, pc, sr, OracleSpec())
 
     @pytest.mark.parametrize(
+        "kind,qubits,field",
+        [(kind, qubits, field)
+         for kind, qubits in [("general-state", 6), ("inner-product", 6), ("observable-general", 5),
+                              ("pauli-state", 6), ("observable-pauli", 64)]
+         # observable-pauli's main bits end one bit into their last byte, so
+         # no drop keeps its byte length
+         for field in (["side"] if kind == "observable-pauli" else ["main", "side"])],
+    )
+    @pytest.mark.parametrize("drop", [1, 7])
+    def test_declared_bits_below_the_config_are_rejected(self, kind, qubits, field, drop):
+        # only the wire header's bit count drops; the payload bytes stay as they are
+        pc = make_config(kind, qubits, 0.5)
+        sr, x, l = draw_instance(pc, 76)
+        wire = bytearray(proto.ALICE[kind](x, pc, sr).to_wire())
+        offset = {"main": 4, "side": 12}[field]
+        (bits,) = struct.unpack_from("<Q", wire, offset)
+        struct.pack_into("<Q", wire, offset, bits - drop)
+        match = {"main": "main-payload length", "side": "side_bits"}[field]
+        with pytest.raises(MessageError, match=match):
+            proto.BOB[kind](ProtocolMessage.from_wire(bytes(wire)), l, pc, sr, OracleSpec())
+
+    @pytest.mark.parametrize(
         "kind,qubits",
         [("general-state", 6), ("inner-product", 6), ("observable-general", 5), ("pauli-state", 6),
          ("observable-pauli", 64)],
@@ -1060,6 +1074,11 @@ class TestBobValidation:
         for seed in (78, 79):
             sr, x, l = draw_instance(pc, seed)
             msg = proto.ALICE[kind](x, pc, sr)
+            if kind == "observable-pauli":
+                written = 64 + struct.unpack_from("<Q", msg.main_payload)[0]
+            else:
+                written = 8 * len(msg.main_payload)
+            assert msg.main_bits == written
             wire = msg.to_wire()
             back = ProtocolMessage.from_wire(wire)
             assert back.to_wire() == wire

@@ -61,16 +61,6 @@ class BitVector:
     def zeros(length: int) -> "BitVector":
         return BitVector(np.zeros(length, dtype=np.uint8))
 
-    @staticmethod
-    def from_int(value: int, length: int) -> "BitVector":
-        """Unpack ``length`` bits of ``value``, bit k+1 taken from 2**k."""
-        if value < 0:
-            raise ValueError("value must be nonnegative")
-        if value >> length:
-            raise ValueError("value does not fit in the requested length")
-        raw = np.frombuffer(value.to_bytes((length + 7) // 8, "little"), dtype=np.uint8)
-        return BitVector(np.unpackbits(raw, count=length, bitorder="little"))
-
     def __len__(self) -> int:
         return int(self.bits.shape[0])
 

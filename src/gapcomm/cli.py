@@ -121,7 +121,7 @@ def _cmd_shadows_demo(args) -> int:
             x = int(obs_gen.integers(0, dim))
             if z & x == 0:
                 break
-        mask = PauliMask.from_ints(z=z, x=x, qubits=args.qubits)
+        mask = PauliMask(z=z, x=x, qubits=args.qubits)
         dense = mask.to_dense().astype(np.complex128)
         exact = float(np.real(psi.conj() @ dense @ psi))
         est = protocol.bob(msg, mask)

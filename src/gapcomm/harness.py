@@ -309,7 +309,7 @@ def _check_row_orthogonality(max_qubits: int) -> CheckResult:
         rows = character_matrix(n)
         # second route: per-entry signs from the mask's own popcount path
         for k in range(dim):
-            mask = PauliMask.from_ints(z=k, x=0, qubits=n)
+            mask = PauliMask(z=k, x=0, qubits=n)
             alt = np.array([mask.diagonal_sign(y) for y in range(dim)], dtype=np.int64)
             if not np.array_equal(rows[k], alt):
                 return CheckResult("row-orthogonality", False, f"row {k} mismatch at n={n}")
@@ -374,7 +374,8 @@ def _subset_state_target(x, l, pc, sr, msg) -> Fraction:
     # the paper's construction on the wire Z-string: one two-hot basis index
     # per code position over Alice's block j and Bob's block, then the marked
     # last-qubit point of squared weight code_len (half the norm)
-    z, _ = BitVector.deserialize(msg.main_payload)
+    z_bits, _ = BitVector.deserialize(msg.main_payload)
+    z = z_bits.to_int()
     i, j = proto.decompose_index(l, pc.ghd.gamma)
     code_len = pc.ghd.code_len
     col = pc.block_count - pc.ghd.gamma + i
@@ -382,7 +383,7 @@ def _subset_state_target(x, l, pc, sr, msg) -> Fraction:
         ((1 << ((j - 1) * code_len + k)) | (1 << ((col - 1) * code_len + k)), 1)
         for k in range(code_len)
     ]
-    marked = [(1 << (len(z) - 1), 1)]
+    marked = [(1 << (len(z_bits) - 1), 1)]
     return subset_state_expectation(z, support, 2 * code_len) + subset_state_expectation(z, marked, 2)
 
 

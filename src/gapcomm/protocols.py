@@ -47,7 +47,7 @@ from .ghd import (
 )
 from .messages import MessageError, ProtocolMessage
 from .observables import _power_norm
-from .pauli import mask_expectation
+from .pauli import PauliMask, pauli_expectation
 from .states import ExactState, StateError, dense_wire_parts, exact_sq_sum
 from . import _kernels
 
@@ -341,7 +341,12 @@ def _sum_norm_reading(target, rescale, nnz_a: int, i: int, cfg, sr) -> Reading:
     """``target`` is ||a^j + b^i||^2 / rescale; distance = 2 nnz_a + 2 nnz_b - ||a+b||^2."""
     # Bob's codeword b^i is pad column i (in range: i comes from a checked index)
     nnz_b = int(np.count_nonzero(public_pads(cfg.ghd, sr)[:, i - 1]))
-    delta = delta_from_sum_norm(target * rescale, nnz_a, nnz_b)
+    sum_norm = target * rescale
+    # a squared norm: only a crafted message (such as a pauli-state whose
+    # X string pairs opposite signs) reads below zero
+    if sum_norm < 0:
+        raise MessageError(f"negative sum-norm reading {sum_norm}")
+    delta = delta_from_sum_norm(sum_norm, nnz_a, nnz_b)
     return Reading(target, delta, 2 * nnz_a + 2 * nnz_b, rescale)
 
 
@@ -474,7 +479,7 @@ def _read_pauli_state(msg, i: int, j: int, cfg: ProtocolConfig, sr) -> Reading:
     n = cfg.qubits
     # the Z-string picks the pair's table entry; the X on the top qubit pairs
     # the solution half with the flat half
-    target = mask_expectation(state, (j - 1) * cfg.ghd.gamma + i - 1, 1 << n)
+    target = pauli_expectation(state, PauliMask((j - 1) * cfg.ghd.gamma + i - 1, 1 << n, n + 1))
     # target = 2 * sum_norm / D with D = norm_sq / 2^{2n}; undoing the
     # scale turns the estimate back into a sum-norm estimate.
     rescale = Fraction(state.norm_sq, 1 << (2 * n + 1))

@@ -91,11 +91,6 @@ def dense_wire_parts(prefix, qubits: int, norm_sq: int) -> tuple:
     return header, memoryview(arr).cast("B"), _zeros(8 * (dim - arr.shape[0]))
 
 
-# Passed as ``norm_sq`` by ``ExactState.dense``: the squared norm is then the
-# sum that ``__post_init__`` computes anyway, instead of a second pass.
-_SUMMED = object()
-
-
 @dataclass(frozen=True, eq=False)
 class ExactState:
     """Dense integer-amplitude state vector.
@@ -126,9 +121,7 @@ class ExactState:
         arr.setflags(write=False)
         object.__setattr__(self, "numerators", arr)
         total = exact_sq_sum(arr)
-        if self.norm_sq is _SUMMED:
-            object.__setattr__(self, "norm_sq", total)
-        elif total != self.norm_sq:
+        if total != self.norm_sq:
             raise StateError(f"norm_sq {self.norm_sq} != sum of squares {total}")
         if total <= 0:
             raise StateError("state must be nonzero")
@@ -136,7 +129,7 @@ class ExactState:
     @staticmethod
     def dense(numerators) -> "ExactState":
         arr = np.ascontiguousarray(numerators, dtype=np.int64)
-        return ExactState(qubits=arr.shape[0].bit_length() - 1, norm_sq=_SUMMED, numerators=arr)
+        return ExactState(arr.shape[0].bit_length() - 1, exact_sq_sum(arr), arr)
 
     def amplitudes(self) -> np.ndarray:
         """Floating-point unit-norm amplitude vector (cross-check use only)."""

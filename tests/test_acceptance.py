@@ -157,7 +157,7 @@ def test_criterion_2_target_value_equivalence():
             msg = proto.ALICE["pauli-state"](x, pc, sr)
             res = proto.BOB["pauli-state"](msg, l, pc, sr, OracleSpec())
             state, _ = ExactState.deserialize(msg.main_payload)
-            mask = PauliMask.from_ints(z=l - 1, x=1 << qubits, qubits=qubits + 1)
+            mask = PauliMask(z=l - 1, x=1 << qubits, qubits=qubits + 1)
             dense = kron_oracle(mask)
             nums = state.numerators
             if res.target != Fraction(int(nums @ (dense @ nums)), state.norm_sq):
@@ -378,7 +378,7 @@ def test_criterion_8_shadow_reference_accuracy():
         x = int(rng.integers(0, 8))
         if z & x:
             continue
-        mask = PauliMask.from_ints(z=z, x=x, qubits=qubits)
+        mask = PauliMask(z=z, x=x, qubits=qubits)
         exact = float(np.real(psi.conj() @ kron_oracle(mask).astype(complex) @ psi))
         if abs(exact) < 0.5:
             continue

@@ -48,24 +48,7 @@ class TestBitVector:
     def test_int_round_trip_lsb_first(self):
         v = BitVector(np.array([1, 0, 1, 1], dtype=np.uint8))  # 1 + 4 + 8
         assert v.to_int() == 13
-        assert BitVector.from_int(13, 4) == v
-        with pytest.raises(ValueError):
-            BitVector.from_int(16, 4)
-
-    def test_from_int_rejects_negative(self):
-        with pytest.raises(ValueError):
-            BitVector.from_int(-1, 4)
-
-    def test_from_int_round_trips_through_to_int(self):
-        rng = np.random.default_rng(5)
-        for length in (0, 1, 7, 8, 9, 13, 64, 65, 200):
-            for _ in range(20):
-                value = int.from_bytes(rng.bytes(32), "little") & ((1 << length) - 1)
-                v = BitVector.from_int(value, length)
-                assert len(v) == length and v.to_int() == value
-                assert v.bits.tolist() == [(value >> k) & 1 for k in range(length)]
-            with pytest.raises(ValueError):
-                BitVector.from_int(1 << length, length)
+        assert BitVector.zeros(0).to_int() == 0
 
     def test_rejects_two_dimensional_bits(self):
         with pytest.raises(ValueError):

@@ -74,7 +74,7 @@ class TestEncoders:
         params = GhdParams(epsilon=0.5)
         sr = SharedRandomness(2)
         for k in range(1, params.gamma + 1):
-            x = BitVector.from_int(1 << (k - 1), params.gamma)
+            x = BitVector(np.eye(params.gamma, dtype=np.uint8)[k - 1])
             assert encode_alice(x, params, sr) == encode_bob(k, params, sr)
 
     def test_majority_against_brute_force(self):

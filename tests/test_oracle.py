@@ -17,9 +17,11 @@ class TestExact:
     def test_passthrough(self):
         assert estimate(0.5, OracleSpec()) == 0.5
 
-    def test_fractions_stay_exact(self):
+    # the second spec can fail, but its draw does not
+    @pytest.mark.parametrize("oracle", [OracleSpec(), spec("exact", 0.1, failure=1e-12, seed=1)])
+    def test_fractions_stay_exact(self, oracle):
         value = Fraction(3, 7)
-        out = estimate(value, OracleSpec())
+        out = estimate(value, oracle)
         assert out == value and isinstance(out, Fraction)
 
 

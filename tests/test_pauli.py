@@ -4,14 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gapcomm.bits import BitVector, DimensionError
-from gapcomm.pauli import (
-    ObservableError,
-    PauliMask,
-    mask_expectation,
-    pauli_expectation,
-    subset_state_expectation,
-)
+from gapcomm.bits import DimensionError
+from gapcomm.pauli import ObservableError, PauliMask, pauli_expectation, subset_state_expectation
 from gapcomm.states import ExactState
 
 I2 = np.eye(2, dtype=np.int64)
@@ -36,21 +30,26 @@ def random_mask(rng, qubits: int) -> PauliMask:
         z = int(rng.integers(0, 1 << qubits))
         x = int(rng.integers(0, 1 << qubits))
         if z & x == 0:
-            return PauliMask.from_ints(z=z, x=x, qubits=qubits)
+            return PauliMask(z=z, x=x, qubits=qubits)
 
 
 class TestMask:
-    def test_rejects_overlapping_masks(self):
-        with pytest.raises(ObservableError):
-            PauliMask.from_ints(z=1, x=1, qubits=2)
+    @pytest.mark.parametrize("z,x,qubits", [(1, 1, 2), (0b011, 0b010, 3)])
+    def test_rejects_overlapping_masks(self, z, x, qubits):
+        with pytest.raises(ObservableError, match="overlapping"):
+            PauliMask(z=z, x=x, qubits=qubits)
 
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ObservableError):
-            PauliMask(BitVector(np.ones(1, np.uint8)), BitVector(np.zeros(2, np.uint8)))
+    @pytest.mark.parametrize("z,x", [(1 << 3, 0), (0, 1 << 3), (-1, 0), (0, -2)])
+    def test_masks_outside_the_qubits_are_rejected(self, z, x):
+        with pytest.raises(DimensionError):
+            PauliMask(z=z, x=x, qubits=3)
 
     def test_letters(self):
-        mask = PauliMask.from_ints(z=0b001, x=0b100, qubits=3)
+        mask = PauliMask(z=0b001, x=0b100, qubits=3)
         assert [mask.letter(q) for q in (1, 2, 3)] == ["Z", "I", "X"]
+        for q in (0, 4):
+            with pytest.raises(IndexError):
+                mask.letter(q)
 
     def test_dense_matches_kron_oracle(self):
         rng = np.random.default_rng(10)
@@ -68,17 +67,17 @@ class TestMask:
 
     def test_rejects_empty_mask(self):
         with pytest.raises(ObservableError):
-            PauliMask(BitVector.zeros(0), BitVector.zeros(0))
+            PauliMask(z=0, x=0, qubits=0)
 
     def test_dense_capped_at_13_qubits(self):
         with pytest.raises(ObservableError):
-            PauliMask.from_ints(z=1, x=0, qubits=14).to_dense()
+            PauliMask(z=1, x=0, qubits=14).to_dense()
 
     def test_diagonal_sign_matches_dense_diagonal(self):
         rng = np.random.default_rng(12)
         for n in (1, 3, 5):
             z = int(rng.integers(0, 1 << n))
-            mask = PauliMask.from_ints(z=z, x=0, qubits=n)
+            mask = PauliMask(z=z, x=0, qubits=n)
             signs = [mask.diagonal_sign(y) for y in range(1 << n)]
             assert np.array_equal(signs, np.diagonal(kron_oracle(mask)))
 
@@ -86,12 +85,12 @@ class TestMask:
 class TestExpectation:
     def test_z_eigenstate(self):
         ground = ExactState.dense(np.array([1, 0], dtype=np.int64))
-        assert pauli_expectation(ground, PauliMask.from_ints(z=1, x=0, qubits=1)) == 1
+        assert pauli_expectation(ground, PauliMask(z=1, x=0, qubits=1)) == 1
 
     def test_identity_on_any_state(self):
         rng = np.random.default_rng(12)
         state = ExactState.dense(rng.integers(-5, 6, size=8).astype(np.int64) + 1)
-        identity = PauliMask.from_ints(z=0, x=0, qubits=3)
+        identity = PauliMask(z=0, x=0, qubits=3)
         assert pauli_expectation(state, identity) == 1
 
     def test_matches_dense_quadratic_form(self):
@@ -119,37 +118,15 @@ class TestExpectation:
     def test_dimension_mismatch(self):
         state = ExactState.dense(np.array([1, 0], dtype=np.int64))
         with pytest.raises(DimensionError):
-            pauli_expectation(state, PauliMask.from_ints(z=1, x=0, qubits=2))
+            pauli_expectation(state, PauliMask(z=1, x=0, qubits=2))
 
     def test_huge_amplitudes_fall_back_to_exact_path(self):
         big = 1 << 40
         state = ExactState.dense(np.array([big, -big, big, big], dtype=np.int64))
-        mask = PauliMask.from_ints(z=1, x=0, qubits=2)
+        mask = PauliMask(z=1, x=0, qubits=2)
         # signs: +1, -1, +1, -1 on the diagonal
         expected = Fraction(big * big - big * big + big * big - big * big, state.norm_sq)
         assert pauli_expectation(state, mask) == expected
-
-
-class TestMaskExpectation:
-    def test_matches_the_mask_route(self):
-        rng = np.random.default_rng(15)
-        for _ in range(30):
-            nums = rng.integers(-9, 10, size=32).astype(np.int64)
-            nums[0] = 1
-            state = ExactState.dense(nums)
-            mask = random_mask(rng, 5)
-            assert mask_expectation(state, mask.z_int, mask.x_int) == pauli_expectation(state, mask)
-
-    @pytest.mark.parametrize("z,x", [(1 << 3, 0), (0, 1 << 3), (-1, 0), (0, -2)])
-    def test_masks_outside_the_state_are_rejected(self, z, x):
-        state = ExactState.dense(np.arange(1, 9, dtype=np.int64))
-        with pytest.raises(DimensionError):
-            mask_expectation(state, z, x)
-
-    def test_overlapping_masks_are_rejected(self):
-        state = ExactState.dense(np.arange(1, 9, dtype=np.int64))
-        with pytest.raises(ObservableError, match="overlapping"):
-            mask_expectation(state, 0b011, 0b010)
 
 
 class TestSubsetExpectation:
@@ -175,7 +152,7 @@ class TestSubsetExpectation:
             nums[idx] = vals
             state = ExactState.dense(nums)
             z = int(rng.integers(0, 1 << n))
-            mask = PauliMask.from_ints(z=z, x=0, qubits=n)
+            mask = PauliMask(z=z, x=0, qubits=n)
             assert subset_state_expectation(z, pairs, state.norm_sq) == pauli_expectation(
                 state, mask
             )
@@ -220,7 +197,7 @@ def test_character_rows_pairwise_orthogonal_small():
         dim = 1 << n
         rows = np.stack(
             [
-                np.diagonal(kron_oracle(PauliMask.from_ints(z=k, x=0, qubits=n)))
+                np.diagonal(kron_oracle(PauliMask(z=k, x=0, qubits=n)))
                 for k in range(dim)
             ]
         )

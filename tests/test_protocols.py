@@ -55,8 +55,28 @@ class TestConfig:
             make_config("observable-pauli", 256, 0.24)  # below 256^-0.25
 
     def test_capacity_requires_blocks_beyond_gamma(self):
-        with pytest.raises(proto.ConfigError):
-            make_config("general-state", 4, 0.5)  # 4 blocks, gamma 4
+        with pytest.raises(proto.ConfigError, match="no index capacity"):
+            make_config("general-state", 2, 0.8)  # 2 blocks, gamma 2
+
+    @pytest.mark.parametrize(
+        "kind, qubits, slack, match",
+        [("shadow-adapter", 8, 1.0, "unknown protocol kind"),
+         ("general-state", 0, 1.0, "qubits must be >= 1"),
+         ("general-state", 8, 0.5, "oracle_slack must be >= 1")],
+    )
+    def test_rejects_kind_qubits_and_slack(self, kind, qubits, slack, match):
+        with pytest.raises(proto.ConfigError, match=match):
+            make_config(kind, qubits, 0.5, oracle_slack=slack)
+
+    def test_alice_and_bob_reject_another_kinds_config(self):
+        pc = make_config("general-state", 8, 0.5)
+        sr, x, l = draw_instance(pc, 53)
+        msg = proto.ALICE["general-state"](x, pc, sr)
+        with pytest.raises(proto.ConfigError, match="config kind mismatch"):
+            proto.alice("pauli-state", x, pc, sr)
+        foreign = dataclasses.replace(msg, protocol="pauli-state")
+        with pytest.raises(proto.ConfigError, match="config kind mismatch"):
+            proto.bob("pauli-state", foreign, l, pc, sr, OracleSpec())
 
     def test_observable_general_dense_cap(self):
         with pytest.raises(proto.ConfigError):
@@ -114,6 +134,10 @@ class TestIndexDecomposition:
                 assert l == i + (j - 1) * gamma
                 seen.add((i, j))
             assert len(seen) == blocks * gamma
+
+    def test_index_zero_is_rejected(self):
+        with pytest.raises(IndexError):
+            proto.decompose_index(0, 4)
 
 
 class TestPartitionAndEncode:
@@ -429,8 +453,8 @@ class TestPauliState:
         pc = make_config("pauli-state", 6, 0.5)
         sr, x, l = draw_instance(pc, 48)
         n = pc.qubits
-        mask = PauliMask.from_ints(z=l - 1, x=1 << n, qubits=n + 1)
-        assert not np.any(mask.z_mask.bits & mask.x_mask.bits)
+        mask = PauliMask(z=l - 1, x=1 << n, qubits=n + 1)
+        assert not mask.z & mask.x
 
     def test_target_formula_and_dense_agreement(self):
         pc = make_config("pauli-state", 6, 0.5)
@@ -445,7 +469,7 @@ class TestPauliState:
             n = pc.qubits
             assert res.target == Fraction(2 * sum_norm * (1 << (2 * n)), state.norm_sq)
             # dense route: explicit matrix on n+1 qubits
-            mask = PauliMask.from_ints(z=l - 1, x=1 << n, qubits=n + 1)
+            mask = PauliMask(z=l - 1, x=1 << n, qubits=n + 1)
             dense = mask.to_dense()
             nums = state.numerators
             assert res.target == Fraction(int(nums @ dense @ nums), state.norm_sq)
@@ -710,7 +734,7 @@ class TestObservablePauli:
         sr = SharedRandomness(60)
         gamma = pc.ghd.gamma
         nblocks = pc.block_count - gamma
-        x = BitVector(np.tile(BitVector.from_int(1, gamma).bits, nblocks))
+        x = BitVector(np.tile(np.eye(gamma, dtype=np.uint8)[0], nblocks))
         msg = proto.ALICE["observable-pauli"](x, pc, sr)
         res = proto.BOB["observable-pauli"](msg, 1, pc, sr, OracleSpec())  # l=1 -> i=1, j=1
         assert res.target == 0
@@ -869,7 +893,7 @@ class TestInnerProduct:
         nblocks = pc.block_count - gamma
         # first block empty (encodes to zero), others one-hot to keep D > 0
         blocks = [np.zeros(gamma, dtype=np.uint8)]
-        blocks += [BitVector.from_int(1, gamma).bits for _ in range(nblocks - 1)]
+        blocks += [np.eye(gamma, dtype=np.uint8)[0] for _ in range(nblocks - 1)]
         x = BitVector(np.concatenate(blocks))
         msg = proto.ALICE["inner-product"](x, pc, sr)
         res = proto.BOB["inner-product"](msg, 1, pc, sr, OracleSpec())  # block 1, i=1
@@ -880,7 +904,7 @@ class TestInnerProduct:
         sr = SharedRandomness(65)
         gamma = pc.ghd.gamma
         nblocks = pc.block_count - gamma
-        x = BitVector(np.tile(BitVector.from_int(1, gamma).bits, nblocks))
+        x = BitVector(np.tile(np.eye(gamma, dtype=np.uint8)[0], nblocks))
         msg = proto.ALICE["inner-product"](x, pc, sr)
         res = proto.BOB["inner-product"](msg, 1, pc, sr, OracleSpec())
         b = encode_bob(1, pc.ghd, sr)
@@ -1026,6 +1050,22 @@ class TestBobValidation:
         bad = ProtocolMessage(kind, msg.main_payload, msg.main_bits, bytes(side), msg.side_bits)
         with pytest.raises(MessageError, match="side-info squared norm"):
             proto.BOB[kind](bad, l, pc, sr, OracleSpec())
+
+    def test_pauli_state_reading_a_negative_squared_norm_is_rejected(self):
+        # +1 on the solution half and -1 on the flat half pass every size,
+        # norm and count check, but at l = 1 the X on the top qubit pairs
+        # each +1 with a -1, so the target, a squared norm, reads -1
+        pc = make_config("pauli-state", 6, 0.5)
+        sr, x, _ = draw_instance(pc, 75)
+        msg = proto.ALICE["pauli-state"](x, pc, sr)
+        half = 1 << pc.qubits
+        nums = np.repeat(np.array([1, -1], dtype=np.int64), half)
+        main, main_bits = ExactState(pc.qubits + 1, 2 * half, nums).serialize()
+        side = bytearray(msg.side_payload)
+        struct.pack_into("<Q", side, 0, 2 * half)
+        bad = ProtocolMessage("pauli-state", main, main_bits, bytes(side), msg.side_bits)
+        with pytest.raises(MessageError, match="negative sum-norm"):
+            proto.BOB["pauli-state"](bad, 1, pc, sr, OracleSpec())
 
     @pytest.mark.parametrize(
         "kind,qubits",

@@ -121,21 +121,21 @@ class TestReferencePair:
         pair = reference_shadow_pair(copies=32)
         rho = ClassicalDensityMatrix.from_pure([1.0, 0.0])
         shadow = pair.measure(rho, SharedRandomness(79))
-        identity = PauliMask.from_ints(z=0, x=0, qubits=1)
+        identity = PauliMask(z=0, x=0, qubits=1)
         assert pair.estimate(identity, shadow) == 1.0
 
     def test_z_on_ground_state(self):
         pair = reference_shadow_pair(copies=10_000)
         rho = ClassicalDensityMatrix.from_pure([1.0, 0.0])
         shadow = pair.measure(rho, SharedRandomness(80))
-        z = PauliMask.from_ints(z=1, x=0, qubits=1)
+        z = PauliMask(z=1, x=0, qubits=1)
         assert abs(pair.estimate(z, shadow) - 1.0) <= 0.1
 
     def test_z_on_maximally_mixed(self):
         pair = reference_shadow_pair(copies=10_000)
         rho = ClassicalDensityMatrix(np.eye(2, dtype=complex) / 2)
         shadow = pair.measure(rho, SharedRandomness(81))
-        z = PauliMask.from_ints(z=1, x=0, qubits=1)
+        z = PauliMask(z=1, x=0, qubits=1)
         assert abs(pair.estimate(z, shadow)) <= 0.1
 
     def test_shadow_length_accounting(self):
@@ -187,7 +187,7 @@ class TestTwoPhaseIsolation:
         shadow = pair.measure(poisoned, SharedRandomness(88))
         reads_after_measure = poisoned.reads
         assert reads_after_measure > 0
-        mask = PauliMask.from_ints(z=1, x=0, qubits=2)
+        mask = PauliMask(z=1, x=0, qubits=2)
         pair.estimate(mask, shadow)
         assert poisoned.reads == reads_after_measure
 
@@ -213,7 +213,7 @@ class TestAdapter:
         protocol = to_one_way_protocol(pair)
         rng = np.random.default_rng(92)
         rho = random_pure(rng, 2)
-        mask = PauliMask.from_ints(z=2, x=1, qubits=2)
+        mask = PauliMask(z=2, x=1, qubits=2)
 
         direct_shadow = pair.measure(rho, SharedRandomness(93))
         direct = pair.estimate(mask, direct_shadow)
@@ -224,7 +224,7 @@ class TestAdapter:
 class TestAdapterRejectsMalformedMessages:
     """Bob's side of the adapter raises MessageError, never a bare ValueError."""
 
-    MASK = PauliMask.from_ints(z=1, x=2, qubits=2)
+    MASK = PauliMask(z=1, x=2, qubits=2)
 
     def honest(self) -> tuple:
         # 7 rounds of 6 bits leave 6 padding bits in the last byte

@@ -155,7 +155,7 @@ def test_mutated_shadow_wire_raises_only_message_error_and_allocates_little():
     # 50 rounds of 3 qubits: 450 bits, so the last byte holds 6 padding bits
     protocol = to_one_way_protocol(reference_shadow_pair(copies=50))
     wire = protocol.alice(np.full(8, 8**-0.5), SharedRandomness(12)).to_wire()
-    mask = PauliMask.from_ints(z=1, x=6, qubits=3)
+    mask = PauliMask(z=1, x=6, qubits=3)
 
     def decode(msg):
         return protocol.bob(msg, mask)

@@ -28,7 +28,7 @@ from gapcomm import _kernels
 from gapcomm import ghd
 from gapcomm import harness
 from gapcomm import protocols as proto
-from gapcomm.bits import STREAM_INDEX, STREAM_INSTANCE, BitVector, SharedRandomness, hamming
+from gapcomm.bits import STREAM_INDEX, STREAM_INSTANCE, SharedRandomness
 from gapcomm.ghd import GhdParams, sample_sources
 from gapcomm.states import dense_wire_parts, exact_sq_sum
 
@@ -56,14 +56,6 @@ def faults_row(name: str, fn, *args, calls: int = 20) -> None:
     ms = (time.perf_counter() - t0) / calls * 1e3
     faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0) / calls
     print(f"{name:<50} {ms:9.3f} ms {faults:7.0f} minflt")
-
-
-def abs_dot_sq_sum(arr: np.ndarray) -> int:
-    """The sum of squares as first written: an ``abs`` temporary for the
-    headroom bound, then ``np.dot``, which copies unaligned operands."""
-    if 2 * int(np.abs(arr).max()).bit_length() + arr.size.bit_length() < 62:
-        return int(np.dot(arr, arr))
-    return int(sum(int(v) * int(v) for v in arr))
 
 
 def main() -> None:
@@ -124,7 +116,6 @@ def main() -> None:
 
     amps = rng.integers(0, 2, size=1 << 18).astype("<i8")
     view = wire_view(amps)
-    row("abs+dot sq sum 2^18 unaligned", abs_dot_sq_sum, view)
     row("exact_sq_sum 2^18 unaligned", exact_sq_sum, view)
     # the general-state layout at epsilon 0.3: 64 blocks of 720 occupied
     # (46080 amplitudes), then a zero tail the norm check proves and skips
@@ -160,29 +151,22 @@ def main() -> None:
     row("majority encode 720x12 (x1000)", majority_many, pads, selected)
 
     # the public randomness of one trial at epsilon 0.3: the 720x12 pad
-    # matrix on a fresh generator and on the reused one, and the index draw
+    # matrix and the index draw
     psr = SharedRandomness(4).substream(1)
 
     def many(draw):
         for _ in range(1000):
             draw()
 
-    row(
-        "pads generator().integers 720x12 (x1000)",
-        many,
-        lambda: psr.generator().integers(0, 2, size=(720, 12), dtype=np.uint8),
-    )
     row("pads bit_matrix 720x12 (x1000)", many, lambda: psr.bit_matrix(720, 12))
     row("index draw integer(1, 8641) (x1000)", many, lambda: psr.integer(1, 8641))
 
     # one trial of observable-general n=8 at epsilon 0.3: 244 blocks of 12 bits
     bsr = SharedRandomness(1)
     row("odd-weight sampling 244x12", sample_sources, bsr, 244, 12, True)
-    # its row filter on the 2 * 244 + 8 rows it draws, as first written
-    # (sum, modulo and a boolean index) and as the sampler runs it now
+    # its row filter on the 2 * 244 + 8 rows it draws
     drawn = bsr.bit_matrix(496, 12)
-    row("odd-weight filter 496x12, sum % 2 and mask", lambda r: r[r.sum(axis=1) % 2 == 1], drawn)
-    row("odd-weight filter 496x12, parity and compress", ghd._odd_rows, drawn)
+    row("odd-weight filter 496x12", ghd._odd_rows, drawn)
     blocks = sample_sources(bsr, 244, 12, True)
     row("block majority 244x12 vs 720x12", _kernels.majority_blocks, pads, blocks)
 
@@ -200,7 +184,7 @@ def main() -> None:
     # the rest of that trial's fixed cost (4 blocks of 12 bits, 720x12 pads):
     # its odd-weight filter on the 2 * 4 + 8 rows the sampler draws, Alice's
     # block majority, her Z-string build from the codeword rows, and Bob's
-    # read of the 11521-bit Z-string, unpacked and as one int
+    # read of the 11521-bit Z-string as one int
     gamma = pc.ghd.gamma
     lm_pads = ghd.public_pads(pc.ghd, sr)
     lm_blocks = x.bits.reshape(-1, gamma)
@@ -213,22 +197,15 @@ def main() -> None:
         lambda: proto.SPECS["observable-pauli"].encode(a_rows, b_rows, pc),
     )
     main = bytes(msg.main_payload)
-    row("Z-string read n=256, BitVector (x1000)", many, lambda: BitVector.deserialize(main))
     row("Z-string read n=256, one int (x1000)", many, lambda: int.from_bytes(main[8:], "little"))
 
-    # run_trial's ground-truth distance on the same trial (720x12 pads): as
-    # first written through bit vectors, and from the per-block kernel
-    block = BitVector(x.bits[(j - 1) * gamma : j * gamma])
-
-    def distance_via_bit_vectors():
-        return hamming(ghd.encode_alice(block, pc.ghd, sr), ghd.encode_bob(i, pc.ghd, sr))
-
+    # run_trial's ground-truth distance on the same trial (720x12 pads),
+    # from the per-block kernel
     def distance_via_kernel():
         a, b = harness._queried_codewords(x, l, pc, sr)
         return int(np.count_nonzero(a ^ b))
 
-    row("ground truth 720x12 pads, bit vectors (x1000)", many, distance_via_bit_vectors)
-    row("ground truth 720x12 pads, kernel arrays (x1000)", many, distance_via_kernel)
+    row("ground truth 720x12 pads (x1000)", many, distance_via_kernel)
 
 
 if __name__ == "__main__":

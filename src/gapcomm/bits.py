@@ -57,10 +57,6 @@ class BitVector:
         arr.setflags(write=False)
         object.__setattr__(self, "bits", arr)
 
-    @staticmethod
-    def zeros(length: int) -> "BitVector":
-        return BitVector(np.zeros(length, dtype=np.uint8))
-
     def __len__(self) -> int:
         return int(self.bits.shape[0])
 
@@ -81,28 +77,12 @@ class BitVector:
         packed = np.packbits(self.bits, bitorder="little").tobytes()
         return int.from_bytes(packed, "little")
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BitVector):
-            return NotImplemented
-        return len(self) == len(other) and bool(np.array_equal(self.bits, other.bits))
-
-    def __hash__(self):
-        return hash((len(self), self.bits.tobytes()))
-
     def __repr__(self) -> str:
         if len(self) <= 32:
             body = "".join(str(int(b)) for b in self.bits)
         else:
             body = f"len={len(self)},nnz={self.nnz}"
         return f"BitVector({body})"
-
-    def serialize(self) -> tuple[bytes, int]:
-        """Wire form: u64 little-endian bit count, then LSB-first packed bytes.
-
-        Returns ``(payload, bit_length)`` where ``bit_length`` counts the
-        64 header bits plus one bit per position (byte padding excluded).
-        """
-        return pack_bits(self.bits)
 
     @staticmethod
     def deserialize(buf: bytes, offset: int = 0) -> tuple["BitVector", int]:
@@ -127,8 +107,10 @@ class BitVector:
 
 
 def pack_bits(bits: np.ndarray) -> tuple[bytes, int]:
-    """``BitVector.serialize`` of a one-dimensional 0/1 uint8 array, for a
-    caller whose own kernels made the bits and so need no 0/1 check."""
+    """The one Z-string writer: a u64 little-endian count, then ``bits`` (0/1
+    uint8, made by the caller's kernels, so unchecked) packed LSB-first, as
+    ``BitVector.deserialize`` reads them. Returns ``(payload, bit_length)``,
+    64 header bits plus one per position (byte padding excluded)."""
     packed = np.packbits(bits, bitorder="little").tobytes()
     return struct.pack("<Q", len(bits)) + packed, 64 + len(bits)
 

@@ -14,7 +14,7 @@ import numpy as np
 from . import ghd as ghd_mod
 from .bits import SharedRandomness
 from .ghd import GhdParams, gap_statistics
-from .harness import ExperimentConfig, run_experiment, verify_suite
+from .harness import SAMPLING_MODES, ExperimentConfig, run_experiment, verify_suite
 from .oracle import MODELS
 from .pauli import PauliMask
 from .protocols import PROTOCOL_KINDS, ConfigError
@@ -168,8 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle-accuracy", type=float, default=None,
                    help="override the derived oracle accuracy budget")
     p.add_argument("--failure-prob", type=float, default=0.0)
-    p.add_argument("--sampling", default="odd-weight",
-                   choices=("odd-weight", "unrestricted"))
+    p.add_argument("--sampling", default="odd-weight", choices=SAMPLING_MODES)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.add_argument("--csv", default=None, help="write per-trial records here")
@@ -187,8 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--bias-c", type=float, default=ghd_mod.DEFAULT_BIAS_C)
     p.add_argument("--slack-d", type=float, default=ghd_mod.DEFAULT_SLACK_D)
-    p.add_argument("--sampling", default="odd-weight",
-                   choices=("odd-weight", "unrestricted"))
+    p.add_argument("--sampling", default="odd-weight", choices=SAMPLING_MODES)
     p.add_argument("--floor", type=float, default=0.80)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_ghd_gap)

@@ -7,6 +7,7 @@ fired with a configurable probability.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .bits import STREAM_ORACLE, SharedRandomness
@@ -36,8 +37,8 @@ class OracleSpec:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ValueError(f"unknown oracle model {self.model!r}")
-        if self.accuracy < 0:
-            raise ValueError("accuracy must be >= 0")
+        if not 0.0 <= self.accuracy < math.inf:  # NaN or inf would make NaN estimates
+            raise ValueError("accuracy must be finite and >= 0")
         if not 0.0 <= self.failure_prob <= 1.0:
             raise ValueError("failure_prob must be in [0, 1]")
 

@@ -125,7 +125,7 @@ class ProtocolConfig:
             raise ConfigError(f"unknown protocol kind {self.kind!r}")
         if self.qubits < 1:
             raise ConfigError("qubits must be >= 1")
-        if self.oracle_slack < 1.0:
+        if not self.oracle_slack >= 1.0:  # NaN fails too; inf gives a budget of 0
             raise ConfigError("oracle_slack must be >= 1")
         if self.ghd.code_len >= FLOAT32_EXACT:
             raise ConfigError(

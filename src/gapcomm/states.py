@@ -2,7 +2,9 @@
 
 A state is stored as integer numerators over sqrt(norm_sq); the squared
 norm is checked exactly on construction, so every expectation value taken
-against an integer-entried observable is an exact rational.
+against an integer-entried observable is an exact rational. The library
+writes a dense state only through ``dense_wire_parts`` and reads one only
+through ``ExactState.deserialize``.
 """
 from __future__ import annotations
 
@@ -71,8 +73,8 @@ def dense_wire_parts(prefix, qubits: int, norm_sq: int) -> tuple:
 
     The parts are the 10-byte header, a memoryview over the prefix as
     little-endian int64 (no copy when it already is one) and a shared zero
-    tail; joined, they are the payload ``ExactState.serialize`` writes for
-    the padded state.
+    tail; joined, they are the padded state's wire form, which
+    ``ExactState.deserialize`` reads.
     ``norm_sq`` is the prefix's sum of squares, which the caller knows
     without summing (a 0/1 prefix's weight, say); it is not checked here,
     since Bob's ``deserialize`` checks it against every amplitude.
@@ -93,7 +95,7 @@ def dense_wire_parts(prefix, qubits: int, norm_sq: int) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class ExactState:
-    """Dense integer-amplitude state vector.
+    """Dense integer-amplitude state vector, as ``deserialize`` reads it.
 
     Amplitude i is numerators[i] / sqrt(norm_sq), over 2**qubits int64
     numerators held as a read-only array, possibly a view over an immutable
@@ -126,30 +128,11 @@ class ExactState:
         if total <= 0:
             raise StateError("state must be nonzero")
 
-    @staticmethod
-    def dense(numerators) -> "ExactState":
-        arr = np.ascontiguousarray(numerators, dtype=np.int64)
-        return ExactState(arr.shape[0].bit_length() - 1, exact_sq_sum(arr), arr)
-
-    def amplitudes(self) -> np.ndarray:
-        """Floating-point unit-norm amplitude vector (cross-check use only)."""
-        return self.numerators.astype(np.float64) / np.sqrt(float(self.norm_sq))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ExactState):
-            return NotImplemented
-        return (
-            self.qubits == other.qubits
-            and self.norm_sq == other.norm_sq
-            and np.array_equal(self.numerators, other.numerators)
-        )
-
-    def __hash__(self):
-        return hash((self.qubits, self.norm_sq))
-
     # -- wire format ---------------------------------------------------
     # u8 layout tag (always 0) | u8 qubits | u64 norm_sq | 2**qubits * i64
-    # All integers little-endian.
+    # All integers little-endian. The library writes it only through
+    # dense_wire_parts; serialize stays because perfbench/layers.py times
+    # it by name.
 
     def serialize(self) -> tuple[bytes, int]:
         payload = b"".join(dense_wire_parts(self.numerators, self.qubits, self.norm_sq))

@@ -46,6 +46,20 @@ def test_run_rejects_invalid_epsilon(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("option", ["--oracle-accuracy", "--oracle-slack"])
+def test_run_rejects_a_nan_oracle_setting(tmp_path, option):
+    out = tmp_path / "r.json"
+    code = main(
+        [
+            "run", "--protocol", "pauli-state", "--qubits", "6", "--epsilon", "0.5",
+            "--trials", "20", "--seed", "3", "--oracle", "relative-uniform",
+            option, "nan", "--out", str(out),
+        ]
+    )
+    assert code == 2
+    assert not out.exists()
+
+
 def test_ghd_gap_passes_at_default_constant(tmp_path):
     code = main(
         [

@@ -94,6 +94,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             OracleSpec(model="additive", accuracy=-0.1)
 
+    @pytest.mark.parametrize("accuracy", [float("nan"), float("inf"), float("-inf")])
+    def test_accuracy_must_be_finite(self, accuracy):
+        # a NaN or infinite accuracy turns every noisy estimate into NaN
+        with pytest.raises(ValueError, match="finite"):
+            OracleSpec(model="relative-uniform", accuracy=accuracy)
+
     def test_failure_prob_range(self):
         with pytest.raises(ValueError):
             OracleSpec(failure_prob=1.5)

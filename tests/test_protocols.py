@@ -14,7 +14,14 @@ import pytest
 
 import gapcomm.protocols as proto
 from gapcomm import _kernels
-from gapcomm.bits import STREAM_INDEX, STREAM_INSTANCE, BitVector, SharedRandomness, hamming
+from gapcomm.bits import (
+    STREAM_INDEX,
+    STREAM_INSTANCE,
+    BitVector,
+    SharedRandomness,
+    hamming,
+    pack_bits,
+)
 from gapcomm.ghd import GhdParams, decision_threshold, encode_alice, encode_bob, public_pads
 from gapcomm.harness import _subset_state_target, _sum_norm_formula_target, sample_instance
 from gapcomm.messages import MessageError, ProtocolMessage
@@ -22,6 +29,8 @@ from gapcomm.observables import operator_norm
 from gapcomm.oracle import PUSH_DOWN, PUSH_UP, OracleSpec
 from gapcomm.pauli import PauliMask
 from gapcomm.states import TAIL_CHUNK, ExactState, StateError, dense_wire_parts
+
+from dense_states import dense_wire
 
 
 def make_config(kind, qubits, epsilon, **kw) -> proto.ProtocolConfig:
@@ -62,11 +71,15 @@ class TestConfig:
         "kind, qubits, slack, match",
         [("shadow-adapter", 8, 1.0, "unknown protocol kind"),
          ("general-state", 0, 1.0, "qubits must be >= 1"),
-         ("general-state", 8, 0.5, "oracle_slack must be >= 1")],
+         ("general-state", 8, 0.5, "oracle_slack must be >= 1"),
+         ("general-state", 8, float("nan"), "oracle_slack must be >= 1")],
     )
     def test_rejects_kind_qubits_and_slack(self, kind, qubits, slack, match):
         with pytest.raises(proto.ConfigError, match=match):
             make_config(kind, qubits, 0.5, oracle_slack=slack)
+
+    def test_infinite_slack_gives_a_zero_budget(self):
+        assert make_config("general-state", 8, 0.5, oracle_slack=float("inf")).oracle_accuracy == 0.0
 
     def test_alice_and_bob_reject_another_kinds_config(self):
         pc = make_config("general-state", 8, 0.5)
@@ -143,7 +156,7 @@ class TestIndexDecomposition:
 class TestPartitionAndEncode:
     def test_block_count_arithmetic(self):
         pc = make_config("general-state", 8, 0.5)
-        x = BitVector.zeros(pc.capacity)
+        x = BitVector(np.zeros(pc.capacity, np.uint8))
         a_rows, b_rows = proto.encode_block_matrices(x, pc, SharedRandomness(31))
         assert a_rows.shape == (pc.block_count - pc.ghd.gamma, pc.ghd.code_len)
         assert b_rows.shape == (pc.ghd.gamma, pc.ghd.code_len)
@@ -151,7 +164,7 @@ class TestPartitionAndEncode:
     def test_all_zero_source_gives_zero_codewords(self):
         pc = make_config("general-state", 8, 0.5)
         a_rows, _ = proto.encode_block_matrices(
-            BitVector.zeros(pc.capacity), pc, SharedRandomness(32)
+            BitVector(np.zeros(pc.capacity, np.uint8)), pc, SharedRandomness(32)
         )
         assert not a_rows.any()
 
@@ -162,9 +175,9 @@ class TestPartitionAndEncode:
         gamma = pc.ghd.gamma
         for j, a in enumerate(a_rows, start=1):
             block = BitVector(x.bits[(j - 1) * gamma : j * gamma])
-            assert BitVector(a) == encode_alice(block, pc.ghd, sr)
+            assert np.array_equal(a, encode_alice(block, pc.ghd, sr).bits)
         for i, b in enumerate(b_rows, start=1):
-            assert BitVector(b) == encode_bob(i, pc.ghd, sr)
+            assert np.array_equal(b, encode_bob(i, pc.ghd, sr).bits)
 
     def test_matrix_encoding_matches_per_block_majority(self):
         # unrestricted instances hold even-weight blocks (majority ties) and,
@@ -190,7 +203,7 @@ class TestPartitionAndEncode:
     def test_length_mismatch_rejected(self):
         pc = make_config("general-state", 8, 0.5)
         with pytest.raises(proto.ConfigError):
-            proto.encode_block_matrices(BitVector.zeros(3), pc, SharedRandomness(34))
+            proto.encode_block_matrices(BitVector(np.zeros(3, np.uint8)), pc, SharedRandomness(34))
 
     def test_bob_rows_are_a_read_only_view_of_the_cached_pads(self):
         pc = make_config("general-state", 8, 0.5)
@@ -296,15 +309,18 @@ class TestDenseWirePath:
 
 
 def stacked_reference_wire(kind, x, pc, sr) -> bytes:
-    """Alice's stacked-state wire rebuilt from the full padded array."""
+    """Alice's stacked-state wire rebuilt from the full padded array by a
+    writer of its own: the state header, then every amplitude as int64."""
     a_rows, b_rows = proto.encode_block_matrices(x, pc, sr)
     rows = a_rows if kind == "inner-product" else np.concatenate([a_rows, b_rows])
-    stacked = np.zeros(1 << (pc.qubits + pc.pad_exponent), dtype=np.int64)
-    stacked[: rows.size] = rows.reshape(-1)
-    state = ExactState.dense(stacked)
+    qubits = pc.qubits + pc.pad_exponent
+    full = np.zeros(1 << qubits, dtype=np.int64)
+    full[: rows.size] = rows.reshape(-1)
+    norm_sq = int(np.dot(full, full))
+    main = struct.pack("<BBQ", 0, qubits, norm_sq) + full.astype("<i8").tobytes()
     counts = a_rows.sum(axis=1)
-    side = struct.pack("<QI", state.norm_sq, len(counts)) + counts.astype("<u4").tobytes()
-    return ProtocolMessage(kind, *state.serialize(), side, 8 * len(side)).to_wire()
+    side = struct.pack("<QI", norm_sq, len(counts)) + counts.astype("<u4").tobytes()
+    return ProtocolMessage(kind, main, 8 * len(main), side, 8 * len(side)).to_wire()
 
 
 class TestDenseWireParts:
@@ -439,7 +455,7 @@ class TestPauliState:
         sr = SharedRandomness(47)
         from gapcomm.fwht import fwht
 
-        msg = proto.ALICE["pauli-state"](BitVector.zeros(pc.capacity), pc, sr)
+        msg = proto.ALICE["pauli-state"](BitVector(np.zeros(pc.capacity, np.uint8)), pc, sr)
         state, _ = ExactState.deserialize(msg.main_payload)
         dim = 1 << pc.qubits
         recovered = fwht(state.numerators[:dim]) // dim
@@ -641,7 +657,7 @@ class TestObservableGeneral:
         monkeypatch.setattr(proto, "public_pads", zero_pads)
         monkeypatch.setattr(ghd_mod, "public_pads", zero_pads)
         sr = SharedRandomness(57)
-        msg = proto.ALICE["observable-general"](BitVector.zeros(pc.capacity), pc, sr)
+        msg = proto.ALICE["observable-general"](BitVector(np.zeros(pc.capacity, np.uint8)), pc, sr)
         res = proto.BOB["observable-general"](msg, 1, pc, sr, OracleSpec())
         assert res.target == 0
         assert res.bit == 1  # zero distance estimate decodes below threshold
@@ -703,7 +719,8 @@ class TestObservableGeneral:
 def pauli_wire_message(z_bits, code_len) -> ProtocolMessage:
     """An observable-pauli message carrying ``z_bits``, through the wire."""
     side = struct.pack("<Q", code_len)
-    msg = ProtocolMessage("observable-pauli", *BitVector(z_bits).serialize(), side, 8 * len(side))
+    main = pack_bits(np.asarray(z_bits, dtype=np.uint8))
+    msg = ProtocolMessage("observable-pauli", *main, side, 8 * len(side))
     return ProtocolMessage.from_wire(msg.to_wire())
 
 
@@ -930,7 +947,7 @@ class TestInnerProduct:
     def test_all_zero_instance_is_a_protocol_error(self):
         pc = make_config("inner-product", 6, 0.5)
         with pytest.raises(proto.ProtocolError):
-            proto.ALICE["inner-product"](BitVector.zeros(pc.capacity), pc, SharedRandomness(69))
+            proto.ALICE["inner-product"](BitVector(np.zeros(pc.capacity, np.uint8)), pc, SharedRandomness(69))
 
     def test_recovers_bit_with_exact_oracle(self):
         pc = make_config("inner-product", 8, 0.5)
@@ -1060,10 +1077,10 @@ class TestBobValidation:
         msg = proto.ALICE["pauli-state"](x, pc, sr)
         half = 1 << pc.qubits
         nums = np.repeat(np.array([1, -1], dtype=np.int64), half)
-        main, main_bits = ExactState(pc.qubits + 1, 2 * half, nums).serialize()
+        main = dense_wire(nums)
         side = bytearray(msg.side_payload)
         struct.pack_into("<Q", side, 0, 2 * half)
-        bad = ProtocolMessage("pauli-state", main, main_bits, bytes(side), msg.side_bits)
+        bad = ProtocolMessage("pauli-state", main, 8 * len(main), bytes(side), msg.side_bits)
         with pytest.raises(MessageError, match="negative sum-norm"):
             proto.BOB["pauli-state"](bad, 1, pc, sr, OracleSpec())
 

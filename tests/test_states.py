@@ -6,6 +6,8 @@ import pytest
 
 from gapcomm.states import TAIL_CHUNK, ExactState, StateError, abs_bound, exact_sq_sum
 
+from dense_states import dense_wire
+
 
 def unaligned_view(arr: np.ndarray, offset: int = 30) -> np.ndarray:
     """``arr`` as a read-only int64 view at byte ``offset`` of a bytes object;
@@ -27,7 +29,9 @@ class TestConstruction:
 
     def test_zero_state_rejected(self):
         with pytest.raises(StateError, match="state must be nonzero"):
-            ExactState.dense(np.zeros(4, dtype=np.int64))
+            ExactState(qubits=2, norm_sq=0, numerators=np.zeros(4, dtype=np.int64))
+        with pytest.raises(StateError, match="state must be nonzero"):
+            dense_wire(np.zeros(4, dtype=np.int64))
 
     def test_dense_length_must_match_qubits(self):
         with pytest.raises(StateError):
@@ -35,14 +39,14 @@ class TestConstruction:
 
     def test_view_of_a_writable_array_is_copied(self):
         base = np.array([2, -1, 0, 3, 5, 5, 5, 5], dtype=np.int64)
-        state = ExactState.dense(base[:4])
+        state = ExactState(qubits=2, norm_sq=14, numerators=base[:4])
         base[0] = 7
         assert state.norm_sq == 14 == exact_sq_sum(state.numerators)
         assert base.flags.writeable
 
     def test_writable_array_that_owns_its_data_is_copied(self):
         base = np.array([3, -1, 2, 0], dtype=np.int64)
-        state = ExactState.dense(base)
+        state = ExactState(qubits=2, norm_sq=14, numerators=base)
         assert base.flags.writeable
         assert not np.shares_memory(state.numerators, base)
         base[0] = 7
@@ -53,18 +57,16 @@ class TestConstruction:
         with pytest.raises(StateError, match="at least one qubit"):
             ExactState(qubits=0, norm_sq=1, numerators=np.array([1], dtype=np.int64))
 
-    def test_equality_compares_contents(self):
-        state = ExactState.dense(np.array([3, -1, 2, 0], dtype=np.int64))
-        assert state == ExactState.dense(np.array([3, -1, 2, 0], dtype=np.int64))
-        assert hash(state) == hash(ExactState.dense(np.array([3, -1, 2, 0], dtype=np.int64)))
-        # same norm, other amplitudes
-        assert state != ExactState.dense(np.array([-3, 1, 2, 0], dtype=np.int64))
-        assert state != ExactState.dense(np.array([3, -1, 2, 0, 0, 0, 0, 0], dtype=np.int64))
-        assert state != (2, 14)
-
-    def test_amplitudes_are_unit_norm(self):
-        state = ExactState.dense(np.array([1, 2, -2, 0], dtype=np.int64))
-        assert abs(np.linalg.norm(state.amplitudes()) - 1.0) < 1e-12
+    @pytest.mark.parametrize("position", [0, 99, TAIL_CHUNK, 2 * TAIL_CHUNK - 1])
+    @pytest.mark.parametrize("step", [1, -1])
+    def test_norm_check_reads_every_amplitude(self, position, step):
+        # a 0/1 prefix and a zero tail: one step anywhere, in the prefix or
+        # deep in the tail the scan proves zero, moves the sum of squares
+        nums = np.zeros(2 * TAIL_CHUNK, dtype=np.int64)
+        nums[:100] = 1
+        nums[position] += step
+        with pytest.raises(StateError, match="norm_sq 100 != sum of squares"):
+            ExactState(qubits=13, norm_sq=100, numerators=nums)
 
 
 class TestExactSqSum:
@@ -194,26 +196,36 @@ class TestExactSqSum:
 
 class TestSerialization:
     def test_dense_round_trip(self):
-        rng = np.random.default_rng(9)
-        state = ExactState.dense(rng.integers(-9, 9, size=16).astype(np.int64))
-        payload, bits = state.serialize()
+        nums = np.random.default_rng(9).integers(-9, 9, size=16).astype(np.int64)
+        payload = dense_wire(nums)
         back, consumed = ExactState.deserialize(payload)
-        assert back == state
-        assert consumed == len(payload)
-        assert bits == 8 * len(payload)  # dense layout is byte-aligned
+        assert back.qubits == 4
+        assert back.norm_sq == sum(int(v) ** 2 for v in nums)
+        assert np.array_equal(back.numerators, nums)
+        assert consumed == len(payload) == 10 + 8 * 16  # dense layout is byte-aligned
+
+    def test_states_with_one_norm_read_back_apart(self):
+        # same norm, other signs, and the same amplitudes padded to 3 qubits
+        written = [[3, -1, 2, 0], [-3, 1, 2, 0], [3, -1, 2, 0, 0, 0, 0, 0]]
+        wires = [dense_wire(np.array(nums, dtype=np.int64)) for nums in written]
+        assert len(set(wires)) == 3
+        for nums, wire in zip(written, wires):
+            back, _ = ExactState.deserialize(wire)
+            assert (back.qubits, back.norm_sq) == (len(nums).bit_length() - 1, 14)
+            assert back.numerators.tolist() == nums
 
     def test_states_read_back_to_back_at_an_offset(self):
-        first = ExactState.dense(np.array([1, 0, -1, 2], dtype=np.int64))
-        second = ExactState.dense(np.array([0, 5], dtype=np.int64))
-        buf = b"\xff" * 3 + first.serialize()[0] + second.serialize()[0]
+        first = np.array([1, 0, -1, 2], dtype=np.int64)
+        second = np.array([0, 5], dtype=np.int64)
+        buf = b"\xff" * 3 + dense_wire(first) + dense_wire(second)
         back_first, offset = ExactState.deserialize(buf, 3)
         back_second, end = ExactState.deserialize(buf, offset)
-        assert (back_first, back_second) == (first, second)
+        assert np.array_equal(back_first.numerators, first) and back_first.norm_sq == 6
+        assert np.array_equal(back_second.numerators, second) and back_second.norm_sq == 25
         assert end == len(buf)
 
     def test_dense_layout_fields(self):
-        state = ExactState.dense(np.array([1, 0, -1, 2], dtype=np.int64))
-        payload, _ = state.serialize()
+        payload = dense_wire(np.array([1, 0, -1, 2], dtype=np.int64))
         assert payload[0] == 0  # dense tag
         assert payload[1] == 2  # qubit count
         assert int.from_bytes(payload[2:10], "little") == 6
@@ -222,46 +234,40 @@ class TestSerialization:
         )
 
     def test_norm_must_fit_wire_width(self):
-        state = ExactState.dense(np.array([1 << 33, 0], dtype=np.int64))
-        with pytest.raises(StateError):
-            state.serialize()
+        with pytest.raises(StateError, match="norm_sq too large"):
+            dense_wire(np.array([1 << 33, 0], dtype=np.int64))
 
     @pytest.mark.parametrize("tag", [1, 7, 255])
     def test_unknown_tag_rejected(self, tag):
-        state = ExactState.dense(np.array([1, 1], dtype=np.int64))
-        payload, _ = state.serialize()
+        payload = dense_wire(np.array([1, 1], dtype=np.int64))
         # rejected on the header alone, before the length of what follows matters
         for rest in (payload[1:], payload[1:10]):
             with pytest.raises(StateError, match=f"unknown state layout tag {tag}"):
                 ExactState.deserialize(bytes([tag]) + rest)
 
     def test_corrupted_numerator_fails_the_norm_check(self):
-        state = ExactState.dense(np.array([2, -1, 0, 3], dtype=np.int64))
-        payload, _ = state.serialize()
+        payload = dense_wire(np.array([2, -1, 0, 3], dtype=np.int64))
         corrupted = bytearray(payload)
         corrupted[10] ^= 0x01  # first numerator byte
         with pytest.raises(StateError):
             ExactState.deserialize(bytes(corrupted))
 
     def test_dense_state_from_bytes_is_a_read_only_view(self):
-        state = ExactState.dense(np.array([2, -1, 0, 3], dtype=np.int64))
-        payload, _ = state.serialize()
+        payload = dense_wire(np.array([2, -1, 0, 3], dtype=np.int64))
         back, _ = ExactState.deserialize(payload)
         assert not back.numerators.flags.writeable
         assert np.shares_memory(back.numerators, np.frombuffer(payload, dtype=np.uint8))
 
     @pytest.mark.parametrize("read_only_view", [False, True])
     def test_state_from_a_mutable_buffer_does_not_change_with_it(self, read_only_view):
-        state = ExactState.dense(np.array([2, -1, 0, 3], dtype=np.int64))
-        payload, _ = state.serialize()
-        source = bytearray(payload)
+        source = bytearray(dense_wire(np.array([2, -1, 0, 3], dtype=np.int64)))
         back, _ = ExactState.deserialize(memoryview(source).toreadonly() if read_only_view else source)
         source[10:] = np.array([5, 3, -1, 1], dtype="<i8").tobytes()  # squares sum to 36
-        assert back == state
+        assert back.numerators.tolist() == [2, -1, 0, 3]
         assert back.norm_sq == 14 == exact_sq_sum(back.numerators)
 
     def test_state_from_a_mutable_buffer_is_copied_once(self):
-        payload, _ = ExactState.dense(np.ones(1 << 12, dtype=np.int64)).serialize()
+        payload = dense_wire(np.ones(1 << 12, dtype=np.int64))
         tracemalloc.start()
         back, _ = ExactState.deserialize(bytearray(payload))
         _, peak = tracemalloc.get_traced_memory()
@@ -271,7 +277,7 @@ class TestSerialization:
         assert peak < len(payload) + 2 * back.numerators.nbytes
 
     def test_short_buffer_raises_state_error(self):
-        payload, _ = ExactState.dense(np.array([2, -1, 0, 3], dtype=np.int64)).serialize()
+        payload = dense_wire(np.array([2, -1, 0, 3], dtype=np.int64))
         for cut in (1, 8, len(payload) - 9, len(payload) - 1):
             with pytest.raises(StateError, match="too short"):
                 ExactState.deserialize(payload[:cut])

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -31,7 +31,7 @@ from .fwht import character_matrix, fwht
 from .ghd import GhdParams, decision_threshold, sample_sources
 from .messages import ProtocolMessage
 from .observables import operator_norm
-from .oracle import MODELS, OracleSpec
+from .oracle import OracleSpec
 from .pauli import PauliMask, subset_state_expectation
 from .states import ExactState
 
@@ -63,6 +63,16 @@ def wilson95(successes: int, trials: int) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment, checked once when it is built.
+
+    Construction builds the run's ``ProtocolConfig`` (``pc``) and
+    ``OracleSpec`` (``oracle``), which every trial in every worker reuses;
+    any error either raises comes out as ``ConfigError``, before any trial.
+    A given ``oracle_accuracy`` is checked under every model, the exact one
+    included, which then runs at accuracy 0; ``None`` takes the derived
+    budget ``pc.oracle_accuracy``.
+    """
+
     protocol: str
     qubits: int
     epsilon: float
@@ -77,32 +87,27 @@ class ExperimentConfig:
     oracle_slack: float = 1.0
     workers: int = 1
     per_trial_records: bool = False
+    pc: proto.ProtocolConfig = field(init=False, compare=False, repr=False)
+    oracle: OracleSpec = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.trials < 1:
             raise proto.ConfigError("trials must be >= 1")
         if self.sampling not in SAMPLING_MODES:
             raise proto.ConfigError(f"unknown sampling mode {self.sampling!r}")
-        if self.oracle_model not in MODELS:
-            raise proto.ConfigError(f"unknown oracle model {self.oracle_model!r}")
         if self.workers < 1:
             raise proto.ConfigError("workers must be >= 1")
-
-    def protocol_config(self) -> proto.ProtocolConfig:
-        params = GhdParams(epsilon=self.epsilon, bias_c=self.bias_c, slack_d=self.slack_d)
-        return proto.ProtocolConfig(
-            kind=self.protocol,
-            qubits=self.qubits,
-            ghd=params,
-            oracle_slack=self.oracle_slack,
-        )
-
-    def resolved_accuracy(self, pc: proto.ProtocolConfig) -> float:
+        try:
+            ghd = GhdParams(epsilon=self.epsilon, bias_c=self.bias_c, slack_d=self.slack_d)
+            pc = proto.ProtocolConfig(self.protocol, self.qubits, ghd, self.oracle_slack)
+            accuracy = pc.oracle_accuracy if self.oracle_accuracy is None else self.oracle_accuracy
+            oracle = OracleSpec(self.oracle_model, accuracy, self.failure_prob)
+        except (ValueError, ArithmeticError) as exc:
+            raise proto.ConfigError(str(exc)) from exc
         if self.oracle_model == "exact":
-            return 0.0
-        if self.oracle_accuracy is not None:
-            return self.oracle_accuracy
-        return pc.oracle_accuracy
+            oracle = OracleSpec(failure_prob=self.failure_prob)
+        object.__setattr__(self, "pc", pc)
+        object.__setattr__(self, "oracle", oracle)
 
 
 def sample_instance(
@@ -127,24 +132,19 @@ def _queried_codewords(x, l, pc, sr) -> tuple[np.ndarray, np.ndarray]:
     return _kernels.majority_rows(pads, selected), pads[:, i - 1]
 
 
-def run_trial(cfg: ExperimentConfig, pc: proto.ProtocolConfig, trial: int) -> dict:
+def run_trial(cfg: ExperimentConfig, trial: int) -> dict:
     """One full Alice -> wire -> Bob round trip plus independent diagnostics."""
+    pc = cfg.pc
     sr = SharedRandomness(cfg.root_seed).substream(trial)
     x = sample_instance(sr.substream(STREAM_INSTANCE), pc, cfg.sampling == "odd-weight")
     l = sr.substream(STREAM_INDEX).integer(1, pc.capacity + 1)
-    spec = OracleSpec(
-        model=cfg.oracle_model,
-        accuracy=cfg.resolved_accuracy(pc),
-        failure_prob=cfg.failure_prob,
-        rng=sr,
-    )
 
     x_l = x.bit(l)
     record = {"trial": trial, "l": l, "x_l": x_l}
     try:
         msg = proto.ALICE[cfg.protocol](x, pc, sr)
         msg = ProtocolMessage.from_wire(msg.to_wire())
-        result = proto.BOB[cfg.protocol](msg, l, pc, sr, spec)
+        result = proto.BOB[cfg.protocol](msg, l, pc, sr, cfg.oracle)
     except proto.ProtocolError as exc:
         record.update(
             bit=None, success=False, error=str(exc), delta_exact=None,
@@ -171,8 +171,7 @@ def run_trial(cfg: ExperimentConfig, pc: proto.ProtocolConfig, trial: int) -> di
 
 def _trial_chunk(args: tuple) -> list[dict]:
     cfg, start, stop = args
-    pc = cfg.protocol_config()
-    return [run_trial(cfg, pc, t) for t in range(start, stop)]
+    return [run_trial(cfg, t) for t in range(start, stop)]
 
 
 @dataclass
@@ -209,7 +208,7 @@ class ExperimentReport:
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run all trials, reduce order-independently, and assemble the report."""
-    pc = cfg.protocol_config()
+    pc = cfg.pc
     chunk = max(1, math.ceil(cfg.trials / (cfg.workers * 4)))
     spans = [
         (cfg, start, min(start + chunk, cfg.trials))
@@ -240,7 +239,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             "bias_c": cfg.bias_c,
             "slack_d": cfg.slack_d,
             "oracle_model": cfg.oracle_model,
-            "oracle_accuracy": cfg.resolved_accuracy(pc),
+            "oracle_accuracy": cfg.oracle.accuracy,
             "failure_prob": cfg.failure_prob,
             "sampling": cfg.sampling,
             "oracle_slack": cfg.oracle_slack,

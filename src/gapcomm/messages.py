@@ -67,21 +67,6 @@ class ProtocolMessage:
     def main_payload(self) -> bytes | memoryview:
         return b"".join(self.main_parts)
 
-    def __reduce__(self):
-        # a memoryview cannot be pickled or deep-copied; its bytes can
-        return (
-            ProtocolMessage,
-            (self.protocol, bytes(self.main_payload), self.main_bits, self.side_payload, self.side_bits),
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ProtocolMessage):
-            return NotImplemented
-        return self.__reduce__()[1] == other.__reduce__()[1]
-
-    def __hash__(self):
-        return hash((self.protocol, self.main_bits, self.side_bits))
-
     def to_wire(self) -> bytes:
         """4-byte protocol tag, u64 main_bits, u64 side_bits, then payloads."""
         return b"".join((

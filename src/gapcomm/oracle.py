@@ -23,16 +23,17 @@ class OracleSpec:
     """Noise model plus accuracy for one simulated estimator.
 
     ``accuracy`` is the relative (or additive) error bound the estimator
-    honors on every non-failure draw; the exact model ignores it. With
-    probability ``failure_prob`` a draw instead returns the out-of-band
-    value v * (1 + 10 * accuracy), simulating an estimator blowing its
-    contract in a reproducible way.
+    honors on every non-failure draw; the exact model ignores it there, but
+    it must still be finite and nonnegative. With probability
+    ``failure_prob`` a draw instead returns the out-of-band value
+    v * (1 + 10 * accuracy), simulating an estimator blowing its contract in
+    a reproducible way. The spec holds no randomness: each ``estimate`` call
+    is handed its stream, so one spec serves every trial of a run.
     """
 
     model: str = "exact"
     accuracy: float = 0.0
     failure_prob: float = 0.0
-    rng: SharedRandomness = SharedRandomness(0, 0)
 
     def __post_init__(self):
         if self.model not in MODELS:
@@ -43,21 +44,28 @@ class OracleSpec:
             raise ValueError("failure_prob must be in [0, 1]")
 
 
-def estimate(true_value, spec: OracleSpec, push: int | None = None, draw: int = 0):
+def estimate(
+    true_value,
+    spec: OracleSpec,
+    push: int | None = None,
+    draw: int = 0,
+    rng: SharedRandomness = SharedRandomness(0, 0),
+):
     """One simulated estimate of ``true_value``.
 
     ``push`` (PUSH_UP / PUSH_DOWN) tells the adversarial model which
     direction in value space hurts the consumer most; without a hint it
-    pushes up. ``draw`` selects the position in the oracle's randomness
-    stream, keeping repeated queries pure. The exact model returns the
-    value unchanged (Fractions stay exact); all noisy paths return floats.
+    pushes up. The noise and the failure event are read from ``rng``'s
+    oracle substream at position ``draw`` (Bob passes his trial's stream),
+    so repeated queries are pure. The exact model returns the value
+    unchanged (Fractions stay exact); all noisy paths return floats.
     """
     if spec.model == "exact" and spec.failure_prob == 0.0:
         return true_value
 
     # the stream's first double decides a failure when one can happen; the
     # next one drives the noise
-    draws = spec.rng.substream(STREAM_ORACLE).substream(draw).doubles(2)
+    draws = rng.substream(STREAM_ORACLE).substream(draw).doubles(2)
     can_fail = spec.failure_prob > 0.0
     failed = can_fail and draws[0] < spec.failure_prob
     u = draws[1] if can_fail else draws[0]

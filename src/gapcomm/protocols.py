@@ -51,7 +51,7 @@ from .pauli import PauliMask, pauli_expectation
 from .states import ExactState, StateError, dense_wire_parts, exact_sq_sum
 from . import _kernels
 
-# Desk-scale guards: dense state messages and dense observable payloads.
+# Desk-scale guards: stacked state messages and dense observable payloads.
 MAX_STATE_QUBITS = 24
 MAX_OBSERVABLE_QUBITS = 10
 
@@ -86,7 +86,8 @@ class ProtocolSpec:
 
     ``payload_qubits``: the size of what Alice ships (for observable-pauli,
     its Pauli string length), read back from the main payload at
-    ``qubit_field`` = (struct format, offset); capped at ``max_payload_qubits``.
+    ``qubit_field`` = (struct format, offset); capped at ``max_payload_qubits``
+    for the reason ``cap_reason`` names.
     ``main_bits(payload_qubits)`` is the exact main-payload bit count, the
     only size the spec states: Alice declares it and Bob checks it.
     ``encode(a_rows, b_rows, cfg)`` gives (main, side), main being one
@@ -103,6 +104,7 @@ class ProtocolSpec:
     encode: Callable
     read: Callable
     max_payload_qubits: float = math.inf
+    cap_reason: str = "the desk scale"
 
 
 @dataclass(frozen=True)
@@ -146,8 +148,8 @@ class ProtocolConfig:
         payload = self.spec.payload_qubits(self)
         if payload > self.spec.max_payload_qubits:
             raise ConfigError(
-                f"{self.kind} payload on {payload} qubits exceeds the desk-scale cap "
-                f"of {self.spec.max_payload_qubits}"
+                f"{self.kind} at n={self.qubits}: payload on {payload} qubits exceeds "
+                f"the cap of {self.spec.max_payload_qubits} set by {self.spec.cap_reason}"
             )
 
     @property
@@ -286,7 +288,7 @@ def bob(
     # a threshold sitting below it, and vice versa.
     threshold = threshold_for(reading.delta, cfg.ghd)
     push = oracle_mod.PUSH_UP if reading.delta > threshold else oracle_mod.PUSH_DOWN
-    est = oracle_mod.estimate(reading.target, oracle, push)
+    est = oracle_mod.estimate(reading.target, oracle, push, rng=sr)
     # only the exact oracle hands a Fraction back, and then it is the target
     # itself, whose distance the reader already holds; a noisy float may
     # undershoot zero and still maps to a (poor) distance estimate
@@ -614,38 +616,33 @@ def _read_observable_pauli(msg, i: int, j: int, cfg: ProtocolConfig, sr) -> Read
     return Reading(Fraction(num, 2 * code_len), Fraction(-num, 2), 0, code_len)
 
 
-def _state_blocks(n: int) -> int:
-    return math.isqrt(1 << n)
-
-
-def _state_floor(n: int) -> float:
-    return 2.0 ** (-n / 4.0)
-
-
 def _stacked_qubits(cfg: ProtocolConfig) -> int:
     return cfg.qubits + cfg.pad_exponent
 
 
-_STATE_QUBITS = ("<B", 1)  # ExactState wire header: u8 layout tag, u8 qubits, ...
-
-
-def _dense_state_bits(qubits: int) -> int:
-    """ExactState dense wire size: 80-bit header, one i64 per amplitude."""
-    return 80 + 64 * (1 << qubits)
-
+# What the three dense-state kinds share: sqrt(2^n) blocks, the 2^(-n/4)
+# epsilon floor, and the ExactState wire form (u8 layout tag, u8 qubits,
+# u64 squared norm, then one i64 per amplitude).
+_DENSE_STATE = dict(
+    block_count=lambda n: math.isqrt(1 << n),
+    epsilon_floor=lambda n: 2.0 ** (-n / 4.0),
+    qubit_field=("<B", 1),
+    main_bits=lambda qubits: 80 + 64 * (1 << qubits),
+)
 
 SPECS = {
     "general-state": ProtocolSpec(
-        kappa=4.0, block_count=_state_blocks, epsilon_floor=_state_floor,
-        payload_qubits=_stacked_qubits, qubit_field=_STATE_QUBITS,
-        main_bits=_dense_state_bits, encode=_encode_general_state, read=_read_general_state,
-        max_payload_qubits=MAX_STATE_QUBITS,
+        kappa=4.0, payload_qubits=_stacked_qubits,
+        encode=_encode_general_state, read=_read_general_state,
+        max_payload_qubits=MAX_STATE_QUBITS, **_DENSE_STATE,
     ),
+    # By Parseval Alice's squared norm is dim * (sum of squared sum-norms +
+    # dim^2) >= 2^(3n), which the u64 norm field holds only up to n = 21
     "pauli-state": ProtocolSpec(
-        kappa=4.0, block_count=_state_blocks, epsilon_floor=_state_floor,
-        payload_qubits=lambda cfg: cfg.qubits + 1, qubit_field=_STATE_QUBITS,
-        main_bits=_dense_state_bits, encode=_encode_pauli_state, read=_read_pauli_state,
-        max_payload_qubits=MAX_STATE_QUBITS,
+        kappa=4.0, payload_qubits=lambda cfg: cfg.qubits + 1,
+        encode=_encode_pauli_state, read=_read_pauli_state,
+        max_payload_qubits=22, **_DENSE_STATE,
+        cap_reason="the u64 squared-norm field (the norm is at least 2^(3n))",
     ),
     "observable-general": ProtocolSpec(
         kappa=4.0, block_count=lambda n: 1 << n, epsilon_floor=lambda n: 2.0 ** (-n / 2.0),
@@ -663,10 +660,9 @@ SPECS = {
         encode=_encode_observable_pauli, read=_read_observable_pauli,
     ),
     "inner-product": ProtocolSpec(
-        kappa=2.0, block_count=_state_blocks, epsilon_floor=_state_floor,
-        payload_qubits=_stacked_qubits, qubit_field=_STATE_QUBITS,
-        main_bits=_dense_state_bits, encode=_encode_inner_product, read=_read_inner_product,
-        max_payload_qubits=MAX_STATE_QUBITS,
+        kappa=2.0, payload_qubits=_stacked_qubits,
+        encode=_encode_inner_product, read=_read_inner_product,
+        max_payload_qubits=MAX_STATE_QUBITS, **_DENSE_STATE,
     ),
 }
 

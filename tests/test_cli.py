@@ -60,6 +60,19 @@ def test_run_rejects_a_nan_oracle_setting(tmp_path, option):
     assert not out.exists()
 
 
+def test_run_rejects_a_nan_accuracy_under_the_exact_oracle(tmp_path):
+    out = tmp_path / "r.json"
+    code = main(
+        [
+            "run", "--protocol", "pauli-state", "--qubits", "6", "--epsilon", "0.5",
+            "--trials", "20", "--seed", "3", "--oracle", "exact",
+            "--oracle-accuracy", "nan", "--out", str(out),
+        ]
+    )
+    assert code == 2
+    assert not out.exists()
+
+
 def test_ghd_gap_passes_at_default_constant(tmp_path):
     code = main(
         [

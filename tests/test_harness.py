@@ -14,6 +14,7 @@ from gapcomm.harness import (
     verify_suite,
     wilson95,
 )
+from gapcomm.oracle import MODELS
 from gapcomm.protocols import ConfigError, decompose_index
 
 
@@ -78,10 +79,10 @@ class TestGroundTruth:
     @pytest.mark.parametrize("protocol,qubits,epsilon", [("observable-pauli", 256, 0.3), ("pauli-state", 8, 0.5)])
     def test_delta_exact_is_the_bit_vector_distance(self, protocol, qubits, epsilon, sampling):
         cfg = small_config(protocol=protocol, qubits=qubits, epsilon=epsilon, sampling=sampling)
-        pc = cfg.protocol_config()
+        pc = cfg.pc
         gamma = pc.ghd.gamma
         for trial in range(40):
-            record = run_trial(cfg, pc, trial)
+            record = run_trial(cfg, trial)
             # the codewords re-derived as first written: bit vectors from
             # encode_alice and encode_bob on the trial's own draws
             sr = SharedRandomness(cfg.root_seed).substream(trial)
@@ -228,6 +229,53 @@ class TestValidation:
     def test_bad_workers(self):
         with pytest.raises(ConfigError):
             small_config(workers=0)
+
+    @pytest.mark.parametrize("failure_prob", [1.5, -0.1, float("nan")])
+    def test_bad_failure_prob(self, failure_prob):
+        with pytest.raises(ConfigError, match="failure_prob"):
+            small_config(failure_prob=failure_prob)
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("accuracy", [-0.1, float("inf"), float("nan")])
+    def test_bad_oracle_accuracy_under_every_model(self, model, accuracy):
+        # the exact model runs at accuracy 0, but a bad value is still a typo
+        with pytest.raises(ConfigError, match="accuracy"):
+            small_config(oracle_model=model, oracle_accuracy=accuracy)
+
+    # an epsilon this small overflows the code length before any check reads it
+    @pytest.mark.parametrize(
+        "override",
+        [dict(bias_c=0.9), dict(slack_d=0.5), dict(epsilon=float("nan")), dict(epsilon=1e-200)],
+    )
+    def test_bad_gadget_parameters(self, override):
+        with pytest.raises(ConfigError):
+            small_config(**override)
+
+    def test_epsilon_below_the_kind_floor(self):
+        # pauli-state at n=8 needs epsilon above 2^-2
+        with pytest.raises(ConfigError, match="validity interval"):
+            small_config(epsilon=0.2)
+
+    def test_oracle_accuracy_resolution(self):
+        noisy = dict(oracle_model="relative-uniform", failure_prob=0.1)
+        assert small_config(**noisy).oracle.accuracy == small_config(**noisy).pc.oracle_accuracy
+        assert small_config(**noisy, oracle_accuracy=0.5).oracle.accuracy == 0.5
+        assert small_config(oracle_accuracy=0.5).oracle.accuracy == 0.0
+        # the built parts stay out of equality and hashing
+        assert small_config(**noisy) == small_config(**noisy)
+        assert hash(small_config(**noisy)) == hash(small_config(**noisy))
+
+    def test_trials_build_no_config(self, monkeypatch):
+        import gapcomm.harness as harness
+
+        cfg = small_config(trials=4, oracle_model="relative-uniform", failure_prob=0.1)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a trial rebuilt part of its config")
+
+        for owner, name in [(harness, "GhdParams"), (harness.proto, "ProtocolConfig"), (harness, "OracleSpec")]:
+            monkeypatch.setattr(owner, name, refuse)
+        assert run_experiment(cfg).results["trials"] == 4
 
 
 def test_verify_suite_passes_at_small_scale():

@@ -175,7 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bias-c", type=float, default=ghd_mod.DEFAULT_BIAS_C)
     p.add_argument("--slack-d", type=float, default=ghd_mod.DEFAULT_SLACK_D)
     p.add_argument("--oracle-slack", type=float, default=1.0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="pool workers; those beyond the trial count are not started")
     p.add_argument("--min-success", type=float, default=None,
                    help="exit 1 if the success rate falls below this floor")
     p.set_defaults(func=_cmd_run)

@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable
 
 import numpy as np
@@ -169,9 +169,26 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> dict:
     return record
 
 
-def _trial_chunk(args: tuple) -> list[dict]:
-    cfg, start, stop = args
-    return [run_trial(cfg, t) for t in range(start, stop)]
+# A pool worker's handle on the run's shared next-trial counter, set by the
+# pool's initializer: a shared value reaches a worker only through inheritance.
+_next_trial = None
+
+
+def _share_counter(counter) -> None:
+    global _next_trial
+    _next_trial = counter
+
+
+def _claim_trials(cfg: ExperimentConfig) -> list[dict]:
+    """Run trials in a pool worker, claiming one index at a time until none is left."""
+    records = []
+    while True:
+        with _next_trial.get_lock():
+            trial = _next_trial.value
+            _next_trial.value = trial + 1
+        if trial >= cfg.trials:
+            return records
+        records.append(run_trial(cfg, trial))
 
 
 @dataclass
@@ -207,19 +224,28 @@ class ExperimentReport:
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    """Run all trials, reduce order-independently, and assemble the report."""
+    """Run all trials, reduce order-independently, and assemble the report.
+
+    A run starts no more pool workers than it has trials, so a one-worker or
+    one-trial run stays in this process and never imports the pool. Pool
+    workers claim trial indices one at a time from a shared counter, so a
+    worker slowed by its host just claims fewer; their records are sorted
+    back into trial order. A pool's parent runs no trial, so it never loads
+    ``numpy.random``.
+    """
     pc = cfg.pc
-    chunk = max(1, math.ceil(cfg.trials / (cfg.workers * 4)))
-    spans = [
-        (cfg, start, min(start + chunk, cfg.trials))
-        for start in range(0, cfg.trials, chunk)
-    ]
-    if cfg.workers == 1:
-        chunks = [_trial_chunk(span) for span in spans]
+    workers = min(cfg.workers, cfg.trials)
+    if workers == 1:
+        records = [run_trial(cfg, t) for t in range(cfg.trials)]
     else:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            chunks = list(pool.map(_trial_chunk, spans))
-    records = [rec for chunk_recs in chunks for rec in chunk_recs]
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        counter = multiprocessing.Value("q", 0)
+        with ProcessPoolExecutor(workers, initializer=_share_counter, initargs=(counter,)) as pool:
+            futures = [pool.submit(_claim_trials, cfg) for _ in range(workers)]
+            records = [rec for fut in futures for rec in fut.result()]
+        records.sort(key=itemgetter("trial"))
 
     successes = sum(1 for r in records if r["success"])
     errors = [r["error"] for r in records if r["error"]]

@@ -129,16 +129,18 @@ class ProtocolConfig:
             raise ConfigError("qubits must be >= 1")
         if not self.oracle_slack >= 1.0:  # NaN fails too; inf gives a budget of 0
             raise ConfigError("oracle_slack must be >= 1")
-        if self.ghd.code_len >= FLOAT32_EXACT:
-            raise ConfigError(
-                f"code_len {self.ghd.code_len} (and so gamma {self.ghd.gamma}) must stay "
-                f"below 2^24 for exact float32 block encoding"
-            )
+        # before the code length: below about 1e-154, gamma = ceil(epsilon^-2)
+        # overflows a float
         lo = self.epsilon_floor
         if not lo < self.ghd.epsilon < 1.0:
             raise ConfigError(
                 f"epsilon {self.ghd.epsilon} outside validity interval ({lo:.6g}, 1) "
                 f"for {self.kind} at n={self.qubits}"
+            )
+        if self.ghd.code_len >= FLOAT32_EXACT:
+            raise ConfigError(
+                f"code_len {self.ghd.code_len} (and so gamma {self.ghd.gamma}) must stay "
+                f"below 2^24 for exact float32 block encoding"
             )
         if self.capacity < 1:
             raise ConfigError(

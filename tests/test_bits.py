@@ -285,7 +285,33 @@ class TestDrawContract:
     def test_import_does_not_load_numpy_random(self):
         # the reused generator is made on the first draw, so a process that
         # never draws (a pool's parent) never pays for numpy.random
-        code = "import sys, gapcomm, gapcomm.harness; assert 'numpy.random' not in sys.modules"
-        src = os.path.dirname(os.path.dirname(gapcomm.__file__))
-        env = {**os.environ, "PYTHONPATH": src}
-        subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env=env)
+        run_fresh("import sys, gapcomm, gapcomm.harness; assert 'numpy.random' not in sys.modules")
+
+
+# appended to a fresh interpreter's code: fails naming any pool module it loaded
+NO_POOL = (
+    "\nloaded = {'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)"
+    "\nassert not loaded, loaded"
+)
+
+
+def run_fresh(code: str) -> None:
+    """Run ``code`` in a fresh interpreter that imports this checkout's gapcomm."""
+    src = os.path.dirname(os.path.dirname(gapcomm.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env=env)
+
+
+class TestPoolImports:
+    def test_import_does_not_load_the_pool(self):
+        run_fresh("import sys, gapcomm, gapcomm.harness" + NO_POOL)
+
+    def test_one_trial_run_starts_no_pool(self):
+        # workers beyond the trial count are not started, so this run stays
+        # in-process and never imports the pool
+        run_fresh(
+            "import sys\n"
+            "from gapcomm.harness import ExperimentConfig, run_experiment\n"
+            "cfg = ExperimentConfig('pauli-state', 6, 0.5, trials=1, root_seed=3, workers=4)\n"
+            "assert run_experiment(cfg).results['trials'] == 1" + NO_POOL
+        )

@@ -46,6 +46,19 @@ def test_run_rejects_invalid_epsilon(tmp_path):
     assert code == 2
 
 
+def test_run_names_an_epsilon_too_small_for_the_code_length(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    code = main(
+        [
+            "run", "--protocol", "pauli-state", "--qubits", "8", "--epsilon", "1e-200",
+            "--trials", "1", "--seed", "1", "--out", str(out),
+        ]
+    )
+    assert code == 2
+    assert "epsilon 1e-200 outside validity interval (0.25, 1)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("option", ["--oracle-accuracy", "--oracle-slack"])
 def test_run_rejects_a_nan_oracle_setting(tmp_path, option):
     out = tmp_path / "r.json"

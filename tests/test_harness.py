@@ -1,6 +1,7 @@
 """Experiment runner: determinism, statistics, accounting."""
 import json
 import math
+import multiprocessing
 
 import pytest
 
@@ -72,6 +73,43 @@ class TestDeterminism:
         a = run_experiment(small_config(root_seed=1, trials=40))
         b = run_experiment(small_config(root_seed=2, trials=40))
         assert a.to_json() != b.to_json()
+
+
+class TestPoolScheduling:
+    """Pool workers claim trials one index at a time; the report must not
+    show how the trials fell between them."""
+
+    @staticmethod
+    def report_bytes(tmp_path, workers, trials):
+        cfg = small_config(qubits=6, trials=trials, workers=workers, per_trial_records=True)
+        report = run_experiment(cfg)
+        csv_path = tmp_path / f"w{workers}-t{trials}.csv"
+        report.write_csv(str(csv_path))
+        assert [r["trial"] for r in report.per_trial] == list(range(trials))
+        return report.to_json(), csv_path.read_bytes()
+
+    # (4, 40): more workers than a small host has cores, so claims race; a
+    # lost counter update would run some trial twice and another never
+    @pytest.mark.parametrize(
+        "workers, trials", [(2, 2), (2, 3), (2, 7), (3, 2), (3, 3), (3, 7), (4, 40)]
+    )
+    def test_reports_match_one_worker(self, tmp_path, workers, trials):
+        assert self.report_bytes(tmp_path, workers, trials) == self.report_bytes(tmp_path, 1, trials)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched trial reaches pool workers only by fork",
+    )
+    def test_a_failing_trial_raises_and_leaves_no_worker(self, monkeypatch):
+        import gapcomm.harness as harness
+
+        def broken(cfg, trial):
+            raise ZeroDivisionError(f"synthetic failure in trial {trial}")
+
+        monkeypatch.setattr(harness, "run_trial", broken)
+        with pytest.raises(ZeroDivisionError, match="synthetic failure"):
+            run_experiment(small_config(qubits=6, trials=7, workers=2))
+        assert multiprocessing.active_children() == []
 
 
 class TestGroundTruth:
@@ -242,7 +280,8 @@ class TestValidation:
         with pytest.raises(ConfigError, match="accuracy"):
             small_config(oracle_model=model, oracle_accuracy=accuracy)
 
-    # an epsilon this small overflows the code length before any check reads it
+    # an epsilon of 1e-200 would overflow the code length; the validity
+    # interval rejects it first
     @pytest.mark.parametrize(
         "override",
         [dict(bias_c=0.9), dict(slack_d=0.5), dict(epsilon=float("nan")), dict(epsilon=1e-200)],

@@ -61,6 +61,11 @@ class TestConfig:
         with pytest.raises(proto.ConfigError):
             make_config("observable-pauli", 256, 0.24)  # below 256^-0.25
 
+    def test_epsilon_interval_is_checked_before_the_code_length(self):
+        # gamma = ceil(epsilon^-2) overflows a float at this epsilon
+        with pytest.raises(proto.ConfigError, match=r"epsilon 1e-200 outside validity interval \(0\.25, 1\)"):
+            make_config("pauli-state", 8, 1e-200)
+
     def test_capacity_requires_blocks_beyond_gamma(self):
         with pytest.raises(proto.ConfigError, match="no index capacity"):
             make_config("general-state", 2, 0.8)  # 2 blocks, gamma 2

@@ -31,6 +31,7 @@ from gapcomm import protocols as proto
 from gapcomm.bits import STREAM_INDEX, STREAM_INSTANCE, SharedRandomness
 from gapcomm.ghd import GhdParams, sample_sources
 from gapcomm.states import dense_wire_parts, exact_sq_sum
+from gapcomm.verify import _subset_state_target
 
 
 def best_of(fn, *args, reps: int = 7) -> float:
@@ -179,7 +180,7 @@ def main() -> None:
     msg = proto.ALICE["observable-pauli"](x, pc, sr)
     i, j = proto.decompose_index(l, pc.ghd.gamma)
     row("observable-pauli read n=256", proto.SPECS["observable-pauli"].read, msg, i, j, pc, sr)
-    row("two-hot subset state n=256", harness._subset_state_target, x, l, pc, sr, msg)
+    row("two-hot subset state n=256", _subset_state_target, x, l, pc, sr, msg)
 
     # the rest of that trial's fixed cost (4 blocks of 12 bits, 720x12 pads):
     # its odd-weight filter on the 2 * 4 + 8 rows the sampler draws, Alice's

@@ -1,5 +1,10 @@
 """One-way classical communication reductions for expectation-value recovery,
-run as concrete Alice -> Bob simulations against pluggable estimation oracles."""
+run as concrete Alice -> Bob simulations against pluggable estimation oracles.
+
+``import gapcomm`` loads the run path only. The verification suite
+(``gapcomm.verify``) and the classical-shadows adapter (``gapcomm.shadows``)
+are imported from their own modules.
+"""
 
 from .bits import (
     BitVector,
@@ -23,7 +28,7 @@ from .ghd import (
     gap_statistics,
     public_pads,
 )
-from .harness import ExperimentConfig, ExperimentReport, run_experiment, verify_suite, wilson95
+from .harness import ExperimentConfig, ExperimentReport, run_experiment, wilson95
 from .messages import ProtocolMessage
 from .observables import NumericError, operator_norm
 from .oracle import OracleSpec, estimate
@@ -35,13 +40,6 @@ from .protocols import (
     ProtocolConfig,
     ProtocolError,
     decompose_index,
-)
-from .shadows import (
-    ClassicalDensityMatrix,
-    ShadowPair,
-    born_vector,
-    reference_shadow_pair,
-    to_one_way_protocol,
 )
 from .states import ExactState, StateError
 

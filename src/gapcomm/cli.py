@@ -14,11 +14,10 @@ import numpy as np
 from . import ghd as ghd_mod
 from .bits import SharedRandomness
 from .ghd import GhdParams, gap_statistics
-from .harness import SAMPLING_MODES, ExperimentConfig, run_experiment, verify_suite
+from .harness import SAMPLING_MODES, ExperimentConfig, run_experiment
 from .oracle import MODELS
 from .pauli import PauliMask
 from .protocols import PROTOCOL_KINDS, ConfigError
-from .shadows import reference_shadow_pair, to_one_way_protocol
 
 
 def _emit(doc: dict, out_path: str | None) -> None:
@@ -31,6 +30,8 @@ def _emit(doc: dict, out_path: str | None) -> None:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import verify_suite
+
     checks = verify_suite(max_qubits=args.max_qubits, instances=args.instances, seed=args.seed)
     failed = 0
     for check in checks:
@@ -101,6 +102,8 @@ def _cmd_ghd_gap(args) -> int:
 
 
 def _cmd_shadows_demo(args) -> int:
+    from .shadows import reference_shadow_pair, to_one_way_protocol
+
     if args.qubits < 1 or args.qubits > 6:
         raise ConfigError("demo runs at 1..6 qubits")
     sr = SharedRandomness(args.seed)

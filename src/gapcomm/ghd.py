@@ -51,6 +51,12 @@ class GhdParams:
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
+        try:
+            self.gamma
+        except OverflowError:
+            raise ValueError(
+                f"epsilon {self.epsilon} too small: gamma = ceil(epsilon^-2) overflows a float"
+            ) from None
         if not 0.0 < self.bias_c < BIAS_C_SUP:
             raise ValueError(
                 f"bias_c must be in (0, sqrt(2/pi) = {BIAS_C_SUP:.4f}), got {self.bias_c}"

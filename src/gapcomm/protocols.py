@@ -129,9 +129,13 @@ class ProtocolConfig:
             raise ConfigError("qubits must be >= 1")
         if not self.oracle_slack >= 1.0:  # NaN fails too; inf gives a budget of 0
             raise ConfigError("oracle_slack must be >= 1")
-        # before the code length: below about 1e-154, gamma = ceil(epsilon^-2)
-        # overflows a float
-        lo = self.epsilon_floor
+        # before the code length, so a too-small epsilon is named as such
+        try:
+            lo = self.epsilon_floor
+        except OverflowError:
+            raise ConfigError(
+                f"qubits too large for {self.kind}: its epsilon floor overflows a float"
+            ) from None
         if not lo < self.ghd.epsilon < 1.0:
             raise ConfigError(
                 f"epsilon {self.ghd.epsilon} outside validity interval ({lo:.6g}, 1) "

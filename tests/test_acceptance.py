@@ -21,12 +21,7 @@ import pytest
 import gapcomm.protocols as proto
 from gapcomm.bits import BitVector, SharedRandomness, hamming
 from gapcomm.ghd import GhdParams, encode_alice, encode_bob, gap_statistics
-from gapcomm.harness import (
-    ExperimentConfig,
-    run_experiment,
-    sample_instance,
-    verify_suite,
-)
+from gapcomm.harness import ExperimentConfig, run_experiment, sample_instance
 from gapcomm.oracle import OracleSpec
 from gapcomm.pauli import PauliMask
 from gapcomm.shadows import (
@@ -35,6 +30,7 @@ from gapcomm.shadows import (
     to_one_way_protocol,
 )
 from gapcomm.states import ExactState
+from gapcomm.verify import verify_suite
 
 ACCEPT_SEED = 20240601
 

@@ -288,11 +288,12 @@ class TestDrawContract:
         run_fresh("import sys, gapcomm, gapcomm.harness; assert 'numpy.random' not in sys.modules")
 
 
-# appended to a fresh interpreter's code: fails naming any pool module it loaded
-NO_POOL = (
-    "\nloaded = {'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)"
-    "\nassert not loaded, loaded"
-)
+def not_loaded(*modules: str) -> str:
+    """Code appended to a fresh interpreter's: fails naming any of ``modules`` it loaded."""
+    return f"\nloaded = {set(modules)!r} & set(sys.modules)\nassert not loaded, loaded"
+
+
+NO_POOL = not_loaded("concurrent.futures.process", "multiprocessing")
 
 
 def run_fresh(code: str) -> None:
@@ -314,4 +315,32 @@ class TestPoolImports:
             "from gapcomm.harness import ExperimentConfig, run_experiment\n"
             "cfg = ExperimentConfig('pauli-state', 6, 0.5, trials=1, root_seed=3, workers=4)\n"
             "assert run_experiment(cfg).results['trials'] == 1" + NO_POOL
+        )
+
+
+class TestRunPathImports:
+    # a trial never runs the verification suite or the shadows adapter
+    OFF_RUN_PATH = not_loaded("gapcomm.verify", "gapcomm.shadows")
+
+    def test_import_loads_only_the_run_path(self):
+        run_fresh("import sys, gapcomm, gapcomm.harness" + self.OFF_RUN_PATH)
+
+    def test_one_trial_run_loads_only_the_run_path(self):
+        run_fresh(
+            "import sys\n"
+            "from gapcomm.harness import ExperimentConfig, run_experiment\n"
+            "cfg = ExperimentConfig('pauli-state', 6, 0.5, trials=1, root_seed=3)\n"
+            "assert run_experiment(cfg).results['trials'] == 1" + self.OFF_RUN_PATH
+        )
+
+    def test_cli_run_loads_neither_verify_nor_shadows(self):
+        # as ``python -m gapcomm run ...``
+        args = "run --protocol pauli-state --qubits 6 --epsilon 0.5 --trials 1 --seed 3"
+        run_fresh(
+            "import runpy, sys\n"
+            f"sys.argv = ['gapcomm'] + {args.split()!r}\n"
+            "try:\n"
+            "    runpy.run_module('gapcomm', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code" + self.OFF_RUN_PATH
         )

@@ -55,7 +55,15 @@ def test_run_names_an_epsilon_too_small_for_the_code_length(tmp_path, capsys):
         ]
     )
     assert code == 2
-    assert "epsilon 1e-200 outside validity interval (0.25, 1)" in capsys.readouterr().err
+    assert "epsilon 1e-200 too small: gamma = ceil(epsilon^-2) overflows a float" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ghd_gap_names_an_epsilon_whose_gamma_overflows(tmp_path, capsys):
+    out = tmp_path / "gap.json"
+    code = main(["ghd-gap", "--epsilon", "1e-200", "--trials", "3", "--seed", "1", "--out", str(out)])
+    assert code == 2
+    assert "epsilon 1e-200 too small: gamma = ceil(epsilon^-2) overflows a float" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -63,6 +63,11 @@ class TestParams:
         with pytest.raises(ValueError):
             GhdParams(epsilon=0.5, slack_d=0.5)
 
+    def test_rejects_an_epsilon_whose_gamma_overflows(self):
+        assert GhdParams(epsilon=1e-154).gamma > 2**1000
+        with pytest.raises(ValueError, match="epsilon 1e-200 too small"):
+            GhdParams(epsilon=1e-200)
+
 
 class TestEncoders:
     def test_all_zero_source_encodes_to_zero(self):

@@ -12,11 +12,11 @@ from gapcomm.harness import (
     run_experiment,
     run_trial,
     sample_instance,
-    verify_suite,
     wilson95,
 )
 from gapcomm.oracle import MODELS
 from gapcomm.protocols import ConfigError, decompose_index
+from gapcomm.verify import verify_suite
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -280,8 +280,7 @@ class TestValidation:
         with pytest.raises(ConfigError, match="accuracy"):
             small_config(oracle_model=model, oracle_accuracy=accuracy)
 
-    # an epsilon of 1e-200 would overflow the code length; the validity
-    # interval rejects it first
+    # an epsilon of 1e-200 would overflow gamma; GhdParams rejects it first
     @pytest.mark.parametrize(
         "override",
         [dict(bias_c=0.9), dict(slack_d=0.5), dict(epsilon=float("nan")), dict(epsilon=1e-200)],
@@ -360,11 +359,11 @@ def test_verify_suite_checks_observable_pauli_against_the_subset_state(monkeypat
     # Bob's reader never calls subset_state_expectation; a corrupted one
     # must still fail the observable-pauli target check through verify's
     # two-hot route
-    import gapcomm.harness as harness
+    import gapcomm.verify as verify
 
-    genuine = harness.subset_state_expectation
+    genuine = verify.subset_state_expectation
     monkeypatch.setattr(
-        harness, "subset_state_expectation", lambda z, support, norm_sq: genuine(z, support, norm_sq) + 1
+        verify, "subset_state_expectation", lambda z, support, norm_sq: genuine(z, support, norm_sq) + 1
     )
     results = verify_suite(max_qubits=6, instances=1)
     check = [c for c in results if c.name.startswith("target-observable-pauli")]

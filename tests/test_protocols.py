@@ -21,12 +21,13 @@ from gapcomm.bits import (
     pack_bits,
 )
 from gapcomm.ghd import GhdParams, decision_threshold, encode_alice, encode_bob, public_pads
-from gapcomm.harness import _subset_state_target, _sum_norm_formula_target, sample_instance
+from gapcomm.harness import sample_instance
 from gapcomm.messages import MessageError, ProtocolMessage
 from gapcomm.observables import operator_norm
 from gapcomm.oracle import PUSH_DOWN, PUSH_UP, OracleSpec
 from gapcomm.pauli import PauliMask
 from gapcomm.states import TAIL_CHUNK, ExactState, StateError, dense_wire_parts
+from gapcomm.verify import _subset_state_target, _sum_norm_formula_target
 
 from dense_states import dense_wire
 
@@ -62,9 +63,15 @@ class TestConfig:
             make_config("observable-pauli", 256, 0.24)  # below 256^-0.25
 
     def test_epsilon_interval_is_checked_before_the_code_length(self):
-        # gamma = ceil(epsilon^-2) overflows a float at this epsilon
-        with pytest.raises(proto.ConfigError, match=r"epsilon 1e-200 outside validity interval \(0\.25, 1\)"):
-            make_config("pauli-state", 8, 1e-200)
+        # gamma = ceil(epsilon^-2) is about 1e308 here, far past the 2^24
+        # code-length cap, yet the message names the epsilon interval
+        with pytest.raises(proto.ConfigError, match=r"epsilon 1e-154 outside validity interval \(0\.25, 1\)"):
+            make_config("pauli-state", 8, 1e-154)
+
+    def test_an_epsilon_floor_that_overflows_is_a_config_error(self):
+        # observable-pauli's floor n^(-1/4) cannot take n = 10^1300 as a float
+        with pytest.raises(proto.ConfigError, match="qubits too large for observable-pauli"):
+            make_config("observable-pauli", 10**1300, 0.3)
 
     def test_capacity_requires_blocks_beyond_gamma(self):
         with pytest.raises(proto.ConfigError, match="no index capacity"):

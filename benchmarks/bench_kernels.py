@@ -188,7 +188,7 @@ def main() -> None:
     # read of the 11521-bit Z-string as one int
     gamma = pc.ghd.gamma
     lm_pads = ghd.public_pads(pc.ghd, sr)
-    lm_blocks = x.bits.reshape(-1, gamma)
+    lm_blocks = x.reshape(-1, gamma)
     row("odd-weight filter 16x12 (x1000)", many, lambda: ghd._odd_rows(lm_pads[:16]))
     row("block majority 4x12 vs 720x12 (x1000)", many, lambda: _kernels.majority_blocks(lm_pads, lm_blocks))
     a_rows, b_rows = proto.encode_block_matrices(x, pc, sr)
@@ -201,12 +201,12 @@ def main() -> None:
     row("Z-string read n=256, one int (x1000)", many, lambda: int.from_bytes(main[8:], "little"))
 
     # run_trial's ground-truth distance on the same trial (720x12 pads),
-    # from the per-block kernel
-    def distance_via_kernel():
-        a, b = harness._queried_codewords(x, l, pc, sr)
-        return int(np.count_nonzero(a ^ b))
+    # from the per-block encoder
+    def ground_truth():
+        a = ghd.encode_alice(x[(j - 1) * gamma : j * gamma], pc.ghd, sr)
+        return int(np.count_nonzero(a ^ ghd.encode_bob(i, pc.ghd, sr)))
 
-    row("ground truth 720x12 pads (x1000)", many, distance_via_kernel)
+    row("ground truth 720x12 pads (x1000)", many, ground_truth)
 
 
 if __name__ == "__main__":

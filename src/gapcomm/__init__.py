@@ -6,15 +6,7 @@ run as concrete Alice -> Bob simulations against pluggable estimation oracles.
 are imported from their own modules.
 """
 
-from .bits import (
-    BitVector,
-    DimensionError,
-    InconsistentInputsError,
-    SharedRandomness,
-    hamming,
-    hamming_via_identity,
-    inner_product,
-)
+from .bits import DimensionError, SharedRandomness
 from .fwht import character_matrix, character_row, fwht
 from .ghd import (
     DEFAULT_BIAS_C,

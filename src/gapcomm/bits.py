@@ -1,8 +1,9 @@
-"""Bit vectors, Hamming arithmetic and the shared-randomness source.
+"""Bit strings on the wire and the shared-randomness source.
 
-Positions exposed by this API are 1-based (``1..len``); the packed storage
-underneath is 0-based numpy. That conversion happens in this module and
-nowhere else.
+A bit string is a plain one-dimensional 0/1 ``uint8`` array, indexed from 0
+like any numpy array. Only the protocol's positions are 1-based: the index
+l and its block position i and block j (``protocols.decompose_index``),
+each shifted by one where it picks an array entry.
 """
 from __future__ import annotations
 
@@ -11,8 +12,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-
-from .messages import MessageError
 
 MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -31,10 +30,6 @@ class DimensionError(ValueError):
     """Operands have incompatible lengths."""
 
 
-class InconsistentInputsError(ValueError):
-    """Numeric inputs could not have come from real bit strings."""
-
-
 def _splitmix64(x: int) -> int:
     x = (x + _GOLDEN) & MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
@@ -42,104 +37,14 @@ def _splitmix64(x: int) -> int:
     return (x ^ (x >> 31)) & MASK64
 
 
-@dataclass(frozen=True, eq=False)
-class BitVector:
-    """Immutable 0/1 sequence with 1-based accessors."""
-
-    bits: np.ndarray
-
-    def __post_init__(self):
-        arr = np.ascontiguousarray(self.bits, dtype=np.uint8)
-        if arr.ndim != 1:
-            raise ValueError("bits must be one-dimensional")
-        if arr.size and int(arr.max()) > 1:
-            raise ValueError("bits must be 0/1 valued")
-        arr.setflags(write=False)
-        object.__setattr__(self, "bits", arr)
-
-    def __len__(self) -> int:
-        return int(self.bits.shape[0])
-
-    def bit(self, i: int) -> int:
-        """Bit at 1-based position ``i``."""
-        if not 1 <= i <= len(self):
-            raise IndexError(f"position {i} out of range [1, {len(self)}]")
-        return int(self.bits[i - 1])
-
-    @property
-    def nnz(self) -> int:
-        return int(np.count_nonzero(self.bits))
-
-    def to_int(self) -> int:
-        """Pack into an integer, position i mapping to 2**(i-1)."""
-        if len(self) == 0:
-            return 0
-        packed = np.packbits(self.bits, bitorder="little").tobytes()
-        return int.from_bytes(packed, "little")
-
-    def __repr__(self) -> str:
-        if len(self) <= 32:
-            body = "".join(str(int(b)) for b in self.bits)
-        else:
-            body = f"len={len(self)},nnz={self.nnz}"
-        return f"BitVector({body})"
-
-    @staticmethod
-    def deserialize(buf: bytes, offset: int = 0) -> tuple["BitVector", int]:
-        """Read one vector at ``offset``; a buffer too short for it raises
-        MessageError before anything sized by its bit count is allocated.
-
-        The padding bits past ``count`` in the last byte must be zero, so
-        each vector has exactly one wire form; a set one raises MessageError.
-        """
-        if len(buf) - offset < 8:
-            raise MessageError("buffer too short for the bit-vector length")
-        (count,) = struct.unpack_from("<Q", buf, offset)
-        offset += 8
-        nbytes = (count + 7) // 8
-        if len(buf) - offset < nbytes:
-            raise MessageError(f"buffer too short for {count} packed bits")
-        raw = np.frombuffer(buf, dtype=np.uint8, count=nbytes, offset=offset)
-        if count % 8 and int(raw[-1]) >> (count % 8):
-            raise MessageError("bit-vector padding bits are not zero")
-        bits = np.unpackbits(raw, count=count, bitorder="little") if count else np.zeros(0, np.uint8)
-        return BitVector(bits), offset + nbytes
-
-
 def pack_bits(bits: np.ndarray) -> tuple[bytes, int]:
     """The one Z-string writer: a u64 little-endian count, then ``bits`` (0/1
-    uint8, made by the caller's kernels, so unchecked) packed LSB-first, as
-    ``BitVector.deserialize`` reads them. Returns ``(payload, bit_length)``,
-    64 header bits plus one per position (byte padding excluded)."""
+    uint8, made by the caller's kernels, so unchecked) packed LSB-first, so
+    that the packed bytes read as one little-endian int hold bit k at 2**k.
+    Returns ``(payload, bit_length)``, 64 header bits plus one per position
+    (byte padding excluded)."""
     packed = np.packbits(bits, bitorder="little").tobytes()
     return struct.pack("<Q", len(bits)) + packed, 64 + len(bits)
-
-
-def hamming(x: BitVector, y: BitVector) -> int:
-    """Number of positions where the two vectors disagree."""
-    if len(x) != len(y):
-        raise DimensionError(f"length mismatch: {len(x)} != {len(y)}")
-    return int(np.count_nonzero(x.bits ^ y.bits))
-
-
-def inner_product(x: BitVector, y: BitVector) -> int:
-    if len(x) != len(y):
-        raise DimensionError(f"length mismatch: {len(x)} != {len(y)}")
-    return int(np.dot(x.bits.astype(np.int64), y.bits.astype(np.int64)))
-
-
-def hamming_via_identity(nnz_x: int, nnz_y: int, ip: int) -> int:
-    """Distance reconstructed as nnz(x) + nnz(y) - 2*<x, y>."""
-    if nnz_x < 0 or nnz_y < 0 or ip < 0:
-        raise ValueError("counts and inner product must be nonnegative")
-    if ip > min(nnz_x, nnz_y):
-        raise InconsistentInputsError(
-            f"inner product {ip} exceeds min(nnz) = {min(nnz_x, nnz_y)}"
-        )
-    result = nnz_x + nnz_y - 2 * ip
-    if result < 0:
-        raise InconsistentInputsError("reconstructed distance is negative")
-    return result
 
 
 # One reused Philox per thread, created on its first draw: building a fresh

@@ -19,7 +19,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import _kernels
-from .bits import STREAM_INDEX, STREAM_INSTANCE, STREAM_PADS, BitVector, SharedRandomness, hamming
+from .bits import STREAM_INDEX, STREAM_INSTANCE, STREAM_PADS, SharedRandomness
 
 # Largest majority-bias constant that the odd-vote margin actually delivers:
 # for an odd committee of m voters, P(majority agrees with a fixed voter)
@@ -98,8 +98,8 @@ def public_pads(params: GhdParams, sr: SharedRandomness) -> np.ndarray:
     return pads
 
 
-def encode_alice(x: BitVector, params: GhdParams, sr: SharedRandomness) -> BitVector:
-    """Majority codeword of Alice's source string.
+def encode_alice(source: np.ndarray, params: GhdParams, sr: SharedRandomness) -> np.ndarray:
+    """Majority codeword of Alice's 0/1 source string, as a uint8 array.
 
     Position j gets the majority of the pad bits r_k^j over Alice's
     one-positions k. An all-zero source encodes to the all-zero codeword
@@ -107,17 +107,17 @@ def encode_alice(x: BitVector, params: GhdParams, sr: SharedRandomness) -> BitVe
     analysis-facing sampling mode keeps the selection odd so ties never
     arise there).
     """
-    if len(x) != params.gamma:
-        raise ValueError(f"source length {len(x)} != gamma {params.gamma}")
-    selected = np.nonzero(x.bits)[0].astype(np.int64)
-    return BitVector(_kernels.majority_rows(public_pads(params, sr), selected))
+    if len(source) != params.gamma:
+        raise ValueError(f"source length {len(source)} != gamma {params.gamma}")
+    return _kernels.majority_rows(public_pads(params, sr), source.nonzero()[0])
 
 
-def encode_bob(i: int, params: GhdParams, sr: SharedRandomness) -> BitVector:
-    """Bob's codeword for query position i: the pad bits at column i."""
+def encode_bob(i: int, params: GhdParams, sr: SharedRandomness) -> np.ndarray:
+    """Bob's codeword for query position i: column i of the pads, as a
+    read-only uint8 view of them."""
     if not 1 <= i <= params.gamma:
         raise IndexError(f"query position {i} out of range [1, {params.gamma}]")
-    return BitVector(public_pads(params, sr)[:, i - 1])
+    return public_pads(params, sr)[:, i - 1]
 
 
 def decision_threshold(params: GhdParams) -> float:
@@ -218,13 +218,13 @@ def gap_statistics(
         sr_t = sr.substream(t)
         x = sample_sources(sr_t.substream(STREAM_INSTANCE), 1, params.gamma, odd_weight)[0]
         i = sr_t.substream(STREAM_INDEX).integer(1, params.gamma + 1)
-        xv = BitVector(x)
-        a = encode_alice(xv, params, sr_t)
+        a = encode_alice(x, params, sr_t)
         b = encode_bob(i, params, sr_t)
-        delta = hamming(a, b)
-        if decode_bit(delta, params) == xv.bit(i):
+        delta = int(np.count_nonzero(a ^ b))
+        x_i = int(x[i - 1])
+        if decode_bit(delta, params) == x_i:
             decoded += 1
-        if xv.bit(i) == 0:
+        if x_i == 0:
             zero_total += 1
             if delta >= upper:
                 zero_hit += 1

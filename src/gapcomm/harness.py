@@ -13,10 +13,9 @@ from operator import itemgetter
 
 import numpy as np
 
-from . import _kernels
 from . import ghd as ghd_mod
 from . import protocols as proto
-from .bits import STREAM_INDEX, STREAM_INSTANCE, BitVector, SharedRandomness
+from .bits import STREAM_INDEX, STREAM_INSTANCE, SharedRandomness
 from .ghd import GhdParams, decision_threshold, sample_sources
 from .messages import ProtocolMessage
 from .oracle import OracleSpec
@@ -98,24 +97,13 @@ class ExperimentConfig:
 
 def sample_instance(
     sr: SharedRandomness, pc: proto.ProtocolConfig, odd_weight: bool
-) -> BitVector:
-    """Draw Alice's string from ``sr``'s stream; odd-weight mode keeps every
-    block's weight odd."""
-    gamma = pc.ghd.gamma
-    return BitVector(sample_sources(sr, pc.block_count - gamma, gamma, odd_weight).reshape(-1))
-
-
-def _queried_codewords(x, l, pc, sr) -> tuple[np.ndarray, np.ndarray]:
-    """Re-encode the queried block and Bob's column directly, as 0/1 arrays.
-
-    The block goes through the per-block ``majority_rows`` kernel, not the
-    all-blocks one Alice uses, so the ground truth stays a second route.
-    """
-    i, j = proto.decompose_index(l, pc.ghd.gamma)
-    gamma = pc.ghd.gamma
-    pads = ghd_mod.public_pads(pc.ghd, sr)
-    selected = x.bits[(j - 1) * gamma : j * gamma].nonzero()[0]
-    return _kernels.majority_rows(pads, selected), pads[:, i - 1]
+) -> np.ndarray:
+    """Draw Alice's string from ``sr``'s stream: a flat, read-only 0/1 uint8
+    array of ``pc.capacity`` entries. Odd-weight mode keeps every block's
+    weight odd."""
+    x = sample_sources(sr, pc.alice_blocks, pc.ghd.gamma, odd_weight).reshape(-1)
+    x.setflags(write=False)
+    return x
 
 
 def run_trial(cfg: ExperimentConfig, trial: int) -> dict:
@@ -125,7 +113,7 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> dict:
     x = sample_instance(sr.substream(STREAM_INSTANCE), pc, cfg.sampling == "odd-weight")
     l = sr.substream(STREAM_INDEX).integer(1, pc.capacity + 1)
 
-    x_l = x.bit(l)
+    x_l = int(x[l - 1])
     record = {"trial": trial, "l": l, "x_l": x_l}
     try:
         msg = proto.ALICE[cfg.protocol](x, pc, sr)
@@ -138,8 +126,12 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> dict:
         )
         return record
 
-    a, b = _queried_codewords(x, l, pc, sr)
-    delta_exact = int(np.count_nonzero(a ^ b))  # independent ground truth
+    # independent ground truth: the queried block goes through the per-block
+    # encoder, not the all-blocks one Alice uses, so it stays a second route
+    gamma = pc.ghd.gamma
+    i, j = proto.decompose_index(l, gamma)
+    a = ghd_mod.encode_alice(x[(j - 1) * gamma : j * gamma], pc.ghd, sr)
+    delta_exact = int(np.count_nonzero(a ^ ghd_mod.encode_bob(i, pc.ghd, sr)))
     delta_estimate = float(result.delta_estimate)
 
     record.update(

@@ -36,12 +36,13 @@ from typing import Callable
 import numpy as np
 
 from . import oracle as oracle_mod
-from .bits import BitVector, SharedRandomness, pack_bits
+from .bits import SharedRandomness, pack_bits
 from .fwht import fwht
 from .ghd import (
     GhdParams,
     decode_bit,
     delta_from_sum_norm,
+    encode_bob,
     public_pads,
     threshold_for,
 )
@@ -176,9 +177,15 @@ class ProtocolConfig:
         return self.spec.block_count(self.qubits)
 
     @cached_property
+    def alice_blocks(self) -> int:
+        """How many of the stacked blocks are Alice's; Bob's codeword for
+        query position i sits in block ``alice_blocks + i``."""
+        return self.block_count - self.ghd.gamma
+
+    @cached_property
     def capacity(self) -> int:
         """Length of the index string the reduction can serve."""
-        return (self.block_count - self.ghd.gamma) * self.ghd.gamma
+        return self.alice_blocks * self.ghd.gamma
 
     @property
     def oracle_accuracy(self) -> float:
@@ -200,7 +207,7 @@ def _require_index(l: int, cfg: ProtocolConfig) -> tuple[int, int]:
 
 
 def encode_block_matrices(
-    x: BitVector, cfg: ProtocolConfig, sr: SharedRandomness
+    x: np.ndarray, cfg: ProtocolConfig, sr: SharedRandomness
 ) -> tuple[np.ndarray, np.ndarray]:
     """All Alice codewords (rows) and all Bob codewords (rows), as 0/1 matrices.
 
@@ -215,7 +222,7 @@ def encode_block_matrices(
         raise ConfigError(f"instance length {len(x)} != capacity {cfg.capacity}")
     pads = public_pads(params, sr)
     # float32 counts are exact: ProtocolConfig keeps gamma below 2^24
-    a_rows = _kernels.majority_blocks(pads, x.bits.reshape(-1, params.gamma))
+    a_rows = _kernels.majority_blocks(pads, x.reshape(-1, params.gamma))
     return a_rows, pads.T
 
 
@@ -245,7 +252,7 @@ class Reading:
     rescale: object
 
 
-def alice(kind: str, x: BitVector, cfg: ProtocolConfig, sr: SharedRandomness) -> ProtocolMessage:
+def alice(kind: str, x: np.ndarray, cfg: ProtocolConfig, sr: SharedRandomness) -> ProtocolMessage:
     """Alice's side of every protocol: block-encode, then the kind's encoder.
 
     The message declares the spec's closed-form main-payload bit count and
@@ -325,10 +332,9 @@ def _write_weight_side(first_field: int, nnz_list) -> bytes:
 
 def _read_weight_side(side: bytes, j: int, cfg: ProtocolConfig) -> tuple[int, int]:
     """The leading side-info field and nnz(a^j), once the block count checks out."""
-    blocks = cfg.block_count - cfg.ghd.gamma
-    _expect("side-info length", len(side), 12 + 4 * blocks)
+    _expect("side-info length", len(side), 12 + 4 * cfg.alice_blocks)
     first, count = struct.unpack_from("<QI", side)
-    _expect("side-info block count", count, blocks)
+    _expect("side-info block count", count, cfg.alice_blocks)
     (nnz_a,) = struct.unpack_from("<I", side, 12 + 4 * (j - 1))
     return first, nnz_a
 
@@ -347,8 +353,7 @@ def _read_state(msg, j: int, cfg: ProtocolConfig) -> tuple[ExactState, int]:
 
 def _sum_norm_reading(target, rescale, nnz_a: int, i: int, cfg, sr) -> Reading:
     """``target`` is ||a^j + b^i||^2 / rescale; distance = 2 nnz_a + 2 nnz_b - ||a+b||^2."""
-    # Bob's codeword b^i is pad column i (in range: i comes from a checked index)
-    nnz_b = int(np.count_nonzero(public_pads(cfg.ghd, sr)[:, i - 1]))
+    nnz_b = int(np.count_nonzero(encode_bob(i, cfg.ghd, sr)))
     sum_norm = target * rescale
     # a squared norm: only a crafted message (such as a pauli-state whose
     # X string pairs opposite signs) reads below zero
@@ -403,7 +408,7 @@ def _read_stacked(msg, j: int, cfg: ProtocolConfig) -> tuple[ExactState, np.ndar
 def _read_general_state(msg, i: int, j: int, cfg: ProtocolConfig, sr) -> Reading:
     state, blk_a, nnz_a = _read_stacked(msg, j, cfg)
     code_len = cfg.ghd.code_len
-    col = cfg.block_count - cfg.ghd.gamma + i
+    col = cfg.alice_blocks + i
     blk_b = state.numerators[(col - 1) * code_len : col * code_len]
     # each amplitude is below 2^32 (its square is at most norm_sq < 2^64), so
     # the sum cannot wrap; its squares can overflow int64, which exact_sq_sum takes
@@ -422,7 +427,7 @@ def general_state_ml_strip(cfg: ProtocolConfig, l: int) -> np.ndarray:
     i, j = _require_index(l, cfg)
     code_len = cfg.ghd.code_len
     dim = 1 << (cfg.qubits + cfg.pad_exponent)
-    col = cfg.block_count - cfg.ghd.gamma + i
+    col = cfg.alice_blocks + i
     strip = np.zeros((code_len, dim), dtype=np.float64)
     amp = 1.0 / math.sqrt(2.0)
     for k in range(code_len):
@@ -437,7 +442,7 @@ def _encode_inner_product(a_rows, b_rows, cfg: ProtocolConfig) -> tuple:
 
 def _read_inner_product(msg, i: int, j: int, cfg: ProtocolConfig, sr) -> Reading:
     state, blk_a, nnz_a = _read_stacked(msg, j, cfg)
-    b = public_pads(cfg.ghd, sr)[:, i - 1]
+    b = encode_bob(i, cfg.ghd, sr)
     own_norm = int(np.count_nonzero(b))
     if own_norm == 0:
         raise ProtocolError("Bob's codeword is the zero vector")
@@ -562,7 +567,7 @@ def _read_observable_general(msg, i: int, j: int, cfg: ProtocolConfig, sr) -> Re
         msg.main_payload, dtype="<i8", count=dim * dim, offset=4
     ).reshape(dim, dim)
     col_a = j - 1
-    col_b = (dim - cfg.ghd.gamma) + i - 1
+    col_b = cfg.alice_blocks + i - 1
     m_aa, m_ab = int(entries_fp[col_a, col_a]), int(entries_fp[col_a, col_b])
     m_ba, m_bb = int(entries_fp[col_b, col_a]), int(entries_fp[col_b, col_b])
     # The entries come from a Gram matrix, so its 2x2 minor is symmetric and
@@ -614,7 +619,7 @@ def _read_observable_pauli(msg, i: int, j: int, cfg: ProtocolConfig, sr) -> Read
     # bits differ, so together they give (code_len - 2 * distance) / (2 * code_len).
     # The marked last-qubit point carries squared weight code_len and the
     # sign of the last bit, which Alice sets but a hostile message need not.
-    col = cfg.block_count - cfg.ghd.gamma + i
+    col = cfg.alice_blocks + i
     diff = (z >> ((j - 1) * code_len)) ^ (z >> ((col - 1) * code_len))
     dist = (diff & ((1 << code_len) - 1)).bit_count()
     marked = -1 if z >> (count - 1) else 1
@@ -660,7 +665,7 @@ SPECS = {
     ),
     "observable-pauli": ProtocolSpec(
         kappa=1.0, block_count=math.isqrt, epsilon_floor=lambda n: n ** (-1.0 / 4.0),
-        # the payload is a Pauli string; its BitVector header is a u64 bit count
+        # the payload is a Pauli string; its pack_bits header is a u64 bit count
         payload_qubits=lambda cfg: cfg.ghd.code_len * cfg.block_count + 1, qubit_field=("<Q", 0),
         main_bits=lambda bits: 64 + bits,
         encode=_encode_observable_pauli, read=_read_observable_pauli,

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bits import STREAM_SHADOW, BitVector, SharedRandomness
+from .bits import STREAM_SHADOW, SharedRandomness
 from .messages import MessageError, ProtocolMessage
 from .pauli import ObservableError, PauliMask
 
@@ -96,32 +96,33 @@ def born_vector(rho: ClassicalDensityMatrix, letters: str) -> np.ndarray:
 class ShadowPair:
     """A measurement algorithm and an estimation algorithm.
 
-    ``measure(rho, rng) -> BitVector`` may simulate the state at will;
+    ``measure(rho, rng)`` may simulate the state at will and returns the
+    shadow, a one-dimensional 0/1 uint8 array;
     ``estimate(observable, shadow) -> float`` sees only the bitstring.
     The adapter below relies on exactly that separation.
     """
 
     copies: int
-    measure: Callable[[ClassicalDensityMatrix, object], BitVector]
-    estimate: Callable[[PauliMask, BitVector], float]
+    measure: Callable[[ClassicalDensityMatrix, object], np.ndarray]
+    estimate: Callable[[PauliMask, np.ndarray], float]
 
 
-def _pack_rounds(codes: np.ndarray, outcomes: np.ndarray) -> BitVector:
+def _pack_rounds(codes: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
     s, n = codes.shape
     round_bits = np.empty((s, 3 * n), dtype=np.uint8)
     round_bits[:, 0 : 2 * n : 2] = codes & 1
     round_bits[:, 1 : 2 * n : 2] = codes >> 1
     round_bits[:, 2 * n :] = outcomes
-    return BitVector(round_bits.reshape(-1))
+    return round_bits.reshape(-1)
 
 
-def _unpack_rounds(shadow: BitVector, qubits: int) -> tuple[np.ndarray, np.ndarray]:
+def _unpack_rounds(shadow: np.ndarray, qubits: int) -> tuple[np.ndarray, np.ndarray]:
     """Basis codes and outcomes per round; a shadow no ``measure`` could have
     written raises MessageError."""
     per_round = 3 * qubits
     if len(shadow) == 0 or len(shadow) % per_round != 0:
         raise MessageError(f"shadow length {len(shadow)} is not a positive multiple of {per_round}")
-    rounds = shadow.bits.reshape(-1, per_round)
+    rounds = shadow.reshape(-1, per_round)
     codes = rounds[:, 0 : 2 * qubits : 2] + 2 * rounds[:, 1 : 2 * qubits : 2]
     if (codes == 3).any():
         raise MessageError("shadow holds basis code 3")
@@ -140,7 +141,7 @@ def reference_shadow_pair(copies: int) -> ShadowPair:
     if copies < 1:
         raise ValueError("copies must be >= 1")
 
-    def measure(rho: ClassicalDensityMatrix, rng) -> BitVector:
+    def measure(rho: ClassicalDensityMatrix, rng) -> np.ndarray:
         gen = _as_generator(rng)
         n = rho.qubits
         codes = gen.integers(0, 3, size=(copies, n), dtype=np.int64)
@@ -158,7 +159,7 @@ def reference_shadow_pair(copies: int) -> ShadowPair:
                 outcomes[rows, t] = (idx >> t) & 1
         return _pack_rounds(codes, outcomes)
 
-    def estimate(observable: PauliMask, shadow: BitVector) -> float:
+    def estimate(observable: PauliMask, shadow: np.ndarray) -> float:
         if not isinstance(observable, PauliMask):
             raise ObservableError("reference estimator supports mask observables only")
         n = observable.qubits
@@ -184,14 +185,20 @@ class OneWayShadowProtocol:
     pair: ShadowPair
 
     def alice(self, state, rng) -> ProtocolMessage:
-        """Measurement side; accepts a density matrix or a pure-state vector."""
+        """Measurement side; accepts a density matrix or a pure-state vector.
+
+        A ``measure`` that returns anything but a one-dimensional 0/1 array
+        raises ValueError.
+        """
         rho = (
             state
             if isinstance(state, ClassicalDensityMatrix)
             else ClassicalDensityMatrix.from_pure(state)
         )
-        shadow = self.pair.measure(rho, rng)
-        packed = np.packbits(shadow.bits, bitorder="little").tobytes()
+        shadow = np.ascontiguousarray(self.pair.measure(rho, rng), dtype=np.uint8)
+        if shadow.ndim != 1 or (shadow.size and int(shadow.max()) > 1):
+            raise ValueError("measure must return a one-dimensional 0/1 array")
+        packed = np.packbits(shadow, bitorder="little").tobytes()
         # the message is the raw shadow: its bit count IS the compression size
         return ProtocolMessage("shadow-adapter", packed, len(shadow))
 
@@ -203,7 +210,7 @@ class OneWayShadowProtocol:
         if msg.main_bits % 8 and int(raw[-1]) >> (msg.main_bits % 8):
             raise MessageError("shadow padding bits are not zero")
         bits = np.unpackbits(raw, count=msg.main_bits, bitorder="little")
-        return self.pair.estimate(observable, BitVector(bits))
+        return self.pair.estimate(observable, bits)
 
 
 def to_one_way_protocol(pair: ShadowPair) -> OneWayShadowProtocol:

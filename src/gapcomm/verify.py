@@ -8,6 +8,7 @@ for compiling it.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -16,18 +17,10 @@ import numpy as np
 
 from . import ghd as ghd_mod
 from . import protocols as proto
-from .bits import (
-    STREAM_INDEX,
-    STREAM_INSTANCE,
-    BitVector,
-    SharedRandomness,
-    hamming,
-    hamming_via_identity,
-    inner_product,
-)
+from .bits import STREAM_INDEX, STREAM_INSTANCE, SharedRandomness
 from .fwht import character_matrix, fwht
 from .ghd import GhdParams
-from .harness import _queried_codewords, sample_instance
+from .harness import sample_instance
 from .observables import operator_norm
 from .oracle import OracleSpec
 from .pauli import PauliMask, subset_state_expectation
@@ -79,9 +72,11 @@ def _check_distance_identity(pairs: int = 10_000) -> CheckResult:
     rng = np.random.default_rng(12)
     for k in range(pairs):
         length = int(rng.integers(1, 96))
-        x = BitVector(rng.integers(0, 2, size=length, dtype=np.uint8))
-        y = BitVector(rng.integers(0, 2, size=length, dtype=np.uint8))
-        if hamming_via_identity(x.nnz, y.nnz, inner_product(x, y)) != hamming(x, y):
+        x = rng.integers(0, 2, size=length, dtype=np.uint8)
+        y = rng.integers(0, 2, size=length, dtype=np.uint8)
+        # nnz(x) + nnz(y) - 2<x, y> against popcount(x ^ y)
+        inner = int(np.dot(x.astype(np.int64), y))
+        if np.count_nonzero(x) + np.count_nonzero(y) - 2 * inner != np.count_nonzero(x ^ y):
             return CheckResult("distance-identity", False, f"violation at pair {k}")
     return CheckResult("distance-identity", True, f"{pairs} random pairs, zero violations")
 
@@ -102,8 +97,16 @@ def _dense_contraction_target(x, l, pc, sr, msg) -> Fraction:
     return Fraction(int(np.dot(w, w)), 2 * state.norm_sq)
 
 
+def _codewords_at(x, l, pc, sr) -> tuple[np.ndarray, np.ndarray]:
+    """Alice's codeword of the queried block and Bob's codeword for l."""
+    gamma = pc.ghd.gamma
+    i, j = proto.decompose_index(l, gamma)
+    block = x[(j - 1) * gamma : j * gamma]
+    return ghd_mod.encode_alice(block, pc.ghd, sr), ghd_mod.encode_bob(i, pc.ghd, sr)
+
+
 def _sum_norm_formula_target(x, l, pc, sr, msg) -> Fraction:
-    a, b = _queried_codewords(x, l, pc, sr)
+    a, b = _codewords_at(x, l, pc, sr)
     summed = a.astype(np.int64) + b
     state, _ = ExactState.deserialize(msg.main_payload)
     return Fraction(2 * int(np.dot(summed, summed)) * (1 << (2 * pc.qubits)), state.norm_sq)
@@ -116,13 +119,13 @@ def _eigensolver_target(x, l, pc, sr, msg) -> float:
     gram = m.T @ m
     norm = float(np.linalg.eigvalsh(gram)[-1])
     i, j = proto.decompose_index(l, pc.ghd.gamma)
-    col_a, col_b = j - 1, (1 << pc.qubits) - pc.ghd.gamma + i - 1
+    col_a, col_b = j - 1, pc.alice_blocks + i - 1
     sum_norm = gram[col_a, col_a] + 2 * gram[col_a, col_b] + gram[col_b, col_b]
     return sum_norm / (2.0 * norm)
 
 
 def _scaled_distance_target(x, l, pc, sr, msg) -> Fraction:
-    a, b = _queried_codewords(x, l, pc, sr)
+    a, b = _codewords_at(x, l, pc, sr)
     return Fraction(-int(np.count_nonzero(a ^ b)), pc.ghd.code_len)
 
 
@@ -130,16 +133,16 @@ def _subset_state_target(x, l, pc, sr, msg) -> Fraction:
     # the paper's construction on the wire Z-string: one two-hot basis index
     # per code position over Alice's block j and Bob's block, then the marked
     # last-qubit point of squared weight code_len (half the norm)
-    z_bits, _ = BitVector.deserialize(msg.main_payload)
-    z = z_bits.to_int()
+    (count,) = struct.unpack_from("<Q", msg.main_payload)
+    z = int.from_bytes(msg.main_payload[8:], "little")
     i, j = proto.decompose_index(l, pc.ghd.gamma)
     code_len = pc.ghd.code_len
-    col = pc.block_count - pc.ghd.gamma + i
+    col = pc.alice_blocks + i
     support = [
         ((1 << ((j - 1) * code_len + k)) | (1 << ((col - 1) * code_len + k)), 1)
         for k in range(code_len)
     ]
-    marked = [(1 << (len(z_bits) - 1), 1)]
+    marked = [(1 << (count - 1), 1)]
     return subset_state_expectation(z, support, 2 * code_len) + subset_state_expectation(z, marked, 2)
 
 
@@ -149,9 +152,9 @@ def _dense_overlap_target(x, l, pc, sr, msg) -> float:
     b = ghd_mod.encode_bob(i, pc.ghd, sr)
     dense_other = np.zeros(state.numerators.shape[0], dtype=np.int64)
     start = (j - 1) * pc.ghd.code_len
-    dense_other[start : start + pc.ghd.code_len] = b.bits
+    dense_other[start : start + pc.ghd.code_len] = b
     cross = int(np.dot(state.numerators, dense_other))
-    return cross / math.sqrt(state.norm_sq * b.nnz)
+    return cross / math.sqrt(state.norm_sq * int(np.count_nonzero(b)))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import gapcomm.protocols as proto
-from gapcomm.bits import BitVector, SharedRandomness, hamming
+from gapcomm.bits import SharedRandomness
 from gapcomm.ghd import GhdParams, encode_alice, encode_bob, gap_statistics
 from gapcomm.harness import ExperimentConfig, run_experiment, sample_instance
 from gapcomm.oracle import OracleSpec
@@ -101,7 +101,7 @@ def draw(pc, seed):
 def queried_codewords(x, l, pc, sr):
     i, j = proto.decompose_index(l, pc.ghd.gamma)
     gamma = pc.ghd.gamma
-    block = BitVector(x.bits[(j - 1) * gamma : j * gamma])
+    block = x[(j - 1) * gamma : j * gamma]
     return encode_alice(block, pc.ghd, sr), encode_bob(i, pc.ghd, sr), i, j
 
 
@@ -168,7 +168,7 @@ def test_criterion_2_target_value_equivalence():
             msg = proto.ALICE["observable-general"](x, pc, sr)
             res = proto.BOB["observable-general"](msg, l, pc, sr, OracleSpec())
             a, b, i, j = queried_codewords(x, l, pc, sr)
-            summed = a.bits.astype(np.int64) + b.bits.astype(np.int64)
+            summed = a.astype(np.int64) + b.astype(np.int64)
             a_rows, b_rows = proto.encode_block_matrices(x, pc, sr)
             cols = np.concatenate([a_rows, b_rows], axis=0).T.astype(np.float64)
             norm = float(np.abs(np.linalg.eigvalsh(cols.T @ cols)).max())
@@ -184,7 +184,7 @@ def test_criterion_2_target_value_equivalence():
             msg = proto.ALICE["observable-pauli"](x, pc, sr)
             res = proto.BOB["observable-pauli"](msg, l, pc, sr, OracleSpec())
             a, b, _, _ = queried_codewords(x, l, pc, sr)
-            delta = sum(1 for t in range(1, len(a) + 1) if a.bit(t) != b.bit(t))
+            delta = sum(1 for t in range(len(a)) if a[t] != b[t])
             if res.target != Fraction(-delta, pc.ghd.code_len):
                 violations.append(("observable-pauli", qubits, k))
 
@@ -199,8 +199,8 @@ def test_criterion_2_target_value_equivalence():
             b = encode_bob(i, pc.ghd, sr)
             other = np.zeros(state.numerators.shape[0], dtype=np.int64)
             start = (j - 1) * pc.ghd.code_len
-            other[start : start + pc.ghd.code_len] = b.bits
-            brute = int(state.numerators @ other) / math.sqrt(state.norm_sq * b.nnz)
+            other[start : start + pc.ghd.code_len] = b
+            brute = int(state.numerators @ other) / math.sqrt(state.norm_sq * int(np.count_nonzero(b)))
             if abs(float(res.target) - brute) > 1e-12 * max(1.0, abs(brute)):
                 violations.append(("inner-product", qubits, k))
 

@@ -1,159 +1,56 @@
-"""Bit vectors, distance arithmetic, shared randomness."""
+"""The Z-string writer, the distance identity, shared randomness."""
 import os
 import struct
 import subprocess
 import sys
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
 
 import gapcomm
-from gapcomm.bits import (
-    BitVector,
-    DimensionError,
-    InconsistentInputsError,
-    SharedRandomness,
-    hamming,
-    hamming_via_identity,
-    inner_product,
-    pack_bits,
-)
-from gapcomm.messages import MessageError
+from gapcomm.bits import SharedRandomness, pack_bits
 
 
-def brute_hamming(x: BitVector, y: BitVector) -> int:
-    return sum(1 for i in range(1, len(x) + 1) if x.bit(i) != y.bit(i))
+def brute_hamming(x: np.ndarray, y: np.ndarray) -> int:
+    """Position-by-position count, no numpy arithmetic."""
+    return sum(1 for a, b in zip(x.tolist(), y.tolist()) if a != b)
 
 
-class TestBitVector:
-    def test_accessors_are_one_based(self):
-        v = BitVector(np.array([1, 0, 1], dtype=np.uint8))
-        assert v.bit(1) == 1 and v.bit(2) == 0 and v.bit(3) == 1
-        with pytest.raises(IndexError):
-            v.bit(0)
-        with pytest.raises(IndexError):
-            v.bit(4)
-
-    def test_rejects_non_binary_values(self):
-        with pytest.raises(ValueError):
-            BitVector(np.array([0, 2, 1], dtype=np.uint8))
-
-    def test_nnz_bounded_by_length(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            v = BitVector(rng.integers(0, 2, size=33, dtype=np.uint8))
-            assert 0 <= v.nnz <= len(v)
-
-    def test_int_round_trip_lsb_first(self):
-        v = BitVector(np.array([1, 0, 1, 1], dtype=np.uint8))  # 1 + 4 + 8
-        assert v.to_int() == 13
-        assert BitVector(np.zeros(0, np.uint8)).to_int() == 0
-
-    def test_rejects_two_dimensional_bits(self):
-        with pytest.raises(ValueError):
-            BitVector(np.zeros((2, 2), dtype=np.uint8))
-
-    def test_repr_short_and_long(self):
-        assert repr(BitVector(np.array([1, 0, 1], dtype=np.uint8))) == "BitVector(101)"
-        long = BitVector(np.r_[np.ones(5, np.uint8), np.zeros(35, np.uint8)])
-        assert repr(long) == "BitVector(len=40,nnz=5)"
-
+class TestPackBits:
     def test_serialization_layout(self):
         payload, bits = pack_bits(np.array([1, 0, 1, 1], dtype=np.uint8))
         assert bits == 64 + 4
         assert payload[:8] == (4).to_bytes(8, "little")
-        assert payload[8] == 0b1101
+        assert payload[8:] == bytes([0b1101])
+        # read as one little-endian int, position k is bit k
+        assert int.from_bytes(payload[8:], "little") == 1 + 4 + 8
 
     def test_serialization_round_trip(self):
         rng = np.random.default_rng(1)
         for length in (0, 1, 7, 8, 9, 64, 65, 1000):
             v = rng.integers(0, 2, size=length, dtype=np.uint8)
             payload, bits = pack_bits(v)
-            back, consumed = BitVector.deserialize(payload)
-            assert np.array_equal(back.bits, v)
-            assert consumed == len(payload)
+            (count,) = struct.unpack_from("<Q", payload)
+            packed = np.frombuffer(payload, dtype=np.uint8, offset=8)
+            assert count == length and len(packed) == -(-length // 8)
+            assert np.array_equal(np.unpackbits(packed, count=count, bitorder="little"), v)
             assert 0 <= 8 * len(payload) - bits < 8
-
-    @pytest.mark.parametrize("bit", [5, 6, 7])
-    def test_set_padding_bit_raises_message_error(self, bit):
-        payload, _ = pack_bits(np.array([1, 0, 1, 1, 1], dtype=np.uint8))
-        BitVector.deserialize(payload)
-        bad = payload[:-1] + bytes([payload[-1] | (1 << bit)])
-        with pytest.raises(MessageError, match="padding bits"):
-            BitVector.deserialize(bad)
-
-    @pytest.mark.parametrize(
-        "buf",
-        [b"\x00\x01", struct.pack("<Q", 16), struct.pack("<Q", 16) + b"\x01", struct.pack("<Q", 1 << 60)],
-    )
-    def test_short_buffer_raises_message_error_without_allocating(self, buf):
-        tracemalloc.start()
-        try:
-            with pytest.raises(MessageError, match="too short"):
-                BitVector.deserialize(buf)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 1024
-
-
-class TestHamming:
-    def test_identical_strings(self):
-        v = BitVector(np.array([1, 0, 1, 1, 0], dtype=np.uint8))
-        assert hamming(v, v) == 0
-
-    def test_complement(self):
-        zeros, ones = BitVector(np.zeros(3, np.uint8)), BitVector(np.ones(3, np.uint8))
-        assert hamming(zeros, ones) == 3
-
-    def test_hand_count(self):
-        x = BitVector(np.array([1, 0, 1], dtype=np.uint8))
-        assert hamming(x, BitVector(np.array([1, 1, 0], dtype=np.uint8))) == 2
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            hamming(BitVector(np.ones(1, np.uint8)), BitVector(np.array([1, 0], dtype=np.uint8)))
-
-    def test_metric_properties_on_random_triples(self):
-        rng = np.random.default_rng(2)
-        for _ in range(500):
-            n = int(rng.integers(1, 40))
-            x, y, z = (
-                BitVector(rng.integers(0, 2, size=n, dtype=np.uint8)) for _ in range(3)
-            )
-            assert hamming(x, y) == hamming(y, x)
-            assert (hamming(x, y) == 0) == np.array_equal(x.bits, y.bits)
-            assert hamming(x, z) <= hamming(x, y) + hamming(y, z)
+            # the byte padding past the last position is zero
+            assert np.unpackbits(packed, bitorder="little")[length:].sum() == 0
 
 
 class TestDistanceIdentity:
-    def test_matches_hand_example(self):
-        assert hamming_via_identity(2, 2, 1) == 2
-
-    def test_zero_string_case(self):
-        for k in range(5):
-            assert hamming_via_identity(0, k, 0) == k
-
-    def test_rejects_negative_inputs(self):
-        with pytest.raises(ValueError):
-            hamming_via_identity(-1, 2, 0)
-
-    def test_rejects_inconsistent_inner_product(self):
-        with pytest.raises(InconsistentInputsError):
-            hamming_via_identity(2, 3, 4)
-
     def test_identity_on_random_pairs(self):
-        # oracle: position-by-position brute force, no numpy
+        # nnz(x) + nnz(y) - 2<x, y> in numpy against a position-by-position count
         rng = np.random.default_rng(3)
         for _ in range(10_000):
             n = int(rng.integers(1, 64))
-            x = BitVector(rng.integers(0, 2, size=n, dtype=np.uint8))
-            y = BitVector(rng.integers(0, 2, size=n, dtype=np.uint8))
-            expected = brute_hamming(x, y)
-            assert hamming_via_identity(x.nnz, y.nnz, inner_product(x, y)) == expected
-            assert hamming(x, y) == expected
+            x = rng.integers(0, 2, size=n, dtype=np.uint8)
+            y = rng.integers(0, 2, size=n, dtype=np.uint8)
+            inner = int(np.dot(x.astype(np.int64), y))
+            via_identity = np.count_nonzero(x) + np.count_nonzero(y) - 2 * inner
+            assert via_identity == brute_hamming(x, y) == np.count_nonzero(x ^ y)
 
 
 class TestSharedRandomness:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gapcomm import ghd
-from gapcomm.bits import STREAM_PADS, BitVector, SharedRandomness, hamming
+from gapcomm.bits import STREAM_PADS, SharedRandomness
 from gapcomm.ghd import (
     GhdParams,
     decision_threshold,
@@ -20,15 +20,15 @@ from gapcomm.ghd import (
 )
 
 
-def brute_majority_codeword(x: BitVector, pads: np.ndarray) -> BitVector:
+def brute_majority_codeword(x: np.ndarray, pads: np.ndarray) -> np.ndarray:
     """Oracle: per-position python majority with the same 0-on-tie rule."""
     out = []
-    selected = [k for k in range(len(x)) if x.bit(k + 1) == 1]
+    selected = [k for k in range(len(x)) if x[k] == 1]
     for j in range(pads.shape[0]):
         votes = [int(pads[j, k]) for k in selected]
         ones = sum(votes)
         out.append(1 if 2 * ones > len(votes) else 0)
-    return BitVector(np.array(out, dtype=np.uint8))
+    return np.array(out, dtype=np.uint8)
 
 
 def rejection_rows(gen, count: int, length: int) -> np.ndarray:
@@ -72,15 +72,16 @@ class TestParams:
 class TestEncoders:
     def test_all_zero_source_encodes_to_zero(self):
         params = GhdParams(epsilon=0.5)
-        a = encode_alice(BitVector(np.zeros(params.gamma, np.uint8)), params, SharedRandomness(1))
-        assert a.nnz == 0 and len(a) == params.code_len
+        a = encode_alice(np.zeros(params.gamma, np.uint8), params, SharedRandomness(1))
+        assert a.dtype == np.uint8 and a.shape == (params.code_len,)
+        assert not a.any()
 
     def test_singleton_source_copies_pad_column(self):
         params = GhdParams(epsilon=0.5)
         sr = SharedRandomness(2)
         for k in range(1, params.gamma + 1):
-            x = BitVector(np.eye(params.gamma, dtype=np.uint8)[k - 1])
-            assert np.array_equal(encode_alice(x, params, sr).bits, encode_bob(k, params, sr).bits)
+            x = np.eye(params.gamma, dtype=np.uint8)[k - 1]
+            assert np.array_equal(encode_alice(x, params, sr), encode_bob(k, params, sr))
 
     def test_majority_against_brute_force(self):
         params = GhdParams(epsilon=0.5)
@@ -91,19 +92,30 @@ class TestEncoders:
             positions = rng.choice(params.gamma, size=weight, replace=False)
             bits = np.zeros(params.gamma, dtype=np.uint8)
             bits[positions] = 1
-            x = BitVector(bits)
-            expected = brute_majority_codeword(x, public_pads(params, sr))
-            assert np.array_equal(encode_alice(x, params, sr).bits, expected.bits)
+            expected = brute_majority_codeword(bits, public_pads(params, sr))
+            assert np.array_equal(encode_alice(bits, params, sr), expected)
 
     def test_bob_is_deterministic_and_validated(self):
         params = GhdParams(epsilon=0.5)
         sr = SharedRandomness(3)
-        assert np.array_equal(encode_bob(1, params, sr).bits, encode_bob(1, params, sr).bits)
-        assert np.array_equal(encode_bob(1, params, sr).bits, public_pads(params, sr)[:, 0])
+        assert np.array_equal(encode_bob(1, params, sr), encode_bob(1, params, sr))
+        assert np.array_equal(encode_bob(1, params, sr), public_pads(params, sr)[:, 0])
         with pytest.raises(IndexError):
             encode_bob(0, params, sr)
         with pytest.raises(IndexError):
             encode_bob(params.gamma + 1, params, sr)
+
+    def test_bob_codeword_is_a_read_only_view_of_the_pads(self):
+        # writing through it would corrupt the pads every later caller reads
+        params = GhdParams(epsilon=0.5)
+        sr = SharedRandomness(7)
+        b = encode_bob(2, params, sr)
+        assert b.dtype == np.uint8 and b.shape == (params.code_len,)
+        assert np.shares_memory(b, public_pads(params, sr))
+        before = public_pads(params, sr).copy()
+        with pytest.raises(ValueError):
+            b[0] ^= 1
+        assert np.array_equal(public_pads(params, sr), before)
 
     def test_pads_are_derived_once_and_read_only(self):
         params = GhdParams(epsilon=0.5)
@@ -120,7 +132,7 @@ class TestEncoders:
     def test_wrong_source_length(self):
         params = GhdParams(epsilon=0.5)
         with pytest.raises(ValueError):
-            encode_alice(BitVector(np.zeros(params.gamma + 1, np.uint8)), params, SharedRandomness(4))
+            encode_alice(np.zeros(params.gamma + 1, np.uint8), params, SharedRandomness(4))
 
 
 class TestDecoder:
@@ -174,10 +186,11 @@ class TestDistanceFromSumNorm:
         rng = np.random.default_rng(22)
         for _ in range(2000):
             n = int(rng.integers(1, 80))
-            a = BitVector(rng.integers(0, 2, size=n, dtype=np.uint8))
-            b = BitVector(rng.integers(0, 2, size=n, dtype=np.uint8))
-            summed = a.bits.astype(np.int64) + b.bits.astype(np.int64)
-            assert delta_from_sum_norm(int(summed @ summed), a.nnz, b.nnz) == hamming(a, b)
+            a = rng.integers(0, 2, size=n, dtype=np.uint8)
+            b = rng.integers(0, 2, size=n, dtype=np.uint8)
+            summed = a.astype(np.int64) + b.astype(np.int64)
+            delta = delta_from_sum_norm(int(summed @ summed), int(a.sum()), int(b.sum()))
+            assert delta == int(np.count_nonzero(a != b))
 
 
 class TestGapStatistics:

@@ -3,9 +3,10 @@ import json
 import math
 import multiprocessing
 
+import numpy as np
 import pytest
 
-from gapcomm.bits import STREAM_INDEX, STREAM_INSTANCE, BitVector, SharedRandomness, hamming
+from gapcomm.bits import STREAM_INDEX, STREAM_INSTANCE, SharedRandomness
 from gapcomm.ghd import encode_alice, encode_bob
 from gapcomm.harness import (
     ExperimentConfig,
@@ -121,16 +122,32 @@ class TestGroundTruth:
         gamma = pc.ghd.gamma
         for trial in range(40):
             record = run_trial(cfg, trial)
-            # the codewords re-derived as first written: bit vectors from
-            # encode_alice and encode_bob on the trial's own draws
+            # the codewords re-derived from encode_alice and encode_bob on
+            # the trial's own draws
             sr = SharedRandomness(cfg.root_seed).substream(trial)
             x = sample_instance(sr.substream(STREAM_INSTANCE), pc, sampling == "odd-weight")
             l = sr.substream(STREAM_INDEX).integer(1, pc.capacity + 1)
             i, j = decompose_index(l, gamma)
-            a = encode_alice(BitVector(x.bits[(j - 1) * gamma : j * gamma]), pc.ghd, sr)
+            a = encode_alice(x[(j - 1) * gamma : j * gamma], pc.ghd, sr)
             b = encode_bob(i, pc.ghd, sr)
             assert record["l"] == l
-            assert record["delta_exact"] == hamming(a, b)
+            assert record["delta_exact"] == int(np.count_nonzero(a != b))
+
+    @pytest.mark.parametrize("sampling", ["odd-weight", "unrestricted"])
+    def test_instance_is_a_read_only_bit_string_of_capacity_entries(self, sampling):
+        pc = small_config().pc
+        x = sample_instance(SharedRandomness(7), pc, sampling == "odd-weight")
+        assert x.dtype == np.uint8 and x.shape == (pc.capacity,)
+        assert set(np.unique(x).tolist()) <= {0, 1}
+        with pytest.raises(ValueError):
+            x[0] ^= 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_records_hold_python_ints_and_bools(self, workers):
+        report = run_experiment(small_config(trials=6, workers=workers, per_trial_records=True))
+        for record in report.per_trial:
+            assert type(record["x_l"]) is int and record["x_l"] in (0, 1)
+            assert type(record["success"]) is bool
 
 
 class TestReports:

@@ -1,7 +1,12 @@
 """Kernels against direct reference computations; parity against int.bit_count."""
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import gapcomm
 from gapcomm import _kernels
 
 
@@ -144,3 +149,12 @@ def test_pauli_quad_on_two_limbs_runs_three_forms_for_disjoint_masks(monkeypatch
     assert not view.flags.aligned
     assert _kernels.pauli_quad(view, z, x) == expected
 
+
+def test_kernel_benchmark_script_runs():
+    # the script reaches into library names; one it calls that is gone fails here
+    src = os.path.dirname(os.path.dirname(gapcomm.__file__))
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    script = os.path.join(repo, "benchmarks", "bench_kernels.py")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

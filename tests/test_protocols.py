@@ -12,14 +12,7 @@ import pytest
 
 import gapcomm.protocols as proto
 from gapcomm import _kernels
-from gapcomm.bits import (
-    STREAM_INDEX,
-    STREAM_INSTANCE,
-    BitVector,
-    SharedRandomness,
-    hamming,
-    pack_bits,
-)
+from gapcomm.bits import STREAM_INDEX, STREAM_INSTANCE, SharedRandomness, pack_bits
 from gapcomm.ghd import GhdParams, decision_threshold, encode_alice, encode_bob, public_pads
 from gapcomm.harness import sample_instance
 from gapcomm.messages import MessageError, ProtocolMessage
@@ -46,8 +39,20 @@ def draw_instance(pc, seed, odd=True):
 def queried_codewords(x, l, pc, sr):
     i, j = proto.decompose_index(l, pc.ghd.gamma)
     gamma = pc.ghd.gamma
-    block = BitVector(x.bits[(j - 1) * gamma : j * gamma])
+    block = x[(j - 1) * gamma : j * gamma]
     return encode_alice(block, pc.ghd, sr), encode_bob(i, pc.ghd, sr), i, j
+
+
+def distance(a: np.ndarray, b: np.ndarray) -> int:
+    return int(np.count_nonzero(a != b))
+
+
+def z_string(payload: bytes) -> np.ndarray:
+    """The bits of an observable-pauli main payload: a u64 count, then the
+    bits packed LSB-first."""
+    (count,) = struct.unpack_from("<Q", payload)
+    packed = np.frombuffer(payload, dtype=np.uint8, offset=8)
+    return np.unpackbits(packed, count=count, bitorder="little")
 
 
 class TestConfig:
@@ -118,7 +123,7 @@ class TestConfig:
         msg = proto.ALICE["pauli-state"](x, pc, sr)
         assert msg.main_bits == 80 + 64 * (1 << 22)
         res = proto.BOB["pauli-state"](ProtocolMessage.from_wire(msg.to_wire()), l, pc, sr, OracleSpec())
-        assert res.bit == x.bit(l)
+        assert res.bit == x[l - 1]
 
     def test_kinds_and_cli_choices_come_from_the_spec_table(self):
         from gapcomm.cli import build_parser
@@ -174,7 +179,7 @@ class TestIndexDecomposition:
 class TestPartitionAndEncode:
     def test_block_count_arithmetic(self):
         pc = make_config("general-state", 8, 0.5)
-        x = BitVector(np.zeros(pc.capacity, np.uint8))
+        x = np.zeros(pc.capacity, np.uint8)
         a_rows, b_rows = proto.encode_block_matrices(x, pc, SharedRandomness(31))
         assert a_rows.shape == (pc.block_count - pc.ghd.gamma, pc.ghd.code_len)
         assert b_rows.shape == (pc.ghd.gamma, pc.ghd.code_len)
@@ -182,7 +187,7 @@ class TestPartitionAndEncode:
     def test_all_zero_source_gives_zero_codewords(self):
         pc = make_config("general-state", 8, 0.5)
         a_rows, _ = proto.encode_block_matrices(
-            BitVector(np.zeros(pc.capacity, np.uint8)), pc, SharedRandomness(32)
+            np.zeros(pc.capacity, np.uint8), pc, SharedRandomness(32)
         )
         assert not a_rows.any()
 
@@ -192,10 +197,10 @@ class TestPartitionAndEncode:
         a_rows, b_rows = proto.encode_block_matrices(x, pc, sr)
         gamma = pc.ghd.gamma
         for j, a in enumerate(a_rows, start=1):
-            block = BitVector(x.bits[(j - 1) * gamma : j * gamma])
-            assert np.array_equal(a, encode_alice(block, pc.ghd, sr).bits)
+            block = x[(j - 1) * gamma : j * gamma]
+            assert np.array_equal(a, encode_alice(block, pc.ghd, sr))
         for i, b in enumerate(b_rows, start=1):
-            assert np.array_equal(b, encode_bob(i, pc.ghd, sr).bits)
+            assert np.array_equal(b, encode_bob(i, pc.ghd, sr))
 
     def test_matrix_encoding_matches_per_block_majority(self):
         # unrestricted instances hold even-weight blocks (majority ties) and,
@@ -205,12 +210,12 @@ class TestPartitionAndEncode:
             gamma = pc.ghd.gamma
             for seed in range(35, 41):
                 sr, x, _ = draw_instance(pc, seed, odd=False)
-                bits = x.bits.copy()
+                bits = x.copy()
                 bits[:gamma] = 0
                 bits[gamma : 2 * gamma] = 1
                 blocks = bits.reshape(-1, gamma)
                 assert (blocks.sum(axis=1) % 2 == 0).sum() > 2
-                a_rows, b_rows = proto.encode_block_matrices(BitVector(bits), pc, sr)
+                a_rows, b_rows = proto.encode_block_matrices(bits, pc, sr)
                 pads = public_pads(pc.ghd, sr)
                 for j, block in enumerate(blocks):
                     selected = np.nonzero(block)[0].astype(np.int64)
@@ -221,7 +226,7 @@ class TestPartitionAndEncode:
     def test_length_mismatch_rejected(self):
         pc = make_config("general-state", 8, 0.5)
         with pytest.raises(proto.ConfigError):
-            proto.encode_block_matrices(BitVector(np.zeros(3, np.uint8)), pc, SharedRandomness(34))
+            proto.encode_block_matrices(np.zeros(3, np.uint8), pc, SharedRandomness(34))
 
     def test_bob_rows_are_a_read_only_view_of_the_cached_pads(self):
         pc = make_config("general-state", 8, 0.5)
@@ -272,7 +277,7 @@ class TestGeneralState:
             sr, x, l = draw_instance(pc, 1000 + seed)
             msg = proto.ALICE["general-state"](x, pc, sr)
             res = proto.BOB["general-state"](msg, l, pc, sr, OracleSpec())
-            hits += res.bit == x.bit(l)
+            hits += res.bit == x[l - 1]
         assert hits / 200 >= 0.8
 
     def test_contraction_norm_bounded(self):
@@ -315,7 +320,7 @@ class TestDenseWirePath:
         )
         # the norm check reads the wire in place, with no copy of the amplitudes
         assert bob_peak < 256 * 1024
-        assert res.bit == x.bit(l)
+        assert res.bit == x[l - 1]
 
     def test_corrupted_numerator_on_the_wire_fails_the_norm_check(self):
         pc = make_config("general-state", 6, 0.5)
@@ -470,7 +475,7 @@ class TestPauliState:
         sr = SharedRandomness(47)
         from gapcomm.fwht import fwht
 
-        msg = proto.ALICE["pauli-state"](BitVector(np.zeros(pc.capacity, np.uint8)), pc, sr)
+        msg = proto.ALICE["pauli-state"](np.zeros(pc.capacity, np.uint8), pc, sr)
         state, _ = ExactState.deserialize(msg.main_payload)
         dim = 1 << pc.qubits
         recovered = fwht(state.numerators[:dim]) // dim
@@ -478,7 +483,7 @@ class TestPauliState:
         for i in range(1, gamma + 1):
             b = encode_bob(i, pc.ghd, sr)
             for j in range(pc.block_count - gamma):
-                assert recovered[j * gamma + i - 1] == b.nnz
+                assert recovered[j * gamma + i - 1] == np.count_nonzero(b)
 
     def test_observable_is_a_valid_mask(self):
         pc = make_config("pauli-state", 6, 0.5)
@@ -495,7 +500,7 @@ class TestPauliState:
             res = proto.BOB["pauli-state"](msg, l, pc, sr, OracleSpec())
             state, _ = ExactState.deserialize(msg.main_payload)
             a, b, i, j = queried_codewords(x, l, pc, sr)
-            summed = a.bits.astype(np.int64) + b.bits.astype(np.int64)
+            summed = a.astype(np.int64) + b.astype(np.int64)
             sum_norm = int(summed @ summed)
             n = pc.qubits
             assert res.target == Fraction(2 * sum_norm * (1 << (2 * n)), state.norm_sq)
@@ -545,7 +550,7 @@ class TestPauliState:
             sr, x, l = draw_instance(pc, 2000 + seed)
             msg = proto.ALICE["pauli-state"](x, pc, sr)
             res = proto.BOB["pauli-state"](msg, l, pc, sr, OracleSpec())
-            hits += res.bit == x.bit(l)
+            hits += res.bit == x[l - 1]
         assert hits / 200 >= 0.8
 
 
@@ -581,7 +586,7 @@ class TestObservableGeneral:
             msg = proto.ALICE["observable-general"](x, pc, sr)
             res = proto.BOB["observable-general"](msg, l, pc, sr, OracleSpec())
             a, b, i, j = queried_codewords(x, l, pc, sr)
-            summed = a.bits.astype(np.int64) + b.bits.astype(np.int64)
+            summed = a.astype(np.int64) + b.astype(np.int64)
             a_rows, b_rows = proto.encode_block_matrices(x, pc, sr)
             cols = np.concatenate([a_rows, b_rows]).T.astype(float)
             norm = float(np.abs(np.linalg.eigvalsh(cols.T @ cols)).max())
@@ -672,7 +677,7 @@ class TestObservableGeneral:
         monkeypatch.setattr(proto, "public_pads", zero_pads)
         monkeypatch.setattr(ghd_mod, "public_pads", zero_pads)
         sr = SharedRandomness(57)
-        msg = proto.ALICE["observable-general"](BitVector(np.zeros(pc.capacity, np.uint8)), pc, sr)
+        msg = proto.ALICE["observable-general"](np.zeros(pc.capacity, np.uint8), pc, sr)
         res = proto.BOB["observable-general"](msg, 1, pc, sr, OracleSpec())
         assert res.target == 0
         assert res.bit == 1  # zero distance estimate decodes below threshold
@@ -727,7 +732,7 @@ class TestObservableGeneral:
             sr, x, l = draw_instance(pc, 3000 + seed)
             msg = proto.ALICE["observable-general"](x, pc, sr)
             res = proto.BOB["observable-general"](msg, l, pc, sr, OracleSpec())
-            hits += res.bit == x.bit(l)
+            hits += res.bit == x[l - 1]
         assert hits / 200 >= 0.8
 
 
@@ -744,11 +749,11 @@ class TestObservablePauli:
         pc = make_config("observable-pauli", 64, 0.5)
         sr, x, _ = draw_instance(pc, 58)
         msg = proto.ALICE["observable-pauli"](x, pc, sr)
-        z_vector, _ = BitVector.deserialize(msg.main_payload)
+        z_bits = z_string(msg.main_payload)
         a_rows, b_rows = proto.encode_block_matrices(x, pc, sr)
         rebuilt = np.concatenate([a_rows.reshape(-1), b_rows.reshape(-1), np.ones(1, dtype=np.uint8)])
-        assert np.array_equal(z_vector.bits, rebuilt)
-        assert len(z_vector) == pc.ghd.code_len * pc.block_count + 1
+        assert np.array_equal(z_bits, rebuilt)
+        assert len(z_bits) == pc.ghd.code_len * pc.block_count + 1
 
     def test_message_bits_accounting(self):
         pc = make_config("observable-pauli", 64, 0.5)
@@ -766,7 +771,7 @@ class TestObservablePauli:
         sr = SharedRandomness(60)
         gamma = pc.ghd.gamma
         nblocks = pc.block_count - gamma
-        x = BitVector(np.tile(np.eye(gamma, dtype=np.uint8)[0], nblocks))
+        x = np.tile(np.eye(gamma, dtype=np.uint8)[0], nblocks)
         msg = proto.ALICE["observable-pauli"](x, pc, sr)
         res = proto.BOB["observable-pauli"](msg, 1, pc, sr, OracleSpec())  # l=1 -> i=1, j=1
         assert res.target == 0
@@ -779,7 +784,7 @@ class TestObservablePauli:
             msg = proto.ALICE["observable-pauli"](x, pc, sr)
             res = proto.BOB["observable-pauli"](msg, l, pc, sr, OracleSpec())
             a, b, _, _ = queried_codewords(x, l, pc, sr)
-            assert res.target == Fraction(-hamming(a, b), pc.ghd.code_len)
+            assert res.target == Fraction(-distance(a, b), pc.ghd.code_len)
 
     def test_recovers_bit_with_exact_oracle(self):
         pc = make_config("observable-pauli", 64, 0.5)
@@ -788,7 +793,7 @@ class TestObservablePauli:
             sr, x, l = draw_instance(pc, 4000 + seed)
             msg = proto.ALICE["observable-pauli"](x, pc, sr)
             res = proto.BOB["observable-pauli"](msg, l, pc, sr, OracleSpec())
-            hits += res.bit == x.bit(l)
+            hits += res.bit == x[l - 1]
         assert hits / 200 >= 0.8
 
     @pytest.mark.parametrize("odd", [True, False])
@@ -820,9 +825,7 @@ class TestObservablePauli:
                 assert target == _subset_state_target(None, l, pc, sr, msg)
                 i, j = proto.decompose_index(l, pc.ghd.gamma)
                 col = pc.block_count - pc.ghd.gamma + i
-                dist = hamming(
-                    BitVector(z_bits[(j - 1) * c : j * c]), BitVector(z_bits[(col - 1) * c : col * c])
-                )
+                dist = distance(z_bits[(j - 1) * c : j * c], z_bits[(col - 1) * c : col * c])
                 assert target == (1 - Fraction(dist, c) if marked == 0 else Fraction(-dist, c))
 
     @pytest.mark.parametrize("bit", range(1, 8))
@@ -906,11 +909,11 @@ class TestObservablePauli:
         for seed in range(20):
             sr, x, l = draw_instance(pc, 88 + seed)
             msg = proto.ALICE["observable-pauli"](x, pc, sr)
-            z, _ = BitVector.deserialize(msg.main_payload)
+            z = z_string(msg.main_payload)
             for l in {l, 1, pc.capacity}:
                 i, j = proto.decompose_index(l, pc.ghd.gamma)
                 col = pc.block_count - pc.ghd.gamma + i
-                dist = int(np.count_nonzero(z.bits[(j - 1) * c : j * c] ^ z.bits[(col - 1) * c : col * c]))
+                dist = distance(z[(j - 1) * c : j * c], z[(col - 1) * c : col * c])
                 reading = proto.SPECS["observable-pauli"].read(msg, i, j, pc, sr)
                 # an honest message marks its last bit: target = -distance / code_len
                 assert reading.delta == dist
@@ -926,7 +929,7 @@ class TestInnerProduct:
         # first block empty (encodes to zero), others one-hot to keep D > 0
         blocks = [np.zeros(gamma, dtype=np.uint8)]
         blocks += [np.eye(gamma, dtype=np.uint8)[0] for _ in range(nblocks - 1)]
-        x = BitVector(np.concatenate(blocks))
+        x = np.concatenate(blocks)
         msg = proto.ALICE["inner-product"](x, pc, sr)
         res = proto.BOB["inner-product"](msg, 1, pc, sr, OracleSpec())  # block 1, i=1
         assert float(res.target) == 0.0
@@ -936,12 +939,13 @@ class TestInnerProduct:
         sr = SharedRandomness(65)
         gamma = pc.ghd.gamma
         nblocks = pc.block_count - gamma
-        x = BitVector(np.tile(np.eye(gamma, dtype=np.uint8)[0], nblocks))
+        x = np.tile(np.eye(gamma, dtype=np.uint8)[0], nblocks)
         msg = proto.ALICE["inner-product"](x, pc, sr)
         res = proto.BOB["inner-product"](msg, 1, pc, sr, OracleSpec())
         b = encode_bob(1, pc.ghd, sr)
         state, _ = ExactState.deserialize(msg.main_payload)
-        expected = b.nnz / math.sqrt(state.norm_sq * b.nnz)
+        nnz_b = int(np.count_nonzero(b))
+        expected = nnz_b / math.sqrt(state.norm_sq * nnz_b)
         assert float(res.target) == pytest.approx(expected, rel=1e-12)
 
     def test_target_matches_dense_dot_product(self):
@@ -955,14 +959,14 @@ class TestInnerProduct:
             b = encode_bob(i, pc.ghd, sr)
             other = np.zeros(state.numerators.shape[0], dtype=np.int64)
             start = (j - 1) * pc.ghd.code_len
-            other[start : start + pc.ghd.code_len] = b.bits
-            expected = int(state.numerators @ other) / math.sqrt(state.norm_sq * b.nnz)
+            other[start : start + pc.ghd.code_len] = b
+            expected = int(state.numerators @ other) / math.sqrt(state.norm_sq * int(np.count_nonzero(b)))
             assert float(res.target) == pytest.approx(expected, rel=1e-12)
 
     def test_all_zero_instance_is_a_protocol_error(self):
         pc = make_config("inner-product", 6, 0.5)
         with pytest.raises(proto.ProtocolError):
-            proto.ALICE["inner-product"](BitVector(np.zeros(pc.capacity, np.uint8)), pc, SharedRandomness(69))
+            proto.ALICE["inner-product"](np.zeros(pc.capacity, np.uint8), pc, SharedRandomness(69))
 
     def test_recovers_bit_with_exact_oracle(self):
         pc = make_config("inner-product", 8, 0.5)
@@ -971,7 +975,7 @@ class TestInnerProduct:
             sr, x, l = draw_instance(pc, 5000 + seed)
             msg = proto.ALICE["inner-product"](x, pc, sr)
             res = proto.BOB["inner-product"](msg, l, pc, sr, OracleSpec())
-            hits += res.bit == x.bit(l)
+            hits += res.bit == x[l - 1]
         assert hits / 200 >= 0.8
 
 
@@ -995,7 +999,7 @@ class TestAdversarialBudget:
             msg = proto.ALICE[kind](x, pc, sr)
             res = proto.BOB[kind](msg, l, pc, sr, spec)
             a, b, _, _ = queried_codewords(x, l, pc, sr)
-            assert abs(float(res.delta_estimate) - hamming(a, b)) <= budget + 1e-9
+            assert abs(float(res.delta_estimate) - distance(a, b)) <= budget + 1e-9
 
 
 class TestBobThreshold:

@@ -2,12 +2,13 @@
 import numpy as np
 import pytest
 
-from gapcomm.bits import BitVector, SharedRandomness
+from gapcomm.bits import SharedRandomness
 from gapcomm.messages import MessageError, ProtocolMessage
 from gapcomm.pauli import ObservableError, PauliMask
 from gapcomm.shadows import (
     LETTERS,
     ClassicalDensityMatrix,
+    ShadowPair,
     _unpack_rounds,
     born_vector,
     reference_shadow_pair,
@@ -157,7 +158,7 @@ class TestReferencePair:
         rng = np.random.default_rng(85)
         rho = random_pure(rng, 2)
         first, second = (pair.measure(rho, SharedRandomness(86)) for _ in range(2))
-        assert np.array_equal(first.bits, second.bits)
+        assert np.array_equal(first, second)
 
 
 class _RecordingRho:
@@ -218,6 +219,17 @@ class TestAdapter:
         direct = pair.estimate(mask, direct_shadow)
         via_adapter = protocol.bob(protocol.alice(rho, SharedRandomness(93)), mask)
         assert via_adapter == direct
+
+    @pytest.mark.parametrize(
+        "shadow",
+        [np.zeros((2, 3), dtype=np.uint8), np.array([0, 1, 2, 1, 0, 0], dtype=np.uint8)],
+        ids=["two-dimensional", "value-2"],
+    )
+    def test_rejects_a_measure_that_returns_no_bit_string(self, shadow):
+        honest = reference_shadow_pair(copies=2)
+        pair = ShadowPair(honest.copies, lambda rho, rng: shadow, honest.estimate)
+        with pytest.raises(ValueError, match="one-dimensional 0/1"):
+            to_one_way_protocol(pair).alice(np.array([1.0, 0.0]), SharedRandomness(95))
 
 
 class TestAdapterRejectsMalformedMessages:

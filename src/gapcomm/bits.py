@@ -47,6 +47,16 @@ def pack_bits(bits: np.ndarray) -> tuple[bytes, int]:
     return struct.pack("<Q", len(bits)) + packed, 64 + len(bits)
 
 
+def read_only(bits: np.ndarray) -> np.ndarray:
+    """Flag ``bits`` read-only, and the array that owns its memory too, so
+    that no caller can make it (or another view of the owner) writable
+    again. Returns ``bits``."""
+    if bits.base is not None:
+        bits.base.setflags(write=False)
+    bits.setflags(write=False)
+    return bits
+
+
 # One reused Philox per thread, created on its first draw: building a fresh
 # one costs several times more than rewinding it, and creating it at import
 # would load numpy.random into processes that never draw.

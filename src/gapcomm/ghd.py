@@ -19,7 +19,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import _kernels
-from .bits import STREAM_INDEX, STREAM_INSTANCE, STREAM_PADS, SharedRandomness
+from .bits import STREAM_INDEX, STREAM_INSTANCE, STREAM_PADS, SharedRandomness, read_only
 
 # Largest majority-bias constant that the odd-vote margin actually delivers:
 # for an odd committee of m voters, P(majority agrees with a fixed voter)
@@ -93,9 +93,7 @@ def public_pads(params: GhdParams, sr: SharedRandomness) -> np.ndarray:
     read-only to every later caller with the same key (a trial's Alice,
     Bob and ground truth all share it).
     """
-    pads = sr.substream(STREAM_PADS).bit_matrix(params.code_len, params.gamma)
-    pads.setflags(write=False)
-    return pads
+    return read_only(sr.substream(STREAM_PADS).bit_matrix(params.code_len, params.gamma))
 
 
 def encode_alice(source: np.ndarray, params: GhdParams, sr: SharedRandomness) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import ghd as ghd_mod
 from . import protocols as proto
-from .bits import STREAM_INDEX, STREAM_INSTANCE, SharedRandomness
+from .bits import STREAM_INDEX, STREAM_INSTANCE, SharedRandomness, read_only
 from .ghd import GhdParams, decision_threshold, sample_sources
 from .messages import ProtocolMessage
 from .oracle import OracleSpec
@@ -101,9 +101,7 @@ def sample_instance(
     """Draw Alice's string from ``sr``'s stream: a flat, read-only 0/1 uint8
     array of ``pc.capacity`` entries. Odd-weight mode keeps every block's
     weight odd."""
-    x = sample_sources(sr, pc.alice_blocks, pc.ghd.gamma, odd_weight).reshape(-1)
-    x.setflags(write=False)
-    return x
+    return read_only(sample_sources(sr, pc.alice_blocks, pc.ghd.gamma, odd_weight).reshape(-1))
 
 
 def run_trial(cfg: ExperimentConfig, trial: int) -> dict:

@@ -129,6 +129,20 @@ class TestEncoders:
         assert np.array_equal(pads, fresh)
         assert public_pads(params, SharedRandomness(6)) is not pads
 
+    def test_pads_cannot_be_made_writable_again(self):
+        # the cached matrix is shared by every later caller with the same key,
+        # so neither it nor the array that owns its memory may take a write
+        pads = public_pads(GhdParams(epsilon=0.5), SharedRandomness(8))
+        with pytest.raises(ValueError):
+            pads.setflags(write=True)
+        with pytest.raises(ValueError):
+            pads.reshape(-1).setflags(write=True)
+
+    def test_bob_codeword_cannot_be_made_writable_again(self):
+        b = encode_bob(2, GhdParams(epsilon=0.5), SharedRandomness(8))
+        with pytest.raises(ValueError):
+            b.setflags(write=True)
+
     def test_wrong_source_length(self):
         params = GhdParams(epsilon=0.5)
         with pytest.raises(ValueError):

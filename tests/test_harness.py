@@ -142,6 +142,12 @@ class TestGroundTruth:
         with pytest.raises(ValueError):
             x[0] ^= 1
 
+    @pytest.mark.parametrize("sampling", ["odd-weight", "unrestricted"])
+    def test_instance_cannot_be_made_writable_again(self, sampling):
+        x = sample_instance(SharedRandomness(7), small_config().pc, sampling == "odd-weight")
+        with pytest.raises(ValueError):
+            x.setflags(write=True)
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_records_hold_python_ints_and_bools(self, workers):
         report = run_experiment(small_config(trials=6, workers=workers, per_trial_records=True))

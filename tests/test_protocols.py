@@ -78,6 +78,22 @@ class TestConfig:
         with pytest.raises(proto.ConfigError, match="qubits too large for observable-pauli"):
             make_config("observable-pauli", 10**1300, 0.3)
 
+    @pytest.mark.parametrize(
+        "kind, qubits",
+        [("general-state", 8), ("pauli-state", 6), ("observable-general", 6),
+         ("observable-pauli", 64), ("inner-product", 6)],
+    )
+    def test_bob_blocks_follow_alice_blocks(self, kind, qubits):
+        pc = make_config(kind, qubits, 0.5)
+        gamma = pc.ghd.gamma
+        assert pc.alice_blocks == pc.block_count - gamma >= 1
+        assert pc.capacity == pc.alice_blocks * gamma
+        # the last index is Alice's last block and Bob's last query position,
+        # whose codeword fills the last stacked block
+        i, j = proto.decompose_index(pc.capacity, gamma)
+        assert (i, j) == (gamma, pc.alice_blocks)
+        assert pc.alice_blocks + i == pc.block_count
+
     def test_capacity_requires_blocks_beyond_gamma(self):
         with pytest.raises(proto.ConfigError, match="no index capacity"):
             make_config("general-state", 2, 0.8)  # 2 blocks, gamma 2
@@ -839,6 +855,28 @@ class TestObservablePauli:
         bad = ProtocolMessage("observable-pauli", bytes(main), msg.main_bits, msg.side_payload, msg.side_bits)
         with pytest.raises(MessageError, match="padding bits"):
             proto.BOB["observable-pauli"](ProtocolMessage.from_wire(bad.to_wire()), l, pc, sr, OracleSpec())
+
+    @pytest.mark.parametrize(
+        "main",
+        [b"\x00\x01", struct.pack("<Q", 16), struct.pack("<Q", 16) + b"\x01", struct.pack("<Q", 1 << 60)],
+        ids=["short-header", "count-only", "one-of-two-bytes", "huge-count"],
+    )
+    def test_short_z_string_raises_message_error_without_allocating(self, main):
+        # a payload too short for the Z-string its header names is rejected
+        # before anything sized by that header is allocated
+        pc = make_config("observable-pauli", 64, 0.5)
+        sr, x, l = draw_instance(pc, 85)
+        honest = proto.ALICE["observable-pauli"](x, pc, sr)
+        bad = ProtocolMessage("observable-pauli", main, 8 * len(main), honest.side_payload, honest.side_bits)
+        wire = bad.to_wire()
+        tracemalloc.start()
+        try:
+            with pytest.raises(MessageError):
+                proto.BOB["observable-pauli"](ProtocolMessage.from_wire(wire), l, pc, sr, OracleSpec())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     def test_wrong_side_info_length_is_rejected(self):
         pc = make_config("observable-pauli", 64, 0.5)

@@ -222,14 +222,34 @@ class TestAdapter:
 
     @pytest.mark.parametrize(
         "shadow",
-        [np.zeros((2, 3), dtype=np.uint8), np.array([0, 1, 2, 1, 0, 0], dtype=np.uint8)],
-        ids=["two-dimensional", "value-2"],
+        [
+            np.zeros((2, 3), dtype=np.uint8),
+            np.array([0, 1, 2, 1, 0, 0], dtype=np.uint8),
+            np.array([0, 1, -1, 1, 0, 0], dtype=np.int64),
+        ],
+        ids=["two-dimensional", "value-2", "negative"],
     )
     def test_rejects_a_measure_that_returns_no_bit_string(self, shadow):
         honest = reference_shadow_pair(copies=2)
         pair = ShadowPair(honest.copies, lambda rho, rng: shadow, honest.estimate)
         with pytest.raises(ValueError, match="one-dimensional 0/1"):
             to_one_way_protocol(pair).alice(np.array([1.0, 0.0]), SharedRandomness(95))
+
+    @pytest.mark.parametrize(
+        "as_returned",
+        [lambda bits: bits.tolist(), lambda bits: bits.astype(bool), lambda bits: bits.astype(np.int64)],
+        ids=["list", "bool", "int64"],
+    )
+    def test_accepts_any_integer_bit_string_from_measure(self, as_returned):
+        # the message is the one a uint8 array of the same bits gives
+        bits = np.array([0, 1, 1, 0, 1, 0], dtype=np.uint8)
+        honest = reference_shadow_pair(copies=2)
+        rho = np.array([1.0, 0.0])
+        expected = to_one_way_protocol(ShadowPair(2, lambda rho, rng: bits, honest.estimate))
+        given = to_one_way_protocol(ShadowPair(2, lambda rho, rng: as_returned(bits), honest.estimate))
+        msg = given.alice(rho, SharedRandomness(96))
+        assert msg.to_wire() == expected.alice(rho, SharedRandomness(96)).to_wire()
+        assert msg.main_bits == len(bits)
 
 
 class TestAdapterRejectsMalformedMessages:

@@ -55,7 +55,6 @@ def _cmd_run(args) -> int:
         oracle_accuracy=args.oracle_accuracy,
         failure_prob=args.failure_prob,
         sampling=args.sampling,
-        oracle_slack=args.oracle_slack,
         workers=args.workers,
         per_trial_records=args.csv is not None,
     )
@@ -177,7 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default=None, help="write per-trial records here")
     p.add_argument("--bias-c", type=float, default=ghd_mod.DEFAULT_BIAS_C)
     p.add_argument("--slack-d", type=float, default=ghd_mod.DEFAULT_SLACK_D)
-    p.add_argument("--oracle-slack", type=float, default=1.0)
     p.add_argument("--workers", type=int, default=1,
                    help="pool workers; those beyond the trial count are not started")
     p.add_argument("--min-success", type=float, default=None,

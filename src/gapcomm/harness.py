@@ -55,7 +55,8 @@ class ExperimentConfig:
     any error either raises comes out as ``ConfigError``, before any trial.
     A given ``oracle_accuracy`` is checked under every model, the exact one
     included, which then runs at accuracy 0; ``None`` takes the derived
-    budget ``pc.oracle_accuracy``.
+    budget ``pc.oracle_accuracy``. The exact model never fails, so a
+    ``failure_prob`` above 0 under it is a ``ConfigError`` too.
     """
 
     protocol: str
@@ -69,7 +70,6 @@ class ExperimentConfig:
     oracle_accuracy: float | None = None  # None -> derived budget
     failure_prob: float = 0.0
     sampling: str = "odd-weight"
-    oracle_slack: float = 1.0
     workers: int = 1
     per_trial_records: bool = False
     pc: proto.ProtocolConfig = field(init=False, compare=False, repr=False)
@@ -84,13 +84,13 @@ class ExperimentConfig:
             raise proto.ConfigError("workers must be >= 1")
         try:
             ghd = GhdParams(epsilon=self.epsilon, bias_c=self.bias_c, slack_d=self.slack_d)
-            pc = proto.ProtocolConfig(self.protocol, self.qubits, ghd, self.oracle_slack)
+            pc = proto.ProtocolConfig(self.protocol, self.qubits, ghd)
             accuracy = pc.oracle_accuracy if self.oracle_accuracy is None else self.oracle_accuracy
             oracle = OracleSpec(self.oracle_model, accuracy, self.failure_prob)
         except (ValueError, ArithmeticError) as exc:
             raise proto.ConfigError(str(exc)) from exc
         if self.oracle_model == "exact":
-            oracle = OracleSpec(failure_prob=self.failure_prob)
+            oracle = OracleSpec()
         object.__setattr__(self, "pc", pc)
         object.__setattr__(self, "oracle", oracle)
 
@@ -244,7 +244,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             "oracle_accuracy": cfg.oracle.accuracy,
             "failure_prob": cfg.failure_prob,
             "sampling": cfg.sampling,
-            "oracle_slack": cfg.oracle_slack,
         },
         derived={
             "gamma": pc.ghd.gamma,

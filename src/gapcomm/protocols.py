@@ -114,22 +114,18 @@ class ProtocolConfig:
 
     ``qubits`` is the state size n for the state-sending protocols and the
     classical string budget for observable-pauli (whose simulated state is
-    tiny). ``oracle_slack`` >= 1 divides the derived oracle accuracy budget
-    for extra safety margin.
+    tiny).
     """
 
     kind: str
     qubits: int
     ghd: GhdParams
-    oracle_slack: float = 1.0
 
     def __post_init__(self):
         if self.kind not in SPECS:
             raise ConfigError(f"unknown protocol kind {self.kind!r}")
         if self.qubits < 1:
             raise ConfigError("qubits must be >= 1")
-        if not self.oracle_slack >= 1.0:  # NaN fails too; inf gives a budget of 0
-            raise ConfigError("oracle_slack must be >= 1")
         # before the code length, so a too-small epsilon is named as such
         try:
             lo = self.epsilon_floor
@@ -190,7 +186,7 @@ class ProtocolConfig:
     @property
     def oracle_accuracy(self) -> float:
         g = self.ghd
-        return g.slack_d / (self.spec.kappa * math.sqrt(g.code_len) * self.oracle_slack)
+        return g.slack_d / (self.spec.kappa * math.sqrt(g.code_len))
 
 
 def decompose_index(l: int, gamma: int) -> tuple[int, int]:
@@ -301,7 +297,7 @@ def bob(
     # a threshold sitting below it, and vice versa.
     threshold = threshold_for(reading.delta, cfg.ghd)
     push = oracle_mod.PUSH_UP if reading.delta > threshold else oracle_mod.PUSH_DOWN
-    est = oracle_mod.estimate(reading.target, oracle, push, rng=sr)
+    est = oracle_mod.estimate(reading.target, oracle, push, sr)
     # only the exact oracle hands a Fraction back, and then it is the target
     # itself, whose distance the reader already holds; a noisy float may
     # undershoot zero and still maps to a (poor) distance estimate

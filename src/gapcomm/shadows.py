@@ -195,10 +195,12 @@ class OneWayShadowProtocol:
             if isinstance(state, ClassicalDensityMatrix)
             else ClassicalDensityMatrix.from_pure(state)
         )
-        shadow = np.ascontiguousarray(self.pair.measure(rho, rng), dtype=np.uint8)
-        if shadow.ndim != 1 or (shadow.size and int(shadow.max()) > 1):
+        # check the values before any cast, which would truncate 0.5 to 0
+        # and overflow on 256
+        shadow = np.asarray(self.pair.measure(rho, rng))
+        if shadow.ndim != 1 or not ((shadow == 0) | (shadow == 1)).all():
             raise ValueError("measure must return a one-dimensional 0/1 array")
-        packed = np.packbits(shadow, bitorder="little").tobytes()
+        packed = np.packbits(shadow.astype(np.uint8), bitorder="little").tobytes()
         # the message is the raw shadow: its bit count IS the compression size
         return ProtocolMessage("shadow-adapter", packed, len(shadow))
 

@@ -12,6 +12,7 @@ docstring on gapcomm.ghd.DEFAULT_BIAS_C.
 """
 import json
 import math
+import os
 import time
 from fractions import Fraction
 
@@ -55,6 +56,9 @@ def run_cfg(kind, qubits, **kw):
         trials=2000,
         root_seed=ACCEPT_SEED,
         per_trial_records=True,
+        # the determinism contract makes the report independent of the
+        # worker count, so the 2000-trial runs use up to two cores
+        workers=min(2, os.cpu_count() or 1),
     )
     base.update(kw)
     return run_experiment(ExperimentConfig(**base))

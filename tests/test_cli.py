@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from gapcomm.cli import main
+from gapcomm.cli import build_parser, main
 
 
 def test_verify_exits_zero(capsys):
@@ -67,7 +67,7 @@ def test_ghd_gap_names_an_epsilon_whose_gamma_overflows(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("option", ["--oracle-accuracy", "--oracle-slack"])
+@pytest.mark.parametrize("option", ["--oracle-accuracy", "--failure-prob"])
 def test_run_rejects_a_nan_oracle_setting(tmp_path, option):
     out = tmp_path / "r.json"
     code = main(
@@ -92,6 +92,29 @@ def test_run_rejects_a_nan_accuracy_under_the_exact_oracle(tmp_path):
     )
     assert code == 2
     assert not out.exists()
+
+
+def test_run_rejects_a_failure_prob_under_the_exact_oracle(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    code = main(
+        [
+            "run", "--protocol", "pauli-state", "--qubits", "6", "--epsilon", "0.5",
+            "--trials", "20", "--seed", "3", "--oracle", "exact",
+            "--failure-prob", "0.5", "--out", str(out),
+        ]
+    )
+    assert code == 2
+    assert "exact oracle never fails" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_has_no_budget_divisor_option():
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(
+            ["run", "--protocol", "pauli-state", "--qubits", "6", "--epsilon", "0.5",
+             "--trials", "20", "--seed", "3", "--oracle-slack", "2"]
+        )
+    assert exc.value.code == 2
 
 
 def test_ghd_gap_passes_at_default_constant(tmp_path):

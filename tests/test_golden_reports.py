@@ -37,16 +37,16 @@ SETUPS = {
 }
 
 GOLDEN = {
-    ("general-state", "exact"): "6fe507362ba52c37f5d55c0721cfe812dddf37ea949d453d6e92ea3d9eff8eb7",
-    ("general-state", "noisy"): "fd25935cde0149c5712800a0f15f184aa5f6f8dfdb342fa5e2a3c0fbfdfb9d06",
-    ("pauli-state", "exact"): "6b6f1a24e6821a57a770e46b0f75aa19d9210f7c2dad817b45f7676cf749a435",
-    ("pauli-state", "noisy"): "082026a190c6539135a2317276851860a698cd60b5d2532ada1804a8681a19ae",
-    ("observable-general", "exact"): "7d7d4fe0cc056814d458cf8e3edc0d98cd96ae449b5c3c0b7dd6d5f6caabb29f",
-    ("observable-general", "noisy"): "8cd1967bf9c064653d6e77951149d9537d9f96823ded8b42778e94b9ad00067b",
-    ("observable-pauli", "exact"): "3bdf126ea791853689af566bd3b86ec7da425ab1970c146882dda87316658e29",
-    ("observable-pauli", "noisy"): "2d1d4e7c8679c568a8cd730b266100af18e56224273435f3f79d7a4db8e677d8",
-    ("inner-product", "exact"): "fb3c30892324ee76cdc79883acc8dbd8c16b21acd8722f8a1497332eb99c5bca",
-    ("inner-product", "noisy"): "5540e01dc139c9e78a594190729afc73fd98c7a227ee8d98ca575ec98bc8e0ab",
+    ("general-state", "exact"): "8577aa6f42dec81d5e55599decd79fbbad35dc01c51df66bfecf5e789a7638ad",
+    ("general-state", "noisy"): "b889ffeae0e1d43ddcd3101882ac7eee677ab49d2c88c3348a06eb3e9ec0c7f8",
+    ("pauli-state", "exact"): "8a8b7d594d9c1692a13ba2d0c347620f774f0327458e7b04b29169b5403661f1",
+    ("pauli-state", "noisy"): "b5c0c4f634a6069d998f416c67492b2db38979e3008fe813da4c6ab9de659e08",
+    ("observable-general", "exact"): "b69a919714528c60fc69418ba3be48e7229040fe3dedf3749fb393c550d728c0",
+    ("observable-general", "noisy"): "40d30c477b3bd80e968515d8eb2a03e5e845653bdd61ccfc6a6c9364e4bff5d5",
+    ("observable-pauli", "exact"): "358370b3b289bff19aceb698687b13a284e076327b1fe85c5e72a9b830faa3be",
+    ("observable-pauli", "noisy"): "bbe20cc53f7697356e1dc2faa3ea8697df2b5a116f663d3a751a6c4cd238c9e1",
+    ("inner-product", "exact"): "a3a87bc88215e52512f0e67e7cb3a5adffa7015092debbb9d69af21627e6e521",
+    ("inner-product", "noisy"): "f9bbbe8e324917e8c4fce25ae12315e67e742cfa05f7bc1d203d1f461503d64d",
 }
 
 

@@ -296,6 +296,10 @@ class TestValidation:
         with pytest.raises(ConfigError, match="failure_prob"):
             small_config(failure_prob=failure_prob)
 
+    def test_exact_model_rejects_a_failure_prob(self):
+        with pytest.raises(ConfigError, match="exact oracle never fails"):
+            small_config(oracle_model="exact", failure_prob=0.5)
+
     @pytest.mark.parametrize("model", MODELS)
     @pytest.mark.parametrize("accuracy", [-0.1, float("inf"), float("nan")])
     def test_bad_oracle_accuracy_under_every_model(self, model, accuracy):

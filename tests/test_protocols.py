@@ -99,18 +99,13 @@ class TestConfig:
             make_config("general-state", 2, 0.8)  # 2 blocks, gamma 2
 
     @pytest.mark.parametrize(
-        "kind, qubits, slack, match",
-        [("shadow-adapter", 8, 1.0, "unknown protocol kind"),
-         ("general-state", 0, 1.0, "qubits must be >= 1"),
-         ("general-state", 8, 0.5, "oracle_slack must be >= 1"),
-         ("general-state", 8, float("nan"), "oracle_slack must be >= 1")],
+        "kind, qubits, match",
+        [("shadow-adapter", 8, "unknown protocol kind"),
+         ("general-state", 0, "qubits must be >= 1")],
     )
-    def test_rejects_kind_qubits_and_slack(self, kind, qubits, slack, match):
+    def test_rejects_kind_and_qubits(self, kind, qubits, match):
         with pytest.raises(proto.ConfigError, match=match):
-            make_config(kind, qubits, 0.5, oracle_slack=slack)
-
-    def test_infinite_slack_gives_a_zero_budget(self):
-        assert make_config("general-state", 8, 0.5, oracle_slack=float("inf")).oracle_accuracy == 0.0
+            make_config(kind, qubits, 0.5)
 
     def test_alice_and_bob_reject_another_kinds_config(self):
         pc = make_config("general-state", 8, 0.5)
@@ -168,11 +163,6 @@ class TestConfig:
         # code_len = 60 * 308642 >= 2^24; every other check passes at this size
         with pytest.raises(proto.ConfigError, match="2\\^24"):
             make_config("observable-pauli", 10**11, 0.0018)
-
-    def test_oracle_budget_shrinks_with_slack(self):
-        tight = make_config("pauli-state", 8, 0.5)
-        slack = make_config("pauli-state", 8, 0.5, oracle_slack=2.0)
-        assert slack.oracle_accuracy == pytest.approx(tight.oracle_accuracy / 2.0)
 
 
 class TestIndexDecomposition:

@@ -226,8 +226,10 @@ class TestAdapter:
             np.zeros((2, 3), dtype=np.uint8),
             np.array([0, 1, 2, 1, 0, 0], dtype=np.uint8),
             np.array([0, 1, -1, 1, 0, 0], dtype=np.int64),
+            np.array([0.5, 1.0, 1, 0, 1, 0]),
+            [0, 1, 256, 1, 0, 0],
         ],
-        ids=["two-dimensional", "value-2", "negative"],
+        ids=["two-dimensional", "value-2", "negative", "fraction", "list-256"],
     )
     def test_rejects_a_measure_that_returns_no_bit_string(self, shadow):
         honest = reference_shadow_pair(copies=2)

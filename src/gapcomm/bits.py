@@ -8,10 +8,16 @@ each shifted by one where it picks an array entry.
 from __future__ import annotations
 
 import struct
-import threading
 from dataclasses import dataclass
 
 import numpy as np
+
+try:
+    # CPython's own SHA-3, which hashlib falls back to; hashlib itself would
+    # load OpenSSL's _hashlib into every run for the same function
+    from _sha3 import shake_128
+except ImportError:
+    from hashlib import shake_128
 
 MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -57,25 +63,22 @@ def read_only(bits: np.ndarray) -> np.ndarray:
     return bits
 
 
-# One reused Philox per thread, created on its first draw: building a fresh
-# one costs several times more than rewinding it, and creating it at import
-# would load numpy.random into processes that never draw.
-_reused = threading.local()
-_ZERO_WORDS = (0, 0, 0, 0)
+# The stream's key: the two 64-bit words, little-endian.
+_KEY = struct.Struct("<QQ")
+_U64 = struct.Struct("<Q")
 
 
 @dataclass(frozen=True)
 class SharedRandomness:
-    """Counter-based public randomness keyed by (root_seed, stream_id).
+    """Public randomness keyed by (root_seed, stream_id).
 
-    Derivation is stateless: the bit stream is a pure function of the key,
-    so two parties (or two worker processes) deriving the same labels read
-    identical bits without any coordination.
-
-    ``stream_bits``, ``integer`` and ``doubles`` each read the stream from
-    its start on a per-thread Philox rewound to this key, and return plain
-    values, so no two draws share state. Each equals the matching call on a
-    fresh ``generator()``.
+    The stream is the SHAKE-128 (FIPS 202) output of the 16 key bytes
+    ``struct.pack("<QQ", root_seed, stream_id)``: a pure function of the
+    key, so two parties (or two worker processes) deriving the same labels
+    read identical bits without any coordination. ``stream_bits``,
+    ``integer`` and ``doubles`` each read it from its start and return plain
+    values; SHAKE output is prefix-stable, so a longer draw starts with
+    every shorter one.
     """
 
     root_seed: int
@@ -95,42 +98,43 @@ class SharedRandomness:
         return child
 
     def generator(self) -> np.random.Generator:
-        """An independent generator at the start of this stream."""
+        """A numpy Philox generator on the same key, for callers that need
+        numpy's distributions (the shadow adapter, the CLI demo). It is not
+        the stream the draws below read, and it loads ``numpy.random``."""
         key = np.array([self.root_seed, self.stream_id], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
-    def _rewound(self) -> np.random.Generator:
-        """This thread's reused generator, set to the start of this stream."""
-        gen = getattr(_reused, "gen", None)
-        if gen is None:
-            gen = _reused.gen = np.random.Generator(np.random.Philox(0))
-        gen.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": _ZERO_WORDS, "key": (self.root_seed, self.stream_id)},
-            "buffer": _ZERO_WORDS,
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        return gen
+    def _output(self, nbytes: int) -> bytes:
+        """The first ``nbytes`` bytes of the stream."""
+        return shake_128(_KEY.pack(self.root_seed, self.stream_id)).digest(nbytes)
 
     def stream_bits(self, n: int) -> np.ndarray:
-        """The first ``n`` bits of the stream, one per uint8.
-
-        Equal to ``generator().integers(0, 2, size=n, dtype=np.uint8)``: that
-        call takes bit 7 of each byte of Philox's little-endian 32-bit words,
-        which are the bytes of its raw 64-bit words in order.
-        """
-        raw = self._rewound().bit_generator.random_raw(-(-n // 8))
-        return raw.astype("<u8", copy=False).view(np.uint8)[:n] >> 7
+        """The first ``n`` bits of the stream, one per uint8: the first
+        ceil(n/8) bytes, each read LSB-first."""
+        raw = np.frombuffer(self._output(-(-n // 8)), dtype=np.uint8)
+        return np.unpackbits(raw, count=n, bitorder="little")
 
     def bit_matrix(self, rows: int, cols: int) -> np.ndarray:
         return self.stream_bits(rows * cols).reshape(rows, cols)
 
     def integer(self, low: int, high: int) -> int:
-        """Equal to ``int(generator().integers(low, high))``."""
-        return int(self._rewound().integers(low, high))
+        """Uniform in [low, high): ``low + w % span`` for the first u64
+        little-endian word w of the stream below the largest multiple of
+        ``span = high - low`` that fits in 2^64."""
+        span = high - low
+        if not 0 < span <= 1 << 64:
+            raise ValueError(f"need 0 < high - low <= 2^64, got [{low}, {high})")
+        limit = (1 << 64) - (1 << 64) % span
+        read, words = 0, 1
+        while True:
+            for (w,) in _U64.iter_unpack(self._output(8 * words)[8 * read :]):
+                if w < limit:
+                    return low + w % span
+            # every word read so far was rejected; the output is prefix-stable,
+            # so read a longer prefix and go on after the words already read
+            read, words = words, 2 * words
 
     def doubles(self, n: int) -> list[float]:
-        """The first ``n`` doubles in [0, 1), equal to ``generator().random(n)``."""
-        return self._rewound().random(n).tolist()
+        """The first ``n`` doubles in [0, 1): ``(w >> 11) * 2^-53`` for each
+        of the first ``n`` u64 little-endian words."""
+        return [(w >> 11) * 2.0**-53 for (w,) in _U64.iter_unpack(self._output(8 * n))]

@@ -157,21 +157,17 @@ def sample_sources(
     """``count`` source strings of ``length`` bits, one per row of a uint8 matrix.
 
     Unrestricted rows are the first ``count * length`` bits of ``sr``'s
-    stream. Odd-weight rows are uniform over the odd-weight strings and
-    equal what a generator at the start of the stream gives by drawing each
-    row with its own ``integers(0, 2, size=length, dtype=np.uint8)`` call,
-    redrawn until its weight is odd. Such a call takes its bits four to a
-    32-bit word and drops the rest of its last word, so those calls read
-    the stream in rows padded to a multiple of four bits, and the result is
-    the first ``count`` odd-weight rows of it. A draw that holds too few is
-    repeated from the start of the stream at twice the rows.
+    stream. Odd-weight rows are uniform over the odd-weight strings: the
+    stream is read as consecutive ``length``-bit rows and the result is the
+    first ``count`` of them whose weight is odd, as a per-row rejection loop
+    would draw them. A draw that holds too few is repeated from the start of
+    the stream at twice the rows.
     """
     if not odd_weight:
         return sr.bit_matrix(count, length)
-    width = 4 * -(-length // 4)
     drawn = 2 * count + 8
     while True:
-        odd = _odd_rows(sr.bit_matrix(drawn, width)[:, :length])
+        odd = _odd_rows(sr.bit_matrix(drawn, length))
         if odd.shape[0] >= count:
             return odd[:count]
         drawn *= 2

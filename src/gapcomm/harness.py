@@ -1,7 +1,7 @@
 """Monte Carlo experiment runner and its reports.
 
 Trials are pure functions of (config, trial index): every random draw comes
-from a counter-based stream keyed by the root seed and the trial index, so
+from a stateless stream keyed by the root seed and the trial index, so
 reports are byte-identical for any worker count and trial order.
 """
 from __future__ import annotations
@@ -206,8 +206,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     one-trial run stays in this process and never imports the pool. Pool
     workers claim trial indices one at a time from a shared counter, so a
     worker slowed by its host just claims fewer; their records are sorted
-    back into trial order. A pool's parent runs no trial, so it never loads
-    ``numpy.random``.
+    back into trial order. No run loads ``numpy.random``: every draw reads
+    ``SharedRandomness``' SHAKE-128 stream.
     """
     pc = cfg.pc
     workers = min(cfg.workers, cfg.trials)

@@ -6,22 +6,25 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bits import DimensionError
+from .bits import DimensionError, SharedRandomness
 
 
 class NumericError(RuntimeError):
     """An iterative numeric routine failed to converge."""
 
 
-def _seeded(dim: int) -> np.random.Generator:
-    return np.random.default_rng(0xC0FFEE ^ dim)
+def _unit_doubles(dim: int, skip: int) -> np.ndarray:
+    """The ``skip``-th ``dim`` doubles of the dimension's stream, as a unit vector."""
+    v = np.array(SharedRandomness(0xC0FFEE, dim).doubles((skip + 1) * dim)[skip * dim :])
+    v /= math.sqrt(v @ v)
+    return v
 
 
 @lru_cache(maxsize=8)
 def _start_vector(dim: int) -> np.ndarray:
-    """The first draw of the dimension's seeded generator, as a unit vector."""
-    v = _seeded(dim).standard_normal(dim)
-    v /= math.sqrt(v @ v)
+    """The first ``dim`` doubles of the dimension's stream, as a unit vector.
+    It is nonnegative, like the top eigenvector of a 0/1 Gram matrix."""
+    v = _unit_doubles(dim, 0)
     v.flags.writeable = False
     return v
 
@@ -31,7 +34,7 @@ def operator_norm(matrix, max_iter: int = 20000) -> float:
 
     Iterates on M @ M (so paired eigenvalues +-lambda cannot stall it) and
     stops after three consecutive sweeps whose estimate is within 1e-13
-    (relative) of the sweep before. The start vector is seeded from the
+    (relative) of the sweep before. The start vector is drawn from the
     dimension alone, so results are reproducible. Raises NumericError after
     ``max_iter`` sweeps.
     """
@@ -50,7 +53,7 @@ def _power_norm(arr: np.ndarray, max_iter: int = 20000) -> float:
     nonzero, exactly symmetric, square float64 matrix."""
     dim = arr.shape[0]
     v = _start_vector(dim)
-    restarts = None
+    restarts = 0
     estimate = 0.0
     stable = 0
     for _ in range(max_iter):
@@ -58,12 +61,9 @@ def _power_norm(arr: np.ndarray, max_iter: int = 20000) -> float:
         nw = math.sqrt(w @ w)
         if nw == 0.0:
             # v sits in the null space; restart from a fresh direction, the
-            # next draw of the generator that seeded the start vector
-            if restarts is None:
-                restarts = _seeded(dim)
-                restarts.standard_normal(dim)
-            v = restarts.standard_normal(dim)
-            v /= math.sqrt(v @ v)
+            # next ``dim`` doubles of the stream the start vector came from
+            restarts += 1
+            v = _unit_doubles(dim, restarts)
             stable = 0
             continue
         u = arr @ w

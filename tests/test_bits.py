@@ -1,4 +1,5 @@
 """The Z-string writer, the distance identity, shared randomness."""
+import multiprocessing
 import os
 import struct
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 import gapcomm
 from gapcomm.bits import SharedRandomness, pack_bits
+from shake_stream import shake_doubles, shake_output, shake_words
 
 
 def brute_hamming(x: np.ndarray, y: np.ndarray) -> int:
@@ -116,30 +118,60 @@ def random_keys(count: int, seed: int) -> list[SharedRandomness]:
 
 
 class TestDrawContract:
-    """Each draw equals the same call on a fresh ``generator()``."""
+    """Each draw equals its definition on the SHAKE-128 output of the key."""
 
-    # odd counts of 32-bit words, partial last words, the 720 x 12 pads and a large prime
+    # partial last bytes, the 720 x 12 pads and a large prime
     SIZES = [0, *range(1, 18), 20, 8640, 100003]
 
-    def test_stream_bits_match_generator_integers(self):
+    def test_stream_bits_match_shake(self):
         for sr in random_keys(200, 40):
             for n in self.SIZES:
-                expected = sr.generator().integers(0, 2, size=n, dtype=np.uint8)
+                raw = np.frombuffer(shake_output(sr, -(-n // 8)), dtype=np.uint8)
+                expected = ((raw[:, None] >> np.arange(8)) & 1).reshape(-1)[:n]
                 bits = sr.stream_bits(n)
                 assert bits.dtype == np.uint8 and np.array_equal(bits, expected), (sr, n)
 
-    def test_integer_matches_generator_integers(self):
-        bounds = [(0, 2), (1, 13), (1, 8641), (1, 2**31 + 7), (-5, 2**40), (0, 2**63)]
+    def test_stream_bits_are_prefixes_of_longer_draws(self):
+        for sr in random_keys(20, 44):
+            longest = sr.stream_bits(self.SIZES[-1])
+            for n in self.SIZES:
+                assert np.array_equal(sr.stream_bits(n), longest[:n]), (sr, n)
+
+    def test_integer_matches_shake_rejection(self):
+        # spans of 2^k never reject; a span just above 2^63 rejects about
+        # half its words, so some keys need a re-read of a longer prefix
+        bounds = [
+            (0, 2), (1, 13), (1, 8641), (1, 2**31 + 7), (-5, 2**40), (0, 2**63),
+            (0, 2**63 + 1), (7, 2**63 + 12345), (-(2**63), 2**63),
+        ]
+        words_needed = []
         for sr in random_keys(200, 41):
+            words = shake_words(sr, 64)
             for low, high in bounds:
+                span = high - low
+                limit = 2**64 - 2**64 % span
+                k = next(k for k, w in enumerate(words) if w < limit)
                 value = sr.integer(low, high)
                 assert type(value) is int
-                assert value == int(sr.generator().integers(low, high)), (sr, low, high)
+                assert value == low + words[k] % span, (sr, low, high)
+                if span > 2**63 and span != 2**64:
+                    words_needed.append(k + 1)
+        assert max(words_needed) >= 3  # past the first re-read
 
-    def test_doubles_match_generator_random(self):
+    @pytest.mark.parametrize("low,high", [(5, 5), (5, 4), (0, 2**64 + 1)])
+    def test_integer_rejects_an_empty_or_too_wide_range(self, low, high):
+        with pytest.raises(ValueError):
+            SharedRandomness(1).integer(low, high)
+
+    def test_doubles_match_shake(self):
         for sr in random_keys(200, 42):
             for n in (1, 2, 5):
-                assert sr.doubles(n) == sr.generator().random(n).tolist()
+                assert sr.doubles(n) == shake_doubles(sr, n)
+
+    def test_doubles_lie_in_the_unit_interval(self):
+        for sr in random_keys(20, 45):
+            values = sr.doubles(5000)
+            assert all(type(v) is float and 0.0 <= v < 1.0 for v in values)
 
     def test_held_generator_is_not_disturbed_by_draws(self):
         held_sr, other = SharedRandomness(5, 6), SharedRandomness(7, 8)
@@ -180,8 +212,6 @@ class TestDrawContract:
         assert bad == []
 
     def test_import_does_not_load_numpy_random(self):
-        # the reused generator is made on the first draw, so a process that
-        # never draws (a pool's parent) never pays for numpy.random
         run_fresh("import sys, gapcomm, gapcomm.harness; assert 'numpy.random' not in sys.modules")
 
 
@@ -228,6 +258,43 @@ class TestRunPathImports:
             "from gapcomm.harness import ExperimentConfig, run_experiment\n"
             "cfg = ExperimentConfig('pauli-state', 6, 0.5, trials=1, root_seed=3)\n"
             "assert run_experiment(cfg).results['trials'] == 1" + self.OFF_RUN_PATH
+        )
+
+    # every draw reads SHAKE-128 from CPython's own SHA-3 module, so a run
+    # loads neither numpy.random nor OpenSSL's hashlib
+    NO_RANDOM = not_loaded("numpy.random", "hashlib", "_hashlib", "secrets")
+    KINDS = "general-state 6, pauli-state 6, observable-general 4, observable-pauli 64, inner-product 6"
+
+    def test_a_trial_of_each_kind_loads_no_numpy_random(self):
+        run_fresh(
+            "import sys\n"
+            "from gapcomm.harness import ExperimentConfig, run_experiment\n"
+            f"for entry in {self.KINDS!r}.split(', '):\n"
+            "    kind, qubits = entry.split()\n"
+            "    for model, sampling in (('exact', 'odd-weight'), ('relative-uniform', 'unrestricted')):\n"
+            "        cfg = ExperimentConfig(kind, int(qubits), 0.5, trials=1, root_seed=3,\n"
+            "                               oracle_model=model, sampling=sampling)\n"
+            "        assert run_experiment(cfg).results['trials'] == 1" + self.NO_RANDOM
+        )
+
+    @pytest.mark.skipif(
+        multiprocessing.get_all_start_methods()[0] != "fork",
+        reason="the wrapped run_trial reaches the workers only through fork",
+    )
+    def test_pool_workers_load_no_numpy_random(self):
+        run_fresh(
+            "import sys\n"
+            "from gapcomm import harness\n"
+            "plain = harness.run_trial\n"
+            "def tagged(cfg, trial):\n"
+            "    record = plain(cfg, trial)\n"
+            "    record['numpy_random'] = 'numpy.random' in sys.modules\n"
+            "    return record\n"
+            "harness.run_trial = tagged\n"
+            "cfg = harness.ExperimentConfig('pauli-state', 6, 0.5, trials=4, root_seed=3,\n"
+            "                               workers=2, per_trial_records=True)\n"
+            "records = harness.run_experiment(cfg).per_trial\n"
+            "assert [r['numpy_random'] for r in records] == [False] * 4, records"
         )
 
     def test_cli_run_loads_neither_verify_nor_shadows(self):

@@ -18,6 +18,7 @@ from gapcomm.ghd import (
     public_pads,
     sample_sources,
 )
+from shake_stream import shake_bits
 
 
 def brute_majority_codeword(x: np.ndarray, pads: np.ndarray) -> np.ndarray:
@@ -31,15 +32,17 @@ def brute_majority_codeword(x: np.ndarray, pads: np.ndarray) -> np.ndarray:
     return np.array(out, dtype=np.uint8)
 
 
-def rejection_rows(gen, count: int, length: int) -> np.ndarray:
-    """The per-row rejection loop the bulk sampler must reproduce draw for draw."""
-    rows = []
-    for _ in range(count):
-        while True:
-            x = gen.integers(0, 2, size=length, dtype=np.uint8)
-            if int(x.sum()) & 1:
-                rows.append(x)
-                break
+def rejection_rows(sr: SharedRandomness, count: int, length: int) -> np.ndarray:
+    """The per-row rejection loop the bulk sampler must reproduce draw for
+    draw: consecutive ``length``-bit rows of the stream, kept when odd."""
+    rows, bits, drawn = [], [], 0
+    while len(rows) < count:
+        if len(bits) < (drawn + 1) * length:
+            bits = shake_bits(sr, 2 * (drawn + 1) * length)
+        row = bits[drawn * length : (drawn + 1) * length]
+        drawn += 1
+        if sum(row) & 1:
+            rows.append(row)
     return np.array(rows, dtype=np.uint8).reshape(count, length)
 
 
@@ -230,23 +233,22 @@ class TestGapStatistics:
 class TestSampleSources:
     @pytest.mark.parametrize("count", [1, 3, 17, 244])
     def test_odd_weight_rows_match_the_rejection_loop(self, count):
-        # lengths that are and are not multiples of the 4-bit-per-word packing
+        # lengths that are and are not multiples of a byte
         seeds = range(3) if count == 244 else range(8)
         for length in range(1, 30):
             for seed in seeds:
                 sr = SharedRandomness(1000 * length + seed)
                 bulk = sample_sources(sr, count, length, True)
                 assert bulk.shape == (count, length) and bulk.dtype == np.uint8
-                assert np.array_equal(bulk, rejection_rows(sr.generator(), count, length))
+                assert np.array_equal(bulk, rejection_rows(sr, count, length))
 
     def test_odd_weight_rows_match_the_sum_and_mask_filter(self):
         # the filter as first written, on the same draws; lengths past 255
         # make the uint8 parity sum wrap
         def summed_filter(sr, count, length):
-            width = 4 * -(-length // 4)
             drawn = 2 * count + 8
             while True:
-                rows = sr.bit_matrix(drawn, width)[:, :length]
+                rows = sr.bit_matrix(drawn, length)
                 odd = rows[rows.sum(axis=1) % 2 == 1]
                 if odd.shape[0] >= count:
                     return odd[:count]
@@ -268,8 +270,7 @@ class TestSampleSources:
     def test_unrestricted_rows_are_one_flat_draw(self):
         sr = SharedRandomness(31)
         rows = sample_sources(sr, 7, 13, False)
-        flat = sr.generator().integers(0, 2, size=7 * 13, dtype=np.uint8)
-        assert np.array_equal(rows.reshape(-1), flat)
+        assert rows.reshape(-1).tolist() == shake_bits(sr, 7 * 13)
 
     def test_zero_rows(self):
         assert sample_sources(SharedRandomness(32), 0, 5, True).shape == (0, 5)

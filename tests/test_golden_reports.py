@@ -37,16 +37,16 @@ SETUPS = {
 }
 
 GOLDEN = {
-    ("general-state", "exact"): "8577aa6f42dec81d5e55599decd79fbbad35dc01c51df66bfecf5e789a7638ad",
-    ("general-state", "noisy"): "b889ffeae0e1d43ddcd3101882ac7eee677ab49d2c88c3348a06eb3e9ec0c7f8",
-    ("pauli-state", "exact"): "8a8b7d594d9c1692a13ba2d0c347620f774f0327458e7b04b29169b5403661f1",
-    ("pauli-state", "noisy"): "b5c0c4f634a6069d998f416c67492b2db38979e3008fe813da4c6ab9de659e08",
-    ("observable-general", "exact"): "b69a919714528c60fc69418ba3be48e7229040fe3dedf3749fb393c550d728c0",
-    ("observable-general", "noisy"): "40d30c477b3bd80e968515d8eb2a03e5e845653bdd61ccfc6a6c9364e4bff5d5",
-    ("observable-pauli", "exact"): "358370b3b289bff19aceb698687b13a284e076327b1fe85c5e72a9b830faa3be",
-    ("observable-pauli", "noisy"): "bbe20cc53f7697356e1dc2faa3ea8697df2b5a116f663d3a751a6c4cd238c9e1",
-    ("inner-product", "exact"): "a3a87bc88215e52512f0e67e7cb3a5adffa7015092debbb9d69af21627e6e521",
-    ("inner-product", "noisy"): "f9bbbe8e324917e8c4fce25ae12315e67e742cfa05f7bc1d203d1f461503d64d",
+    ("general-state", "exact"): "d5c7e84d75cfa226ac54d7d4ab294dbd7d0a1f40679f4f9e576838ed880aea7f",
+    ("general-state", "noisy"): "ebcfd9a8aa578cb26e743244c1e3eb7b5e58bc3698c9c2f6fdea9bf05d58b53d",
+    ("pauli-state", "exact"): "30c68b309266473d126230fe8d792ac26033c57a929136697a09599d2a029b48",
+    ("pauli-state", "noisy"): "95150dc27c1aeda23d9a16ad7775e9c1deae00bebee2e5572871f3f82f16a268",
+    ("observable-general", "exact"): "b525a2c30c9757c00b78a0cf7b9af34075dfc0e1e4ad55d250a1e22e1c822e79",
+    ("observable-general", "noisy"): "a580420eb9208b8c951f18d21c262d243b4b47408b121c53c32a126736964e86",
+    ("observable-pauli", "exact"): "8a56674abca44c83b270086440b254736c8d2c17184311c3239620b3b2d94252",
+    ("observable-pauli", "noisy"): "4834a718b3d0eaa774a96fad9968f4ef7e205e8e395daa1af09afac36bec5f7f",
+    ("inner-product", "exact"): "15cce967f1fefb0ecbf7608f9a941d3e479cefeb4ece78e391862505f19cc292",
+    ("inner-product", "noisy"): "08297b30a7c268105130fff135b6b95a3bd4d82b2a3345ac9d03e976ba506e03",
 }
 
 

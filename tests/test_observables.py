@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
-from gapcomm.bits import DimensionError
+from gapcomm.bits import DimensionError, SharedRandomness
 from gapcomm.observables import NumericError, _power_norm, operator_norm
+from shake_stream import shake_doubles
 
 
 class TestOperatorNorm:
@@ -63,26 +64,32 @@ class TestOperatorNorm:
         assert operator_norm([[0, 3], [3, 0]]) == pytest.approx(3.0, abs=1e-9)
 
 
-def start_vector(dim: int) -> np.ndarray:
-    """The unit vector the power iteration starts from, drawn as first written."""
-    v = np.random.default_rng(0xC0FFEE ^ dim).standard_normal(dim)
+def unit_doubles(dim: int, skip: int) -> np.ndarray:
+    """Doubles ``skip * dim`` to ``(skip + 1) * dim`` of the dimension's
+    stream, read through hashlib, as a unit vector."""
+    v = np.array(shake_doubles(SharedRandomness(0xC0FFEE, dim), (skip + 1) * dim)[skip * dim :])
     return v / np.linalg.norm(v)
 
 
+def start_vector(dim: int) -> np.ndarray:
+    """The unit vector the power iteration starts from: the stream's first
+    ``dim`` doubles."""
+    return unit_doubles(dim, 0)
+
+
 def reference_operator_norm(arr: np.ndarray) -> float:
-    """The power iteration as first written: one generator per call, its
-    later draws the restarts, norms from ``np.linalg.norm``."""
+    """The power iteration as first written, on the shared stream: restart k
+    takes the k-th ``dim`` doubles after the start vector's, norms come from
+    ``np.linalg.norm``."""
     dim = arr.shape[0]
-    rng = np.random.default_rng(0xC0FFEE ^ dim)
-    v = rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    estimate, stable = 0.0, 0
+    v = start_vector(dim)
+    restarts, estimate, stable = 0, 0.0, 0
     while True:
         w = arr @ v
         nw = float(np.linalg.norm(w))
         if nw == 0.0:
-            v = rng.standard_normal(dim)
-            v /= np.linalg.norm(v)
+            restarts += 1
+            v = unit_doubles(dim, restarts)
             stable = 0
             continue
         u = arr @ w
@@ -112,25 +119,26 @@ class TestRestart:
 
         arr = null_space_projector(dim)
         obs._start_vector(dim)  # the cached start vector draws no more
-        seeded = []
+        drawn = []
+        plain = obs._unit_doubles
 
-        def counted(d):
-            seeded.append(d)
-            return np.random.default_rng(0xC0FFEE ^ d)
+        def counted(d, skip):
+            drawn.append((d, skip))
+            return plain(d, skip)
 
-        monkeypatch.setattr(obs, "_seeded", counted)
+        monkeypatch.setattr(obs, "_unit_doubles", counted)
         first = operator_norm(arr)
-        assert seeded == [dim]  # one restart generator, made when needed
+        assert drawn == [(dim, 1)]  # one restart, from the doubles after the start's
         reference = float(np.abs(np.linalg.eigvalsh(arr)).max())
         assert first == pytest.approx(reference, rel=1e-9)
         assert operator_norm(arr) == first
         assert operator_norm(arr.copy()) == first
 
-    def test_no_generator_without_a_restart(self, monkeypatch):
+    def test_no_draw_without_a_restart(self, monkeypatch):
         import gapcomm.observables as obs
 
         obs._start_vector(3)
-        monkeypatch.setattr(obs, "_seeded", lambda d: pytest.fail("restart generator made"))
+        monkeypatch.setattr(obs, "_unit_doubles", lambda d, skip: pytest.fail("restart drawn"))
         operator_norm(np.diag([3.0, -5.0, 1.0]))
 
     def test_start_vector_is_cached_read_only(self):
@@ -139,7 +147,7 @@ class TestRestart:
         v = obs._start_vector(32)
         assert v is obs._start_vector(32)
         assert not v.flags.writeable
-        assert np.array_equal(v, start_vector(32))
+        assert np.array_equal(v, start_vector(32)) and np.all(v >= 0)
 
     def test_same_floats_as_the_first_written_iteration(self):
         rng = np.random.default_rng(21)

@@ -413,7 +413,10 @@ class TestDenseWireParts:
         i, j = proto.decompose_index(l, pc.ghd.gamma)
         honest = proto.SPECS[kind].read(msg, i, j, pc, sr)
         amps = np.frombuffer(msg.main_payload, dtype="<i8", offset=10)
-        tail = int(np.flatnonzero(amps)[-1]) + 1
+        # the occupied prefix ends where the layout says, not at the last
+        # nonzero amplitude, which depends on the draw
+        blocks = pc.alice_blocks + (pc.ghd.gamma if kind == "general-state" else 0)
+        tail = blocks * pc.ghd.code_len
         dim = amps.size
         planted = [
             (tail, 1),  # byte 0, in the chunk the prefix ends in

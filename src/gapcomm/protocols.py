@@ -87,8 +87,9 @@ class ProtocolSpec:
 
     ``payload_qubits``: the size of what Alice ships (for observable-pauli,
     its Pauli string length), read back from the main payload at
-    ``qubit_field`` = (struct format, offset); capped at ``max_payload_qubits``
-    for the reason ``cap_reason`` names.
+    ``qubit_field`` = (struct format, offset). ``limits(cfg)``: the kind's own
+    bounds as (what, worst case over every instance, largest allowed) triples,
+    which ``ProtocolConfig`` checks with the code-length bound all kinds share.
     ``main_bits(payload_qubits)`` is the exact main-payload bit count, the
     only size the spec states: Alice declares it and Bob checks it.
     ``encode(a_rows, b_rows, cfg)`` gives (main, side), main being one
@@ -104,8 +105,7 @@ class ProtocolSpec:
     main_bits: Callable[[int], int]
     encode: Callable
     read: Callable
-    max_payload_qubits: float = math.inf
-    cap_reason: str = "the desk scale"
+    limits: Callable[["ProtocolConfig"], tuple] = lambda cfg: ()
 
 
 @dataclass(frozen=True)
@@ -138,22 +138,18 @@ class ProtocolConfig:
                 f"epsilon {self.ghd.epsilon} outside validity interval ({lo:.6g}, 1) "
                 f"for {self.kind} at n={self.qubits}"
             )
-        if self.ghd.code_len >= FLOAT32_EXACT:
-            raise ConfigError(
-                f"code_len {self.ghd.code_len} (and so gamma {self.ghd.gamma}) must stay "
-                f"below 2^24 for exact float32 block encoding"
-            )
         if self.capacity < 1:
             raise ConfigError(
                 f"no index capacity: block count {self.block_count} must exceed "
                 f"gamma {self.ghd.gamma}"
             )
-        payload = self.spec.payload_qubits(self)
-        if payload > self.spec.max_payload_qubits:
-            raise ConfigError(
-                f"{self.kind} at n={self.qubits}: payload on {payload} qubits exceeds "
-                f"the cap of {self.spec.max_payload_qubits} set by {self.spec.cap_reason}"
-            )
+        float32 = ("code_len, exact in float32 counts below 2^24,", self.ghd.code_len, FLOAT32_EXACT - 1)
+        for what, worst, largest in (float32, *self.spec.limits(self)):
+            if worst > largest:
+                raise ConfigError(
+                    f"{self.kind} at n={self.qubits}, epsilon {self.ghd.epsilon}: {what} "
+                    f"reaches {worst}, past the largest allowed {largest}"
+                )
 
     @property
     def spec(self) -> ProtocolSpec:
@@ -627,6 +623,19 @@ def _stacked_qubits(cfg: ProtocolConfig) -> int:
     return cfg.qubits + cfg.pad_exponent
 
 
+def _stacked_limits(cfg: ProtocolConfig) -> tuple:
+    return (("payload qubits, under the desk cap,", _stacked_qubits(cfg), MAX_STATE_QUBITS),)
+
+
+def _pauli_state_limits(cfg: ProtocolConfig) -> tuple:
+    # Parseval: Alice's squared norm is dim * (sum of squared sum-norms +
+    # dim^2), and each of the capacity sum-norms ||a^j + b^i||^2 is at most
+    # 4 * code_len
+    dim = 1 << cfg.qubits
+    worst = dim * (cfg.capacity * (4 * cfg.ghd.code_len) ** 2 + dim * dim)
+    return (("the worst-case squared norm, in its u64 squared-norm field,", worst, (1 << 64) - 1),)
+
+
 # What the three dense-state kinds share: sqrt(2^n) blocks, the 2^(-n/4)
 # epsilon floor, and the ExactState wire form (u8 layout tag, u8 qubits,
 # u64 squared norm, then one i64 per amplitude).
@@ -641,15 +650,12 @@ SPECS = {
     "general-state": ProtocolSpec(
         kappa=4.0, payload_qubits=_stacked_qubits,
         encode=_encode_general_state, read=_read_general_state,
-        max_payload_qubits=MAX_STATE_QUBITS, **_DENSE_STATE,
+        limits=_stacked_limits, **_DENSE_STATE,
     ),
-    # By Parseval Alice's squared norm is dim * (sum of squared sum-norms +
-    # dim^2) >= 2^(3n), which the u64 norm field holds only up to n = 21
     "pauli-state": ProtocolSpec(
         kappa=4.0, payload_qubits=lambda cfg: cfg.qubits + 1,
         encode=_encode_pauli_state, read=_read_pauli_state,
-        max_payload_qubits=22, **_DENSE_STATE,
-        cap_reason="the u64 squared-norm field (the norm is at least 2^(3n))",
+        limits=_pauli_state_limits, **_DENSE_STATE,
     ),
     "observable-general": ProtocolSpec(
         kappa=4.0, block_count=lambda n: 1 << n, epsilon_floor=lambda n: 2.0 ** (-n / 2.0),
@@ -657,7 +663,7 @@ SPECS = {
         # u32 qubit count, then the 2^n x 2^n i64 matrix
         main_bits=lambda n: 32 + 64 * (1 << (2 * n)),
         encode=_encode_observable_general, read=_read_observable_general,
-        max_payload_qubits=MAX_OBSERVABLE_QUBITS,
+        limits=lambda cfg: (("qubits, under the desk cap,", cfg.qubits, MAX_OBSERVABLE_QUBITS),),
     ),
     "observable-pauli": ProtocolSpec(
         kappa=1.0, block_count=math.isqrt, epsilon_floor=lambda n: n ** (-1.0 / 4.0),
@@ -669,7 +675,7 @@ SPECS = {
     "inner-product": ProtocolSpec(
         kappa=2.0, payload_qubits=_stacked_qubits,
         encode=_encode_inner_product, read=_read_inner_product,
-        max_payload_qubits=MAX_STATE_QUBITS, **_DENSE_STATE,
+        limits=_stacked_limits, **_DENSE_STATE,
     ),
 }
 

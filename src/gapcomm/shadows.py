@@ -69,12 +69,6 @@ class ClassicalDensityMatrix:
         return int(self.entries.shape[0]).bit_length() - 1
 
 
-def _as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, SharedRandomness):
-        return rng.substream(STREAM_SHADOW).generator()
-    return rng
-
-
 def born_vector(rho: ClassicalDensityMatrix, letters: str) -> np.ndarray:
     """Computational-basis outcome distribution after per-qubit basis rotation."""
     n = rho.qubits
@@ -96,14 +90,15 @@ def born_vector(rho: ClassicalDensityMatrix, letters: str) -> np.ndarray:
 class ShadowPair:
     """A measurement algorithm and an estimation algorithm.
 
-    ``measure(rho, rng)`` may simulate the state at will and returns the
-    shadow, a one-dimensional 0/1 uint8 array;
+    ``measure(rho, sr)`` takes the run's ``SharedRandomness``, may simulate
+    the state at will and returns the shadow, a one-dimensional 0/1 uint8
+    array;
     ``estimate(observable, shadow) -> float`` sees only the bitstring.
     The adapter below relies on exactly that separation.
     """
 
     copies: int
-    measure: Callable[[ClassicalDensityMatrix, object], np.ndarray]
+    measure: Callable[[ClassicalDensityMatrix, SharedRandomness], np.ndarray]
     estimate: Callable[[PauliMask, np.ndarray], float]
 
 
@@ -141,8 +136,8 @@ def reference_shadow_pair(copies: int) -> ShadowPair:
     if copies < 1:
         raise ValueError("copies must be >= 1")
 
-    def measure(rho: ClassicalDensityMatrix, rng) -> np.ndarray:
-        gen = _as_generator(rng)
+    def measure(rho: ClassicalDensityMatrix, sr: SharedRandomness) -> np.ndarray:
+        gen = sr.substream(STREAM_SHADOW).generator()
         n = rho.qubits
         codes = gen.integers(0, 3, size=(copies, n), dtype=np.int64)
         u = gen.random(copies)
@@ -184,7 +179,7 @@ class OneWayShadowProtocol:
 
     pair: ShadowPair
 
-    def alice(self, state, rng) -> ProtocolMessage:
+    def alice(self, state, sr: SharedRandomness) -> ProtocolMessage:
         """Measurement side; accepts a density matrix or a pure-state vector.
 
         A ``measure`` that returns anything but a one-dimensional 0/1 array
@@ -197,7 +192,7 @@ class OneWayShadowProtocol:
         )
         # check the values before any cast, which would truncate 0.5 to 0
         # and overflow on 256
-        shadow = np.asarray(self.pair.measure(rho, rng))
+        shadow = np.asarray(self.pair.measure(rho, sr))
         if shadow.ndim != 1 or not ((shadow == 0) | (shadow == 1)).all():
             raise ValueError("measure must return a one-dimensional 0/1 array")
         packed = np.packbits(shadow.astype(np.uint8), bitorder="little").tobytes()

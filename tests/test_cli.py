@@ -46,6 +46,19 @@ def test_run_rejects_invalid_epsilon(tmp_path):
     assert code == 2
 
 
+def test_run_rejects_a_pauli_state_norm_past_its_u64_field_before_any_trial(tmp_path, capsys):
+    out = tmp_path / "P"
+    code = main(
+        [
+            "run", "--protocol", "pauli-state", "--qubits", "19", "--epsilon", "0.038",
+            "--trials", "1", "--seed", "1", "--out", str(out),
+        ]
+    )
+    assert code == 2
+    assert "u64 squared-norm field" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_names_an_epsilon_too_small_for_the_code_length(tmp_path, capsys):
     out = tmp_path / "r.json"
     code = main(

@@ -128,13 +128,54 @@ class TestConfig:
             with pytest.raises(proto.ConfigError, match="u64 squared-norm field"):
                 make_config("pauli-state", n, 0.5)
 
-    def test_pauli_state_runs_at_its_largest_size(self):
-        pc = make_config("pauli-state", 21, 0.5)
+    @pytest.mark.parametrize("qubits, epsilon", [(19, 0.038), (20, 0.04)])
+    def test_pauli_state_worst_case_norm_past_u64_is_a_config_error(self, qubits, epsilon):
+        # both clear the 2^(3n) floor, but the squared norm of some instances
+        # overflows the u64 field, which Alice would find only in
+        # dense_wire_parts, after building the whole state
+        with pytest.raises(proto.ConfigError, match="u64 squared-norm field"):
+            make_config("pauli-state", qubits, epsilon)
+
+    @pytest.mark.parametrize(
+        "kind, qubits, epsilon, main_bits",
+        [("pauli-state", 21, 0.5, 80 + 64 * (1 << 22)),
+         ("general-state", 18, 0.3, 80 + 64 * (1 << 24)),
+         ("inner-product", 18, 0.3, 80 + 64 * (1 << 24)),
+         ("observable-general", 10, 0.3, 32 + 64 * (1 << 20))],
+        ids=["pauli-state", "general-state", "inner-product", "observable-general"],
+    )
+    def test_each_kind_runs_at_its_largest_size(self, kind, qubits, epsilon, main_bits):
+        with pytest.raises(proto.ConfigError):
+            make_config(kind, qubits + 1, epsilon)
+        pc = make_config(kind, qubits, epsilon)
         sr, x, l = draw_instance(pc, 88)
-        msg = proto.ALICE["pauli-state"](x, pc, sr)
-        assert msg.main_bits == 80 + 64 * (1 << 22)
-        res = proto.BOB["pauli-state"](ProtocolMessage.from_wire(msg.to_wire()), l, pc, sr, OracleSpec())
+        msg = proto.ALICE[kind](x, pc, sr)
+        assert msg.main_bits == main_bits
+        res = proto.BOB[kind](ProtocolMessage.from_wire(msg.to_wire()), l, pc, sr, OracleSpec())
         assert res.bit == x[l - 1]
+
+    def test_every_accepted_config_keeps_every_wire_bound(self):
+        # Config-only: each config is rejected or keeps every bound its
+        # trial relies on, including those no spec entry states.
+        epsilons = [0.0249 + 0.0049 * k for k in range(0, 199, 3)]
+        sizes = {
+            "general-state": range(1, 26), "inner-product": range(1, 26),
+            "pauli-state": range(1, 24), "observable-general": range(1, 12),
+            "observable-pauli": [4**k for k in range(1, 32, 2)] + [10**11, 10**15],
+        }
+        for kind, qubit_counts in sizes.items():
+            outcomes = set()
+            for n in qubit_counts:
+                for eps in epsilons:
+                    try:
+                        pc = make_config(kind, n, eps)
+                    except proto.ConfigError:
+                        outcomes.add("rejected")
+                        continue
+                    outcomes.add("accepted")
+                    for what, value, bound in wire_bounds(pc):
+                        assert value < bound, (kind, n, eps, what)
+            assert outcomes == {"accepted", "rejected"}, kind
 
     def test_kinds_and_cli_choices_come_from_the_spec_table(self):
         from gapcomm.cli import build_parser
@@ -163,6 +204,34 @@ class TestConfig:
         # code_len = 60 * 308642 >= 2^24; every other check passes at this size
         with pytest.raises(proto.ConfigError, match="2\\^24"):
             make_config("observable-pauli", 10**11, 0.0018)
+
+
+def wire_bounds(pc) -> list:
+    """(what, value, exclusive bound) for every field and count a trial of
+    ``pc`` writes, each value the worst case over all instances."""
+    n, code_len = pc.qubits, pc.ghd.code_len
+    bounds = [("float32-exact counts", code_len, 1 << 24)]
+    if pc.kind != "observable-pauli":
+        # the side info's u32 block count and its u32 nnz(a^j) counts
+        bounds += [("u32 block count", pc.alice_blocks, 1 << 32), ("u32 nnz", code_len, 1 << 32)]
+    if pc.kind in ("general-state", "inner-product"):
+        # a 0/1 state's squared norm is its weight, at most every stacked entry
+        bounds += [("desk cap", n + pc.pad_exponent, 25),
+                   ("u64 weight", pc.block_count * code_len, 1 << 64)]
+    elif pc.kind == "pauli-state":
+        # Parseval over the sum-norm table, each entry at most 4 * code_len;
+        # fwht's int64 sums stay below 2^bits(4 * code_len) * dim
+        dim = 1 << n
+        norm_sq = dim * (pc.capacity * (4 * code_len) ** 2 + dim * dim)
+        bounds += [("u64 squared norm", norm_sq, 1 << 64),
+                   ("fwht int64 headroom", (4 * code_len).bit_length() + n, 63)]
+    elif pc.kind == "observable-general":
+        # the Gram matrix's operator norm is at most dim * code_len, and its
+        # 32-bit fixed point must fit the u64 side-info field
+        bounds += [("desk cap", n, 11), ("u64 norm_fp", (1 << n) * code_len, 1 << 32)]
+    else:
+        bounds.append(("u64 Z-string bit count", code_len * pc.block_count + 1, 1 << 64))
+    return bounds
 
 
 class TestIndexDecomposition:

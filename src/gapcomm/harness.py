@@ -145,26 +145,69 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> dict:
     return record
 
 
-# A pool worker's handle on the run's shared next-trial counter, set by the
-# pool's initializer: a shared value reaches a worker only through inheritance.
-_next_trial = None
-
-
-def _share_counter(counter) -> None:
-    global _next_trial
-    _next_trial = counter
-
-
-def _claim_trials(cfg: ExperimentConfig) -> list[dict]:
-    """Run trials in a pool worker, claiming one index at a time until none is left."""
+def _claim_trials(cfg: ExperimentConfig, counter) -> list[dict]:
+    """Run trials, claiming one index at a time from the run's shared
+    ``counter`` until none is left. ``run_trial`` is looked up at each call,
+    so a patched module attribute reaches forked children too."""
     records = []
     while True:
-        with _next_trial.get_lock():
-            trial = _next_trial.value
-            _next_trial.value = trial + 1
+        with counter.get_lock():
+            trial = counter.value
+            counter.value = trial + 1
         if trial >= cfg.trials:
             return records
         records.append(run_trial(cfg, trial))
+
+
+class TrialProcessTraceback(Exception):
+    """The formatted traceback of an exception raised in a forked trial
+    process, attached as the cause of that exception where it is re-raised."""
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+
+def _child_trials(cfg: ExperimentConfig, counter, recv_end, send_end) -> None:
+    """A forked child's share of a run: its records, or the exception that
+    ended them and its traceback, go back to the caller through ``send_end``."""
+    # a fork inherits the read end too; while it stayed open here, a send
+    # larger than the pipe buffer would block forever once the caller stops
+    # reading after a failure
+    recv_end.close()
+    try:
+        result = _claim_trials(cfg, counter)
+    except BaseException as exc:
+        counter.value = cfg.trials  # the other processes stop after their current trial
+        import pickle
+        import traceback
+
+        trace = traceback.format_exc()
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:  # the caller could not rebuild it: send its type and message
+            exc = RuntimeError(f"{type(exc).__qualname__}: {exc}")
+        result = (exc, trace)
+    try:
+        send_end.send(result)
+    except BrokenPipeError:
+        pass  # the caller failed first and stopped listening
+
+
+def _receive(child, recv_end) -> list[dict]:
+    """One child's records; an exception it sent is raised here, and a child
+    that died without sending becomes a ``RuntimeError``."""
+    try:
+        result = recv_end.recv()
+    except EOFError:
+        child.join()
+        raise RuntimeError(
+            f"trial process {child.pid} exited with code {child.exitcode} "
+            "before sending its records"
+        ) from None
+    if isinstance(result, tuple):
+        exc, trace = result
+        raise exc from TrialProcessTraceback(trace)
+    return result
 
 
 @dataclass
@@ -202,12 +245,17 @@ class ExperimentReport:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run all trials, reduce order-independently, and assemble the report.
 
-    A run starts no more pool workers than it has trials, so a one-worker or
-    one-trial run stays in this process and never imports the pool. Pool
-    workers claim trial indices one at a time from a shared counter, so a
-    worker slowed by its host just claims fewer; their records are sorted
-    back into trial order. No run loads ``numpy.random``: every draw reads
-    ``SharedRandomness``' SHAKE-128 stream.
+    A run uses no more processes than it has trials, so a one-worker or
+    one-trial run stays in this process and never imports
+    ``multiprocessing``. Otherwise this process starts ``workers - 1``
+    children and runs trials alongside them. Every process claims trial
+    indices one at a time from a shared counter, so one slowed by its host
+    just claims fewer; the records are sorted back into trial order. A
+    trial's exception, in this process or in a child, stops the others
+    after their current trial and is raised here, a child's with its
+    traceback as the cause; every child is joined
+    before this returns or raises. No run loads ``numpy.random``: every
+    draw reads ``SharedRandomness``' SHAKE-128 stream.
     """
     pc = cfg.pc
     workers = min(cfg.workers, cfg.trials)
@@ -215,12 +263,31 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         records = [run_trial(cfg, t) for t in range(cfg.trials)]
     else:
         import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
 
         counter = multiprocessing.Value("q", 0)
-        with ProcessPoolExecutor(workers, initializer=_share_counter, initargs=(counter,)) as pool:
-            futures = [pool.submit(_claim_trials, cfg) for _ in range(workers)]
-            records = [rec for fut in futures for rec in fut.result()]
+        children = []
+        try:
+            for _ in range(workers - 1):
+                recv_end, send_end = multiprocessing.Pipe(duplex=False)
+                child = multiprocessing.Process(
+                    target=_child_trials, args=(cfg, counter, recv_end, send_end)
+                )
+                child.start()
+                # the child now holds the only send end, so its death is EOF here
+                send_end.close()
+                children.append((child, recv_end))
+            records = _claim_trials(cfg, counter)
+            for child, recv_end in children:
+                records += _receive(child, recv_end)
+        finally:
+            counter.value = cfg.trials  # after a failure the children stop after their current trial
+            # every read end closes before the first join: a child inherits
+            # the read ends of the children forked before it, and a blocked
+            # send of theirs breaks only once no process holds its read end
+            for _, recv_end in children:
+                recv_end.close()
+            for child, _ in children:
+                child.join()
         records.sort(key=itemgetter("trial"))
 
     successes = sum(1 for r in records if r["success"])

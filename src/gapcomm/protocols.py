@@ -52,9 +52,12 @@ from .pauli import PauliMask, pauli_expectation
 from .states import ExactState, StateError, dense_wire_parts, exact_sq_sum
 from . import _kernels
 
-# Desk-scale guards: stacked state messages and dense observable payloads.
+# Desk-scale guards: stacked state messages, dense observable payloads and
+# observable-pauli's Z-string, whose trial peaks near 5 bytes per bit (Alice's
+# float32 block counts and uint8 codewords), so all three top out near 170 MiB.
 MAX_STATE_QUBITS = 24
 MAX_OBSERVABLE_QUBITS = 10
+MAX_PAULI_STRING_BITS = 28 << 20
 
 # Fixed-point scales for the observable-general payload.
 ENTRY_FRAC_BITS = 48
@@ -671,6 +674,9 @@ SPECS = {
         payload_qubits=lambda cfg: cfg.ghd.code_len * cfg.block_count + 1, qubit_field=("<Q", 0),
         main_bits=lambda bits: 64 + bits,
         encode=_encode_observable_pauli, read=_read_observable_pauli,
+        limits=lambda cfg: (
+            ("Z-string bits, under the desk cap,", cfg.spec.payload_qubits(cfg), MAX_PAULI_STRING_BITS),
+        ),
     ),
     "inner-product": ProtocolSpec(
         kappa=2.0, payload_qubits=_stacked_qubits,

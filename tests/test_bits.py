@@ -244,6 +244,15 @@ class TestPoolImports:
             "assert run_experiment(cfg).results['trials'] == 1" + NO_POOL
         )
 
+    def test_pooled_run_loads_no_executor(self):
+        # the caller forks plain processes and runs trials itself
+        run_fresh(
+            "import sys\n"
+            "from gapcomm.harness import ExperimentConfig, run_experiment\n"
+            "cfg = ExperimentConfig('pauli-state', 6, 0.5, trials=4, root_seed=3, workers=2)\n"
+            "assert run_experiment(cfg).results['trials'] == 4" + not_loaded("concurrent.futures")
+        )
+
 
 class TestRunPathImports:
     # a trial never runs the verification suite or the shadows adapter

@@ -59,6 +59,19 @@ def test_run_rejects_a_pauli_state_norm_past_its_u64_field_before_any_trial(tmp_
     assert not out.exists()
 
 
+def test_run_rejects_an_observable_pauli_z_string_past_its_cap_before_any_trial(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    code = main(
+        [
+            "run", "--protocol", "observable-pauli", "--qubits", str(10**15), "--epsilon", "0.3",
+            "--trials", "1", "--seed", "1", "--out", str(out),
+        ]
+    )
+    assert code == 2
+    assert "Z-string bits" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_names_an_epsilon_too_small_for_the_code_length(tmp_path, capsys):
     out = tmp_path / "r.json"
     code = main(

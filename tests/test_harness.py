@@ -2,6 +2,8 @@
 import json
 import math
 import multiprocessing
+import os
+import time
 
 import numpy as np
 import pytest
@@ -18,6 +20,8 @@ from gapcomm.harness import (
 from gapcomm.oracle import MODELS
 from gapcomm.protocols import ConfigError, decompose_index
 from gapcomm.verify import verify_suite
+
+from test_bits import run_fresh
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -110,6 +114,140 @@ class TestPoolScheduling:
         monkeypatch.setattr(harness, "run_trial", broken)
         with pytest.raises(ZeroDivisionError, match="synthetic failure"):
             run_experiment(small_config(qubits=6, trials=7, workers=2))
+        assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patched trial reaches the children only by fork",
+)
+class TestPoolFailures:
+    """The calling process runs trials alongside its forked children; a
+    failure anywhere ends the run and leaves no child behind."""
+
+    def test_a_failure_stops_every_process_after_its_current_trial(self, monkeypatch):
+        import gapcomm.harness as harness
+
+        plain = harness.run_trial
+        calls = multiprocessing.Value("q", 0)  # forked, so shared by every process
+
+        def failing_first(cfg, trial):
+            with calls.get_lock():
+                calls.value += 1
+            if trial == 0:
+                raise ZeroDivisionError("synthetic failure in trial 0")
+            return plain(cfg, trial)
+
+        monkeypatch.setattr(harness, "run_trial", failing_first)
+        with pytest.raises(ZeroDivisionError, match="trial 0"):
+            run_experiment(small_config(qubits=6, trials=2000, workers=2))
+        assert calls.value < 100
+        assert multiprocessing.active_children() == []
+
+    def test_a_child_only_exception_keeps_its_type_and_message(self, monkeypatch):
+        import gapcomm.harness as harness
+
+        plain = harness.run_trial
+        caller = os.getpid()
+
+        def child_fails(cfg, trial):
+            if os.getpid() != caller:
+                raise LookupError(f"child-only failure in trial {trial}")
+            time.sleep(0.02)  # leave the children trials to claim
+            return plain(cfg, trial)
+
+        monkeypatch.setattr(harness, "run_trial", child_fails)
+        with pytest.raises(LookupError, match=r"^child-only failure in trial \d+$") as info:
+            run_experiment(small_config(qubits=6, trials=40, workers=2))
+        # the child's own traceback comes along as the cause
+        cause = info.value.__cause__
+        assert isinstance(cause, harness.TrialProcessTraceback)
+        assert "in child_fails" in str(cause) and "LookupError: child-only failure" in str(cause)
+        assert multiprocessing.active_children() == []
+
+    def test_a_child_exception_that_does_not_pickle_keeps_its_type_and_message(self, monkeypatch):
+        import gapcomm.harness as harness
+
+        plain = harness.run_trial
+        caller = os.getpid()
+
+        class Unpicklable(Exception):
+            pass  # defined in a function, so pickle cannot find its class
+
+        def child_fails(cfg, trial):
+            if os.getpid() != caller:
+                raise Unpicklable(f"child-only failure in trial {trial}")
+            time.sleep(0.02)  # leave the children trials to claim
+            return plain(cfg, trial)
+
+        monkeypatch.setattr(harness, "run_trial", child_fails)
+        with pytest.raises(RuntimeError, match=r"Unpicklable: child-only failure in trial \d+$") as info:
+            run_experiment(small_config(qubits=6, trials=40, workers=2))
+        assert "in child_fails" in str(info.value.__cause__)
+        assert multiprocessing.active_children() == []
+
+    def test_a_child_that_dies_mid_trial_is_a_runtime_error(self):
+        run_fresh(
+            "import multiprocessing, os, time\n"
+            "from gapcomm import harness\n"
+            "plain, caller = harness.run_trial, os.getpid()\n"
+            "def dying(cfg, trial):\n"
+            "    if os.getpid() != caller:\n"
+            "        os._exit(3)\n"
+            "    time.sleep(0.02)  # leave the child a trial to claim\n"
+            "    return plain(cfg, trial)\n"
+            "harness.run_trial = dying\n"
+            "cfg = harness.ExperimentConfig('pauli-state', 6, 0.5, trials=20, root_seed=3, workers=2)\n"
+            "try:\n"
+            "    harness.run_experiment(cfg)\n"
+            "except RuntimeError as exc:\n"
+            "    assert 'code 3' in str(exc), exc\n"
+            "else:\n"
+            "    raise AssertionError('the run did not raise')\n"
+            "assert multiprocessing.active_children() == []\n"
+        )
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_a_caller_failure_does_not_wait_on_a_child_with_unsent_records(self, workers):
+        # each child holds far more than a pipe buffer (64 KiB) of records
+        # when the caller fails and stops reading; at workers=3 the second
+        # child also holds an inherited copy of the first child's read end
+        run_fresh(
+            "import multiprocessing, os, time\n"
+            "from gapcomm import harness\n"
+            "plain, caller = harness.run_trial, os.getpid()\n"
+            "def padded(cfg, trial):\n"
+            "    if os.getpid() != caller:\n"
+            "        return {**plain(cfg, trial), 'pad': 'x' * 10000}\n"
+            "    time.sleep(0.2)  # each child runs a few trials meanwhile\n"
+            "    raise ZeroDivisionError('caller failure')\n"
+            "harness.run_trial = padded\n"
+            f"cfg = harness.ExperimentConfig('pauli-state', 6, 0.5, trials=2000, root_seed=3, workers={workers})\n"
+            "try:\n"
+            "    harness.run_experiment(cfg)\n"
+            "except ZeroDivisionError:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise AssertionError('the run did not raise')\n"
+            "assert multiprocessing.active_children() == []\n"
+        )
+
+    def test_the_caller_runs_trials_with_at_most_workers_processes(self, monkeypatch):
+        import gapcomm.harness as harness
+
+        plain = harness.run_trial
+
+        def stamped(cfg, trial):
+            record = plain(cfg, trial)
+            record["pid"] = os.getpid()
+            time.sleep(0.002)  # no process can take every trial before the others start
+            return record
+
+        monkeypatch.setattr(harness, "run_trial", stamped)
+        report = run_experiment(small_config(qubits=6, trials=40, workers=3, per_trial_records=True))
+        pids = {r["pid"] for r in report.per_trial}
+        assert os.getpid() in pids
+        assert len(pids) <= 3
         assert multiprocessing.active_children() == []
 
 

@@ -121,6 +121,12 @@ class TestConfig:
         with pytest.raises(proto.ConfigError):
             make_config("observable-general", 11, 0.5)
 
+    def test_observable_pauli_z_string_cap(self):
+        # 379473168 instance bits would need a 22768398721-bit Z-string,
+        # about 22.8 GB of Alice's codeword bytes
+        with pytest.raises(proto.ConfigError, match="Z-string bits"):
+            make_config("observable-pauli", 10**15, 0.3)
+
     def test_pauli_state_cap_is_the_u64_norm_field(self):
         # Alice's squared norm is at least 2^(3n), past u64 from n=22 on
         make_config("pauli-state", 21, 0.5)
@@ -141,8 +147,10 @@ class TestConfig:
         [("pauli-state", 21, 0.5, 80 + 64 * (1 << 22)),
          ("general-state", 18, 0.3, 80 + 64 * (1 << 24)),
          ("inner-product", 18, 0.3, 80 + 64 * (1 << 24)),
-         ("observable-general", 10, 0.3, 32 + 64 * (1 << 20))],
-        ids=["pauli-state", "general-state", "inner-product", "observable-general"],
+         ("observable-general", 10, 0.3, 32 + 64 * (1 << 20)),
+         # 40777 blocks of 720 code bits; n + 1 = 40778^2 adds a block
+         ("observable-pauli", 40778**2 - 1, 0.3, 64 + 720 * 40777 + 1)],
+        ids=["pauli-state", "general-state", "inner-product", "observable-general", "observable-pauli"],
     )
     def test_each_kind_runs_at_its_largest_size(self, kind, qubits, epsilon, main_bits):
         with pytest.raises(proto.ConfigError):

@@ -84,6 +84,8 @@ def main() -> None:
     # pauli-state n=12 transforms a sum-norm table: entries 0..4 * 720
     vec = rng.integers(-2880, 2881, size=1 << 12).astype(np.int64)
     row("walsh-hadamard transform 2^12, |v| <= 2880", _kernels.fwht, vec)
+    # its solve at epsilon 0.3: 52 x 12 table entries, zero-padded to 2^12
+    row("walsh-hadamard transform 624 entries into 2^12", _kernels.fwht, vec[:624], 12)
     # 43-bit entries: 43 + 12 > 53 bits, so two float64 limbs of 41 bits run
     vec = rng.integers(-(1 << 42), 1 << 42, size=1 << 12).astype(np.int64)
     row("walsh-hadamard transform 2^12, two limbs", _kernels.fwht, vec)

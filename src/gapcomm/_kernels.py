@@ -107,17 +107,21 @@ def sign_row(qubits: int, z_part: int) -> np.ndarray:
     return row
 
 
-def fwht(vec: np.ndarray) -> np.ndarray:
-    """Walsh-Hadamard transform of a power-of-two-length int64 vector, as a
-    fresh int64 array; OverflowError once max|v|.bit_length() + n reaches 63.
+def fwht(prefix: np.ndarray, qubits: int | None = None) -> np.ndarray:
+    """Walsh-Hadamard transform of an int64 ``prefix`` zero-padded to length
+    2^qubits, as a fresh int64 array; ``qubits`` defaults to the prefix's own
+    log2 length. OverflowError once max|v|.bit_length() + n reaches 63.
 
     H_{2^n} is the Kronecker product of one factor per part of
     ``factor_qubits(n)``, so the transform is one small float64 matmul per
     factor. Every partial sum is a signed subset sum of the input, so on
     limbs of 53 - n bits it stays exact in float64, in any summation order.
     """
-    arr = np.asarray(vec, dtype=np.int64)
-    qubits = arr.shape[0].bit_length() - 1
+    arr = np.asarray(prefix, dtype=np.int64)
+    if qubits is None:
+        qubits = arr.shape[0].bit_length() - 1
+    if qubits < 0 or arr.shape[0] > 1 << qubits:
+        raise ValueError(f"cannot pad length {arr.shape[0]} to 2^{qubits}")
     bound = abs_bound(arr)
     if bound.bit_length() + qubits >= INT64_BITS:
         raise OverflowError("transform would overflow int64")
@@ -131,13 +135,27 @@ def fwht(vec: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fwht_float(arr: np.ndarray, qubits: int) -> np.ndarray:
-    # each pass transforms the last axis and moves it to the front, so after
-    # one pass per factor the axes are back in their first order
-    t = arr.astype(np.float64)
-    for bits in factor_qubits(qubits):
-        t = (t.reshape(-1, 1 << bits) @ hadamard_factor(bits)).T
-    return t.astype(np.int64, order="C").reshape(-1)
+def _fwht_float(prefix: np.ndarray, qubits: int) -> np.ndarray:
+    # The padded vector is a tensor with one axis per factor, the first most
+    # significant. The prefix fills only its leading ``rows`` slices along
+    # the first axis, so every other axis is transformed on those alone, each
+    # by one matmul that leaves the axes in order; the first axis then
+    # expands from ``rows`` entries to its full size.
+    first, *rest = factor_qubits(qubits)
+    tail = 1 << (qubits - first)
+    rows = -(-prefix.shape[0] // tail)
+    t = np.empty(rows * tail, dtype=np.float64)
+    t[: prefix.shape[0]] = prefix
+    t[prefix.shape[0] :] = 0.0
+    lead = rows
+    for bits in rest[:-1]:
+        t = np.matmul(hadamard_factor(bits), t.reshape(lead, 1 << bits, -1))
+        lead <<= bits
+    if rest:
+        # each factor is symmetric, so the last axis is t's rows times it
+        t = t.reshape(-1, 1 << rest[-1]) @ hadamard_factor(rest[-1])
+    t = hadamard_factor(first)[:, :rows] @ t.reshape(rows, tail)
+    return t.astype(np.int64).reshape(-1)
 
 
 def parity_u64(values: np.ndarray) -> np.ndarray:

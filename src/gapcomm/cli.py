@@ -1,7 +1,8 @@
 """Command-line entry points.
 
 Exit status: 0 on success, 1 on any failed check or missed floor,
-2 on configuration errors.
+2 on configuration errors. Any other exception is a fault, not a bad
+config, and propagates with its traceback.
 """
 from __future__ import annotations
 
@@ -78,7 +79,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_ghd_gap(args) -> int:
-    params = GhdParams(epsilon=args.epsilon, bias_c=args.bias_c, slack_d=args.slack_d)
+    try:
+        params = GhdParams(epsilon=args.epsilon, bias_c=args.bias_c, slack_d=args.slack_d)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if args.trials < 1:
+        raise ConfigError("trials must be >= 1")
     stats = gap_statistics(
         params,
         trials=args.trials,
@@ -105,6 +111,8 @@ def _cmd_shadows_demo(args) -> int:
 
     if args.qubits < 1 or args.qubits > 6:
         raise ConfigError("demo runs at 1..6 qubits")
+    if args.copies < 1:
+        raise ConfigError("copies must be >= 1")
     sr = SharedRandomness(args.seed)
     state_gen = sr.substream(101).generator()
     dim = 1 << args.qubits
@@ -210,7 +218,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

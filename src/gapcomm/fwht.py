@@ -13,13 +13,11 @@ import numpy as np
 from . import _kernels
 
 
-def fwht(vec) -> np.ndarray:
-    """Apply the character matrix exactly; output is int64 (see ``_kernels.fwht``)."""
-    arr = np.ascontiguousarray(vec, dtype=np.int64)
-    n = arr.shape[0]
-    if n < 1 or (n & (n - 1)) != 0:
-        raise ValueError(f"length {n} is not a power of two")
-    return _kernels.fwht(arr)
+def fwht(vec, qubits: int | None = None) -> np.ndarray:
+    """Apply the 2**qubits character matrix exactly to ``vec`` zero-padded to
+    that length; output is int64 (see ``_kernels.fwht``). Without ``qubits``
+    the length of ``vec`` must be a power of two."""
+    return _kernels.fwht(np.ascontiguousarray(vec, dtype=np.int64), qubits)
 
 
 def character_row(z_mask: int, qubits: int) -> np.ndarray:

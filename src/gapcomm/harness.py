@@ -248,7 +248,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     A run uses no more processes than it has trials, so a one-worker or
     one-trial run stays in this process and never imports
     ``multiprocessing``. Otherwise this process starts ``workers - 1``
-    children and runs trials alongside them. Every process claims trial
+    children and runs trials alongside them. The children are forked
+    wherever the platform offers fork, whatever its default start method,
+    and started by that default elsewhere. Every process claims trial
     indices one at a time from a shared counter, so one slowed by its host
     just claims fewer; the records are sorted back into trial order. A
     trial's exception, in this process or in a child, stops the others
@@ -264,12 +266,16 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     else:
         import multiprocessing
 
-        counter = multiprocessing.Value("q", 0)
+        # a forked child starts with the package loaded; spawn and forkserver
+        # would import it afresh for every pooled call
+        methods = multiprocessing.get_all_start_methods()
+        mp = multiprocessing.get_context("fork" if "fork" in methods else None)
+        counter = mp.Value("q", 0)
         children = []
         try:
             for _ in range(workers - 1):
-                recv_end, send_end = multiprocessing.Pipe(duplex=False)
-                child = multiprocessing.Process(
+                recv_end, send_end = mp.Pipe(duplex=False)
+                child = mp.Process(
                     target=_child_trials, args=(cfg, counter, recv_end, send_end)
                 )
                 child.start()

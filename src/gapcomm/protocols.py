@@ -469,13 +469,14 @@ def _pairwise_sum_norms(a_rows: np.ndarray, b_rows: np.ndarray) -> tuple[np.ndar
 def _encode_pauli_state(a_rows, b_rows, cfg: ProtocolConfig) -> tuple:
     n = cfg.qubits
     dim = 1 << n
-    stacked = np.zeros(dim, dtype=np.int64)
     norms, nnz_a = _pairwise_sum_norms(a_rows, b_rows)
-    stacked[: norms.shape[0]] = norms
-    # Solving transform(v) = stacked gives v in 2^-n increments; scaling all
-    # amplitudes by 2^n keeps the whole state integral.
-    tilde_v = fwht(stacked)
-    numerators = np.concatenate([tilde_v, np.full(dim, dim, dtype=np.int64)])
+    # The table, zero-padded to 2^n entries, is the right-hand side: solving
+    # transform(v) = table gives v in 2^-n increments, and scaling all
+    # amplitudes by 2^n keeps the whole state integral. The transform of the
+    # occupied prefix fills the first half; the flat half holds dim.
+    numerators = np.empty(2 * dim, dtype=np.int64)
+    numerators[:dim] = fwht(norms, n)
+    numerators[dim:] = dim
     # Parseval: the unnormalized transform scales squared norms by dim, and
     # the flat half adds dim entries of dim^2
     norm_sq = dim * (exact_sq_sum(norms) + dim * dim)

@@ -287,7 +287,7 @@ class TestRunPathImports:
         )
 
     @pytest.mark.skipif(
-        multiprocessing.get_all_start_methods()[0] != "fork",
+        "fork" not in multiprocessing.get_all_start_methods(),
         reason="the wrapped run_trial reaches the workers only through fork",
     )
     def test_pool_workers_load_no_numpy_random(self):

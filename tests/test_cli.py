@@ -187,3 +187,37 @@ def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
     assert err.value.code == 2
+
+
+def test_a_library_fault_in_a_run_propagates(tmp_path, monkeypatch, capsys):
+    # a ValueError raised inside the run is a fault, not a config error: it
+    # keeps its traceback instead of becoming exit 2
+    import gapcomm.harness as harness
+
+    def faulty(cfg, trial):
+        raise ValueError(f"synthetic library fault in trial {trial}")
+
+    monkeypatch.setattr(harness, "run_trial", faulty)
+    out = tmp_path / "r.json"
+    with pytest.raises(ValueError, match="synthetic library fault in trial 0"):
+        main(
+            [
+                "run", "--protocol", "pauli-state", "--qubits", "6", "--epsilon", "0.5",
+                "--trials", "3", "--seed", "3", "--out", str(out),
+            ]
+        )
+    assert "config error" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ghd-gap", "--epsilon", "0.3", "--trials", "0", "--seed", "1"], "trials must be >= 1"),
+        (["ghd-gap", "--epsilon", "0.3", "--trials", "3", "--seed", "1", "--bias-c", "0.9"], "bias_c must be in"),
+        (["shadows-demo", "--copies", "0", "--seed", "1"], "copies must be >= 1"),
+    ],
+)
+def test_bad_settings_of_the_other_commands_exit_two(argv, message, capsys):
+    assert main(argv) == 2
+    assert f"config error: {message}" in capsys.readouterr().err

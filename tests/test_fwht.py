@@ -57,6 +57,13 @@ def test_rejects_non_power_of_two():
         fwht(np.ones(6, dtype=np.int64))
     with pytest.raises(ValueError):
         fwht(np.zeros(0, dtype=np.int64))
+    # a prefix longer than 2^qubits
+    for call in (_kernels.fwht, fwht):
+        with pytest.raises(ValueError):
+            call(np.ones(9, dtype=np.int64), 3)
+        with pytest.raises(ValueError):
+            call(np.ones(2, dtype=np.int64), 0)
+    assert _kernels.fwht(np.ones(8, dtype=np.int64), 3).tolist() == [8] + [0] * 7
 
 
 @pytest.mark.parametrize(
@@ -166,17 +173,82 @@ class TestFactoredTransform:
         assert limbs == 2 and int(np.float64(plus_row)) != plus_row
         assert _kernels.fwht(v).tolist() == python_int_fwht(v)
 
+    @pytest.mark.parametrize("size", [1 << 12, 624])
     @pytest.mark.parametrize("top", [2880, (1 << 50) - 1])
-    def test_input_kept_and_output_fresh(self, top):
-        # one input per limb count: one limb and two
+    def test_input_kept_and_output_fresh(self, top, size):
+        # one input per limb count, one limb and two, as the full vector and
+        # as pauli-state's 624-entry prefix
         rng = np.random.default_rng(8)
-        v = rng.integers(-top, top, size=1 << 12, dtype=np.int64)
+        v = rng.integers(-top, top, size=size, dtype=np.int64)
         v.setflags(write=False)
         before = v.copy()
-        out = _kernels.fwht(v)
+        out = _kernels.fwht(v, 12)
         assert np.array_equal(v, before)
-        assert out.dtype == np.int64 and out.flags.c_contiguous and out.flags.writeable
+        assert out.dtype == np.int64 and out.shape == (1 << 12,)
+        assert out.flags.c_contiguous and out.flags.writeable
         assert not np.shares_memory(out, v)
-        assert out.tolist() == python_int_fwht(v)
+        padded = np.zeros(1 << 12, dtype=np.int64)
+        padded[:size] = v
+        assert out.tolist() == python_int_fwht(padded)
         out[0] += 1
-        assert np.array_equal(_kernels.fwht(v), fwht(v))
+        assert np.array_equal(_kernels.fwht(v, 12), fwht(padded))
+
+
+class TestPaddedPrefix:
+    """A prefix zero-padded to 2^n: its transform equals the full transform
+    of the padded vector, across factor counts, slab boundaries and limbs."""
+
+    # one, one, two, three, three and four factors
+    QUBITS = (3, 7, 12, 15, 18, 22)
+
+    @staticmethod
+    def _slab(n):
+        # entries per slice along the first factor's axis
+        return 1 << (n - _kernels.factor_qubits(n)[0])
+
+    @staticmethod
+    def _padded(v, n):
+        padded = np.zeros(1 << n, dtype=np.int64)
+        padded[: v.shape[0]] = v
+        return padded
+
+    def test_factor_counts_cover_one_to_four(self):
+        assert [len(_kernels.factor_qubits(n)) for n in self.QUBITS] == [1, 1, 2, 3, 3, 4]
+
+    @pytest.mark.parametrize("n", QUBITS)
+    @pytest.mark.parametrize("length", ["one", "slab - 1", "3 slabs", "full"])
+    def test_equals_the_full_transform_of_the_padded_vector(self, n, length):
+        slab = self._slab(n)
+        size = {"one": 1, "slab - 1": max(slab - 1, 1), "3 slabs": min(3 * slab, 1 << n), "full": 1 << n}[length]
+        rng = np.random.default_rng(1000 * n + size % 997)
+        v = rng.integers(-2880, 2881, size=size).astype(np.int64)
+        out = _kernels.fwht(v, n)
+        padded = self._padded(v, n)
+        assert out.shape == (1 << n,)
+        assert np.array_equal(out, _kernels.fwht(padded))
+        assert np.array_equal(out, fwht(v, n))
+        if n <= 15:
+            assert out.tolist() == python_int_fwht(padded)
+        # rows read straight off the character matrix: all-plus, alternating,
+        # the last and a few at random
+        for k in [0, 1, (1 << n) - 1] + rng.integers(0, 1 << n, size=4).tolist():
+            assert out[k] == int(np.dot(character_row(k, n)[:size], v))
+
+    @pytest.mark.parametrize("bits, limbs", [(41, 1), (42, 2), (50, 2)])
+    def test_one_and_two_limbs(self, bits, limbs):
+        # n = 12 and pauli-state's 624-entry table: 41 + 12 = 53 bits is one
+        # exact limb; past it, two limbs, up to 50 + 12 = 62 below the guard
+        n, top = 12, (1 << bits) - 1
+        rng = np.random.default_rng(bits)
+        v = rng.integers(-top, top, size=624, endpoint=True).astype(np.int64)
+        v[:3] = [top, -top, top - 1]
+        assert len(_kernels.limbs(v, _kernels.abs_bound(v), 53 - n)) == limbs
+        assert _kernels.fwht(v, n).tolist() == python_int_fwht(self._padded(v, n))
+
+    @pytest.mark.parametrize("n, length", [(12, 1), (12, 624), (3, 5)])
+    def test_overflow_guard_counts_the_padded_qubits(self, n, length):
+        # the guard reads bits + n of the padded length, whatever the prefix
+        ok = np.full(length, (1 << (62 - n)) - 1, dtype=np.int64)
+        assert _kernels.fwht(ok, n).tolist() == python_int_fwht(self._padded(ok, n))
+        with pytest.raises(OverflowError):
+            _kernels.fwht(ok + 1, n)

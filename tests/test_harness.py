@@ -102,7 +102,7 @@ class TestPoolScheduling:
         assert self.report_bytes(tmp_path, workers, trials) == self.report_bytes(tmp_path, 1, trials)
 
     @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
+        "fork" not in multiprocessing.get_all_start_methods(),
         reason="the patched trial reaches pool workers only by fork",
     )
     def test_a_failing_trial_raises_and_leaves_no_worker(self, monkeypatch):
@@ -118,7 +118,7 @@ class TestPoolScheduling:
 
 
 @pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
+    "fork" not in multiprocessing.get_all_start_methods(),
     reason="the patched trial reaches the children only by fork",
 )
 class TestPoolFailures:
@@ -129,7 +129,7 @@ class TestPoolFailures:
         import gapcomm.harness as harness
 
         plain = harness.run_trial
-        calls = multiprocessing.Value("q", 0)  # forked, so shared by every process
+        calls = multiprocessing.get_context("fork").Value("q", 0)  # forked, so shared by every process
 
         def failing_first(cfg, trial):
             with calls.get_lock():
@@ -249,6 +249,35 @@ class TestPoolFailures:
         assert os.getpid() in pids
         assert len(pids) <= 3
         assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the pool forks only where the platform offers fork",
+)
+def test_the_pool_forks_under_a_spawn_default():
+    # the patched trial reaches a child only by fork, so every record carries
+    # its stamp even though spawn is the default start method
+    run_fresh(
+        "import multiprocessing, os, time\n"
+        "multiprocessing.set_start_method('spawn')\n"
+        "from gapcomm import harness\n"
+        "plain = harness.run_trial\n"
+        "def stamped(cfg, trial):\n"
+        "    record = plain(cfg, trial)\n"
+        "    record['pid'] = os.getpid()\n"
+        "    time.sleep(0.002)  # the child starts before the caller takes every trial\n"
+        "    return record\n"
+        "harness.run_trial = stamped\n"
+        "def run(workers):\n"
+        "    return harness.run_experiment(harness.ExperimentConfig(\n"
+        "        'pauli-state', 6, 0.5, trials=40, root_seed=3, workers=workers, per_trial_records=True))\n"
+        "pooled = run(2)\n"
+        "pids = {r['pid'] for r in pooled.per_trial}\n"
+        "assert len(pids) == 2 and os.getpid() in pids, pids\n"
+        "assert pooled.to_json() == run(1).to_json()\n"
+        "assert multiprocessing.active_children() == []\n"
+    )
 
 
 class TestGroundTruth:
@@ -509,8 +538,8 @@ def test_verify_suite_catches_a_corrupted_transform(monkeypatch):
 
     genuine = kernels.fwht
 
-    def corrupted(vec):
-        out = genuine(vec)
+    def corrupted(vec, qubits=None):
+        out = genuine(vec, qubits)
         out[-1] = -out[-1]
         return out
 

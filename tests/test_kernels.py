@@ -70,6 +70,19 @@ def test_majority_blocks_matches_majority_rows_per_block():
         assert np.array_equal(out[j], _kernels.majority_rows(pads, selected))
 
 
+def test_fwht_prefix_matches_the_character_matrix_columns():
+    # a prefix of length L padded to 2^n transforms to the first L columns of
+    # the matrix times the prefix, for one and two factors
+    rng = np.random.default_rng(30)
+    for n in range(0, 11):
+        dim = 1 << n
+        idx = np.arange(dim, dtype=np.uint64)
+        for size in sorted({1, dim // 3 + 1, dim - 1 or 1, dim}):
+            v = rng.integers(-50, 50, size=size).astype(np.int64)
+            cols = 1 - 2 * _kernels.parity_u64(idx[:, None] & idx[:size]).astype(np.int64)
+            assert np.array_equal(_kernels.fwht(v, n), cols @ v)
+
+
 def reference_quad(nums, z: int, x: int) -> int:
     return sum(
         (-1 if (y & z).bit_count() & 1 else 1) * int(nums[y]) * int(nums[y ^ x])

@@ -76,9 +76,9 @@ class SharedRandomness:
     ``struct.pack("<QQ", root_seed, stream_id)``: a pure function of the
     key, so two parties (or two worker processes) deriving the same labels
     read identical bits without any coordination. ``stream_bits``,
-    ``integer`` and ``doubles`` each read it from its start and return plain
-    values; SHAKE output is prefix-stable, so a longer draw starts with
-    every shorter one.
+    ``words``, ``integer`` and ``doubles`` each read it from its start;
+    SHAKE output is prefix-stable, so a longer draw starts with every
+    shorter one.
     """
 
     root_seed: int
@@ -98,9 +98,10 @@ class SharedRandomness:
         return child
 
     def generator(self) -> np.random.Generator:
-        """A numpy Philox generator on the same key, for callers that need
-        numpy's distributions (the shadow adapter, the CLI demo). It is not
-        the stream the draws below read, and it loads ``numpy.random``."""
+        """A numpy Philox generator on the same key: not the stream the draws
+        below read, and it loads ``numpy.random``. The package no longer
+        calls it; it stays only because ``perfbench/layers.py`` counts calls
+        to it by name, and goes with the next change to the benchmark."""
         key = np.array([self.root_seed, self.stream_id], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
@@ -116,6 +117,12 @@ class SharedRandomness:
 
     def bit_matrix(self, rows: int, cols: int) -> np.ndarray:
         return self.stream_bits(rows * cols).reshape(rows, cols)
+
+    def words(self, n: int) -> np.ndarray:
+        """The first ``n`` u64 little-endian words of the stream, as a
+        read-only ``uint64`` array: the words ``integer`` and ``doubles``
+        read."""
+        return np.frombuffer(self._output(8 * n), dtype="<u8")
 
     def integer(self, low: int, high: int) -> int:
         """Uniform in [low, high): ``low + w % span`` for the first u64

@@ -113,22 +113,29 @@ def _cmd_shadows_demo(args) -> int:
         raise ConfigError("demo runs at 1..6 qubits")
     if args.copies < 1:
         raise ConfigError("copies must be >= 1")
+    if args.observables < 0:
+        raise ConfigError("observables must be >= 0")
     sr = SharedRandomness(args.seed)
-    state_gen = sr.substream(101).generator()
     dim = 1 << args.qubits
-    psi = state_gen.standard_normal(dim) + 1j * state_gen.standard_normal(dim)
+    # complex Box-Muller on the doubles of substream 101, a pair per amplitude
+    u = (sr.substream(101).words(2 * dim) >> 11).reshape(dim, 2) * 2.0**-53
+    psi = np.sqrt(-2.0 * np.log1p(-u[:, 0])) * np.exp(2j * np.pi * u[:, 1])
     psi /= np.linalg.norm(psi)
 
     pair = reference_shadow_pair(args.copies)
     protocol = to_one_way_protocol(pair)
     msg = protocol.alice(psi, sr)
 
-    obs_gen = sr.substream(102).generator()
+    # attempt a draws z from substream 2a of substream 102 and x from 2a + 1,
+    # until z & x == 0
+    picks = sr.substream(102)
+    attempt = 0
     rows = []
-    for k in range(args.observables):
+    for _ in range(args.observables):
         while True:
-            z = int(obs_gen.integers(0, dim))
-            x = int(obs_gen.integers(0, dim))
+            z = picks.substream(2 * attempt).integer(0, dim)
+            x = picks.substream(2 * attempt + 1).integer(0, dim)
+            attempt += 1
             if z & x == 0:
                 break
         mask = PauliMask(z=z, x=x, qubits=args.qubits)

@@ -48,14 +48,14 @@ class OracleSpec:
             raise ValueError("the exact oracle never fails: failure_prob must be 0")
 
 
-def estimate(true_value, spec: OracleSpec, push: int, rng: SharedRandomness, draw: int = 0):
+def estimate(true_value, spec: OracleSpec, push: int, rng: SharedRandomness):
     """One simulated estimate of ``true_value``.
 
     ``push`` (PUSH_UP / PUSH_DOWN) is the direction in value space that
     hurts the consumer most: the adversarial and additive models shift that
-    way. The noise and the failure event are read from ``rng``'s oracle
-    substream at position ``draw`` (Bob passes his trial's stream), so
-    repeated queries are pure. The exact model returns the value unchanged
+    way. The noise and the failure event are read from substream 0 of
+    ``rng``'s oracle substream (Bob passes his trial's stream), so repeated
+    queries are pure. The exact model returns the value unchanged
     (Fractions stay exact); all noisy paths return floats.
     """
     if spec.model == "exact":
@@ -63,13 +63,13 @@ def estimate(true_value, spec: OracleSpec, push: int, rng: SharedRandomness, dra
 
     # the stream's first double decides a failure when one can happen; the
     # next one drives the noise
-    draws = rng.substream(STREAM_ORACLE).substream(draw).doubles(2)
+    draws = rng.substream(STREAM_ORACLE).substream(0).doubles(2)
     can_fail = spec.failure_prob > 0.0
     v = float(true_value)
     if can_fail and draws[0] < spec.failure_prob:
         return v * (1.0 + 10.0 * spec.accuracy)
     if spec.model == "relative-uniform":
-        # numpy's uniform(low, high) is low + (high - low) * next double
+        # a relative error uniform in [-accuracy, accuracy): -a + 2a * u
         u = draws[1] if can_fail else draws[0]
         low, high = -spec.accuracy, spec.accuracy
         return v + (low + (high - low) * u) * abs(v)

@@ -127,8 +127,10 @@ def _unpack_rounds(shadow: np.ndarray, qubits: int) -> tuple[np.ndarray, np.ndar
 def reference_shadow_pair(copies: int) -> ShadowPair:
     """Random-basis single-qubit measurements with a median-of-means estimator.
 
-    Per round each qubit is measured in a uniformly random X/Y/Z basis;
-    the shadow records 2 basis bits plus 1 outcome bit per qubit per round.
+    Per round each qubit is measured in a uniformly random X/Y/Z basis
+    (each letter's probability is within 2^-53 of 1/3), and the outcome is
+    drawn from the Born rule by inverse CDF; the shadow records 2 basis bits
+    plus 1 outcome bit per qubit per round.
     Estimation inverts the single-qubit depolarizing channel (factor 3 per
     matched qubit) and takes a median over means of ``GROUP_SIZE`` rounds.
     Only mask-type observables (I/Z/X factors) are supported.
@@ -137,10 +139,13 @@ def reference_shadow_pair(copies: int) -> ShadowPair:
         raise ValueError("copies must be >= 1")
 
     def measure(rho: ClassicalDensityMatrix, sr: SharedRandomness) -> np.ndarray:
-        gen = sr.substream(STREAM_SHADOW).generator()
         n = rho.qubits
-        codes = gen.integers(0, 3, size=(copies, n), dtype=np.int64)
-        u = gen.random(copies)
+        # n + 1 words of the shadow stream per round, each read as the double
+        # u = (w >> 11) 2^-53: qubit t's basis code is floor(3u), taken in
+        # integers so it is exact, and the last u picks the outcome
+        top = (sr.substream(STREAM_SHADOW).words(copies * (n + 1)) >> 11).reshape(copies, n + 1)
+        codes = ((top[:, :n] * 3) >> 53).astype(np.int64)
+        u = top[:, n] * 2.0**-53
         outcomes = np.empty((copies, n), dtype=np.uint8)
         # group identical basis rows so each distribution is built once
         keys = codes @ (3 ** np.arange(n, dtype=np.int64))

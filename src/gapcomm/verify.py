@@ -36,7 +36,6 @@ class CheckResult:
 
 def _check_transform_involution(max_qubits: int) -> CheckResult:
     top = max(10, max_qubits)
-    rng = np.random.default_rng(11)
     for n in range(1, top + 1):
         dim = 1 << n
         if n <= 10:
@@ -44,8 +43,10 @@ def _check_transform_involution(max_qubits: int) -> CheckResult:
             for k in range(dim):
                 if not np.array_equal(fwht(fwht(basis[k])), dim * basis[k]):
                     return CheckResult("transform-involution", False, f"basis {k} at n={n}")
-        for _ in range(5):
-            v = rng.integers(-1000, 1000, size=dim).astype(np.int64)
+        # five vectors of entries in [-1024, 1024): the top 11 bits of each
+        # word of substream n, less 1024
+        words = SharedRandomness(11).substream(n).words(5 * dim)
+        for v in (words >> 53).astype(np.int64).reshape(5, dim) - 1024:
             if not np.array_equal(fwht(fwht(v)), dim * v):
                 return CheckResult("transform-involution", False, f"random vector at n={n}")
     return CheckResult("transform-involution", True, f"n <= {top}, exact")
@@ -68,17 +69,19 @@ def _check_row_orthogonality(max_qubits: int) -> CheckResult:
     return CheckResult("row-orthogonality", True, f"n <= {top}, exact")
 
 
-def _check_distance_identity(pairs: int = 10_000) -> CheckResult:
-    rng = np.random.default_rng(12)
-    for k in range(pairs):
-        length = int(rng.integers(1, 96))
-        x = rng.integers(0, 2, size=length, dtype=np.uint8)
-        y = rng.integers(0, 2, size=length, dtype=np.uint8)
-        # nnz(x) + nnz(y) - 2<x, y> against popcount(x ^ y)
-        inner = int(np.dot(x.astype(np.int64), y))
-        if np.count_nonzero(x) + np.count_nonzero(y) - 2 * inner != np.count_nonzero(x ^ y):
-            return CheckResult("distance-identity", False, f"violation at pair {k}")
-    return CheckResult("distance-identity", True, f"{pairs} random pairs, zero violations")
+def _check_distance_identity(longest: int = 10) -> CheckResult:
+    for length in range(1, longest + 1):
+        # every string of this length, row k holding the bits of k
+        codes = np.arange(1 << length)
+        strings = (codes[:, None] >> np.arange(length)) & 1
+        # nnz(x) + nnz(y) - 2<x, y> against popcount(x ^ y), for every pair
+        nnz = strings.sum(axis=1)
+        via_identity = nnz[:, None] + nnz[None, :] - 2 * (strings @ strings.T)
+        if not np.array_equal(via_identity, np.bitwise_count(codes[:, None] ^ codes[None, :])):
+            return CheckResult("distance-identity", False, f"violation at length {length}")
+    return CheckResult(
+        "distance-identity", True, f"every pair of strings up to length {longest}, zero violations"
+    )
 
 
 def _feasible_config(kind: str, qubits: int, epsilon: float) -> proto.ProtocolConfig:
@@ -212,10 +215,11 @@ def _check_norm_bounds(instances: int, seed: int) -> CheckResult:
         eig_small = np.linalg.eigvalsh(strip @ strip.T)
         if eig_small.min() < -1e-9 or eig_small.max() > 1 + 1e-9:
             return CheckResult("norm-bounds", False, f"contraction spectrum at instance {k}")
-    rng = np.random.default_rng(seed + 1)
-    for _ in range(10):
-        sym = rng.standard_normal((64, 64))
-        sym = sym + sym.T
+    for k in range(10):
+        # entries u - 1/2 for the doubles u of stream k, symmetrised
+        words = SharedRandomness(seed, k).words(64 * 64)
+        half = ((words >> 11) * 2.0**-53 - 0.5).reshape(64, 64)
+        sym = half + half.T
         reference = float(np.abs(np.linalg.eigvalsh(sym)).max())
         if abs(operator_norm(sym) - reference) > 1e-9 * max(1.0, reference):
             return CheckResult("norm-bounds", False, "power iteration drifted from eigensolver")
@@ -231,6 +235,11 @@ def verify_suite(max_qubits: int = 8, instances: int = 20, seed: int = 715) -> l
     """
     if max_qubits > 12:
         raise proto.ConfigError("verify suite capped at 12 qubits")
+    # with no instances or no qubits the checks would pass without checking
+    if max_qubits < 1:
+        raise proto.ConfigError("max_qubits must be >= 1")
+    if instances < 1:
+        raise proto.ConfigError("instances must be >= 1")
     checks = [
         _check_transform_involution(max_qubits),
         _check_row_orthogonality(max_qubits),

@@ -163,6 +163,29 @@ class TestDrawContract:
         with pytest.raises(ValueError):
             SharedRandomness(1).integer(low, high)
 
+    def test_words_match_shake(self):
+        for sr in random_keys(200, 46):
+            for n in (0, 1, 2, 5, 17):
+                words = sr.words(n)
+                assert words.dtype == np.uint64 and words.tolist() == shake_words(sr, n)
+
+    def test_words_are_prefixes_of_longer_draws(self):
+        for sr in random_keys(20, 47):
+            longest = sr.words(4096)
+            for n in (0, 1, 7, 64, 4095, 4096):
+                assert np.array_equal(sr.words(n), longest[:n]), (sr, n)
+
+    def test_words_are_read_only(self):
+        words = SharedRandomness(3, 4).words(8)
+        assert not words.flags.writeable
+        with pytest.raises(ValueError):
+            words[0] = 1
+
+    def test_doubles_are_the_top_53_bits_of_words(self):
+        for sr in random_keys(50, 48):
+            for n in (1, 2, 5, 100):
+                assert sr.doubles(n) == ((sr.words(n) >> 11) * 2.0**-53).tolist()
+
     def test_doubles_match_shake(self):
         for sr in random_keys(200, 42):
             for n in (1, 2, 5):
@@ -228,6 +251,19 @@ def run_fresh(code: str) -> None:
     src = os.path.dirname(os.path.dirname(gapcomm.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env=env)
+
+
+def run_cli_fresh(args: str, check: str) -> None:
+    """Run ``python -m gapcomm <args>`` in a fresh interpreter, expect exit
+    status 0, then run ``check`` there."""
+    run_fresh(
+        "import runpy, sys\n"
+        f"sys.argv = ['gapcomm'] + {args.split()!r}\n"
+        "try:\n"
+        "    runpy.run_module('gapcomm', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code" + check
+    )
 
 
 class TestPoolImports:
@@ -306,14 +342,16 @@ class TestRunPathImports:
             "assert [r['numpy_random'] for r in records] == [False] * 4, records"
         )
 
+    @pytest.mark.parametrize(
+        "args",
+        ["verify --max-qubits 6 --instances 2", "shadows-demo --copies 100 --seed 3"],
+        ids=["verify", "shadows-demo"],
+    )
+    def test_other_commands_load_no_numpy_random(self, args):
+        # verify and the shadows demo read the same SHAKE-128 stream as a run
+        run_cli_fresh(args, not_loaded("numpy.random"))
+
     def test_cli_run_loads_neither_verify_nor_shadows(self):
         # as ``python -m gapcomm run ...``
         args = "run --protocol pauli-state --qubits 6 --epsilon 0.5 --trials 1 --seed 3"
-        run_fresh(
-            "import runpy, sys\n"
-            f"sys.argv = ['gapcomm'] + {args.split()!r}\n"
-            "try:\n"
-            "    runpy.run_module('gapcomm', run_name='__main__', alter_sys=True)\n"
-            "except SystemExit as exc:\n"
-            "    assert exc.code == 0, exc.code" + self.OFF_RUN_PATH
-        )
+        run_cli_fresh(args, self.OFF_RUN_PATH)

@@ -216,6 +216,11 @@ def test_a_library_fault_in_a_run_propagates(tmp_path, monkeypatch, capsys):
         (["ghd-gap", "--epsilon", "0.3", "--trials", "0", "--seed", "1"], "trials must be >= 1"),
         (["ghd-gap", "--epsilon", "0.3", "--trials", "3", "--seed", "1", "--bias-c", "0.9"], "bias_c must be in"),
         (["shadows-demo", "--copies", "0", "--seed", "1"], "copies must be >= 1"),
+        (["shadows-demo", "--observables", "-1", "--seed", "1"], "observables must be >= 0"),
+        # no instances or no qubits would pass every check without checking
+        (["verify", "--instances", "-3"], "instances must be >= 1"),
+        (["verify", "--instances", "0"], "instances must be >= 1"),
+        (["verify", "--max-qubits", "0"], "max_qubits must be >= 1"),
     ],
 )
 def test_bad_settings_of_the_other_commands_exit_two(argv, message, capsys):

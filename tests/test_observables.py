@@ -55,6 +55,19 @@ class TestOperatorNorm:
         with pytest.raises(DimensionError):
             operator_norm(np.zeros(shape))
 
+    @pytest.mark.parametrize("gap", [1e-5, 1e-7, 1e-9])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_near_tie_of_the_top_two(self, gap, sign):
+        # |eigenvalues| 1 and 1 - gap over a spread rest: the power iteration
+        # alone runs out of sweeps (1e-5) or settles short of the norm
+        rng = np.random.default_rng(22)
+        q = np.linalg.qr(rng.standard_normal((64, 64)))[0]
+        spectrum = np.concatenate([[1.0, sign * (1.0 - gap)], rng.uniform(-0.9, 0.9, 62)])
+        m = (q * spectrum) @ q.T
+        sym = (m + m.T) / 2
+        reference = float(np.abs(np.linalg.eigvalsh(sym)).max())
+        assert abs(operator_norm(sym) - reference) <= 1e-9 * reference
+
     def test_any_square_dimension(self):
         # no power-of-two requirement: the Gram matrices need none
         sym = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])

@@ -1,17 +1,21 @@
 """Simulated estimator contracts."""
 from fractions import Fraction
-from functools import partial
 
 import pytest
 
-from gapcomm.bits import SharedRandomness
+from gapcomm.bits import STREAM_ORACLE, SharedRandomness
 from gapcomm.oracle import PUSH_DOWN, PUSH_UP, OracleSpec, estimate
 
 
 def estimator(model, accuracy=0.0, failure=0.0, seed=0):
-    """``estimate`` bound to one spec and one randomness stream."""
+    """``estimate`` bound to one spec; ``key`` picks the stream
+    ``SharedRandomness(seed, key)``, so distinct keys give independent draws."""
     spec = OracleSpec(model=model, accuracy=accuracy, failure_prob=failure)
-    return partial(estimate, spec=spec, rng=SharedRandomness(seed))
+
+    def est(value, push, key=0):
+        return estimate(value, spec, push, SharedRandomness(seed, key))
+
+    return est
 
 
 class TestExact:
@@ -39,18 +43,25 @@ class TestRelativeModels:
         est = estimator("relative-uniform", 0.2, seed=42)
         value = 1.75
         deviations = []
-        for draw in range(10_000):
-            out = est(value, push=PUSH_UP, draw=draw)
+        for key in range(10_000):
+            out = est(value, push=PUSH_UP, key=key)
             rel = abs(out - value) / value
             assert rel <= 0.2 + 1e-12
             deviations.append(rel)
         worst = max(deviations)
         assert 0.19 <= worst <= 0.20
 
-    def test_draws_are_pure_in_the_stream_position(self):
+    def test_draws_are_pure_in_the_key(self):
         est = estimator("relative-uniform", 0.3, seed=5)
-        assert est(1.0, push=PUSH_UP, draw=3) == est(1.0, push=PUSH_UP, draw=3)
-        assert est(1.0, push=PUSH_UP, draw=3) != est(1.0, push=PUSH_UP, draw=4)
+        assert est(1.0, push=PUSH_UP, key=3) == est(1.0, push=PUSH_UP, key=3)
+        assert est(1.0, push=PUSH_UP, key=3) != est(1.0, push=PUSH_UP, key=4)
+
+    def test_draws_read_substream_zero_of_the_oracle_stream(self):
+        # u is the first double there: the noise is -a + 2a * u, relative
+        sr = SharedRandomness(11, 12)
+        (u,) = sr.substream(STREAM_ORACLE).substream(0).doubles(1)
+        out = estimate(2.0, OracleSpec("relative-uniform", 0.25), PUSH_UP, sr)
+        assert out == 2.0 + (-0.25 + 0.5 * u) * 2.0
 
 
 class TestAdditive:
@@ -67,14 +78,14 @@ class TestFailureInjection:
 
     def test_no_failure_at_probability_zero(self):
         est = estimator("relative-uniform", 0.1, failure=0.0, seed=1)
-        for draw in range(100):
-            out = est(3.0, push=PUSH_UP, draw=draw)
+        for key in range(100):
+            out = est(3.0, push=PUSH_UP, key=key)
             assert abs(out - 3.0) <= 0.3 + 1e-12
 
     def test_failure_rate_tracks_probability(self):
         est = estimator("relative-uniform", 0.05, failure=1 / 3, seed=7)
         fails = sum(
-            1 for d in range(3000) if abs(est(1.0, push=PUSH_UP, draw=d) - 1.0) > 0.05 + 1e-9
+            1 for k in range(3000) if abs(est(1.0, push=PUSH_UP, key=k) - 1.0) > 0.05 + 1e-9
         )
         assert abs(fails / 3000 - 1 / 3) < 0.05
 

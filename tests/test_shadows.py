@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from gapcomm.bits import SharedRandomness
+from gapcomm.bits import STREAM_SHADOW, SharedRandomness
 from gapcomm.messages import MessageError, ProtocolMessage
 from gapcomm.pauli import ObservableError, PauliMask
 from gapcomm.shadows import (
@@ -14,6 +14,7 @@ from gapcomm.shadows import (
     reference_shadow_pair,
     to_one_way_protocol,
 )
+from shake_stream import shake_doubles
 
 I2 = np.eye(2, dtype=complex)
 PAULI = {
@@ -91,6 +92,27 @@ class TestMeasure:
         letters, index = measured_rounds(rho, 30_000, 74)
         in_x = letters == "X"
         assert abs(index[in_x].mean() - 0.5) < 0.02
+
+    def test_basis_letters_are_uniform(self):
+        rho = ClassicalDensityMatrix.from_pure([1.0, 0.0, 0.0, 0.0])
+        shadow = reference_shadow_pair(30_000).measure(rho, SharedRandomness(75))
+        codes, _ = _unpack_rounds(shadow, 2)
+        for qubit in range(2):
+            freq = np.bincount(codes[:, qubit], minlength=3) / codes.shape[0]
+            assert np.abs(freq - 1 / 3).max() < 0.01, (qubit, freq)
+
+    def test_rounds_follow_the_stream_rule(self):
+        # round r reads doubles r(n+1) .. r(n+1)+n of the shadow substream:
+        # floor(3u) per qubit, then the Born-rule inverse CDF at the last u
+        rng = np.random.default_rng(98)
+        rho, sr, copies = random_pure(rng, 2), SharedRandomness(99), 200
+        codes, outcomes = _unpack_rounds(reference_shadow_pair(copies).measure(rho, sr), 2)
+        u = np.array(shake_doubles(sr.substream(STREAM_SHADOW), copies * 3)).reshape(copies, 3)
+        assert np.array_equal(codes, np.floor(3 * u[:, :2]))
+        for r in range(copies):
+            letters = "".join(LETTERS[c] for c in codes[r])
+            index = np.searchsorted(np.cumsum(born_vector(rho, letters)), u[r, 2], side="right")
+            assert outcomes[r] @ [1, 2] == index, r
 
     def test_invalid_basis_letter(self):
         rho = ClassicalDensityMatrix.from_pure([1.0, 0.0])

@@ -18,7 +18,10 @@ from .ghd import GhdParams, gap_statistics
 from .harness import SAMPLING_MODES, ExperimentConfig, run_experiment
 from .oracle import MODELS
 from .pauli import PauliMask
-from .protocols import PROTOCOL_KINDS, ConfigError
+from .protocols import MAX_CODEWORD_BITS, PROTOCOL_KINDS, ConfigError
+
+# shadows-demo's largest --copies: at 6 qubits its draw is 56 MiB of words
+MAX_DEMO_COPIES = 1 << 20
 
 
 def _emit(doc: dict, out_path: str | None) -> None:
@@ -85,6 +88,13 @@ def _cmd_ghd_gap(args) -> int:
         raise ConfigError(str(exc)) from exc
     if args.trials < 1:
         raise ConfigError("trials must be >= 1")
+    # every trial draws its whole code_len x gamma pad matrix
+    pad_bits = params.code_len * params.gamma
+    if pad_bits > MAX_CODEWORD_BITS:
+        raise ConfigError(
+            f"epsilon {params.epsilon} and bias_c {params.bias_c} give a {params.code_len} x "
+            f"{params.gamma} pad matrix of {pad_bits} bits, past the desk cap of {MAX_CODEWORD_BITS}"
+        )
     stats = gap_statistics(
         params,
         trials=args.trials,
@@ -113,6 +123,9 @@ def _cmd_shadows_demo(args) -> int:
         raise ConfigError("demo runs at 1..6 qubits")
     if args.copies < 1:
         raise ConfigError("copies must be >= 1")
+    if args.copies > MAX_DEMO_COPIES:
+        # measure reads copies * (n + 1) stream words
+        raise ConfigError(f"copies {args.copies} past the desk cap of {MAX_DEMO_COPIES}")
     if args.observables < 0:
         raise ConfigError("observables must be >= 0")
     sr = SharedRandomness(args.seed)

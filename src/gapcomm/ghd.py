@@ -61,6 +61,12 @@ class GhdParams:
             raise ValueError(
                 f"bias_c must be in (0, sqrt(2/pi) = {BIAS_C_SUP:.4f}), got {self.bias_c}"
             )
+        try:
+            self.code_len
+        except ArithmeticError:  # bias_c^2 underflows to 0, or 9 / bias_c^2 to inf
+            raise ValueError(
+                f"bias_c {self.bias_c} too small: amp_factor = ceil(9 / bias_c^2) overflows a float"
+            ) from None
         if not 0.0 <= self.slack_d < 0.5:
             raise ValueError(f"slack_d must be in [0, 1/2), got {self.slack_d}")
 

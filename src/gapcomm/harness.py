@@ -21,6 +21,8 @@ from .messages import ProtocolMessage
 from .oracle import OracleSpec
 
 SAMPLING_MODES = ("odd-weight", "unrestricted")
+# Desk cap on the processes of one run, whatever the host's core count.
+MAX_WORKERS = 64
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
 
@@ -80,8 +82,8 @@ class ExperimentConfig:
             raise proto.ConfigError("trials must be >= 1")
         if self.sampling not in SAMPLING_MODES:
             raise proto.ConfigError(f"unknown sampling mode {self.sampling!r}")
-        if self.workers < 1:
-            raise proto.ConfigError("workers must be >= 1")
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise proto.ConfigError(f"workers must be in [1, {MAX_WORKERS}]")
         try:
             ghd = GhdParams(epsilon=self.epsilon, bias_c=self.bias_c, slack_d=self.slack_d)
             pc = proto.ProtocolConfig(self.protocol, self.qubits, ghd)

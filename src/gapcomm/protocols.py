@@ -52,12 +52,18 @@ from .pauli import PauliMask, pauli_expectation
 from .states import ExactState, StateError, dense_wire_parts, exact_sq_sum
 from . import _kernels
 
-# Desk-scale guards: stacked state messages, dense observable payloads and
-# observable-pauli's Z-string, whose trial peaks near 5 bytes per bit (Alice's
-# float32 block counts and uint8 codewords), so all three top out near 170 MiB.
+# Desk-scale guards on stacked states, observable-general's dense matrix and
+# every kind's codeword bits. One exact-oracle trial at each kind's largest
+# accepted size peaks between 160 and 195 MiB RSS (ru_maxrss, numpy 2.4):
+# the stacked states at 24 payload qubits, pauli-state at n = 21 (its u64
+# norm field), and observable-general at n = 10 and observable-pauli at the
+# codeword cap, where Alice holds about 5 bytes per codeword bit.
 MAX_STATE_QUBITS = 24
 MAX_OBSERVABLE_QUBITS = 10
 MAX_PAULI_STRING_BITS = 28 << 20
+# Every kind's codewords, block_count * code_len bits, fit the longest
+# Z-string, which adds one marker bit to them.
+MAX_CODEWORD_BITS = MAX_PAULI_STRING_BITS - 1
 
 # Fixed-point scales for the observable-general payload.
 ENTRY_FRAC_BITS = 48
@@ -92,7 +98,8 @@ class ProtocolSpec:
     its Pauli string length), read back from the main payload at
     ``qubit_field`` = (struct format, offset). ``limits(cfg)``: the kind's own
     bounds as (what, worst case over every instance, largest allowed) triples,
-    which ``ProtocolConfig`` checks with the code-length bound all kinds share.
+    which ``ProtocolConfig`` checks with the code-length and codeword-bit
+    bounds all kinds share.
     ``main_bits(payload_qubits)`` is the exact main-payload bit count, the
     only size the spec states: Alice declares it and Bob checks it.
     ``encode(a_rows, b_rows, cfg)`` gives (main, side), main being one
@@ -147,7 +154,11 @@ class ProtocolConfig:
                 f"gamma {self.ghd.gamma}"
             )
         float32 = ("code_len, exact in float32 counts below 2^24,", self.ghd.code_len, FLOAT32_EXACT - 1)
-        for what, worst, largest in (float32, *self.spec.limits(self)):
+        codewords = (
+            "codeword bits (observable-pauli's Z-string bits less its marker), under the desk cap,",
+            self.block_count * self.ghd.code_len, MAX_CODEWORD_BITS,
+        )
+        for what, worst, largest in (float32, *self.spec.limits(self), codewords):
             if worst > largest:
                 raise ConfigError(
                     f"{self.kind} at n={self.qubits}, epsilon {self.ghd.epsilon}: {what} "
@@ -675,9 +686,6 @@ SPECS = {
         payload_qubits=lambda cfg: cfg.ghd.code_len * cfg.block_count + 1, qubit_field=("<Q", 0),
         main_bits=lambda bits: 64 + bits,
         encode=_encode_observable_pauli, read=_read_observable_pauli,
-        limits=lambda cfg: (
-            ("Z-string bits, under the desk cap,", cfg.spec.payload_qubits(cfg), MAX_PAULI_STRING_BITS),
-        ),
     ),
     "inner-product": ProtocolSpec(
         kappa=2.0, payload_qubits=_stacked_qubits,

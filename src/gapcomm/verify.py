@@ -21,7 +21,7 @@ from .bits import STREAM_INDEX, STREAM_INSTANCE, SharedRandomness
 from .fwht import character_matrix, fwht
 from .ghd import GhdParams
 from .harness import sample_instance
-from .observables import operator_norm
+from .observables import _power_norm, operator_norm
 from .oracle import OracleSpec
 from .pauli import PauliMask, subset_state_expectation
 from .states import ExactState
@@ -215,15 +215,21 @@ def _check_norm_bounds(instances: int, seed: int) -> CheckResult:
         eig_small = np.linalg.eigvalsh(strip @ strip.T)
         if eig_small.min() < -1e-9 or eig_small.max() > 1 + 1e-9:
             return CheckResult("norm-bounds", False, f"contraction spectrum at instance {k}")
-    for k in range(10):
-        # entries u - 1/2 for the doubles u of stream k, symmetrised
-        words = SharedRandomness(seed, k).words(64 * 64)
-        half = ((words >> 11) * 2.0**-53 - 0.5).reshape(64, 64)
-        sym = half + half.T
-        reference = float(np.abs(np.linalg.eigvalsh(sym)).max())
-        if abs(operator_norm(sym) - reference) > 1e-9 * max(1.0, reference):
-            return CheckResult("norm-bounds", False, "power iteration drifted from eigensolver")
-    return CheckResult("norm-bounds", True, "contractions in [0,1], norms match eigensolver")
+    # the norm observable-general's Alice ships, against the eigensolver, on
+    # 0/1 rows of stream k: she iterates on rows @ rows.T while there are no
+    # more rows than columns (64 x 240 is n=6 at epsilon 0.5), and on
+    # rows.T @ rows past that
+    for k in range(instances):
+        sr = SharedRandomness(seed, k)
+        for count, length in ((64, 240), (240, 64)):
+            rows = sr.substream(count).bit_matrix(count, length).astype(np.float64)
+            gram = rows @ rows.T if count <= length else rows.T @ rows
+            reference = operator_norm(gram)
+            if abs(_power_norm(gram) - reference) > 1e-9 * reference:
+                return CheckResult(
+                    "norm-bounds", False, f"power norm of {count}x{length} rows {k} drifted from eigensolver"
+                )
+    return CheckResult("norm-bounds", True, "contractions in [0,1], power norms match eigensolver")
 
 
 def verify_suite(max_qubits: int = 8, instances: int = 20, seed: int = 715) -> list[CheckResult]:

@@ -85,6 +85,19 @@ def test_run_names_an_epsilon_too_small_for_the_code_length(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_run_names_a_bias_c_whose_amp_factor_overflows(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    code = main(
+        [
+            "run", "--protocol", "pauli-state", "--qubits", "8", "--epsilon", "0.5",
+            "--trials", "1", "--seed", "1", "--bias-c", "1e-200", "--out", str(out),
+        ]
+    )
+    assert code == 2
+    assert "bias_c 1e-200 too small: amp_factor = ceil(9 / bias_c^2) overflows a float" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ghd_gap_names_an_epsilon_whose_gamma_overflows(tmp_path, capsys):
     out = tmp_path / "gap.json"
     code = main(["ghd-gap", "--epsilon", "1e-200", "--trials", "3", "--seed", "1", "--out", str(out)])
@@ -215,7 +228,18 @@ def test_a_library_fault_in_a_run_propagates(tmp_path, monkeypatch, capsys):
     [
         (["ghd-gap", "--epsilon", "0.3", "--trials", "0", "--seed", "1"], "trials must be >= 1"),
         (["ghd-gap", "--epsilon", "0.3", "--trials", "3", "--seed", "1", "--bias-c", "0.9"], "bias_c must be in"),
+        # 9 / bias_c^2 overflows; at 1e-5 it does not, but the pads would
+        # hold 1.3e13 bits
+        (["ghd-gap", "--epsilon", "0.3", "--trials", "1", "--seed", "1", "--bias-c", "1e-200"],
+         "bias_c 1e-200 too small"),
+        (["ghd-gap", "--epsilon", "0.3", "--trials", "1", "--seed", "1", "--bias-c", "1e-5"],
+         "epsilon 0.3 and bias_c 1e-05 give a 1080000000000 x 12 pad matrix"),
+        (["ghd-gap", "--epsilon", "0.01", "--trials", "1", "--seed", "1"],
+         "epsilon 0.01 and bias_c 0.39 give a 600000 x 10000 pad matrix"),
         (["shadows-demo", "--copies", "0", "--seed", "1"], "copies must be >= 1"),
+        # measure would read 4 * 10^8 words, a 3.2 GB digest
+        (["shadows-demo", "--copies", str(10**8), "--qubits", "3", "--seed", "1"],
+         "copies 100000000 past the desk cap"),
         (["shadows-demo", "--observables", "-1", "--seed", "1"], "observables must be >= 0"),
         # no instances or no qubits would pass every check without checking
         (["verify", "--instances", "-3"], "instances must be >= 1"),

@@ -66,6 +66,12 @@ class TestParams:
         with pytest.raises(ValueError):
             GhdParams(epsilon=0.5, slack_d=0.5)
 
+    @pytest.mark.parametrize("bias_c", [1e-200, 1e-160])
+    def test_rejects_a_bias_c_whose_amp_factor_overflows(self, bias_c):
+        # 1e-200 squares to 0.0, and 9 / 1e-160^2 is inf
+        with pytest.raises(ValueError, match=f"bias_c {bias_c} too small"):
+            GhdParams(epsilon=0.3, bias_c=bias_c)
+
     def test_rejects_an_epsilon_whose_gamma_overflows(self):
         assert GhdParams(epsilon=1e-154).gamma > 2**1000
         with pytest.raises(ValueError, match="epsilon 1e-200 too small"):

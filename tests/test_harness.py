@@ -458,6 +458,15 @@ class TestValidation:
         with pytest.raises(ConfigError):
             small_config(workers=0)
 
+    def test_workers_desk_cap(self):
+        # config only: no run starts a process here
+        from gapcomm.harness import MAX_WORKERS
+
+        assert MAX_WORKERS >= 4  # the largest pool TestPoolScheduling runs
+        assert small_config(workers=MAX_WORKERS).workers == MAX_WORKERS
+        with pytest.raises(ConfigError, match=f"workers must be in \\[1, {MAX_WORKERS}\\]"):
+            small_config(workers=MAX_WORKERS + 1)
+
     @pytest.mark.parametrize("failure_prob", [1.5, -0.1, float("nan")])
     def test_bad_failure_prob(self, failure_prob):
         with pytest.raises(ConfigError, match="failure_prob"):
@@ -474,14 +483,22 @@ class TestValidation:
         with pytest.raises(ConfigError, match="accuracy"):
             small_config(oracle_model=model, oracle_accuracy=accuracy)
 
-    # an epsilon of 1e-200 would overflow gamma; GhdParams rejects it first
+    # an epsilon of 1e-200 would overflow gamma, and a bias_c of 1e-200 the
+    # amp_factor; GhdParams rejects both first
     @pytest.mark.parametrize(
         "override",
-        [dict(bias_c=0.9), dict(slack_d=0.5), dict(epsilon=float("nan")), dict(epsilon=1e-200)],
+        [dict(bias_c=0.9), dict(slack_d=0.5), dict(epsilon=float("nan")), dict(epsilon=1e-200),
+         dict(bias_c=1e-200)],
     )
     def test_bad_gadget_parameters(self, override):
         with pytest.raises(ConfigError):
             small_config(**override)
+
+    def test_codeword_cap_holds_at_any_bias_c(self):
+        # code_len 15953125 stays under 2^24, but 1024 blocks of it would be
+        # 1.6e10 pad entries and a 65 GB float32 row matrix
+        with pytest.raises(ConfigError, match="codeword bits"):
+            small_config(protocol="observable-general", qubits=10, epsilon=0.0313, bias_c=0.024)
 
     def test_epsilon_below_the_kind_floor(self):
         # pauli-state at n=8 needs epsilon above 2^-2
@@ -547,6 +564,17 @@ def test_verify_suite_catches_a_corrupted_transform(monkeypatch):
     results = verify_suite(max_qubits=1, instances=1)
     involution = [c for c in results if c.name == "transform-involution"]
     assert involution and not involution[0].passed
+
+
+def test_verify_suite_catches_a_power_norm_off_by_a_millionth(monkeypatch):
+    # the norm-bounds check compares the norm Alice ships with the
+    # eigensolver, so a 1e-6 relative error in it must fail the check
+    import gapcomm.verify as verify
+
+    genuine = verify._power_norm
+    assert verify._check_norm_bounds(2, 715).passed
+    monkeypatch.setattr(verify, "_power_norm", lambda arr: genuine(arr) * (1 + 1e-6))
+    assert not verify._check_norm_bounds(2, 715).passed
 
 
 def test_verify_suite_checks_observable_pauli_against_the_subset_state(monkeypatch):

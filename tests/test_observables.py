@@ -1,9 +1,10 @@
-"""The power-iteration operator norm."""
+"""The eigensolver operator norm and the power iteration Alice runs."""
 import numpy as np
 import pytest
 
 from gapcomm.bits import DimensionError, SharedRandomness
 from gapcomm.observables import NumericError, _power_norm, operator_norm
+from gapcomm.protocols import MAX_OBSERVABLE_QUBITS
 from shake_stream import shake_doubles
 
 
@@ -39,7 +40,7 @@ class TestOperatorNorm:
         a = rng.standard_normal((16, 16))
         sym = a + a.T
         with pytest.raises(NumericError):
-            operator_norm(sym, max_iter=1)
+            _power_norm(sym, max_iter=1)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
@@ -58,8 +59,8 @@ class TestOperatorNorm:
     @pytest.mark.parametrize("gap", [1e-5, 1e-7, 1e-9])
     @pytest.mark.parametrize("sign", [1, -1])
     def test_near_tie_of_the_top_two(self, gap, sign):
-        # |eigenvalues| 1 and 1 - gap over a spread rest: the power iteration
-        # alone runs out of sweeps (1e-5) or settles short of the norm
+        # |eigenvalues| 1 and 1 - gap over a spread rest, where a power
+        # iteration runs out of sweeps (1e-5) or settles short of the norm
         rng = np.random.default_rng(22)
         q = np.linalg.qr(rng.standard_normal((64, 64)))[0]
         spectrum = np.concatenate([[1.0, sign * (1.0 - gap)], rng.uniform(-0.9, 0.9, 62)])
@@ -77,37 +78,24 @@ class TestOperatorNorm:
         assert operator_norm([[0, 3], [3, 0]]) == pytest.approx(3.0, abs=1e-9)
 
 
-def unit_doubles(dim: int, skip: int) -> np.ndarray:
-    """Doubles ``skip * dim`` to ``(skip + 1) * dim`` of the dimension's
-    stream, read through hashlib, as a unit vector."""
-    v = np.array(shake_doubles(SharedRandomness(0xC0FFEE, dim), (skip + 1) * dim)[skip * dim :])
+def start_vector(dim: int) -> np.ndarray:
+    """The unit vector the power iteration starts from: the first ``dim``
+    doubles of the dimension's stream, read through hashlib."""
+    v = np.array(shake_doubles(SharedRandomness(0xC0FFEE, dim), dim))
     return v / np.linalg.norm(v)
 
 
-def start_vector(dim: int) -> np.ndarray:
-    """The unit vector the power iteration starts from: the stream's first
-    ``dim`` doubles."""
-    return unit_doubles(dim, 0)
-
-
-def reference_operator_norm(arr: np.ndarray) -> float:
-    """The power iteration as first written, on the shared stream: restart k
-    takes the k-th ``dim`` doubles after the start vector's, norms come from
-    ``np.linalg.norm``."""
-    dim = arr.shape[0]
-    v = start_vector(dim)
-    restarts, estimate, stable = 0, 0.0, 0
+def reference_power_norm(arr: np.ndarray) -> float:
+    """The power iteration as first written, on the shared stream, with
+    norms from ``np.linalg.norm``; its null-space restart, which no Gram
+    matrix of 0/1 rows takes, is left out."""
+    v = start_vector(arr.shape[0])
+    estimate, stable = 0.0, 0
     while True:
         w = arr @ v
         nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            restarts += 1
-            v = unit_doubles(dim, restarts)
-            stable = 0
-            continue
         u = arr @ w
-        nu = float(np.linalg.norm(u))
-        v = u / nu if nu != 0.0 else w / nw
+        v = u / float(np.linalg.norm(u))
         if estimate > 0.0 and abs(nw - estimate) <= 1e-13 * nw:
             stable += 1
             if stable >= 3:
@@ -117,43 +105,7 @@ def reference_operator_norm(arr: np.ndarray) -> float:
         estimate = nw
 
 
-def null_space_projector(dim: int) -> np.ndarray:
-    """I - v v^T for the start vector v, scaled by 2^-500: the image of v is
-    then so small that its squared norm underflows to 0, and the iteration
-    must restart."""
-    v = start_vector(dim)
-    return np.ldexp(np.eye(dim) - np.outer(v, v), -500)
-
-
-class TestRestart:
-    @pytest.mark.parametrize("dim", [4, 16, 64])
-    def test_null_space_start_restarts_and_matches_eigensolver(self, dim, monkeypatch):
-        import gapcomm.observables as obs
-
-        arr = null_space_projector(dim)
-        obs._start_vector(dim)  # the cached start vector draws no more
-        drawn = []
-        plain = obs._unit_doubles
-
-        def counted(d, skip):
-            drawn.append((d, skip))
-            return plain(d, skip)
-
-        monkeypatch.setattr(obs, "_unit_doubles", counted)
-        first = operator_norm(arr)
-        assert drawn == [(dim, 1)]  # one restart, from the doubles after the start's
-        reference = float(np.abs(np.linalg.eigvalsh(arr)).max())
-        assert first == pytest.approx(reference, rel=1e-9)
-        assert operator_norm(arr) == first
-        assert operator_norm(arr.copy()) == first
-
-    def test_no_draw_without_a_restart(self, monkeypatch):
-        import gapcomm.observables as obs
-
-        obs._start_vector(3)
-        monkeypatch.setattr(obs, "_unit_doubles", lambda d, skip: pytest.fail("restart drawn"))
-        operator_norm(np.diag([3.0, -5.0, 1.0]))
-
+class TestPowerNorm:
     def test_start_vector_is_cached_read_only(self):
         import gapcomm.observables as obs
 
@@ -162,14 +114,22 @@ class TestRestart:
         assert not v.flags.writeable
         assert np.array_equal(v, start_vector(32)) and np.all(v >= 0)
 
+    def test_start_vector_is_positive_at_every_gram_dimension(self):
+        # _power_norm's precondition: Alice's Gram side has at most
+        # 2^MAX_OBSERVABLE_QUBITS rows, and a strictly positive start keeps
+        # every sweep off the zero vector
+        import gapcomm.observables as obs
+
+        for dim in range(1, (1 << MAX_OBSERVABLE_QUBITS) + 1):
+            assert np.all(obs._start_vector(dim) > 0), dim
+
     def test_same_floats_as_the_first_written_iteration(self):
         rng = np.random.default_rng(21)
-        mats = [null_space_projector(d) for d in (4, 16, 64)]
+        mats = []
         for dim in (2, 3, 16, 64, 100):
             a = rng.standard_normal((dim, dim))
             rows = rng.integers(0, 2, size=(dim, 3 * dim)).astype(np.float64)
             mats += [a + a.T, rows @ rows.T, rows.T @ rows]
         for arr in mats:
-            assert operator_norm(arr) == reference_operator_norm(arr)
-            # the unchecked iteration that Alice's encoder calls
-            assert _power_norm(arr) == reference_operator_norm(arr)
+            assert _power_norm(arr) == reference_power_norm(arr)
+            assert operator_norm(arr) == pytest.approx(reference_power_norm(arr), rel=1e-9)

@@ -16,7 +16,7 @@ from gapcomm.bits import STREAM_INDEX, STREAM_INSTANCE, SharedRandomness, pack_b
 from gapcomm.ghd import GhdParams, decision_threshold, encode_alice, encode_bob, public_pads
 from gapcomm.harness import sample_instance
 from gapcomm.messages import MessageError, ProtocolMessage
-from gapcomm.observables import operator_norm
+from gapcomm.observables import _power_norm
 from gapcomm.oracle import PUSH_DOWN, PUSH_UP, OracleSpec
 from gapcomm.pauli import PauliMask
 from gapcomm.states import TAIL_CHUNK, ExactState, StateError, dense_wire_parts
@@ -126,6 +126,14 @@ class TestConfig:
         # about 22.8 GB of Alice's codeword bytes
         with pytest.raises(proto.ConfigError, match="Z-string bits"):
             make_config("observable-pauli", 10**15, 0.3)
+
+    def test_codeword_cap_is_shared_by_every_kind(self):
+        # observable-general at n=10: 1024 blocks of 24600 code bits fit the
+        # cap, 30360 (epsilon 0.0445) and 49860 (0.0347) do not
+        make_config("observable-general", 10, 0.0494)
+        for epsilon in (0.0347, 0.0396, 0.0445):
+            with pytest.raises(proto.ConfigError, match="codeword bits"):
+                make_config("observable-general", 10, epsilon)
 
     def test_pauli_state_cap_is_the_u64_norm_field(self):
         # Alice's squared norm is at least 2^(3n), past u64 from n=22 on
@@ -686,7 +694,7 @@ class TestObservableGeneral:
         dim = 1 << pc.qubits
         gram = (columns.T @ columns).astype(np.float64)
         small = gram if dim <= pc.ghd.code_len else (columns @ columns.T).astype(np.float64)
-        norm_fp = round(operator_norm(small) * (1 << proto.NORM_FRAC_BITS))
+        norm_fp = round(_power_norm(small) * (1 << proto.NORM_FRAC_BITS))
         entries = np.round(gram / (norm_fp / (1 << proto.NORM_FRAC_BITS)) * (1 << proto.ENTRY_FRAC_BITS))
         return struct.pack("<I", pc.qubits) + entries.astype("<i8").tobytes()
 

@@ -30,7 +30,8 @@ from gapcomm import harness
 from gapcomm import protocols as proto
 from gapcomm.bits import STREAM_INDEX, STREAM_INSTANCE, SharedRandomness
 from gapcomm.ghd import GhdParams, sample_sources
-from gapcomm.states import dense_wire_parts, exact_sq_sum
+from gapcomm.messages import ProtocolMessage
+from gapcomm.states import ExactState, dense_wire_parts, exact_sq_sum
 from gapcomm.verify import _subset_state_target
 
 
@@ -112,18 +113,22 @@ def main() -> None:
         amps[0] = -(1 << (bits - 1))
         row(f"exact_sq_sum 2^18, {bits}-bit entries", exact_sq_sum, amps)
 
-    # a dense general-state n=12 message read in place: its amplitudes sit
-    # at byte offset 30 of the wire, so the int64 view is unaligned
-    def wire_view(amps):
-        return np.frombuffer(bytes(30) + amps.tobytes(), dtype="<i8", offset=30)
+    # a dense general-state n=12 message read in place: the amplitudes Bob's
+    # norm check reads, a view over the wire that to_wire and from_wire
+    # carry them through
+    def wire_amplitudes(amps):
+        parts = dense_wire_parts(amps, 18, exact_sq_sum(amps))
+        main_bits = 8 * sum(memoryview(part).nbytes for part in parts)
+        wire = ProtocolMessage("general-state", parts, main_bits).to_wire()
+        state, _ = ExactState.deserialize(ProtocolMessage.from_wire(wire).main_payload)
+        return state.numerators
 
     amps = rng.integers(0, 2, size=1 << 18).astype("<i8")
-    view = wire_view(amps)
-    row("exact_sq_sum 2^18 unaligned", exact_sq_sum, view)
+    row("exact_sq_sum 2^18 wire view", exact_sq_sum, wire_amplitudes(amps))
     # the general-state layout at epsilon 0.3: 64 blocks of 720 occupied
     # (46080 amplitudes), then a zero tail the norm check proves and skips
     amps[46080:] = 0
-    row("exact_sq_sum 2^18 unaligned, general-state layout", exact_sq_sum, wire_view(amps))
+    row("exact_sq_sum 2^18 wire view, general-state layout", exact_sq_sum, wire_amplitudes(amps))
     # Alice's side of that layout: the occupied 0/1 prefix, as uint8 rows the
     # encoder stacks, written as wire parts; its squared norm is its weight
     occupied = amps[:46080].astype(np.uint8)
@@ -138,6 +143,19 @@ def main() -> None:
     gsr = SharedRandomness(3)
     gx = harness.sample_instance(gsr.substream(STREAM_INSTANCE), gc, True)
     faults_row("general-state n=12 alice+to_wire", lambda: proto.ALICE["general-state"](gx, gc, gsr).to_wire())
+
+    # Bob's read of one pauli-state n=12 message at epsilon 0.3: the norm
+    # check over its 2^13 amplitudes, then the X-string form on the top qubit
+    sc = proto.ProtocolConfig("pauli-state", 12, GhdParams(epsilon=0.3))
+    ssr = SharedRandomness(3)
+    sx = harness.sample_instance(ssr.substream(STREAM_INSTANCE), sc, True)
+    main = ProtocolMessage.from_wire(proto.ALICE["pauli-state"](sx, sc, ssr).to_wire()).main_payload
+
+    def pauli_state_read():
+        state, _ = ExactState.deserialize(main)
+        return _kernels.pauli_quad(state.numerators, 0b101101, 1 << 12)
+
+    row("pauli-state n=12 read: deserialize + pauli_quad", pauli_state_read)
 
     # pauli-state n=12 at epsilon 0.3: 52 Alice rows and 12 Bob rows of 720 bits
     a_rows = rng.integers(0, 2, size=(52, 720), dtype=np.uint8)

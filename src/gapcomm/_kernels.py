@@ -173,10 +173,6 @@ def pauli_quad(nums: np.ndarray, z_mask: int, x_mask: int) -> int:
     sign), so two limbs take three forms, not four.
     """
     bound = abs_bound(nums)
-    if bound.bit_length() <= product_width(nums.size):
-        # one limb, read by the form itself: align a wire-buffer view once.
-        # Wider inputs split into limbs, which are fresh aligned arrays.
-        nums = np.require(nums, requirements="A")
     return product_form(
         lambda u, v: _pauli_bilinear(u, v, z_mask, x_mask), nums, bound, symmetric=not z_mask & x_mask
     )

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from operator import itemgetter
 
 import numpy as np
@@ -147,6 +148,45 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> dict:
     return record
 
 
+@lru_cache(maxsize=1)
+def _openblas():
+    """The thread-count getter and setter of the OpenBLAS bundled with
+    numpy's wheel when it is loaded, or None: then the pin does nothing."""
+    import ctypes
+    import glob
+    import os
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)  # only the copy numpy loaded
+        except OSError:
+            continue
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+def _pin_blas(threads: int) -> int | None:
+    """Set the loaded BLAS to ``threads`` threads and return its previous
+    count; None, and nothing set, when no known BLAS is loaded."""
+    blas = _openblas()
+    if blas is None:
+        return None
+    get, set_ = blas
+    previous = get()
+    if previous != threads:
+        # a set starts OpenBLAS's thread server if a fork stopped it, and
+        # its new threads spin on a core for a while; a forked child has
+        # the caller's count already
+        set_(threads)
+    return previous
+
+
 def _claim_trials(cfg: ExperimentConfig, counter) -> list[dict]:
     """Run trials, claiming one index at a time from the run's shared
     ``counter`` until none is left. ``run_trial`` is looked up at each call,
@@ -176,6 +216,7 @@ def _child_trials(cfg: ExperimentConfig, counter, recv_end, send_end) -> None:
     # larger than the pipe buffer would block forever once the caller stops
     # reading after a failure
     recv_end.close()
+    _pin_blas(1)
     try:
         result = _claim_trials(cfg, counter)
     except BaseException as exc:
@@ -258,8 +299,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     trial's exception, in this process or in a child, stops the others
     after their current trial and is raised here, a child's with its
     traceback as the cause; every child is joined
-    before this returns or raises. No run loads ``numpy.random``: every
-    draw reads ``SharedRandomness``' SHAKE-128 stream.
+    before this returns or raises. Every process of a pooled run runs BLAS
+    at one thread, so a run's processes do not spin more BLAS threads than
+    there are cores; this process gets its own count back afterwards. No
+    run loads ``numpy.random``: every draw reads ``SharedRandomness``'
+    SHAKE-128 stream.
     """
     pc = cfg.pc
     workers = min(cfg.workers, cfg.trials)
@@ -274,6 +318,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         mp = multiprocessing.get_context("fork" if "fork" in methods else None)
         counter = mp.Value("q", 0)
         children = []
+        blas_threads = _pin_blas(1)
         try:
             for _ in range(workers - 1):
                 recv_end, send_end = mp.Pipe(duplex=False)
@@ -296,6 +341,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                 recv_end.close()
             for child, _ in children:
                 child.join()
+            if blas_threads is not None:
+                _pin_blas(blas_threads)
         records.sort(key=itemgetter("trial"))
 
     successes = sum(1 for r in records if r["success"])

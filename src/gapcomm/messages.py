@@ -14,6 +14,12 @@ PROTOCOL_TAGS = {
     "shadow-adapter": b"SHDW",
 }
 _TAG_TO_PROTOCOL = {v: k for k, v in PROTOCOL_TAGS.items()}
+# Wire envelope: 4-byte tag, u64 main_bits, u64 side_bits, two zero pad bytes.
+# The pad starts the main payload at byte 22, so a dense state's int64
+# amplitudes, after its 10-byte header, start at byte 32: CPython keeps a
+# ``bytes`` object's data 16-byte aligned, so Bob's views of them are aligned.
+_HEADER = struct.Struct("<4sQQ2x")
+HEADER_LEN = _HEADER.size  # 22
 
 
 class MessageError(ValueError):
@@ -32,7 +38,8 @@ class ProtocolMessage:
     ``to_wire`` is the one place a large payload is joined; ``main_payload``
     reads it as one bytes-like object, joining the parts on first use. A
     message read by ``from_wire`` holds its main payload as a read-only
-    memoryview over the wire bytes.
+    memoryview over the wire bytes. The wire envelope, ``HEADER_LEN``
+    bytes, is framing: neither bit count includes it.
     """
 
     protocol: str
@@ -68,10 +75,10 @@ class ProtocolMessage:
         return b"".join(self.main_parts)
 
     def to_wire(self) -> bytes:
-        """4-byte protocol tag, u64 main_bits, u64 side_bits, then payloads."""
+        """4-byte protocol tag, u64 main_bits, u64 side_bits, two zero pad
+        bytes, then the payloads."""
         return b"".join((
-            PROTOCOL_TAGS[self.protocol],
-            struct.pack("<QQ", self.main_bits, self.side_bits),
+            _HEADER.pack(PROTOCOL_TAGS[self.protocol], self.main_bits, self.side_bits),
             *self.main_parts,
             self.side_payload,
         ))
@@ -82,22 +89,25 @@ class ProtocolMessage:
 
         The main payload is a read-only memoryview slice of ``buf``; input
         that is not ``bytes`` is copied to ``bytes`` first, so later writes
-        to the caller's buffer cannot reach the message.
+        to the caller's buffer cannot reach the message. A nonzero pad byte
+        is a ``MessageError``, so each message has one wire form.
         """
         if not isinstance(buf, bytes):
             buf = bytes(buf)
-        if len(buf) < 20:
+        if len(buf) < HEADER_LEN:
             raise MessageError("truncated message header")
-        tag = buf[:4]
+        tag, main_bits, side_bits = _HEADER.unpack_from(buf)
         protocol = _TAG_TO_PROTOCOL.get(tag)
         if protocol is None:
             raise MessageError(f"unknown protocol tag {tag!r}")
-        main_bits, side_bits = struct.unpack_from("<QQ", buf, 4)
+        if buf[HEADER_LEN - 2 : HEADER_LEN] != b"\0\0":
+            raise MessageError("nonzero pad byte in the message header")
         main_len = (main_bits + 7) // 8
         side_len = (side_bits + 7) // 8
-        if len(buf) != 20 + main_len + side_len:
+        main_end = HEADER_LEN + main_len
+        if len(buf) != main_end + side_len:
             raise MessageError("message length inconsistent with declared bit counts")
-        main = memoryview(buf)[20 : 20 + main_len]
-        side = buf[20 + main_len :]
+        main = memoryview(buf)[HEADER_LEN:main_end]
+        side = buf[main_end:]
         return ProtocolMessage(protocol, (main,), main_bits, side, side_bits)
 

@@ -31,7 +31,7 @@ def exact_sq_sum(values: np.ndarray) -> int:
     A stacked state is nonzero only in a prefix. When the length is a whole
     number of ``TAIL_CHUNK`` chunks and the last chunk is zero (its last
     entry tested first, in O(1)), one bytewise ``max`` per chunk, as fast on
-    an unaligned wire view as on an aligned array, proves every chunk after
+    an unaligned view as on an aligned array, proves every chunk after
     the last nonzero one zero, and only the prefix is squared. Every entry
     is still read, so hostile input stays exact. The bound for
     ``_kernels.sq_sum`` is the entries' OR when that is nonnegative (it has
@@ -103,7 +103,8 @@ class ExactState:
 
     A writable array is copied, so later writes through it cannot reach a
     checked state. A read-only array, such as a view over immutable wire
-    bytes, is kept as it is.
+    bytes, is kept as it is. Numerators whose dtype does not cast safely to
+    int64 (uint64, float, object) are a ``StateError``, never altered.
     """
 
     qubits: int
@@ -113,7 +114,10 @@ class ExactState:
     def __post_init__(self):
         if self.qubits < 1:
             raise StateError("need at least one qubit")
-        arr = np.ascontiguousarray(self.numerators, dtype=np.int64)
+        arr = np.asarray(self.numerators)
+        if not np.can_cast(arr.dtype, np.int64):
+            raise StateError(f"numerators of dtype {arr.dtype} do not cast safely to int64")
+        arr = np.ascontiguousarray(arr, dtype=np.int64)
         if arr.flags.writeable:
             arr = arr.copy()
         if arr.shape != (1 << self.qubits,):
@@ -147,6 +151,8 @@ class ExactState:
         ``bytes``) and as a copy otherwise, so a state checked here cannot
         change afterwards. Either way the norm check reads every amplitude.
         """
+        if offset < 0:
+            raise StateError(f"negative offset {offset}")
         if len(buf) - offset < 10:
             raise StateError("buffer too short for the state header")
         tag, qubits, norm_sq = struct.unpack_from("<BBQ", buf, offset)

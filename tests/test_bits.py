@@ -246,10 +246,12 @@ def not_loaded(*modules: str) -> str:
 NO_POOL = not_loaded("concurrent.futures.process", "multiprocessing")
 
 
-def run_fresh(code: str) -> None:
-    """Run ``code`` in a fresh interpreter that imports this checkout's gapcomm."""
+def run_fresh(code: str, unset: tuple = ()) -> None:
+    """Run ``code`` in a fresh interpreter that imports this checkout's
+    gapcomm, with the environment variables named in ``unset`` removed."""
     src = os.path.dirname(os.path.dirname(gapcomm.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {key: value for key, value in os.environ.items() if key not in unset}
+    env["PYTHONPATH"] = src
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env=env)
 
 

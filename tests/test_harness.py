@@ -280,6 +280,48 @@ def test_the_pool_forks_under_a_spawn_default():
     )
 
 
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the patched trial reaches the child only by fork",
+)
+def test_a_pooled_run_pins_blas_to_one_thread_in_every_process():
+    # numpy's OpenBLAS read directly, not through the library: inside each
+    # trial, and in the caller after the run. Without the thread variables
+    # it starts at the core count; two threads make the pin visible anywhere.
+    run_fresh(
+        "import ctypes, glob, os, sys, time\n"
+        "import numpy as np\n"
+        "from gapcomm import harness\n"
+        "libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), 'numpy.libs')\n"
+        "paths = glob.glob(os.path.join(libs, 'libscipy_openblas64_*.so'))\n"
+        "if not paths:\n"
+        "    sys.exit(0)  # no OpenBLAS bundle to pin\n"
+        "blas = ctypes.CDLL(paths[0])\n"
+        "get, set_ = blas.scipy_openblas_get_num_threads64_, blas.scipy_openblas_set_num_threads64_\n"
+        "get.argtypes, get.restype = [], ctypes.c_int\n"
+        "set_.argtypes, set_.restype = [ctypes.c_int], None\n"
+        "set_(2)\n"
+        "assert get() == 2\n"
+        "plain = harness.run_trial\n"
+        "def stamped(cfg, trial):\n"
+        "    record = plain(cfg, trial)\n"
+        "    record['blas'] = (os.getpid(), get())\n"
+        "    time.sleep(0.002)  # the child starts before the caller takes every trial\n"
+        "    return record\n"
+        "harness.run_trial = stamped\n"
+        "def run(workers):\n"
+        "    return harness.run_experiment(harness.ExperimentConfig(\n"
+        "        'pauli-state', 6, 0.5, trials=40, root_seed=3, workers=workers, per_trial_records=True))\n"
+        "stamps = {r['blas'] for r in run(2).per_trial}\n"
+        "pids = {pid for pid, _ in stamps}\n"
+        "assert len(pids) == 2 and os.getpid() in pids, stamps\n"
+        "assert {threads for _, threads in stamps} == {1}, stamps\n"
+        "assert get() == 2\n"
+        "assert {r['blas'] for r in run(1).per_trial} == {(os.getpid(), 2)}\n",
+        unset=("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"),
+    )
+
+
 class TestGroundTruth:
     @pytest.mark.parametrize("sampling", ["odd-weight", "unrestricted"])
     @pytest.mark.parametrize("protocol,qubits,epsilon", [("observable-pauli", 256, 0.3), ("pauli-state", 8, 0.5)])

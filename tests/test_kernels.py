@@ -90,8 +90,10 @@ def reference_quad(nums, z: int, x: int) -> int:
     )
 
 
-def wire_view(nums: np.ndarray) -> np.ndarray:
-    """The amplitudes as a wire buffer holds them: at byte offset 30, unaligned."""
+def unaligned_view(nums: np.ndarray) -> np.ndarray:
+    """The amplitudes as an unaligned view, at byte offset 30 of a bytes
+    object, as a message payload that did not come through ``from_wire`` may
+    hold them."""
     return np.frombuffer(bytes(30) + nums.astype("<i8").tobytes(), dtype="<i8", offset=30)
 
 
@@ -112,7 +114,7 @@ def test_pauli_quad_matches_per_entry_reference(qubits, x):
     z = int(rng.integers(0, 1 << qubits)) & ~x
     expected = reference_quad(nums, z, x)
     assert _kernels.pauli_quad(nums, z, x) == expected
-    view = wire_view(nums)
+    view = unaligned_view(nums)
     assert not view.flags.aligned
     assert _kernels.pauli_quad(view, z, x) == expected
 
@@ -158,7 +160,7 @@ def test_pauli_quad_on_two_limbs_runs_three_forms_for_disjoint_masks(monkeypatch
     expected = reference_quad(nums, z, x)
     assert _kernels.pauli_quad(nums, z, x) == expected
     assert len(calls) == forms
-    view = wire_view(nums)
+    view = unaligned_view(nums)
     assert not view.flags.aligned
     assert _kernels.pauli_quad(view, z, x) == expected
 

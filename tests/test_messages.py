@@ -1,7 +1,7 @@
 """Wire format and bit accounting of the one-way message container."""
 import pytest
 
-from gapcomm.messages import MessageError, ProtocolMessage
+from gapcomm.messages import HEADER_LEN, MessageError, ProtocolMessage
 
 
 class TestProtocolMessage:
@@ -14,9 +14,20 @@ class TestProtocolMessage:
     def test_wire_header_layout(self):
         msg = ProtocolMessage("general-state", b"\x00" * 4, 32)
         wire = msg.to_wire()
+        assert HEADER_LEN == 22
         assert wire[:4] == b"GSTA"
         assert int.from_bytes(wire[4:12], "little") == 32
         assert int.from_bytes(wire[12:20], "little") == 0
+        assert wire[20:22] == b"\0\0"  # pad: a dense state's amplitudes start at byte 32
+        assert wire[22:] == b"\x00" * 4
+
+    @pytest.mark.parametrize("pad_byte", [20, 21])
+    def test_nonzero_pad_byte_rejected(self, pad_byte):
+        wire = bytearray(ProtocolMessage("general-state", b"\x01", 8, b"\x02", 8).to_wire())
+        for value in (1, 0x80):
+            wire[pad_byte] = value
+            with pytest.raises(MessageError, match="pad byte"):
+                ProtocolMessage.from_wire(bytes(wire))
 
     def test_ragged_bit_counts_allowed_within_a_byte(self):
         # raw-bit payloads (e.g. packed shadows) may pad up to 7 bits
@@ -55,8 +66,8 @@ class TestProtocolMessage:
             ProtocolMessage("carrier-pigeon", b"", 0)
 
     def test_unknown_tag_rejected(self):
-        wire = b"XXXX" + bytes(16)
-        with pytest.raises(MessageError):
+        wire = b"XXXX" + bytes(HEADER_LEN - 4)
+        with pytest.raises(MessageError, match="unknown protocol tag"):
             ProtocolMessage.from_wire(wire)
 
     def test_main_payload_is_a_read_only_view_of_wire_bytes(self):
@@ -71,7 +82,7 @@ class TestProtocolMessage:
         msg = ProtocolMessage("general-state", b"\x01\x02\x03", 24, b"\x09", 8)
         wire = bytearray(msg.to_wire())
         back = ProtocolMessage.from_wire(wire)
-        wire[20:] = bytes(len(wire) - 20)
+        wire[HEADER_LEN:] = bytes(len(wire) - HEADER_LEN)
         assert back.to_wire() == msg.to_wire()
 
     def test_truncated_wire_rejected(self):

@@ -417,9 +417,25 @@ class TestDenseWirePath:
         pc = make_config("general-state", 6, 0.5)
         sr, x, l = draw_instance(pc, 47)
         wire = bytearray(proto.ALICE["general-state"](x, pc, sr).to_wire())
-        wire[30] ^= 0x01  # first amplitude: 20-byte message header, 10-byte state header
+        wire[32] ^= 0x01  # first amplitude: 22-byte message header, 10-byte state header
         with pytest.raises(MessageError, match="norm_sq"):
             proto.BOB["general-state"](ProtocolMessage.from_wire(wire), l, pc, sr, OracleSpec())
+
+    @pytest.mark.parametrize("kind", ["general-state", "inner-product", "pauli-state"])
+    def test_amplitudes_read_off_the_wire_are_aligned(self, kind):
+        pc = make_config(kind, 6, 0.5)
+        sr, x, l = draw_instance(pc, 48)
+        msg = proto.ALICE[kind](x, pc, sr)
+        state, _ = ExactState.deserialize(ProtocolMessage.from_wire(msg.to_wire()).main_payload)
+        assert state.numerators.flags.aligned
+        # alignment is a speed property only: the same state read at an odd
+        # offset, through an unaligned view, gives the same norm and form
+        shifted, _ = ExactState.deserialize(b"\xff" * 3 + bytes(msg.main_payload), 3)
+        assert not shifted.numerators.flags.aligned
+        assert shifted.norm_sq == state.norm_sq
+        z, x_mask = 0b1011, 1 << (state.qubits - 1)
+        quad = _kernels.pauli_quad(state.numerators, z, x_mask)
+        assert _kernels.pauli_quad(shifted.numerators, z, x_mask) == quad
 
 
 def stacked_reference_wire(kind, x, pc, sr) -> bytes:

@@ -11,9 +11,9 @@ from dense_states import dense_wire
 
 def unaligned_view(arr: np.ndarray, offset: int = 30) -> np.ndarray:
     """``arr`` as a read-only int64 view at byte ``offset`` of a bytes object;
-    the default, 30, is where the amplitudes of a dense message sit on the
-    wire. A bytes object's data is 8-byte aligned, so the view is aligned
-    exactly when ``offset`` is a multiple of 8."""
+    the default, 30, gives an unaligned view, as a message payload that did
+    not come through ``from_wire`` may. A bytes object's data is 8-byte
+    aligned, so the view is aligned exactly when ``offset`` is a multiple of 8."""
     view = np.frombuffer(bytes(offset) + arr.astype("<i8").tobytes(), dtype="<i8", offset=offset)
     assert view.flags.aligned == (offset % 8 == 0)
     return view
@@ -52,6 +52,27 @@ class TestConstruction:
         base[0] = 7
         assert state.norm_sq == 14 == exact_sq_sum(state.numerators)
         assert not state.numerators.flags.writeable
+
+    @pytest.mark.parametrize(
+        "norm_sq,nums",
+        [
+            # 2^63 would wrap to -2^63: the same square, the opposite sign
+            (1 << 126, np.array([1 << 63, 0], dtype=np.uint64)),
+            # 3.9 would truncate to 3
+            (9, np.array([3.9, 0.0])),
+            # 10^30 would raise a bare OverflowError
+            (10**60, np.array([10**30, 0], dtype=object)),
+        ],
+        ids=["uint64", "float64", "object"],
+    )
+    def test_numerators_int64_cannot_hold_are_rejected_not_altered(self, norm_sq, nums):
+        with pytest.raises(StateError, match=f"dtype {nums.dtype}"):
+            ExactState(qubits=1, norm_sq=norm_sq, numerators=nums)
+
+    @pytest.mark.parametrize("dtype", [np.bool_, np.uint8, np.int32, np.uint32, ">i8"])
+    def test_dtypes_that_cast_safely_to_int64_are_accepted(self, dtype):
+        state = ExactState(qubits=1, norm_sq=1, numerators=np.array([1, 0], dtype=dtype))
+        assert state.numerators.dtype == np.int64 and state.numerators.tolist() == [1, 0]
 
     def test_qubit_count_must_be_positive(self):
         with pytest.raises(StateError, match="at least one qubit"):
@@ -223,6 +244,11 @@ class TestSerialization:
         assert np.array_equal(back_first.numerators, first) and back_first.norm_sq == 6
         assert np.array_equal(back_second.numerators, second) and back_second.norm_sq == 25
         assert end == len(buf)
+
+    def test_negative_offset_is_a_state_error(self):
+        payload = dense_wire(np.array([1, 0, -1, 2], dtype=np.int64))
+        with pytest.raises(StateError, match="negative offset -5"):
+            ExactState.deserialize(payload, -5)
 
     def test_dense_layout_fields(self):
         payload = dense_wire(np.array([1, 0, -1, 2], dtype=np.int64))

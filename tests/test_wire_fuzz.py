@@ -1,7 +1,8 @@
 """Seeded hostile-input fuzz over the wire: mutated messages of all five kinds.
 
-Each honest message is truncated, extended, or has one bit of its 20-byte
-wire header, its main payload or its side info flipped, and then goes
+Each honest message is truncated, extended, or has one bit of its
+``HEADER_LEN``-byte wire header (the two pad bytes included), its main
+payload or its side info flipped, and then goes
 through ``ProtocolMessage.from_wire`` and Bob. Whatever the bytes, the only
 error that may escape is ``MessageError``, and the traced allocation peak
 stays within the wire length plus ``FIXED_BYTES``: nothing a message field
@@ -10,7 +11,7 @@ declares may size an allocation.
 Which mutations a kind can detect at all:
 
 * Truncation, extension and every header bit flip: all five kinds. The tag,
-  the bit counts and the payload lengths leave no slack (observable-pauli's
+  the bit counts, the zero pad and the payload lengths leave no slack (observable-pauli's
   header bit count is checked against its Z-string, since it alone ends
   inside a byte).
 * Main-payload bit flips: the dense kinds (general-state, pauli-state,
@@ -47,7 +48,7 @@ from gapcomm import _kernels
 from gapcomm.bits import STREAM_INDEX, STREAM_INSTANCE, SharedRandomness
 from gapcomm.ghd import GhdParams
 from gapcomm.harness import sample_instance
-from gapcomm.messages import MessageError, ProtocolMessage
+from gapcomm.messages import HEADER_LEN, MessageError, ProtocolMessage
 from gapcomm.oracle import OracleSpec
 from gapcomm.pauli import PauliMask
 from gapcomm.shadows import reference_shadow_pair, to_one_way_protocol
@@ -88,8 +89,8 @@ def mutations(wire: bytes, side_len: int, rng) -> dict[str, list[bytes]]:
     return {
         "truncate": [wire[:n] for n in rng.integers(0, len(wire), size=SAMPLES)],
         "extend": [wire + rng.bytes(int(n)) for n in rng.integers(1, 17, size=SAMPLES)],
-        "header": [flipped(wire, bit) for bit in range(20 * 8)],
-        "main": [flipped(wire, int(b)) for b in rng.integers(20 * 8, 8 * main_end, size=SAMPLES)],
+        "header": [flipped(wire, bit) for bit in range(8 * HEADER_LEN)],
+        "main": [flipped(wire, int(b)) for b in rng.integers(8 * HEADER_LEN, 8 * main_end, size=SAMPLES)],
         "side": [flipped(wire, int(b)) for b in rng.integers(8 * main_end, 8 * len(wire), size=SAMPLES)]
         if side_len
         else [],
@@ -191,7 +192,7 @@ def test_flips_in_the_zero_tail_of_a_stacked_state_are_rejected(kind):
     # general-state stacks Alice's and Bob's blocks, inner-product Alice's only
     blocks = pc.block_count - (pc.ghd.gamma if kind == "inner-product" else 0)
     occupied = blocks * pc.ghd.code_len
-    first = 20 + 10 + 8 * occupied
+    first = HEADER_LEN + 10 + 8 * occupied
     last = len(wire) - len(msg.side_payload) - 1
     assert not any(wire[first : last + 1])
     assert accepted_by_bob(wire, kind, l, pc, sr)

@@ -190,6 +190,11 @@ def main() -> None:
     row("odd-weight filter 496x12", ghd._odd_rows, drawn)
     blocks = sample_sources(bsr, 244, 12, True)
     row("block majority 244x12 vs 720x12", _kernels.majority_blocks, pads, blocks)
+    # its Gram matrix: 256 codeword rows of 720 bits; at n=10 the norm runs
+    # on the smaller side, the Gram matrix of the 720 columns of 1024 rows
+    gram_rows = rng.integers(0, 2, size=(1024, 720)).astype(np.float32)
+    row("gram 256x720 (observable-general n=8)", proto._gram, gram_rows[:256], "bench-n8")
+    row("gram 720x1024 small side (n=10)", proto._gram, gram_rows.T, "bench-n10")
 
     # one observable-pauli n=256 message at epsilon 0.3 (11649 wire bits):
     # Bob's reader against the two-hot subset-state route verify keeps

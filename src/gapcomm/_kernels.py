@@ -221,17 +221,15 @@ def majority_rows(pads: np.ndarray, selected: np.ndarray) -> np.ndarray:
 def majority_blocks(pads: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """``majority_rows`` for every row of a 0/1 selection matrix, in one matmul.
 
-    Row j of the result is ``majority_rows(pads, nonzero(blocks[j]))``. The
-    counts are summed in float32, exact while they stay below 2^24, which
-    needs fewer than 2^24 columns in ``pads``; so are the halved block
-    weights, since halves of integers below 2^24 are representable.
+    Row j of the result is ``majority_rows(pads, nonzero(blocks[j]))``.
+    Against the pads shifted by -1/2, each entry of the product is
+    count - weight / 2: positive exactly on a strict majority, 0 on a tie or
+    an empty block. While ``pads`` has fewer than 2^24 columns, every partial
+    sum is half an integer below 2^24 in size, which float32 holds exactly.
     """
-    sel = blocks.astype(np.float32)
-    # cast while ``pads`` is contiguous; the matmul takes the transposed view
-    counts = sel @ pads.astype(np.float32).T
-    half = sel.sum(axis=1, keepdims=True)
-    half *= 0.5
-    return np.greater(counts, half).view(np.uint8)
+    # one pass over the contiguous pads; the matmul takes the transposed view
+    signs = np.subtract(pads, 0.5, dtype=np.float32)
+    return np.greater(blocks.astype(np.float32) @ signs.T, 0.0).view(np.uint8)
 
 
 def backend_name() -> str:

@@ -57,17 +57,46 @@ def test_backend_reports_a_name():
     assert _kernels.backend_name() == "numpy"
 
 
+def assert_blocks_match_rows(pads, blocks):
+    out = _kernels.majority_blocks(pads, blocks)
+    assert out.dtype == np.uint8 and out.shape == (blocks.shape[0], pads.shape[0])
+    for j, block in enumerate(blocks):
+        selected = np.nonzero(block)[0].astype(np.int64)
+        assert np.array_equal(out[j], _kernels.majority_rows(pads, selected))
+
+
 def test_majority_blocks_matches_majority_rows_per_block():
     rng = np.random.default_rng(29)
     pads = rng.integers(0, 2, size=(40, 12), dtype=np.uint8)
     blocks = rng.integers(0, 2, size=(30, 12), dtype=np.uint8)
     blocks[0] = 0  # empty selection
     blocks[1] = [1, 1] + [0] * 10  # even selection, ties possible
+    assert_blocks_match_rows(pads, blocks)
+
+
+def test_majority_blocks_at_the_encode_heavy_shape():
+    # observable-general n=8 at epsilon 0.3: 244 blocks of 12 bits, 720 pads
+    rng = np.random.default_rng(31)
+    pads = rng.integers(0, 2, size=(720, 12), dtype=np.uint8)
+    blocks = rng.integers(0, 2, size=(244, 12), dtype=np.uint8)
+    assert_blocks_match_rows(pads, blocks)
+
+
+def test_majority_blocks_at_gamma_256_with_empty_and_tied_blocks():
+    rng = np.random.default_rng(32)
+    pads = rng.integers(0, 2, size=(300, 256), dtype=np.uint8)
+    blocks = rng.integers(0, 2, size=(40, 256), dtype=np.uint8)
+    blocks[0] = 0
+    blocks[1] = 1  # weight 256: a tie wherever a pad row holds 128 ones
+    blocks[2] = 0
+    blocks[2, :2] = 1  # weight 2: a tie wherever the two pad bits differ
+    pads[:5] = np.arange(256) % 2  # exactly half of every pad row's bits
+    counts = blocks.astype(np.int64) @ pads.T.astype(np.int64)
+    weights = blocks.sum(axis=1, dtype=np.int64)[:, None]
+    assert np.count_nonzero((2 * counts == weights) & (weights > 0)) >= 10
     out = _kernels.majority_blocks(pads, blocks)
-    assert out.dtype == np.uint8 and out.shape == (30, 40)
-    for j, block in enumerate(blocks):
-        selected = np.nonzero(block)[0].astype(np.int64)
-        assert np.array_equal(out[j], _kernels.majority_rows(pads, selected))
+    assert not out[0].any() and not out[1, :5].any()
+    assert_blocks_match_rows(pads, blocks)
 
 
 def test_fwht_prefix_matches_the_character_matrix_columns():

@@ -664,6 +664,43 @@ class TestPauliState:
         assert hits / 200 >= 0.8
 
 
+class TestPackedGram:
+    @staticmethod
+    def rows(side, inner, seed) -> np.ndarray:
+        """Random 0/1 float32 rows with every seventh row all ones, so that
+        some packed entries reach the bound inner * (2^s + 1)."""
+        rows = np.random.default_rng(seed).integers(0, 2, size=(side, inner)).astype(np.float32)
+        rows[::7] = 1
+        return rows
+
+    @staticmethod
+    def int64_gram(rows) -> np.ndarray:
+        # float64 sums of 0/1 products below 2^53 are exact, so this is the
+        # int64 product, at BLAS speed
+        wide = rows.astype(np.float64)
+        return (wide @ wide.T).astype(np.int64)
+
+    def test_packed_inner_bound_is_the_largest_exact_one(self):
+        exact = lambda inner: inner * ((1 << inner.bit_length()) + 1) < proto.FLOAT32_EXACT
+        assert exact(proto.PACKED_INNER) and not exact(proto.PACKED_INNER + 1)
+
+    @pytest.mark.parametrize("side", [255, 256, 720])
+    @pytest.mark.parametrize("inner", [1, 720, 4095, 4096, 9000])
+    def test_gram_equals_the_int64_product(self, side, inner):
+        # inner 4096 and 9000 run in chunks; odd sides split unevenly
+        rows = self.rows(side, inner, side + inner)
+        gram = proto._gram(rows, "test-gram")
+        assert gram.dtype == np.float64 and gram.shape == (side, side)
+        assert np.array_equal(gram, self.int64_gram(rows))
+
+    @pytest.mark.parametrize("side, inner", [(720, 1024), (255, 9000)])
+    def test_gram_of_a_transposed_view(self, side, inner):
+        # the 2^n > code_len branch passes rows.T, a column-major view
+        rows = np.asfortranarray(self.rows(side, inner, 7))
+        assert not rows.flags.c_contiguous
+        assert np.array_equal(proto._gram(rows, "test-gram-t"), self.int64_gram(rows))
+
+
 class TestObservableGeneral:
     def test_payload_is_symmetric_psd_with_unit_norm(self):
         pc = make_config("observable-general", 6, 0.5)
@@ -714,9 +751,10 @@ class TestObservableGeneral:
         entries = np.round(gram / (norm_fp / (1 << proto.NORM_FRAC_BITS)) * (1 << proto.ENTRY_FRAC_BITS))
         return struct.pack("<I", pc.qubits) + entries.astype("<i8").tobytes()
 
-    @pytest.mark.parametrize("qubits,epsilon", [(4, 0.5), (6, 0.5), (8, 0.3), (8, 0.5)])
+    @pytest.mark.parametrize("qubits,epsilon", [(4, 0.5), (6, 0.5), (8, 0.3), (8, 0.5), (8, 0.07)])
     def test_main_payload_is_two_parts_with_the_byte_writer_wire(self, qubits, epsilon):
-        # (8, 0.5) has 2^n > code_len, so the norm comes from the smaller Gram side
+        # (8, 0.5) has 2^n > code_len, so the norm comes from the smaller Gram
+        # side; (8, 0.07) has code_len 12300, so the Gram products run in chunks
         pc = make_config("observable-general", qubits, epsilon)
         sr, x, _ = draw_instance(pc, 61)
         msg = proto.ALICE["observable-general"](x, pc, sr)

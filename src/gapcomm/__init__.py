@@ -22,7 +22,7 @@ from .ghd import (
 )
 from .harness import ExperimentConfig, ExperimentReport, run_experiment, wilson95
 from .messages import ProtocolMessage
-from .observables import NumericError, operator_norm
+from .observables import operator_norm
 from .oracle import OracleSpec, estimate
 from .pauli import ObservableError, PauliMask, pauli_expectation, subset_state_expectation
 from .protocols import (

@@ -150,8 +150,9 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> dict:
 
 @lru_cache(maxsize=1)
 def _openblas():
-    """The thread-count getter and setter of the OpenBLAS bundled with
-    numpy's wheel when it is loaded, or None: then the pin does nothing."""
+    """The thread-count getter and setter and the thread-server shutdown (or
+    None if the library lacks it) of the OpenBLAS bundled with numpy's wheel
+    when it is loaded, or None: then the pin does nothing."""
     import ctypes
     import glob
     import os
@@ -167,7 +168,7 @@ def _openblas():
         if get is not None and set_ is not None:
             get.argtypes, get.restype = [], ctypes.c_int
             set_.argtypes, set_.restype = [ctypes.c_int], None
-            return get, set_
+            return get, set_, getattr(lib, "blas_thread_shutdown_", None)
     return None
 
 
@@ -177,7 +178,7 @@ def _pin_blas(threads: int) -> int | None:
     blas = _openblas()
     if blas is None:
         return None
-    get, set_ = blas
+    get, set_, _ = blas
     previous = get()
     if previous != threads:
         # a set starts OpenBLAS's thread server if a fork stopped it, and
@@ -185,6 +186,15 @@ def _pin_blas(threads: int) -> int | None:
         # the caller's count already
         set_(threads)
     return previous
+
+
+def _stop_blas_threads() -> None:
+    """Stop the loaded BLAS's thread server, whose threads outlive a pin to
+    one thread, so that a fork copies a single-threaded process; a later
+    pin to more threads starts the server again."""
+    blas = _openblas()
+    if blas is not None and blas[2] is not None:
+        blas[2]()
 
 
 def _claim_trials(cfg: ExperimentConfig, counter) -> list[dict]:
@@ -301,7 +311,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     traceback as the cause; every child is joined
     before this returns or raises. Every process of a pooled run runs BLAS
     at one thread, so a run's processes do not spin more BLAS threads than
-    there are cores; this process gets its own count back afterwards. No
+    there are cores; this process stops BLAS's thread server before its
+    first fork, so each child is forked from a single-threaded process, and
+    gets its own count back afterwards. No
     run loads ``numpy.random``: every draw reads ``SharedRandomness``'
     SHAKE-128 stream.
     """
@@ -319,6 +331,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         counter = mp.Value("q", 0)
         children = []
         blas_threads = _pin_blas(1)
+        _stop_blas_threads()
         try:
             for _ in range(workers - 1):
                 recv_end, send_end = mp.Pipe(duplex=False)

@@ -1,27 +1,18 @@
-"""The operator norm of a dense symmetric matrix, and the power iteration
-that normalises observable-general's Gram matrix."""
+"""The operator norm of a dense symmetric matrix, and the certified bound on
+it that normalises observable-general's Gram matrix."""
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
-from .bits import DimensionError, SharedRandomness
+from .bits import DimensionError
 
-
-class NumericError(RuntimeError):
-    """An iterative numeric routine failed to converge."""
-
-
-@lru_cache(maxsize=8)
-def _start_vector(dim: int) -> np.ndarray:
-    """The first ``dim`` doubles of the dimension's stream, as a unit vector.
-    It is nonnegative, like the top eigenvector of a 0/1 Gram matrix."""
-    v = (SharedRandomness(0xC0FFEE, dim).words(dim) >> 11) * 2.0**-53
-    v /= math.sqrt(v @ v)
-    v.flags.writeable = False
-    return v
+# certified_norm stops once its lower bound is within CW_GAP (relative) of
+# its upper end, or after CW_SWEEPS matrix-vector products; the upper end is
+# a bound either way, only a looser one at the cap
+CW_GAP = 2.0**-30
+CW_SWEEPS = 64
 
 
 def operator_norm(matrix) -> float:
@@ -40,31 +31,40 @@ def operator_norm(matrix) -> float:
     return float(np.abs(np.linalg.eigvalsh(arr)).max())
 
 
-def _power_norm(arr: np.ndarray, max_iter: int = 20000) -> float:
-    """The norm Alice's observable-general encoder ships: power iteration on
-    M @ M (so paired eigenvalues +-lambda cannot stall it) from the
-    dimension's start vector, stopping after three consecutive sweeps whose
-    estimate is within 1e-13 (relative) of the sweep before. Raises
-    NumericError after ``max_iter`` unsettled sweeps.
+def certified_norm(gram: np.ndarray) -> float:
+    """A float never below the norm lambda of a Gram matrix of 0/1 rows
+    (float64, so exact small integers, symmetric and nonnegative), and
+    within CW_GAP of lambda unless the sweep cap ends the iteration.
 
-    Precondition: ``arr`` is a nonzero square float64 Gram matrix of 0/1
-    rows, as Alice builds it, so exactly symmetric and nonnegative. The
-    start vector v is strictly positive, and (Mv)_i >= M_ii v_i > 0 on
-    every nonzero row; every later v stays positive there, so neither M v
-    nor M M v is ever the zero vector.
+    The iteration keeps a positive integer vector v. For every such v,
+    hi = max_i (Gv)_i / v_i >= lambda (Collatz-Wielandt), and the Rayleigh
+    quotient v.Gv / v.v <= lambda; it stops once the quotient is within
+    CW_GAP of hi. Zero rows go first, so (Gv)_i >= G_ii v_i > 0 on the
+    rest. v starts at 1, so the first Gv is the row sums; each later v is
+    ceil(Gv * 2^e), with e chosen so that (max row sum) * (max v) < 2^53.
+    Every Gv is then exact in any summation order, and the quotient is an
+    elementwise product and a fixed-order sum, so no BLAS kernel can change
+    the result. Each float ratio is the exact (Gv)_i / v_i correctly
+    rounded, so the float after their maximum bounds them all.
     """
-    v = _start_vector(arr.shape[0])
-    estimate, stable = 0.0, 0
-    for _ in range(max_iter):
-        w = arr @ v
-        nw = math.sqrt(w @ w)  # ||M v|| -> sqrt(lambda_max(M^2)) for unit v
-        u = arr @ w
-        v = u / math.sqrt(u @ u)
-        if abs(nw - estimate) <= 1e-13 * nw:
-            stable += 1
-            if stable >= 3:
-                return nw
-        else:
-            stable = 0
-        estimate = nw
-    raise NumericError(f"operator norm did not converge in {max_iter} iterations")
+    keep = gram.diagonal() > 0
+    if not keep.all():
+        if not keep.any():
+            return 0.0
+        gram = gram[keep][:, keep]
+    w, v, ratio, prod = np.ones((4, gram.shape[0]))
+    np.matmul(gram, v, out=w)
+    room = 53 - math.frexp(np.maximum.reduce(w))[1]  # max v <= 2^room
+    hi, lo = math.inf, 0.0
+    for sweep in range(1, CW_SWEEPS + 1):
+        last, hi = hi, float(np.maximum.reduce(np.divide(w, v, out=ratio)))
+        # the quotient closes on lambda quadratically faster than hi does, so
+        # it is taken only once hi has nearly stopped falling
+        if last - hi <= hi * 2.0**-24:
+            vw = np.add.reduce(np.multiply(v, w, out=prod))
+            lo = vw / np.add.reduce(np.multiply(v, v, out=prod))
+        if lo >= hi - hi * CW_GAP or sweep == CW_SWEEPS:
+            return math.nextafter(hi, math.inf)
+        np.multiply(w, 2.0 ** (room - math.frexp(np.maximum.reduce(w))[1]), out=v)
+        np.ceil(v, out=v)
+        np.matmul(gram, v, out=w)

@@ -47,7 +47,7 @@ from .ghd import (
     threshold_for,
 )
 from .messages import MessageError, ProtocolMessage
-from .observables import _power_norm
+from .observables import certified_norm
 from .pauli import PauliMask, pauli_expectation
 from .states import ExactState, StateError, dense_wire_parts, exact_sq_sum
 from . import _kernels
@@ -584,6 +584,19 @@ def _gram(rows: np.ndarray, role: str) -> np.ndarray:
     return gram
 
 
+def _norm_fp(gram: np.ndarray, dim: int) -> int:
+    """The norm q Alice ships, in 32-bit fixed point: ceil(2^32 * hi * (1 +
+    dim * 2^-47)) for ``certified_norm``'s bound hi on ``gram``'s norm, so q
+    is never below the norm. The factor absorbs the rounding of the shipped
+    dim x dim matrix: each entry lands within 2^-48 * (1/2 + 2^-6) of
+    G_jk / q, which adds at most dim * 2^-49 * (1 + 2^-5) to the norm, so
+    the matrix Bob reads has norm at most 1."""
+    num, den = certified_norm(gram).as_integer_ratio()
+    pad = ENTRY_FRAC_BITS - 1
+    # hi * (2^47 + dim) * 2^32 / 2^47 in integers, rounded up
+    return -(-(num * ((1 << pad) + dim)) // (den << (pad - NORM_FRAC_BITS)))
+
+
 def _encode_observable_general(a_rows, b_rows, cfg: ProtocolConfig) -> tuple:
     dim = 1 << cfg.qubits
     rows = _work_array("rows", (dim, cfg.ghd.code_len), np.float32)
@@ -593,11 +606,9 @@ def _encode_observable_general(a_rows, b_rows, cfg: ProtocolConfig) -> tuple:
     # is all zero only for an all-zero matrix; copied before the scaling
     weights = gram.diagonal().copy()
     if np.any(weights):
-        # both Gram sides share the nonzero spectrum; iterate on the smaller.
-        # Either is nonzero and exactly symmetric (its entries are exact
-        # integers), so operator_norm's checks are skipped
+        # both Gram sides share the nonzero spectrum; bound it on the smaller
         small = gram if dim <= cfg.ghd.code_len else _gram(rows.T, "small")
-        norm_fp = round(_power_norm(small) * (1 << NORM_FRAC_BITS))
+        norm_fp = _norm_fp(small, dim)
         quantized_norm = norm_fp / (1 << NORM_FRAC_BITS)
         # dividing by q * 2^-f rounds as round(gram / q * 2^f) does: scaling
         # by a power of two is exact
@@ -633,7 +644,11 @@ def _read_observable_general(msg, i: int, j: int, cfg: ProtocolConfig, sr) -> Re
         raise MessageError("observable has a negative diagonal entry")
     if m_aa * m_bb < m_ab * m_ab:
         raise MessageError("observable's 2x2 minor is not positive semidefinite")
+    # quad / 2^49 is the two-point value <psi|M|psi>, at most the norm of M,
+    # which Alice's rounded norm keeps at most 1
     quad = m_aa + 2 * m_ab + m_bb
+    if quad > 1 << (ENTRY_FRAC_BITS + 1):
+        raise MessageError("observable's two-point value exceeds its unit norm bound")
     target = Fraction(quad, 1 << (ENTRY_FRAC_BITS + 1))
     rescale = 2 * Fraction(norm_fp, 1 << NORM_FRAC_BITS)
     return _sum_norm_reading(target, rescale, nnz_a, i, cfg, sr)

@@ -246,11 +246,12 @@ def not_loaded(*modules: str) -> str:
 NO_POOL = not_loaded("concurrent.futures.process", "multiprocessing")
 
 
-def run_fresh(code: str, unset: tuple = ()) -> None:
+def run_fresh(code: str, unset: tuple = (), env: dict | None = None) -> None:
     """Run ``code`` in a fresh interpreter that imports this checkout's
-    gapcomm, with the environment variables named in ``unset`` removed."""
+    gapcomm, with the environment variables named in ``unset`` removed and
+    those in ``env`` set."""
     src = os.path.dirname(os.path.dirname(gapcomm.__file__))
-    env = {key: value for key, value in os.environ.items() if key not in unset}
+    env = {**{key: value for key, value in os.environ.items() if key not in unset}, **(env or {})}
     env["PYTHONPATH"] = src
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env=env)
 

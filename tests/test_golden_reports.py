@@ -41,8 +41,8 @@ GOLDEN = {
     ("general-state", "noisy"): "ebcfd9a8aa578cb26e743244c1e3eb7b5e58bc3698c9c2f6fdea9bf05d58b53d",
     ("pauli-state", "exact"): "30c68b309266473d126230fe8d792ac26033c57a929136697a09599d2a029b48",
     ("pauli-state", "noisy"): "95150dc27c1aeda23d9a16ad7775e9c1deae00bebee2e5572871f3f82f16a268",
-    ("observable-general", "exact"): "b525a2c30c9757c00b78a0cf7b9af34075dfc0e1e4ad55d250a1e22e1c822e79",
-    ("observable-general", "noisy"): "a580420eb9208b8c951f18d21c262d243b4b47408b121c53c32a126736964e86",
+    ("observable-general", "exact"): "e8e6d9cdea0b1626136b6654fd2d0159be699390ff71aabb9e7134a6addf15c6",
+    ("observable-general", "noisy"): "3fca87e8b8928352118af6866b62d1956be578b87e5eaf605a6e1cd102144ac3",
     ("observable-pauli", "exact"): "8a56674abca44c83b270086440b254736c8d2c17184311c3239620b3b2d94252",
     ("observable-pauli", "noisy"): "4834a718b3d0eaa774a96fad9968f4ef7e205e8e395daa1af09afac36bec5f7f",
     ("inner-product", "exact"): "15cce967f1fefb0ecbf7608f9a941d3e479cefeb4ece78e391862505f19cc292",

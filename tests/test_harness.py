@@ -322,6 +322,40 @@ def test_a_pooled_run_pins_blas_to_one_thread_in_every_process():
     )
 
 
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods() or not os.path.exists("/proc/self/status"),
+    reason="counts the caller's OS threads in /proc at each fork",
+)
+def test_a_pooled_run_forks_from_a_single_threaded_process():
+    # two BLAS threads, woken by a matmul, leave a second OS thread parked in
+    # OpenBLAS's thread server; the pool must stop it before it forks
+    run_fresh(
+        "import multiprocessing.process, sys, numpy as np\n"
+        "from gapcomm import harness\n"
+        "np.ones((512, 512)) @ np.ones((512, 512))\n"
+        "if harness._openblas() is None:\n"
+        "    sys.exit(0)  # no OpenBLAS bundle, so no thread server to stop\n"
+        "def threads():\n"
+        "    with open('/proc/self/status') as status:\n"
+        "        return next(int(line.split()[1]) for line in status if line.startswith('Threads:'))\n"
+        "assert threads() == 2, threads()\n"
+        "seen = []\n"
+        "plain = multiprocessing.process.BaseProcess.start\n"
+        "def start(self):\n"
+        "    seen.append(threads())\n"
+        "    plain(self)\n"
+        "multiprocessing.process.BaseProcess.start = start\n"
+        "def run(workers):\n"
+        "    return harness.run_experiment(harness.ExperimentConfig(\n"
+        "        'observable-general', 6, 0.5, trials=12, root_seed=5, workers=workers, per_trial_records=True))\n"
+        "pooled = run(3)\n"
+        "assert seen == [1, 1], seen\n"
+        "assert pooled.to_json() == run(1).to_json()\n",
+        unset=("OMP_NUM_THREADS", "MKL_NUM_THREADS"),
+        env={"OPENBLAS_NUM_THREADS": "2"},
+    )
+
+
 class TestGroundTruth:
     @pytest.mark.parametrize("sampling", ["odd-weight", "unrestricted"])
     @pytest.mark.parametrize("protocol,qubits,epsilon", [("observable-pauli", 256, 0.3), ("pauli-state", 8, 0.5)])
@@ -608,14 +642,16 @@ def test_verify_suite_catches_a_corrupted_transform(monkeypatch):
     assert involution and not involution[0].passed
 
 
-def test_verify_suite_catches_a_power_norm_off_by_a_millionth(monkeypatch):
-    # the norm-bounds check compares the norm Alice ships with the
-    # eigensolver, so a 1e-6 relative error in it must fail the check
+def test_verify_suite_catches_a_norm_bound_below_the_eigenvalue(monkeypatch):
+    # the norm-bounds check compares the bound Alice ships with the
+    # eigensolver, so the eigenvalue rounded down to fixed point, a bound
+    # that falls short of it, must fail the check
     import gapcomm.verify as verify
 
-    genuine = verify._power_norm
     assert verify._check_norm_bounds(2, 715).passed
-    monkeypatch.setattr(verify, "_power_norm", lambda arr: genuine(arr) * (1 + 1e-6))
+    monkeypatch.setattr(
+        verify.proto, "_norm_fp", lambda gram, dim: math.floor(verify.operator_norm(gram) * 2**32) - 1
+    )
     assert not verify._check_norm_bounds(2, 715).passed
 
 

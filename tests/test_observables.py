@@ -1,11 +1,15 @@
-"""The eigensolver operator norm and the power iteration Alice runs."""
+"""The eigensolver operator norm and the certified norm bound Alice ships."""
+import math
+
 import numpy as np
 import pytest
 
-from gapcomm.bits import DimensionError, SharedRandomness
-from gapcomm.observables import NumericError, _power_norm, operator_norm
-from gapcomm.protocols import MAX_OBSERVABLE_QUBITS
-from shake_stream import shake_doubles
+import gapcomm.observables as obs
+from gapcomm import protocols as proto
+from gapcomm.bits import STREAM_INSTANCE, DimensionError, SharedRandomness
+from gapcomm.ghd import GhdParams
+from gapcomm.harness import sample_instance
+from gapcomm.observables import CW_GAP, certified_norm, operator_norm
 
 
 class TestOperatorNorm:
@@ -34,13 +38,6 @@ class TestOperatorNorm:
         a = rng.standard_normal((32, 32))
         sym = a + a.T
         assert operator_norm(sym) == operator_norm(sym.copy())
-
-    def test_iteration_cap_raises(self):
-        rng = np.random.default_rng(20)
-        a = rng.standard_normal((16, 16))
-        sym = a + a.T
-        with pytest.raises(NumericError):
-            _power_norm(sym, max_iter=1)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
@@ -78,58 +75,78 @@ class TestOperatorNorm:
         assert operator_norm([[0, 3], [3, 0]]) == pytest.approx(3.0, abs=1e-9)
 
 
-def start_vector(dim: int) -> np.ndarray:
-    """The unit vector the power iteration starts from: the first ``dim``
-    doubles of the dimension's stream, read through hashlib."""
-    v = np.array(shake_doubles(SharedRandomness(0xC0FFEE, dim), dim))
-    return v / np.linalg.norm(v)
+def eigen_norm(gram: np.ndarray) -> float:
+    return float(np.linalg.eigvalsh(gram).max())
 
 
-def reference_power_norm(arr: np.ndarray) -> float:
-    """The power iteration as first written, on the shared stream, with
-    norms from ``np.linalg.norm``; its null-space restart, which no Gram
-    matrix of 0/1 rows takes, is left out."""
-    v = start_vector(arr.shape[0])
-    estimate, stable = 0.0, 0
-    while True:
-        w = arr @ v
-        nw = float(np.linalg.norm(w))
-        u = arr @ w
-        v = u / float(np.linalg.norm(u))
-        if estimate > 0.0 and abs(nw - estimate) <= 1e-13 * nw:
-            stable += 1
-            if stable >= 3:
-                return nw
-        else:
-            stable = 0
-        estimate = nw
+def gram_of(rows) -> np.ndarray:
+    rows = np.asarray(rows, dtype=np.float64)
+    return rows @ rows.T
 
 
-class TestPowerNorm:
-    def test_start_vector_is_cached_read_only(self):
-        import gapcomm.observables as obs
+class TestCertifiedNorm:
+    @pytest.mark.parametrize("odd", [True, False])
+    @pytest.mark.parametrize("qubits,epsilon", [(6, 0.5), (8, 0.3), (8, 0.5)])
+    def test_shipped_bound_brackets_the_eigenvalue_on_both_gram_sides(self, qubits, epsilon, odd):
+        # (8, 0.5) has more rows than columns, so Alice bounds the column side.
+        # Past CW_GAP, q carries the rounding factor 1 + dim * 2^-47 and its
+        # fixed-point ceiling, under 2^-32 <= lam * dim * 2^-47 at these sizes
+        pc = proto.ProtocolConfig("observable-general", qubits, GhdParams(epsilon=epsilon))
+        dim = 1 << qubits
+        for seed in range(3):
+            sr = SharedRandomness(70 + seed)
+            x = sample_instance(sr.substream(STREAM_INSTANCE), pc, odd)
+            rows = np.concatenate(proto.encode_block_matrices(x, pc, sr)).astype(np.float64)
+            for gram in (rows @ rows.T, rows.T @ rows):
+                lam = eigen_norm(gram)
+                q = proto._norm_fp(gram, dim) / (1 << proto.NORM_FRAC_BITS)
+                assert lam <= q <= lam * (1 + CW_GAP + dim * 2.0**-46)
+                assert certified_norm(gram) >= lam
 
-        v = obs._start_vector(32)
-        assert v is obs._start_vector(32)
-        assert not v.flags.writeable
-        assert np.array_equal(v, start_vector(32)) and np.all(v >= 0)
+    def test_same_bound_from_any_memory_order(self):
+        # every product the iteration takes is exact, so a Fortran-ordered
+        # copy, which runs another BLAS path, gives the same bound
+        rows = SharedRandomness(71).bit_matrix(96, 200)
+        gram = gram_of(rows)
+        assert certified_norm(np.asfortranarray(gram)) == certified_norm(gram)
 
-    def test_start_vector_is_positive_at_every_gram_dimension(self):
-        # _power_norm's precondition: Alice's Gram side has at most
-        # 2^MAX_OBSERVABLE_QUBITS rows, and a strictly positive start keeps
-        # every sweep off the zero vector
-        import gapcomm.observables as obs
+    def test_zero_rows_are_ignored(self):
+        rows = SharedRandomness(72).bit_matrix(40, 90).astype(np.float64)
+        rows[[0, 7, 39]] = 0.0
+        gram = gram_of(rows)
+        bound = certified_norm(gram)
+        lam = eigen_norm(gram)
+        assert lam <= bound <= lam * (1 + 2 * CW_GAP)
+        assert bound == certified_norm(gram_of(np.delete(rows, [0, 7, 39], axis=0)))
 
-        for dim in range(1, (1 << MAX_OBSERVABLE_QUBITS) + 1):
-            assert np.all(obs._start_vector(dim) > 0), dim
+    def test_all_zero_matrix_has_bound_zero(self):
+        assert certified_norm(np.zeros((5, 5))) == 0.0
 
-    def test_same_floats_as_the_first_written_iteration(self):
-        rng = np.random.default_rng(21)
-        mats = []
-        for dim in (2, 3, 16, 64, 100):
-            a = rng.standard_normal((dim, dim))
-            rows = rng.integers(0, 2, size=(dim, 3 * dim)).astype(np.float64)
-            mats += [a + a.T, rows @ rows.T, rows.T @ rows]
-        for arr in mats:
-            assert _power_norm(arr) == reference_power_norm(arr)
-            assert operator_norm(arr) == pytest.approx(reference_power_norm(arr), rel=1e-9)
+    @pytest.mark.parametrize("weight", [1, 7, 720])
+    def test_dimension_one_is_the_float_after_its_entry(self, weight):
+        # the exact ratio is the entry; the bound rounds the float ratio up
+        assert certified_norm(np.array([[float(weight)]])) == math.nextafter(weight, math.inf)
+
+    def test_block_diagonal_gram_settles_on_its_top_block(self):
+        # two groups of rows on disjoint columns (eigenvalues 8.46 and 7.42
+        # on top): the smaller block's share of v decays too slowly for the
+        # Rayleigh quotient to close within the sweep cap, but by then the
+        # upper end has settled on the larger block's eigenvalue
+        rows = np.zeros((6, 9))
+        rows[0, :4] = rows[1, 1:5] = rows[2, [0, 2, 4]] = 1
+        rows[3, 5:] = rows[4, 6:] = rows[5, [5, 8]] = 1
+        gram = gram_of(rows)
+        lam = eigen_norm(gram)
+        assert lam <= certified_norm(gram) <= lam * (1 + 2.0**-40)
+
+    def test_equal_blocks(self):
+        gram = gram_of(np.kron(np.eye(2), np.ones((2, 3))))
+        assert certified_norm(gram) == math.nextafter(6.0, math.inf)
+
+    def test_sweep_cap_ships_the_upper_end(self, monkeypatch):
+        # one sweep leaves the first ratios, the row sums: still an upper bound
+        rows = SharedRandomness(73).bit_matrix(30, 50)
+        gram = gram_of(rows)
+        monkeypatch.setattr(obs, "CW_SWEEPS", 1)
+        assert certified_norm(gram) == math.nextafter(gram.sum(axis=1).max(), math.inf)
+        assert certified_norm(gram) >= eigen_norm(gram)

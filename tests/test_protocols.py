@@ -1,7 +1,9 @@
 """Protocol encoders/decoders against brute-force constructions."""
 import dataclasses
 import math
+import os
 import struct
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -16,7 +18,6 @@ from gapcomm.bits import STREAM_INDEX, STREAM_INSTANCE, SharedRandomness, pack_b
 from gapcomm.ghd import GhdParams, decision_threshold, encode_alice, encode_bob, public_pads
 from gapcomm.harness import sample_instance
 from gapcomm.messages import MessageError, ProtocolMessage
-from gapcomm.observables import _power_norm
 from gapcomm.oracle import PUSH_DOWN, PUSH_UP, OracleSpec
 from gapcomm.pauli import PauliMask
 from gapcomm.states import TAIL_CHUNK, ExactState, StateError, dense_wire_parts
@@ -747,7 +748,7 @@ class TestObservableGeneral:
         dim = 1 << pc.qubits
         gram = (columns.T @ columns).astype(np.float64)
         small = gram if dim <= pc.ghd.code_len else (columns @ columns.T).astype(np.float64)
-        norm_fp = round(_power_norm(small) * (1 << proto.NORM_FRAC_BITS))
+        norm_fp = proto._norm_fp(small, dim)
         entries = np.round(gram / (norm_fp / (1 << proto.NORM_FRAC_BITS)) * (1 << proto.ENTRY_FRAC_BITS))
         return struct.pack("<I", pc.qubits) + entries.astype("<i8").tobytes()
 
@@ -872,6 +873,48 @@ class TestObservableGeneral:
             struct.pack_into("<q", main, offsets[k], math.isqrt(aa * bb) + 1)
         with pytest.raises(MessageError, match="positive semidefinite"):
             self.bob_on(pc, sr, l, msg, main)
+
+    def test_two_point_value_must_stay_within_the_unit_norm(self):
+        pc = make_config("observable-general", 6, 0.5)
+        sr, x, l = draw_instance(pc, 60)
+        msg = proto.ALICE["observable-general"](x, pc, sr)
+        main = bytearray(msg.main_payload)
+        # one queried diagonal entry raised to 2^50: the minor stays symmetric
+        # and positive semidefinite, but <psi|M|psi> is above 1
+        struct.pack_into("<q", main, self.read_entries(pc, l)["aa"], 1 << 50)
+        with pytest.raises(MessageError, match="unit norm"):
+            self.bob_on(pc, sr, l, msg, main)
+
+    def test_wire_bytes_do_not_depend_on_the_blas_kernel(self):
+        # 40 trials of n=8 at epsilon 0.3 under the oldest x86-64 kernel
+        # OpenBLAS ships and under the one it picks for this host: the norm
+        # bound is exact whatever order a kernel sums in
+        script = (
+            "import hashlib\n"
+            "from gapcomm import protocols as proto\n"
+            "from gapcomm.bits import STREAM_INSTANCE, SharedRandomness\n"
+            "from gapcomm.ghd import GhdParams\n"
+            "from gapcomm.harness import sample_instance\n"
+            "pc = proto.ProtocolConfig('observable-general', 8, GhdParams(epsilon=0.3))\n"
+            "for k in range(40):\n"
+            "    sr = SharedRandomness(9).substream(k)\n"
+            "    x = sample_instance(sr.substream(STREAM_INSTANCE), pc, True)\n"
+            "    print(hashlib.sha256(proto.ALICE['observable-general'](x, pc, sr).to_wire()).hexdigest())\n"
+        )
+        src = os.path.dirname(os.path.dirname(proto.__file__))
+        env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = src
+
+        def digests(**extra):
+            done = subprocess.run(
+                [sys.executable, "-c", script], env={**env, **extra}, capture_output=True,
+                text=True, timeout=120, check=True,
+            )
+            return done.stdout.split()
+
+        default = digests()
+        assert len(default) == 40
+        assert digests(OPENBLAS_CORETYPE="Prescott") == default
 
     def test_recovers_bit_with_exact_oracle(self):
         pc = make_config("observable-general", 6, 0.5)

@@ -195,11 +195,14 @@ def main() -> None:
     gram_rows = rng.integers(0, 2, size=(1024, 720)).astype(np.float32)
     row("gram 256x720 (observable-general n=8)", proto._gram, gram_rows[:256], "bench-n8")
     row("gram 720x1024 small side (n=10)", proto._gram, gram_rows.T, "bench-n10")
-    # the certified norm bound Alice ships, on those two Gram matrices
+    # the certified norm bound Alice ships, on those two Gram matrices, and
+    # at n=10 also on the shipped 1024x1024 side, which the encoder skips
     gram_n8 = proto._gram(gram_rows[:256], "bench-n8").copy()
     gram_n10 = proto._gram(gram_rows.T, "bench-n10").copy()
+    gram_n10_shipped = proto._gram(gram_rows, "bench-n10-shipped").copy()
     row("certified norm 256x256 (observable-general n=8)", proto._norm_fp, gram_n8, 256)
     row("certified norm 720x720 small side (n=10)", proto._norm_fp, gram_n10, 1024)
+    row("certified norm 1024x1024 (n=10)", proto._norm_fp, gram_n10_shipped, 1024)
 
     # one observable-pauli n=256 message at epsilon 0.3 (11649 wire bits):
     # Bob's reader against the two-hot subset-state route verify keeps

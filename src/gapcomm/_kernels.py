@@ -86,11 +86,25 @@ def factor_qubits(qubits: int) -> list[int]:
     return [base + 1] * extra + [base] * (parts - extra)
 
 
+def character_row(z_mask, qubits: int) -> np.ndarray:
+    """Walsh-Hadamard character s[y] = (-1)^popcount(z & y), y < 2^qubits, as
+    int64: one row for an int mask, or one row per entry of a uint64 array."""
+    idx = np.arange(1 << qubits, dtype=np.uint64)
+    masks = np.asarray(z_mask, dtype=np.uint64)
+    return (1 - 2 * parity_u64(masks[..., None] & idx)).astype(np.int64)
+
+
+def character_matrix(qubits: int) -> np.ndarray:
+    """Full 2^n x 2^n character matrix H[k, y]; intended for small-n checks."""
+    if qubits > 13:
+        raise ValueError("dense character matrix capped at 13 qubits")
+    return character_row(np.arange(1 << qubits, dtype=np.uint64), qubits)
+
+
 @lru_cache(maxsize=None)
 def hadamard_factor(qubits: int) -> np.ndarray:
-    """Read-only float64 character matrix H[k, y] = (-1)^popcount(k & y) of one factor."""
-    idx = np.arange(1 << qubits, dtype=np.uint64)
-    h = (1 - 2 * parity_u64(idx[:, None] & idx)).astype(np.float64)
+    """Read-only float64 character matrix of one factor."""
+    h = character_matrix(qubits).astype(np.float64)
     h.setflags(write=False)
     return h
 
@@ -99,10 +113,8 @@ def hadamard_factor(qubits: int) -> np.ndarray:
 # sizes, 1 KiB each, so the cache stays bounded without an eviction limit.
 @lru_cache(maxsize=None)
 def sign_row(qubits: int, z_part: int) -> np.ndarray:
-    """Read-only int64 row z_part of one factor's character matrix:
-    s[y] = (-1)^popcount(z_part & y), built without the matrix."""
-    idx = np.arange(1 << qubits, dtype=np.uint64)
-    row = (1 - 2 * parity_u64(idx & np.uint64(z_part))).astype(np.int64)
+    """Read-only int64 row z_part of one factor's character matrix."""
+    row = character_row(z_part, qubits)
     row.setflags(write=False)
     return row
 

@@ -143,28 +143,28 @@ class ExactState:
         return payload, 8 * len(payload)
 
     @staticmethod
-    def deserialize(buf: bytes, offset: int = 0) -> tuple["ExactState", int]:
-        """Read one state at ``offset``; a buffer too short for it raises StateError.
+    def deserialize(buf: bytes) -> tuple["ExactState", int]:
+        """Read the state at the start of ``buf``; a buffer too short for it
+        raises StateError. The state comes with the number of bytes it took,
+        which perfbench/layers.py counts per trial.
 
         The amplitudes come back as a read-only view over ``buf`` when
         ``buf`` is immutable (``bytes``, or a read-only memoryview of
         ``bytes``) and as a copy otherwise, so a state checked here cannot
         change afterwards. Either way the norm check reads every amplitude.
         """
-        if offset < 0:
-            raise StateError(f"negative offset {offset}")
-        if len(buf) - offset < 10:
+        if len(buf) < 10:
             raise StateError("buffer too short for the state header")
-        tag, qubits, norm_sq = struct.unpack_from("<BBQ", buf, offset)
-        offset += 10
+        tag, qubits, norm_sq = struct.unpack_from("<BBQ", buf)
         if tag != 0:
             raise StateError(f"unknown state layout tag {tag}")
         count = 1 << qubits
-        if len(buf) - offset < 8 * count:
+        end = 10 + 8 * count
+        if len(buf) < end:
             raise StateError("buffer too short for the dense amplitudes")
-        arr = np.frombuffer(buf, dtype="<i8", count=count, offset=offset)
+        arr = np.frombuffer(buf, dtype="<i8", count=count, offset=10)
         if not _immutable(buf):
             # a private copy, locked so that __post_init__ keeps it as is
             arr = arr.copy()
             arr.setflags(write=False)
-        return ExactState(qubits=qubits, norm_sq=norm_sq, numerators=arr), offset + 8 * count
+        return ExactState(qubits=qubits, norm_sq=norm_sq, numerators=arr), end

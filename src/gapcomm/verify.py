@@ -15,10 +15,10 @@ from typing import Callable
 
 import numpy as np
 
+from . import _kernels
 from . import ghd as ghd_mod
 from . import protocols as proto
 from .bits import STREAM_INDEX, STREAM_INSTANCE, SharedRandomness
-from .fwht import character_matrix, fwht
 from .ghd import GhdParams
 from .harness import sample_instance
 from .observables import CW_GAP, operator_norm
@@ -41,13 +41,13 @@ def _check_transform_involution(max_qubits: int) -> CheckResult:
         if n <= 10:
             basis = np.eye(dim, dtype=np.int64)
             for k in range(dim):
-                if not np.array_equal(fwht(fwht(basis[k])), dim * basis[k]):
+                if not np.array_equal(_kernels.fwht(_kernels.fwht(basis[k])), dim * basis[k]):
                     return CheckResult("transform-involution", False, f"basis {k} at n={n}")
         # five vectors of entries in [-1024, 1024): the top 11 bits of each
         # word of substream n, less 1024
         words = SharedRandomness(11).substream(n).words(5 * dim)
         for v in (words >> 53).astype(np.int64).reshape(5, dim) - 1024:
-            if not np.array_equal(fwht(fwht(v)), dim * v):
+            if not np.array_equal(_kernels.fwht(_kernels.fwht(v)), dim * v):
                 return CheckResult("transform-involution", False, f"random vector at n={n}")
     return CheckResult("transform-involution", True, f"n <= {top}, exact")
 
@@ -56,7 +56,7 @@ def _check_row_orthogonality(max_qubits: int) -> CheckResult:
     top = min(6, max_qubits)
     for n in range(1, top + 1):
         dim = 1 << n
-        rows = character_matrix(n)
+        rows = _kernels.character_matrix(n)
         # second route: per-entry signs from the mask's own popcount path
         for k in range(dim):
             mask = PauliMask(z=k, x=0, qubits=n)

@@ -34,6 +34,24 @@ def test_single_qubit_rows():
     assert np.array_equal(fwht([1, 0]), [1, 1])
 
 
+@pytest.mark.parametrize("q", range(1, 8))
+def test_factors_and_sign_rows_come_from_the_one_character_builder(q):
+    # the cached factors of the transform and the sign rows of pauli_quad
+    # are the public character rows, read-only
+    factor = _kernels.hadamard_factor(q)
+    assert np.array_equal(factor, character_matrix(q))
+    assert not factor.flags.writeable
+    zs = range(1 << q) if q <= 4 else np.random.default_rng(q).integers(0, 1 << q, size=16).tolist()
+    for z in zs:
+        row = _kernels.sign_row(q, z)
+        assert np.array_equal(row, character_row(z, q))
+        assert not row.flags.writeable
+
+
+def test_public_transform_is_the_kernel():
+    assert fwht is _kernels.fwht
+
+
 def test_matches_reference_matrix_small():
     rng = np.random.default_rng(4)
     for n in range(1, 6):

@@ -430,8 +430,8 @@ class TestDenseWirePath:
         state, _ = ExactState.deserialize(ProtocolMessage.from_wire(msg.to_wire()).main_payload)
         assert state.numerators.flags.aligned
         # alignment is a speed property only: the same state read at an odd
-        # offset, through an unaligned view, gives the same norm and form
-        shifted, _ = ExactState.deserialize(b"\xff" * 3 + bytes(msg.main_payload), 3)
+        # offset, through an unaligned view of bytes, gives the same norm and form
+        shifted, _ = ExactState.deserialize(memoryview(b"\xff" * 3 + bytes(msg.main_payload))[3:])
         assert not shifted.numerators.flags.aligned
         assert shifted.norm_sq == state.norm_sq
         z, x_mask = 0b1011, 1 << (state.qubits - 1)

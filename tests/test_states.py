@@ -235,21 +235,6 @@ class TestSerialization:
             assert (back.qubits, back.norm_sq) == (len(nums).bit_length() - 1, 14)
             assert back.numerators.tolist() == nums
 
-    def test_states_read_back_to_back_at_an_offset(self):
-        first = np.array([1, 0, -1, 2], dtype=np.int64)
-        second = np.array([0, 5], dtype=np.int64)
-        buf = b"\xff" * 3 + dense_wire(first) + dense_wire(second)
-        back_first, offset = ExactState.deserialize(buf, 3)
-        back_second, end = ExactState.deserialize(buf, offset)
-        assert np.array_equal(back_first.numerators, first) and back_first.norm_sq == 6
-        assert np.array_equal(back_second.numerators, second) and back_second.norm_sq == 25
-        assert end == len(buf)
-
-    def test_negative_offset_is_a_state_error(self):
-        payload = dense_wire(np.array([1, 0, -1, 2], dtype=np.int64))
-        with pytest.raises(StateError, match="negative offset -5"):
-            ExactState.deserialize(payload, -5)
-
     def test_dense_layout_fields(self):
         payload = dense_wire(np.array([1, 0, -1, 2], dtype=np.int64))
         assert payload[0] == 0  # dense tag
